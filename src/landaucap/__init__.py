@@ -26,7 +26,6 @@ from .landau import (
     ToeplitzSpectrum,
     lemma1_sequences,
     level_q_matrix,
-    lll_matrix,
     radial_oracle,
     rescaled_weight,
     spectrum,
@@ -106,7 +105,6 @@ __all__ = [
     "dilate",
     "lemma1_sequences",
     "level_q_matrix",
-    "lll_matrix",
     "mixed_moments",
     "monic_orthogonalize",
     "quadrature",

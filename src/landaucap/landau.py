@@ -16,11 +16,13 @@ from typing import Optional
 
 from mpmath import mp
 
+from ._mp import hermitian_cholesky
 from .chebyshev import CapacityEstimate
-from .errors import NonConvergenceError
+from .errors import DegenerateMomentError, NonConvergenceError
 from .orthopoly import monic_orthogonalize
 from .region import affine, region_key
 from .weight import (
+    DEGENERATE_MSG,
     Constant,
     Generic,
     Radial,
@@ -37,7 +39,6 @@ __all__ = [
     "ToeplitzSpectrum",
     "AsymptoticsReport",
     "rescaled_weight",
-    "lll_matrix",
     "level_q_matrix",
     "spectrum",
     "toeplitz_spectrum",
@@ -73,10 +74,27 @@ class ToeplitzSpectrum:
     log_eigs: tuple         # log s_n descending, mpf (-inf for nonpositive noise)
     matrix_residual: float  # max of Hermiticity defect and final off-diagonal mass
     trusted_count: int      # eigenvalues above s_1 * 10^(-p/3)
+    precision_bits: int     # p, the working precision of the run
 
     def eigenvalues(self):
-        """s_1 >= s_2 >= ... as mpf (nonpositive noise entries collapse to 0)."""
-        return tuple(mp.exp(lg) for lg in self.log_eigs)
+        """s_1 >= s_2 >= ... as mpf at the run's precision (nonpositive noise
+        entries collapse to 0)."""
+        with mp.workprec(self.precision_bits):
+            return tuple(mp.exp(lg) for lg in self.log_eigs)
+
+
+def _sorted_spectrum(spec: LandauBasisSpec, eigs, residual: float,
+                     precision_bits: int) -> ToeplitzSpectrum:
+    """Sort eigenvalues descending, count those above s_1 * 10^(-p/3) and
+    take logs, all at the caller's working precision."""
+    eigs = sorted(eigs, reverse=True)
+    s1 = eigs[0] if eigs else mp.mpf(0)
+    trusted = 0
+    if s1 > 0:
+        floor = s1 * mp.mpf(10) ** (-(precision_bits / mp.mpf(3)))
+        trusted = sum(1 for e in eigs if e > floor)
+    log_eigs = tuple(mp.log(e) if e > 0 else mp.ninf for e in eigs)
+    return ToeplitzSpectrum(spec, log_eigs, residual, trusted, precision_bits)
 
 
 @dataclass
@@ -140,11 +158,34 @@ def _creation_pow(j: int, q: int) -> dict:
     return poly
 
 
-def _assemble(v: Weight, q: int, b0: float, N: int, precision_bits: int, method: str):
+def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int,
+                   method: str = "auto"):
+    """Compression matrix on the q-th level via the symbolic creation rule.
+
+    The general field is first reduced to b0 = 2 by rescaled_weight. Basis
+    functions at b0=2 are (polynomial in z, conj z) x exp(-|z|^2/2)
+    obtained by q applications of P -> dP/dz - conj(z) P to z^j; entries are
+    finite combinations of Gaussian mixed moments up to degree N + q with an
+    overall prefactor 1/q! (the creation-operator modulus (2 b0)^q cancels
+    the (2 b0)^(-q) of the quadratic form).  At q = 0 this is the ground
+    level, T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!) with G the Gaussian
+    moment table of v, i.e. G~_jk / (pi sqrt(j! k!)) after the reduction;
+    the factorials enter through log-gamma in log domain.
+
+    Raises DegenerateMomentError when a 2d Gaussian table fails its
+    Cholesky at the working precision.
+    """
     LandauBasisSpec(q, float(b0), N)  # validate the triple
     u = rescaled_weight(v, b0)
     table = mixed_moments(u, "gaussian", maxdeg=N + q, precision_bits=precision_bits,
                           b0=2.0, method=method)
+    if not table.diagonal:
+        size = table.maxdeg + 1
+        gram = [[table.entry(a, b) for b in range(size)] for a in range(size)]
+        try:
+            hermitian_cholesky(gram, table.precision_bits)
+        except DegenerateMomentError as e:
+            raise DegenerateMomentError(DEGENERATE_MSG) from e
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     T = mp.matrix(N + 1, N + 1)
     with mp.workprec(precision_bits + 20):
@@ -161,30 +202,6 @@ def _assemble(v: Weight, q: int, b0: float, N: int, precision_bits: int, method:
                 if k != j:
                     T[k, j] = mp.conj(val)
     return T
-
-
-def lll_matrix(v: Weight, b0: float, N: int, precision_bits: int, method: str = "auto"):
-    """Matrix of the ground-level compression in the normalized basis.
-
-    T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!) with G the Gaussian moment
-    table of v; the general field is reduced to b0 = 2 by rescaled_weight,
-    after which the normalization is G~_jk / (pi sqrt(j! k!)), the factorial
-    factors applied through log-gamma in log domain.
-    """
-    return _assemble(v, 0, b0, N, precision_bits, method)
-
-
-def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int,
-                   method: str = "auto"):
-    """Compression matrix on the q-th level via the symbolic creation rule.
-
-    Basis functions at b0=2 are (polynomial in z, conj z) x exp(-|z|^2/2)
-    obtained by q applications of P -> dP/dz - conj(z) P to z^j; entries are
-    finite combinations of Gaussian mixed moments up to degree N + q with an
-    overall prefactor 1/q! (the creation-operator modulus (2 b0)^q cancels
-    the (2 b0)^(-q) of the quadratic form).  q = 0 reduces to lll_matrix.
-    """
-    return _assemble(v, q, b0, N, precision_bits, method)
 
 
 # -------------------------------------------------------------- eigenvalues
@@ -287,23 +304,14 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
             off = _offdiag_frobenius(a, n)
             sweeps += 1
 
-        eigs = sorted((mp.re(a[i][i]) for i in range(n)), reverse=True)
-        s1 = eigs[0] if n else mp.mpf(0)
-        if s1 > 0:
-            floor = s1 * mp.mpf(10) ** (-(p / mp.mpf(3)))
-            trusted = sum(1 for e in eigs if e > floor)
-        else:
-            trusted = 0
-        log_eigs = tuple(mp.log(e) if e > 0 else mp.ninf for e in eigs)
         residual = 0.0
         if amax > 0:
             residual = float(herm / amax)
         if trace > 0:
             residual = max(residual, float(off / trace))
-
-    if spec is None:
-        spec = LandauBasisSpec(0, 2.0, n - 1)
-    return ToeplitzSpectrum(spec, log_eigs, residual, trusted)
+        if spec is None:
+            spec = LandauBasisSpec(0, 2.0, n - 1)
+        return _sorted_spectrum(spec, (mp.re(a[i][i]) for i in range(n)), residual, p)
 
 
 def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
@@ -355,15 +363,7 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
             norm = mp.e ** (mp.loggamma(pdeg + 1) - mp.loggamma(pdeg + alpha + 1))
             f = lambda t: t ** alpha * mp.laguerre(pdeg, alpha, t) ** 2 * mp.e ** (-t) * dens(t)
             vals.append(norm * mp.quad(f, [lo2, hi2]))
-        eigs = sorted(vals, reverse=True)
-        s1 = eigs[0]
-        if s1 > 0:
-            floor = s1 * mp.mpf(10) ** (-(p_bits / mp.mpf(3)))
-            trusted = sum(1 for e in eigs if e > floor)
-        else:
-            trusted = 0
-        log_eigs = tuple(mp.log(e) if e > 0 else mp.ninf for e in eigs)
-    return ToeplitzSpectrum(LandauBasisSpec(q, float(b0), N), log_eigs, 0.0, trusted)
+        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, p_bits)
 
 
 # ------------------------------------------------------- asymptotic sequences

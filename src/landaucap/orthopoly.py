@@ -24,7 +24,6 @@ __all__ = [
     "MonicOrthoBasis",
     "RhoEstimate",
     "monic_orthogonalize",
-    "m_sequence",
     "rho_estimates",
     "zeros",
     "evaluate",
@@ -56,24 +55,14 @@ def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
 
     The moment table holds prescaled entries for monomials (z/R0)^a; pivots
     are rescaled back through log M_n += 2n log R0, and coefficients through
-    c_k *= R0^(n-k), so everything reported lives in the plain z basis.
+    c_k *= R0^(n-k), so everything reported lives in the plain z basis. The
+    Cholesky is also the table's validity check: a nonpositive pivot, on a
+    diagonal table too, raises DegenerateMomentError.
     """
     N = moments.maxdeg
     prec = moments.precision_bits
     with mp.workprec(prec):
         logR0 = mp.log(moments.scale_radius)
-        if moments.diagonal:
-            log_norms, coeff_rows = [], []
-            for n in range(N + 1):
-                piv = moments.entry(n, n)
-                if not piv > 0:
-                    raise DegenerateMomentError(
-                        f"degenerate moment matrix at degree {n}; raise precision or lower N"
-                    )
-                log_norms.append(mp.log(piv) + 2 * n * logR0)
-                coeff_rows.append([mp.mpc(0)] * n)
-            return MonicOrthoBasis(N, coeff_rows, log_norms, moments)
-
         G = [[moments.entry(a, b) for b in range(N + 1)] for a in range(N + 1)]
         try:
             L, log_pivots = hermitian_cholesky(G, prec)
@@ -102,11 +91,6 @@ def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
             # undo the monomial prescale: coefficient of z^k gains R0^(n-k)
             coeff_rows.append([c[k] * moments.scale_radius ** (n - k) for k in range(n)])
         return MonicOrthoBasis(N, coeff_rows, log_norms, moments)
-
-
-def m_sequence(basis: MonicOrthoBasis) -> list:
-    """The log-domain minimal norm sequence log M_n (alias of the basis field)."""
-    return basis.log_norms
 
 
 def rho_estimates(basis: MonicOrthoBasis, n_min: int = 1) -> RhoEstimate:

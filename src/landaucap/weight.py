@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from mpmath import mp
 
-from ._mp import gauss_legendre, hermitian_cholesky, map_rule, tanh_sinh
+from ._mp import gauss_legendre, map_rule, tanh_sinh
 from .errors import DegenerateMomentError
 from .region import (
     Annulus,
@@ -43,7 +43,6 @@ __all__ = [
     "quadrature",
     "mixed_moments",
     "reduce_3d",
-    "radialized",
     "weight_value",
     "weight_key",
     "weight_from_config",
@@ -559,7 +558,6 @@ def mixed_moments(
     precision_bits: Optional[int] = None,
     b0: float = 2.0,
     method: str = "auto",
-    design_margin: Optional[int] = None,
 ) -> MomentTable:
     """Moment table mu_ab for 0 <= a, b <= maxdeg, Hermitian by construction.
 
@@ -567,8 +565,12 @@ def mixed_moments(
     or annulus centered at the origin with a Constant/Radial density, and
     the generic two-dimensional path otherwise. On the 2d path the design
     degree covers the monomials exactly; non-polynomial densities get an
-    oversampling margin (default 48 degrees, override with design_margin),
-    so results for such densities are approximate, not design-exact.
+    oversampling margin of 48 degrees, so results for such densities are
+    approximate, not design-exact.
+
+    The radial path rejects a nonpositive diagonal entry. A 2d table is
+    checked where it is used: by the Cholesky of monic_orthogonalize when
+    plain, by the level-q assembly when Gaussian.
     """
     if kind not in ("plain", "gaussian"):
         raise ValueError("kind must be 'plain' or 'gaussian'")
@@ -589,31 +591,24 @@ def mixed_moments(
             degree_used = 2 * maxdeg
             if kind == "gaussian":
                 degree_used += _gaussian_excess(b0, bounding_radius(w.support), prec)
-            degree_used += design_margin if design_margin is not None else _density_margin(w.density)
+            degree_used += _density_margin(w.density)
             rule = _build_rule(w.support, degree_used, prec)
             if isinstance(rule, _PolarRule):
                 rows, R0 = _polar_dft_table(w, rule, kind, maxdeg, prec, b0)
             else:
                 rows, R0 = _flat_table(w, rule, kind, maxdeg, prec, b0)
             diagonal = False
-        table = MomentTable(
-            kind=kind,
-            b0=float(b0),
-            maxdeg=maxdeg,
-            precision_bits=prec,
-            scale_radius=R0,
-            rows=rows,
-            diagonal=diagonal,
-            weight_key=weight_key(w),
-            design_degree=degree_used,
-        )
-        if not diagonal:
-            full = [[table.entry(a, b) for b in range(maxdeg + 1)] for a in range(maxdeg + 1)]
-            try:
-                hermitian_cholesky(full, prec)
-            except DegenerateMomentError as e:
-                raise DegenerateMomentError(DEGENERATE_MSG) from e
-        return table
+    return MomentTable(
+        kind=kind,
+        b0=float(b0),
+        maxdeg=maxdeg,
+        precision_bits=prec,
+        scale_radius=R0,
+        rows=rows,
+        diagonal=diagonal,
+        weight_key=weight_key(w),
+        design_degree=degree_used,
+    )
 
 
 # ------------------------------------------------------------- 3d reduction
@@ -688,26 +683,6 @@ def reduce_3d(V: Potential3D, grid: Optional[SectionGrid] = None, support: Optio
     return Weight(support=support, density=Generic(fn, label="reduce3d"))
 
 
-def radialized(w: Weight, center: complex = 0j, positive_on: Optional[Region] = None) -> Weight:
-    """Re-tag a weight the caller asserts is radial about the origin, so the
-    diagonal moment path applies. The profile samples the density on the
-    positive real ray."""
-    if complex(center) != 0j:
-        raise ValueError("radialization only supports the origin")
-    if not isinstance(w.support, (Disc, Annulus)) or w.support.center != 0:
-        raise ValueError("radialization needs an origin-centered disc/annulus support")
-    dens = w.density
-
-    def profile(r):
-        return _density_value(dens, mp.mpc(r))
-
-    return Weight(
-        support=w.support,
-        density=Radial(profile, poly_degree=None, label="radialized"),
-        positive_on=positive_on if positive_on is not None else w.positive_on,
-    )
-
-
 # ------------------------------------------------------------ config + json
 
 def weight_from_config(rec: dict) -> Weight:
@@ -742,9 +717,12 @@ def weight_from_config(rec: dict) -> Weight:
     raise ValueError(f"unknown density kind {kind!r}")
 
 
-def ball_reduction_weight(R: float = 1.0, grid: Optional[SectionGrid] = None) -> Weight:
+def ball_reduction_weight(R: float = 1.0) -> Weight:
     """Weight from collapsing the indicator of the ball of radius R along x3;
-    the chord integral gives 2 sqrt(R^2 - |z|^2) on the disc shadow."""
+    the chord integral gives 2 sqrt(R^2 - |z|^2) on the disc shadow.
+
+    The chord depends on |z| only, so the profile integrates the section over
+    the positive real ray and the diagonal moment path applies."""
     R = float(R)
     R2 = R * R
 
@@ -752,9 +730,11 @@ def ball_reduction_weight(R: float = 1.0, grid: Optional[SectionGrid] = None) ->
         return mp.mpf(1) if x1 * x1 + x2 * x2 + x3 * x3 <= R2 else mp.mpf(0)
 
     V = Potential3D(ball, ((-R, R), (-R, R), (-R, R)))
-    w = reduce_3d(V, grid=grid, support=Disc(0j, R))
-    w = radialized(w, positive_on=Disc(0j, R))
-    return Weight(w.support, Radial(w.density.profile, None, label=f"ball3d:{R}"), positive_on=Disc(0j, R))
+
+    def chord(r):
+        return _section_integral(V, mp.mpf(r), 0, SectionGrid(), mp.prec)
+
+    return Weight(Disc(0j, R), Radial(chord, None, label=f"ball3d:{R}"), positive_on=Disc(0j, R))
 
 
 def weight_to_config(w: Weight) -> dict:

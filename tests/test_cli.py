@@ -180,6 +180,25 @@ def test_orthopoly_degenerate_moments_exit_4(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["toeplitz", "orthopoly", "predict"])
+def test_tiny_offcenter_disc_exits_4(tmp_path, capsys, command):
+    # radius 0.01 at distance 1: at 64 bits both the plain table (orthopoly,
+    # predict) and the Gaussian one (toeplitz) fail their Cholesky
+    cfg = write_config(tmp_path / "tiny.json", {
+        "weight": {
+            "support": {"shape": "disc", "center": [1, 0], "radius": 0.01},
+            "density": {"kind": "constant"},
+        },
+        "N": 6,
+        "precision_bits": 64,
+    })
+    out_path = tmp_path / "tiny.csv"
+    code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 4
+    assert "degenerate moment matrix" in err
+    assert not out_path.exists()
+
+
 def test_toeplitz_truncation_too_small_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "toep.json", {
         "weight": UNIT_DISC_WEIGHT, "q": 2, "N": 1, "precision_bits": 64,

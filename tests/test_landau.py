@@ -13,7 +13,6 @@ from landaucap.landau import (
     _creation_pow,
     lemma1_sequences,
     level_q_matrix,
-    lll_matrix,
     radial_oracle,
     rescaled_weight,
     spectrum,
@@ -60,7 +59,7 @@ def test_lll_disc_diagonal_closed_form():
     with mp.workprec(160):
         for r in (0.5, 1.0, 2.0):
             v = Weight(Disc(0j, r), Constant(1.0))
-            T = lll_matrix(v, 2.0, 10, 128)
+            T = level_q_matrix(v, 0, 2.0, 10, 128)
             r2 = mp.mpf(r) ** 2
             for j in range(11):
                 exact = g(j + 1, r2) / mp.factorial(j)
@@ -72,15 +71,15 @@ def test_lll_disc_diagonal_closed_form():
 
 
 def test_lll_t00_value():
-    T = lll_matrix(UNIT_DISC, 2.0, 0, 128)
+    T = level_q_matrix(UNIT_DISC, 0, 2.0, 0, 128)
     with mp.workprec(160):
         exact = 1 - mp.exp(-1)
         assert abs(T[0, 0] - exact) / exact < mp.mpf(10) ** -35
 
 
 def test_lll_generic_path_matches_radial():
-    Tg = lll_matrix(UNIT_DISC, 2.0, 8, 128, method="generic")
-    Tr = lll_matrix(UNIT_DISC, 2.0, 8, 128)
+    Tg = level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128, method="generic")
+    Tr = level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128)
     with mp.workprec(160):
         diag_rel = max(abs(Tg[j, j] - Tr[j, j]) / abs(Tr[j, j]) for j in range(9))
         assert diag_rel < mp.mpf(10) ** -30
@@ -92,7 +91,7 @@ def test_lll_generic_path_matches_radial():
 
 def test_lll_diagonal_bounded_by_ess_sup():
     w = Weight(SQUARE, Constant(0.75))
-    T = lll_matrix(w, 2.0, 8, 128)
+    T = level_q_matrix(w, 0, 2.0, 8, 128)
     with mp.workprec(128):
         for j in range(9):
             assert mp.re(T[j, j]) <= mp.mpf("0.75") * (1 + mp.mpf(10) ** -30)
@@ -106,15 +105,6 @@ def test_creation_rule():
     assert _creation_pow(5, 1) == {(4, 0): 5, (5, 1): -1}
     assert _creation_pow(0, 2) == {(0, 2): 1}
     assert _creation_pow(2, 2) == {(0, 0): 2, (1, 1): -4, (2, 2): 1}
-
-
-def test_level_q_zero_identical_to_lll():
-    v = Weight(Disc(0.4 + 0.1j, 0.7), Constant(1.0))
-    A = lll_matrix(v, 2.0, 6, 128)
-    B = level_q_matrix(v, 0, 2.0, 6, 128)
-    for j in range(7):
-        for k in range(7):
-            assert A[j, k] == B[j, k]
 
 
 def test_level_q1_disc_diagonal_closed_form():
@@ -184,6 +174,16 @@ def test_spectrum_2x2_complex_closed_form():
         lam = ((3 + mp.sqrt(5)) / 2, (3 - mp.sqrt(5)) / 2)
         for got, want in zip(sp.eigenvalues(), lam):
             assert abs(got - want) / want < mp.mpf(10) ** -30
+
+
+def test_eigenvalues_keep_the_run_precision():
+    # called outside any workprec, the linear view still carries the run's bits
+    sp = radial_oracle(UNIT_DISC, 2.0, 5, 128)
+    eigs = sp.eigenvalues()
+    with mp.workprec(128):
+        exact = 1 - mp.exp(-1)
+        assert abs(eigs[0] - exact) / exact < mp.mpf(10) ** -30
+    assert sp.precision_bits == 128
 
 
 def test_spectrum_rejects_bad_input():
@@ -293,7 +293,7 @@ def test_oracle_equivalence_of_spectrum():
         with mp.workprec(192):
             for a, b in zip(sp.eigenvalues()[:nt], orc.eigenvalues()[:nt]):
                 assert abs(a - b) / b < mp.mpf(10) ** -8
-    dense = spectrum(lll_matrix(UNIT_DISC, 2.0, 12, 128, method="generic"), 128)
+    dense = spectrum(level_q_matrix(UNIT_DISC, 0, 2.0, 12, 128, method="generic"), 128)
     orc = radial_oracle(UNIT_DISC, 2.0, 12, 128)
     with mp.workprec(128):
         nt = min(dense.trusted_count, orc.trusted_count)
@@ -496,7 +496,7 @@ def test_theorem_predictions_rejects_bad_capacity():
 )
 def test_spectrum_properties_random_discs(r, a):
     v = Weight(Disc(complex(a, 0), r), Constant(1.0))
-    T = lll_matrix(v, 2.0, 6, 96)
+    T = level_q_matrix(v, 0, 2.0, 6, 96)
     with mp.workprec(96):
         amax = max(abs(T[j, k]) for j in range(7) for k in range(7))
         for j in range(7):

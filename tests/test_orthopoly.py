@@ -22,7 +22,6 @@ from landaucap.weight import (
 )
 from landaucap.orthopoly import (
     evaluate,
-    m_sequence,
     monic_orthogonalize,
     orthogonality_defect,
     rho_estimates,
@@ -168,12 +167,23 @@ def test_cholesky_consistency():
                 assert abs(rec - G[a][b]) <= scale * mp.mpf(2) ** (-128 // 4)
 
 
+def test_square_table_is_factored_once(monkeypatch):
+    # the Cholesky of monic_orthogonalize is the plain table's only check
+    from landaucap import _mp
+
+    sizes = []
+
+    def counting(g, prec):
+        sizes.append(len(g))
+        return _mp.hermitian_cholesky(g, prec)
+
+    for mod in ("landaucap.weight", "landaucap.orthopoly"):
+        monkeypatch.setattr(f"{mod}.hermitian_cholesky", counting, raising=False)
+    square_basis(maxdeg=10)
+    assert sizes == [11]
+
+
 # --------------------------------------------------------------- sequences
-
-def test_m_sequence_alias():
-    basis = disc_basis(maxdeg=6)
-    assert m_sequence(basis) is basis.log_norms
-
 
 def test_rho_sequence_disc_values():
     w = Weight(Disc(0j, 1.0), Constant(1.0))

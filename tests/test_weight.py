@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import landaucap.weight as weight_module
 from landaucap.errors import DegenerateMomentError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion
 from landaucap.weight import (
@@ -29,7 +30,6 @@ from landaucap.weight import (
     moment_table_from_json,
     moment_table_to_json,
     quadrature,
-    radialized,
     reduce_3d,
     weight_from_config,
     weight_key,
@@ -340,6 +340,21 @@ def test_ball_chord_profile():
             assert abs(weight_value(w, z) - exact) < mp.mpf(10) ** -10
 
 
+def test_ball_weight_samples_each_probe_once(monkeypatch):
+    # one Weight is built, so the nonnegativity probe costs one section
+    # integral per probe point inside the unit disc
+    calls = []
+    original = weight_module._section_integral
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(weight_module, "_section_integral", counting)
+    ball_reduction_weight(1.0)
+    assert len(calls) == len(weight_module._probe_points(Disc(0j, 1.0))) == 112
+
+
 def test_ball_moment_table_beta_oracle():
     # mu_aa = 2 pi B(a+1, 3/2) for the chord weight of the unit ball
     w = ball_reduction_weight(1.0)
@@ -376,15 +391,6 @@ def test_reduce_3d_zero_potential_degenerate():
     V = Potential3D(lambda a, b, c: mp.mpf(0), ((0, 1), (0, 1), (0, 1)))
     with pytest.raises(ValueError, match="degenerate"):
         reduce_3d(V)
-
-
-def test_radialized_guards():
-    w = Weight(Disc(1 + 0j, 1.0), Constant(1.0))
-    with pytest.raises(ValueError):
-        radialized(w)
-    sq = Weight(Polygon((0j, 1 + 0j, 1 + 1j, 1j)), Constant(1.0))
-    with pytest.raises(ValueError):
-        radialized(sq)
 
 
 # ----------------------------------------------------------- config + json
