@@ -1,13 +1,15 @@
 """Extended-precision building blocks: Gauss-Legendre and tanh-sinh node
-caches and a Hermitian Cholesky, all on top of mpmath."""
+caches, a Hermitian Cholesky and exact fixed-point dot products, all on top
+of mpmath."""
 
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
-from mpmath import mp
+from mpmath import libmp, mp
 
 from .errors import DegenerateMomentError
 
@@ -108,3 +110,46 @@ def hermitian_cholesky(g, prec: int):
                 else:
                     L[i][j] = s / L[j][j]
         return L, logs
+
+
+# Fraction bits a fixed-point sum carries past the precision of its result,
+# on top of the bit length of the term count.
+FIXED_GUARD_BITS = 32
+
+
+def fixed_bits(prec: int, count: int) -> int:
+    """Bits kept per value in a fixed-point sum of count terms at prec bits."""
+    return prec + FIXED_GUARD_BITS + count.bit_length()
+
+
+def to_fixed(parts, bits: int):
+    """Lists of mpf as integers over one shared power of two.
+
+    Returns (ints, e) with parts[j][i] ~ ints[j][i] * 2^e, rounded down:
+    the largest magnitude keeps `bits` bits, the others the same absolute
+    step 2^e.
+    """
+    top = max((v._mpf_[2] + v._mpf_[3] for part in parts for v in part if v), default=0)
+    e = top - bits
+    return [[libmp.to_fixed(v._mpf_, -e) for v in part] for part in parts], e
+
+
+def from_fixed(re: int, im, e: int, prec: int):
+    """(re + i im) * 2^e rounded once to prec bits: an mpf when im is None,
+    else an mpc."""
+    out = libmp.from_man_exp(re, e, prec, libmp.round_nearest)
+    if im is None:
+        return mp.make_mpf(out)
+    return mp.make_mpc((out, libmp.from_man_exp(im, e, prec, libmp.round_nearest)))
+
+
+def dot(xs, ys) -> int:
+    """Exact sum of xs[i] * ys[i] over integers."""
+    return sum(map(operator.mul, xs, ys))
+
+
+def cdot(x, y):
+    """Exact sum of x_i conj(y_i) over complex integer vectors given as
+    (re, im) pairs of lists; returns (re, im)."""
+    (xr, xi), (yr, yi) = x, y
+    return dot(xr, yr) + dot(xi, yi), dot(xi, yr) - dot(xr, yi)

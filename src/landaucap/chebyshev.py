@@ -3,9 +3,9 @@
 The degree-n minimax problem min_monic max_boundary |t(z)| is solved on a
 boundary sample by Lawson's iteratively reweighted least squares: each
 weighted problem is the discrete monic orthogonal polynomial, obtained from
-a thin QR factorization in centered and rescaled coordinates. The n-th root
-of the minimax norm converges to the logarithmic capacity of the set, which
-a two-parameter fit over a degree ladder extrapolates.
+the R factor of a QR factorization in centered and rescaled coordinates.
+The n-th root of the minimax norm converges to the logarithmic capacity of
+the set, which a two-parameter fit over a degree ladder extrapolates.
 
 Everything here runs in double precision: the solver tolerance (>= 1e-3
 relative by default) makes extended precision pointless.
@@ -97,8 +97,8 @@ def chebyshev_polynomial(region: Region, n: int, m: Optional[int] = None, tol: f
     coeff_vec = np.zeros(n + 1, dtype=complex)
     for iterations in range(1, MAX_LAWSON_ITERATIONS + 1):
         # weighted least squares monic minimizer = discrete monic orthogonal
-        # polynomial: QR of sqrt(w)-scaled Vandermonde, one triangular solve
-        _, R = np.linalg.qr(np.sqrt(w)[:, None] * V)
+        # polynomial: R of the sqrt(w)-scaled Vandermonde, one triangular solve
+        R = np.linalg.qr(np.sqrt(w)[:, None] * V, mode="r")
         a = np.linalg.solve(R[:n, :n], -R[:n, n])
         coeff_vec = np.append(a, 1.0)
         r = np.abs(V @ coeff_vec)

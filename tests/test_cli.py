@@ -177,6 +177,7 @@ def test_orthopoly_degenerate_moments_exit_4(tmp_path, capsys):
         ["orthopoly", "--config", cfg, "--output", str(out_path)], capsys)
     assert code == 4
     assert "degenerate moment matrix" in err
+    assert err.count("degenerate moment matrix") == 1
     assert not out_path.exists()
 
 
@@ -196,6 +197,7 @@ def test_tiny_offcenter_disc_exits_4(tmp_path, capsys, command):
     code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
     assert code == 4
     assert "degenerate moment matrix" in err
+    assert err.count("degenerate moment matrix") == 1
     assert not out_path.exists()
 
 

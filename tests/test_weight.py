@@ -14,7 +14,7 @@ from mpmath import mp
 
 import landaucap.weight as weight_module
 from landaucap.errors import DegenerateMomentError
-from landaucap.region import Annulus, Disc, Polygon, UnionRegion
+from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius
 from landaucap.weight import (
     Constant,
     Generic,
@@ -327,6 +327,128 @@ def test_radial_generic_agreement_property(radius, maxdeg):
         for a in range(maxdeg + 1):
             d = abs(t1.entry(a, a) - t2.entry(a, a)) / t1.entry(a, a)
             assert d < mp.mpf(10) ** -25
+
+
+# ------------------------------------- fixed-point kernels vs the mpc loops
+#
+# The 2d tables are exact fixed-point integer sums rounded once per entry.
+# The references below are the plain mpc multiply-add loops they replaced,
+# run at prec + 128 bits on the same rule, so any difference is rounding in
+# the kernel. The rules sit below design degree to keep the loops fast; a
+# same-rule comparison does not need exactness. At these sizes the mpc loops
+# themselves, run at prec, miss the 4-ulp bound (8.6, 13 and 14 ulp).
+
+def _reference_flat_table(w, rule, kind, maxdeg, b0):
+    R0 = mp.mpf(bounding_radius(w.support))
+    b0m = mp.mpf(b0)
+    cs, zs = [], []
+    for z, wt in zip(rule.nodes, rule.weights):
+        val = wt * mp.mpf(weight_module._density_value(w.density, z))
+        if kind == "gaussian":
+            val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
+        cs.append(val)
+        zs.append(mp.mpc(z) / R0)
+    mpow = [[mp.mpc(1)] * len(zs)]
+    for a in range(maxdeg):
+        mpow.append([p * z for p, z in zip(mpow[-1], zs)])
+    rows = []
+    for a in range(maxdeg + 1):
+        row = []
+        for b in range(a + 1):
+            acc = mp.mpc(0)
+            for i in range(len(zs)):
+                acc += cs[i] * mpow[a][i] * mp.conj(mpow[b][i])
+            row.append(mp.re(acc) if b == a else acc)
+        rows.append(row)
+    return rows
+
+
+def _reference_polar_table(w, rule, kind, maxdeg, b0):
+    R0 = mp.mpf(bounding_radius(w.support))
+    b0m = mp.mpf(b0)
+    T = rule.ntheta
+    step = 2 * mp.pi / T
+    omega = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
+    center = mp.mpc(rule.center)
+    chat = []
+    for r, rwt in zip(rule.rho, rule.rw):
+        cdata = []
+        for t in range(T):
+            z = center + r * omega[t]
+            val = rwt * step * mp.mpf(weight_module._density_value(w.density, z))
+            if kind == "gaussian":
+                val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
+            cdata.append(val)
+        chat.append([mp.fsum(cdata[t] * omega[(t * k) % T] for t in range(T)) for k in range(maxdeg + 1)])
+    rr = [r / R0 for r in rule.rho]
+    nu = [[None] * (maxdeg + 1) for _ in range(maxdeg + 1)]
+    for alpha in range(maxdeg + 1):
+        for beta in range(alpha + 1):
+            acc = mp.mpc(0)
+            for i in range(len(rr)):
+                acc += rr[i] ** (alpha + beta) * chat[i][alpha - beta]
+            nu[alpha][beta] = acc
+            nu[beta][alpha] = mp.conj(acc)
+    chat0 = center / R0
+    kmat = [[math.comb(a, al) * chat0 ** (a - al) for al in range(a + 1)] for a in range(maxdeg + 1)]
+    rows = []
+    for a in range(maxdeg + 1):
+        row = []
+        for b in range(a + 1):
+            acc = mp.mpc(0)
+            for al in range(a + 1):
+                for be in range(b + 1):
+                    acc += kmat[a][al] * mp.conj(kmat[b][be]) * nu[al][be]
+            row.append(mp.re(acc) if b == a else acc)
+        rows.append(row)
+    return rows
+
+
+def _assert_kernel_matches_reference(w, rule, kind, maxdeg, prec, b0=2.0):
+    flat = isinstance(rule, weight_module._FlatRule)
+    kernel = weight_module._flat_table if flat else weight_module._polar_dft_table
+    reference = _reference_flat_table if flat else _reference_polar_table
+    with mp.workprec(prec):
+        rows, _ = kernel(w, rule, kind, maxdeg, prec, b0)
+    with mp.workprec(prec + 128):
+        ref = reference(w, rule, kind, maxdeg, b0)
+        bound = 4 * mp.mpf(2) ** -prec
+        for a in range(maxdeg + 1):
+            assert mp.im(rows[a][a]) == 0
+            for b in range(a + 1):
+                scale = mp.sqrt(abs(ref[a][a]) * abs(ref[b][b]))
+                assert abs(rows[a][b] - ref[a][b]) <= bound * scale, (a, b)
+
+
+def test_flat_kernel_gaussian_side3_square():
+    # corner nodes carry exp(-4.5) of the centre's Gaussian factor, and the
+    # collapsed-square map shrinks weights near each apex
+    sq = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
+    w = Weight(sq, Constant(1.0))
+    rule = weight_module._build_rule(sq, 24, 128)
+    _assert_kernel_matches_reference(w, rule, "gaussian", 12, 128)
+
+
+def test_polar_kernel_gaussian_offcenter_disc():
+    w = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
+    rule = weight_module._build_rule(w.support, 40, 128)
+    _assert_kernel_matches_reference(w, rule, "gaussian", 12, 128)
+
+
+def test_polar_kernel_plain_offcenter_disc_64_bits():
+    w = Weight(Disc(0.6 - 0.5j, 1.0), Constant(1.0))
+    rule = weight_module._build_rule(w.support, 32, 64)
+    _assert_kernel_matches_reference(w, rule, "plain", 16, 64)
+
+
+def test_flat_kernel_signed_node_values():
+    # a negative node value must flip its conjugate factor, not vanish
+    w = Weight(Disc(0j, 1.0), Constant(1.0))
+    with mp.workprec(128):
+        nodes = [mp.mpc(0.3, 0.1), mp.mpc(-0.5, 0.4), mp.mpc(0.2, -0.7), mp.mpc(-0.1, -0.2)]
+        weights = [mp.mpf(1), mp.mpf(-0.5), mp.mpf(2), mp.mpf(-1.25)]
+    rule = weight_module._FlatRule(nodes, weights)
+    _assert_kernel_matches_reference(w, rule, "plain", 3, 128)
 
 
 # ------------------------------------------------------------- 3d reduction
