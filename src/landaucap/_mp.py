@@ -112,8 +112,9 @@ def hermitian_cholesky(g, prec: int):
         return L, logs
 
 
-# Fraction bits a fixed-point sum carries past the precision of its result,
-# on top of the bit length of the term count.
+# Fraction bits a fixed-point computation carries past the precision it
+# needs: past that of its result plus the bit length of the term count in a
+# sum, past twice the working precision in the Jacobi eigen-solve.
 FIXED_GUARD_BITS = 32
 
 

@@ -2,10 +2,11 @@
 
 The compression of multiplication by a compactly supported weight v onto the
 q-th Landau level is represented by its top-left (N+1)x(N+1) block in the
-normalized level basis.  The block is assembled from Gaussian mixed moments,
-diagonalized by a cyclic complex Jacobi sweep at working precision, and the
-resulting eigenvalues s_n feed the n-th-root sequences that the minimal-norm
-and capacity machinery is asymptotically equal to.
+normalized level basis.  The block is assembled from Gaussian mixed moments
+and diagonalized by a cyclic complex Jacobi sweep on fixed-point Python
+integers at 2p + 32 bits (p the working precision), each eigenvalue rounded
+once to p bits; the resulting eigenvalues s_n feed the n-th-root sequences
+that the minimal-norm and capacity machinery is asymptotically equal to.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from ._mp import hermitian_cholesky
+from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_cholesky, to_fixed
 from .chebyshev import CapacityEstimate
 from .errors import DegenerateMomentError, NonConvergenceError
 from .orthopoly import monic_orthogonalize
@@ -75,6 +76,7 @@ class ToeplitzSpectrum:
     matrix_residual: float  # max of Hermiticity defect and final off-diagonal mass
     trusted_count: int      # eigenvalues above s_1 * 10^(-p/3)
     precision_bits: int     # p, the working precision of the run
+    sweeps: int = 0         # Jacobi sweeps run; 0 for a diagonal input or an oracle
 
     def eigenvalues(self):
         """s_1 >= s_2 >= ... as mpf at the run's precision (nonpositive noise
@@ -84,7 +86,7 @@ class ToeplitzSpectrum:
 
 
 def _sorted_spectrum(spec: LandauBasisSpec, eigs, residual: float,
-                     precision_bits: int) -> ToeplitzSpectrum:
+                     precision_bits: int, sweeps: int) -> ToeplitzSpectrum:
     """Sort eigenvalues descending, count those above s_1 * 10^(-p/3) and
     take logs, all at the caller's working precision."""
     eigs = sorted(eigs, reverse=True)
@@ -94,7 +96,7 @@ def _sorted_spectrum(spec: LandauBasisSpec, eigs, residual: float,
         floor = s1 * mp.mpf(10) ** (-(precision_bits / mp.mpf(3)))
         trusted = sum(1 for e in eigs if e > floor)
     log_eigs = tuple(mp.log(e) if e > 0 else mp.ninf for e in eigs)
-    return ToeplitzSpectrum(spec, log_eigs, residual, trusted, precision_bits)
+    return ToeplitzSpectrum(spec, log_eigs, residual, trusted, precision_bits, sweeps)
 
 
 @dataclass
@@ -206,56 +208,81 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int,
 
 # -------------------------------------------------------------- eigenvalues
 
-def _offdiag_frobenius(a, n):
-    acc = mp.mpf(0)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                x = a[i][j]
-                acc += mp.re(x) ** 2 + mp.im(x) ** 2
-    return mp.sqrt(acc)
+def _fixed_columns(a, n, bits: int):
+    """(re, im) integer columns of the Hermitian list-of-lists a over one
+    power of two 2^e; the lower triangle is copied from the upper one by
+    conjugation, so the fixed-point matrix is exactly Hermitian."""
+    parts = []
+    for j in range(n):
+        parts.append([a[k][j].real for k in range(n)])
+        parts.append([a[k][j].imag for k in range(n)])
+    ints, e = to_fixed(parts, bits)
+    re, im = ints[0::2], ints[1::2]
+    for j in range(n):
+        for k in range(j + 1, n):
+            re[j][k] = re[k][j]
+            im[j][k] = -im[k][j]
+    return re, im, e
 
 
-def _jacobi_rotate(a, n, i, j):
-    beta = a[i][j]
-    ab = abs(beta)
-    alpha = mp.re(a[i][i])
-    gamma = mp.re(a[j][j])
-    tau = (gamma - alpha) / (2 * ab)
-    if tau == 0:
-        t = mp.mpf(1)
-    else:
-        t = mp.sign(tau) / (abs(tau) + mp.sqrt(1 + tau * tau))
-    c = 1 / mp.sqrt(1 + t * t)
+def _offdiag_squared(re, im) -> int:
+    """Exact squared off-diagonal Frobenius mass of integer columns."""
+    total = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
+    return total - sum(cr[k] * cr[k] for k, cr in enumerate(re))
+
+
+def _rotate(re, im, i: int, j: int, w: int) -> None:
+    """One complex Jacobi rotation zeroing a_ij (i < j) of the integer
+    columns (re, im), with its scalars carried at w fraction bits.
+
+    Columns i and j are rotated and their conjugates written into rows i and
+    j, so the matrix stays exactly Hermitian; the new 2x2 diagonal is
+    alpha - t|beta| and gamma + t|beta|.
+    """
+    ri, ii, rj, ij = re[i], im[i], re[j], im[j]
+    br, bi = rj[i], ij[i]
+    alpha, gamma = ri[i], rj[j]
+    d = gamma - alpha
+    ab = math.isqrt((br * br + bi * bi) << 2 * w)          # |beta| 2^w
+    dw = abs(d) << w
+    # t = sign(d) 2|beta| / (|d| + sqrt(d^2 + 4|beta|^2)), tan of the angle
+    t = (ab << w + 1) // (dw + math.isqrt(dw * dw + 4 * ab * ab))
+    if d < 0:
+        t = -t
+    one = 1 << 2 * w
+    c = one // math.isqrt(one + t * t)                    # 1/sqrt(1 + t^2)
     s = t * c
-    ph = beta / ab
-    phc = mp.conj(ph)
-    sph = s * ph
-    sphc = s * phc
-    for k in range(n):
-        aki = a[k][i]
-        akj = a[k][j]
-        a[k][i] = c * aki - sphc * akj
-        a[k][j] = sph * aki + c * akj
-    for k in range(n):
-        aik = a[i][k]
-        ajk = a[j][k]
-        a[i][k] = c * aik - sph * ajk
-        a[j][k] = sphc * aik + c * ajk
-    a[i][j] = mp.mpc(0)
-    a[j][i] = mp.mpc(0)
-    a[i][i] = mp.mpc(mp.re(a[i][i]))
-    a[j][j] = mp.mpc(mp.re(a[j][j]))
+    # (u + iv) = s beta/|beta| at w bits; s still carries 2w of them
+    u = (s * br) // ab
+    v = (s * bi) // ab
+    half = 1 << w - 1
+    nri = [(c * x - u * y - v * z + half) >> w for x, y, z in zip(ri, rj, ij)]
+    nii = [(c * x - u * y + v * z + half) >> w for x, y, z in zip(ii, ij, rj)]
+    nrj = [(u * x - v * y + c * z + half) >> w for x, y, z in zip(ri, ii, rj)]
+    nij = [(u * x + v * y + c * z + half) >> w for x, y, z in zip(ii, ri, ij)]
+    tb = (t * ab + (one >> 1)) >> 2 * w
+    nri[i], nrj[j] = alpha - tb, gamma + tb
+    nii[i] = nij[j] = nri[j] = nii[j] = nrj[i] = nij[i] = 0
+    re[i], im[i], re[j], im[j] = nri, nii, nrj, nij
+    for cr, ci, xr, xi, yr, yi in zip(re, im, nri, nii, nrj, nij):
+        cr[i] = xr
+        ci[i] = -xi
+        cr[j] = yr
+        ci[j] = -yi
 
 
 def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None) -> ToeplitzSpectrum:
     """Eigenvalues of a Hermitian compression block by cyclic complex Jacobi.
 
-    Rotations run at precision_bits until the off-diagonal Frobenius mass
-    drops below 10^(-p/2) times the trace; eigenvalues are reported sorted
-    descending in log domain, and trusted_count marks how many exceed the
-    relative floor s_1 * 10^(-p/3).  A diagonal input returns its sorted
-    diagonal unchanged.
+    The symmetrized block is converted once to integers over a shared power
+    of two, 2p + FIXED_GUARD_BITS bits below its largest entry, and the
+    rotations run on those integers exactly Hermitian until the off-diagonal
+    Frobenius mass drops below 10^(-p/2) times the trace; each eigenvalue is
+    then rounded once to p = precision_bits.  Eigenvalues are reported
+    sorted descending in log domain, trusted_count marks how many exceed the
+    relative floor s_1 * 10^(-p/3), and sweeps counts the sweeps run.  A
+    diagonal input is not converted and returns its sorted diagonal
+    unchanged.  Raises NonConvergenceError after _MAX_SWEEPS sweeps.
     """
     p = precision_bits
     with mp.workprec(p):
@@ -292,17 +319,28 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
         if threshold <= 0:
             threshold = mp.mpf(2) ** (-p)
         skip = threshold / (n * n) if n else threshold
-        off = _offdiag_frobenius(a, n)
         sweeps = 0
-        while off >= threshold:
-            if sweeps >= _MAX_SWEEPS:
-                raise NonConvergenceError("Jacobi sweep limit reached before off-diagonal target")
-            for i in range(n - 1):
-                for j in range(i + 1, n):
-                    if abs(a[i][j]) > skip:
-                        _jacobi_rotate(a, n, i, j)
-            off = _offdiag_frobenius(a, n)
-            sweeps += 1
+        if any(a[i][j] != 0 for i in range(n) for j in range(i + 1, n)):
+            bits = 2 * p + FIXED_GUARD_BITS
+            re, im, e = _fixed_columns(a, n, bits)
+            thr2 = int(mp.ldexp(threshold, -e) ** 2)
+            skip2 = int(mp.ldexp(skip, -e) ** 2)
+            off2 = _offdiag_squared(re, im)
+            while off2 >= thr2:
+                if sweeps >= _MAX_SWEEPS:
+                    raise NonConvergenceError("Jacobi sweep limit reached before off-diagonal target")
+                for i in range(n - 1):
+                    for j in range(i + 1, n):
+                        x, y = re[j][i], im[j][i]       # a_ij, row i of column j
+                        if x * x + y * y > skip2:
+                            _rotate(re, im, i, j, bits)
+                off2 = _offdiag_squared(re, im)
+                sweeps += 1
+            eigs = [from_fixed(re[k][k], None, e, p) for k in range(n)]
+            off = mp.sqrt(from_fixed(off2, None, 2 * e, p))
+        else:
+            eigs = [mp.re(a[i][i]) for i in range(n)]
+            off = mp.mpf(0)
 
         residual = 0.0
         if amax > 0:
@@ -311,7 +349,7 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
             residual = max(residual, float(off / trace))
         if spec is None:
             spec = LandauBasisSpec(0, 2.0, n - 1)
-        return _sorted_spectrum(spec, (mp.re(a[i][i]) for i in range(n)), residual, p)
+        return _sorted_spectrum(spec, eigs, residual, p, sweeps)
 
 
 def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
@@ -363,7 +401,7 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
             norm = mp.e ** (mp.loggamma(pdeg + 1) - mp.loggamma(pdeg + alpha + 1))
             f = lambda t: t ** alpha * mp.laguerre(pdeg, alpha, t) ** 2 * mp.e ** (-t) * dens(t)
             vals.append(norm * mp.quad(f, [lo2, hi2]))
-        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, p_bits)
+        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, p_bits, 0)
 
 
 # ------------------------------------------------------- asymptotic sequences

@@ -15,10 +15,16 @@ import os
 import pytest
 from mpmath import mp
 
+from landaucap import landau
 from landaucap.cli import main
 
 UNIT_DISC_WEIGHT = {
     "support": {"shape": "disc", "center": [0, 0], "radius": 1.0},
+    "density": {"kind": "constant"},
+}
+
+OFFCENTER_WEIGHT = {
+    "support": {"shape": "disc", "center": [0.7, 0], "radius": 1.0},
     "density": {"kind": "constant"},
 }
 
@@ -241,6 +247,35 @@ def test_toeplitz_oracle_rejects_offcenter(tmp_path, capsys):
         ["toeplitz", "--config", cfg, "--oracle"], capsys)
     assert code == 2
     assert "radial" in err
+
+
+def test_toeplitz_reports_jacobi_sweeps(tmp_path, capsys):
+    cfg = write_config(tmp_path / "toep.json", {
+        "weight": OFFCENTER_WEIGHT, "q": 0, "N": 12, "precision_bits": 64,
+    })
+    code, out, err = run_cli(["toeplitz", "--config", cfg, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["summary"]["jacobi_sweeps"] > 1
+    # the centred disc takes the radial path: a diagonal block, no sweeps
+    cfg = write_config(tmp_path / "disc.json", {
+        "weight": UNIT_DISC_WEIGHT, "q": 0, "N": 12, "precision_bits": 64,
+    })
+    code, out, err = run_cli(["toeplitz", "--config", cfg], capsys)
+    assert code == 0
+    header, table, summary = parse_csv(out)
+    assert summary["jacobi_sweeps"] == "0"
+
+
+def test_toeplitz_sweep_limit_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(landau, "_MAX_SWEEPS", 1)
+    cfg = write_config(tmp_path / "toep.json", {
+        "weight": OFFCENTER_WEIGHT, "q": 0, "N": 12, "precision_bits": 128,
+    })
+    out_path = tmp_path / "toep.csv"
+    code, out, err = run_cli(["toeplitz", "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 3
+    assert "solver did not converge" in err
+    assert not out_path.exists()
 
 
 def test_predict_unit_disc_level_limit(tmp_path, capsys):

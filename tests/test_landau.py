@@ -1,12 +1,16 @@
 """Compression matrices, Jacobi spectra, oracle equivalence, and the
 asymptotic ratio sequences they feed."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from landaucap.chebyshev import CapacityEstimate, capacity_estimate
+from landaucap import landau
 from landaucap.errors import NonConvergenceError
 from landaucap.landau import (
     LandauBasisSpec,
@@ -238,6 +242,74 @@ def test_s1_below_ess_sup():
     sp = toeplitz_spectrum(v, 0, 2.0, 8, 128)
     with mp.workprec(128):
         assert sp.eigenvalues()[0] <= mp.mpf("0.6") * (1 + mp.mpf(10) ** -30)
+
+
+def _rotated_diagonal(lams, seed, prec):
+    """G diag(lams) G^H as a list-of-lists at prec bits, with G three cyclic
+    passes of seeded random complex Givens rotations."""
+    rng = random.Random(seed)
+    n = len(lams)
+    with mp.workprec(prec):
+        a = [[mp.mpc(lams[i]) if i == j else mp.mpc(0) for j in range(n)] for i in range(n)]
+        for _ in range(3):
+            for i in range(n - 1):
+                for j in range(i + 1, n):
+                    theta = mp.mpf(rng.uniform(0.0, 2 * math.pi))
+                    c = mp.cos(theta)
+                    s = mp.sin(theta) * mp.expj(rng.uniform(0.0, 2 * math.pi))
+                    # rows by J = [[c, -conj(s)], [s, c]], then columns by J^H
+                    for k in range(n):
+                        x, y = a[i][k], a[j][k]
+                        a[i][k] = c * x - mp.conj(s) * y
+                        a[j][k] = s * x + c * y
+                    for k in range(n):
+                        x, y = a[k][i], a[k][j]
+                        a[k][i] = c * x - s * y
+                        a[k][j] = mp.conj(s) * x + c * y
+        return a
+
+
+@pytest.mark.parametrize("n, prec", [(13, 128), (13, 64), (25, 128)])
+def test_spectrum_matches_exact_oracle(n, prec):
+    # a dense matrix with known eigenvalues gamma(k, 1)/(k-1)!, built 128 bits
+    # past the run and rounded once to it: every eigenvalue must land within
+    # a few units of 2^-p s_1
+    with mp.workprec(prec + 128):
+        lams = [mp.gammainc(k, 0, 1, regularized=True) for k in range(1, n + 1)]
+    a = _rotated_diagonal(lams, 20 + n, prec + 128)
+    with mp.workprec(prec):
+        a = [[+x for x in row] for row in a]
+    sp = spectrum(a, prec)
+    assert sp.sweeps > 0
+    with mp.workprec(prec + 128):
+        bound = 4 * mp.mpf(2) ** -prec * lams[0]
+        for got, want in zip(sp.eigenvalues(), lams):
+            assert abs(got - want) <= bound
+
+
+def test_spectrum_diagonal_beyond_fixed_range():
+    # 2^-400 lies below the fixed-point step of a 64-bit solve; a diagonal
+    # input is never converted, so it comes back exactly
+    tiny = mp.mpf(2) ** -400
+    sp = spectrum(mp.matrix([[1, 0], [0, tiny]]), 64)
+    with mp.workprec(64):
+        assert sp.log_eigs == (mp.log(1), mp.log(tiny))
+    assert sp.sweeps == 0
+    assert sp.matrix_residual == 0.0
+
+
+def test_spectrum_reports_sweeps():
+    v = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
+    assert toeplitz_spectrum(v, 0, 2.0, 12, 128).sweeps > 1
+    assert toeplitz_spectrum(UNIT_DISC, 0, 2.0, 12, 128).sweeps == 0
+    assert radial_oracle(UNIT_DISC, 2.0, 12, 128).sweeps == 0
+
+
+def test_spectrum_sweep_limit_raises(monkeypatch):
+    T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 12, 128)
+    monkeypatch.setattr(landau, "_MAX_SWEEPS", 1)
+    with pytest.raises(NonConvergenceError, match="sweep limit"):
+        spectrum(T, 128)
 
 
 # ------------------------------------------------------------ radial oracle
