@@ -235,6 +235,20 @@ def test_toeplitz_oracle_agreement(tmp_path, capsys):
         assert float(r["oracle_rel_dev"]) < 1e-8
 
 
+def test_toeplitz_ball_oracle_full_precision(tmp_path, capsys):
+    # the closed-form chord keeps the ball spectrum exact to the last digits
+    cfg = write_config(tmp_path / "toep.json", {
+        "weight": {"density": {"kind": "ball3d_reduction"}}, "q": 1, "N": 12,
+    })
+    code, out, err = run_cli(
+        ["toeplitz", "--config", cfg, "--oracle", "--precision", "256", "--format", "json"],
+        capsys)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert float(summary["max_oracle_rel_dev"]) <= 1e-60
+    assert int(summary["trusted_count"]) == 13
+
+
 def test_toeplitz_oracle_rejects_offcenter(tmp_path, capsys):
     cfg = write_config(tmp_path / "toep.json", {
         "weight": {

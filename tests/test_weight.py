@@ -462,9 +462,9 @@ def test_ball_chord_profile():
             assert abs(weight_value(w, z) - exact) < mp.mpf(10) ** -10
 
 
-def test_ball_weight_samples_each_probe_once(monkeypatch):
-    # one Weight is built, so the nonnegativity probe costs one section
-    # integral per probe point inside the unit disc
+def test_ball_weight_runs_no_section_integral(monkeypatch):
+    # the chord is closed form: neither the weight's probe points nor its
+    # N = 12, q = 1 Gaussian table (maxdeg N + q) run a section integral
     calls = []
     original = weight_module._section_integral
 
@@ -473,8 +473,29 @@ def test_ball_weight_samples_each_probe_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(weight_module, "_section_integral", counting)
-    ball_reduction_weight(1.0)
-    assert len(calls) == len(weight_module._probe_points(Disc(0j, 1.0))) == 112
+    w = ball_reduction_weight(1.0)
+    mixed_moments(w, "gaussian", 13, precision_bits=128)
+    assert calls == []
+
+
+@pytest.mark.parametrize("prec,maxdeg", [(64, 20), (128, 40), (256, 49)])
+def test_ball_moment_table_full_precision(prec, maxdeg):
+    # every diagonal entry within 16 ulp of 2 pi B(a+1, 3/2) at any precision
+    w = ball_reduction_weight(1.0)
+    tab = mixed_moments(w, "plain", maxdeg, precision_bits=prec)
+    with mp.workprec(prec + 64):
+        for a in range(maxdeg + 1):
+            exact = 2 * mp.pi * mp.beta(a + 1, mp.mpf(3) / 2)
+            assert abs(tab.raw_entry(a, a) - exact) / exact <= 16 * mp.mpf(2) ** -prec
+
+
+def test_ball_mass_full_precision_non_dyadic_radius():
+    # R = 0.7 is not dyadic: R^2 must be formed at the working precision
+    w = ball_reduction_weight(0.7)
+    tab = mixed_moments(w, "plain", 0, precision_bits=128)
+    with mp.workprec(192):
+        exact = 4 * mp.pi * mp.mpf(0.7) ** 3 / 3
+        assert abs(tab.raw_entry(0, 0) - exact) / exact <= 16 * mp.mpf(2) ** -128
 
 
 def test_ball_moment_table_beta_oracle():
@@ -507,6 +528,19 @@ def test_reduce_3d_separable_box():
     tab = mixed_moments(w, "plain", 0, precision_bits=128)
     with mp.workprec(140):
         assert abs(tab.raw_entry(0, 0) - mp.mpf(4) / 3) < mp.mpf(10) ** -10
+
+
+def test_reduce_3d_ball_indicator_matches_chord():
+    # the numerical section integrals of the unit-ball indicator against the
+    # closed-form chord 2 sqrt(1 - |z|^2)
+    def ball(x1, x2, x3):
+        return mp.mpf(1) if x1 * x1 + x2 * x2 + x3 * x3 <= 1 else mp.mpf(0)
+
+    w = reduce_3d(Potential3D(ball, ((-1, 1), (-1, 1), (-1, 1))), support=Disc(0j, 1.0))
+    with mp.workprec(128):
+        for z in (mp.mpc(0.6), mp.mpc(0.36, 0.48), mp.mpc(0, 0.95)):
+            exact = 2 * mp.sqrt(1 - abs(z) ** 2)
+            assert abs(weight_value(w, z) - exact) / exact <= mp.mpf(10) ** -13
 
 
 def test_reduce_3d_zero_potential_degenerate():
