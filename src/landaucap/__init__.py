@@ -7,18 +7,13 @@ Three quantity families that share one n-th root limit:
   Landau level (``landau``),
 * minimal L^2 norms M_n of monic polynomials against the weight
   (``orthopoly``),
-* minimax sup-norms of monic polynomials on the support, whose n-th roots
-  give the logarithmic capacity (``chebyshev``).
+* the logarithmic capacity of the support, from Symm's integral equation
+  for its equilibrium measure (``chebyshev``).
 
 ``verify`` bundles the cross-check suites, ``cli`` the batch front end.
 """
 
-from .chebyshev import (
-    CapacityEstimate,
-    ChebyshevResult,
-    capacity_estimate,
-    chebyshev_polynomial,
-)
+from .chebyshev import CapacityEstimate, capacity_estimate
 from .errors import DegenerateMomentError, NonConvergenceError
 from .landau import (
     AsymptoticsReport,
@@ -75,7 +70,6 @@ __all__ = [
     "AsymptoticsReport",
     "Annulus",
     "CapacityEstimate",
-    "ChebyshevResult",
     "CheckResult",
     "Constant",
     "DegenerateMomentError",
@@ -99,7 +93,6 @@ __all__ = [
     "bounding_radius",
     "capacity_estimate",
     "capacity_known",
-    "chebyshev_polynomial",
     "contains",
     "convex_hull",
     "dilate",

@@ -1,191 +1,172 @@
-"""Minimax monic polynomials on compact sets and capacity from norm decay.
+"""Logarithmic capacity from Symm's integral equation for the equilibrium measure.
 
-The degree-n minimax problem min_monic max_boundary |t(z)| is solved on a
-boundary sample by Lawson's iteratively reweighted least squares: each
-weighted problem is the discrete monic orthogonal polynomial, obtained from
-the R factor of a QR factorization in centered and rescaled coordinates.
-The n-th root of the minimax norm converges to the logarithmic capacity of
-the set, which a two-parameter fit over a degree ladder extrapolates.
+The equilibrium measure mu of a compact set K lives on its outer boundary
+and solves  int log|z - zeta| dmu(zeta) = log Cap(K)  for z on the boundary,
+with mu(boundary) = 1 (Symm, Numer. Math. 9, 1966). The boundary is cut into
+straight panels carrying a constant density each; the log potential of each
+panel is integrated exactly and collocated at the panel midpoints. With the
+unknowns sigma and gamma = log Cap and the mass row  sum sigma_j L_j = 1 the
+system is one dense (n+1) x (n+1) solve, nonsingular also at Cap = 1.
 
-Everything here runs in double precision: the solver tolerance (>= 1e-3
-relative by default) makes extended precision pointless.
+Two levels are solved, n and 2n panels, and |fine - coarse| is reported as
+the error bound. Polygon edges are graded towards their corners, where the
+density is singular; circles take uniform chord panels, whose O(h^2) error
+one Richardson step removes. The module keeps its name: the capacity was
+once read off the decay of minimax (Chebyshev) polynomial norms.
+
+Everything here runs in double precision.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import NonConvergenceError
-from .region import Region, boundary_points
+from .region import Annulus, Disc, Polygon, Region, UnionRegion, contains, _strictly_inside
 from .region import region_key as _region_key
 
-__all__ = [
-    "ChebyshevResult",
-    "CapacityEstimate",
-    "DEFAULT_LADDER",
-    "chebyshev_polynomial",
-    "capacity_estimate",
-    "monic_values",
-]
+__all__ = ["CapacityEstimate", "capacity_estimate"]
 
-DEFAULT_LADDER = (4, 8, 12, 16, 20, 24, 28, 32)
-MAX_LAWSON_ITERATIONS = 500
+_CIRCLE_PANELS = 128      # coarse panels per circle; the fine level doubles every count
+_POLYGON_PANELS = 160     # coarse panels per polygon, shared out by arclength
+_MIN_RUN_PANELS = 4       # least coarse panels between two corners
+_CORNER_TURN = 0.05       # radians; gentler vertices lie on a smooth stretch of boundary
+_MAX_REL_ERROR = 1e-3     # largest |fine - coarse| / Cap accepted
 
 
-@dataclass
-class ChebyshevResult:
-    degree: int
-    coeffs: list            # z-basis coefficients of z^0..z^(n-1); leading 1 implicit
-    log_sup_norm: float     # log of the max modulus over the boundary sample
-    sample_size: int
-    solver_tolerance: float
-    converged: bool
-    iterations: int
-
-
-@dataclass
+@dataclass(frozen=True)
 class CapacityEstimate:
-    degrees: list
-    values: list            # exp(log_sup_norm / n) per ladder degree
-    converged: list
-    extrapolated: float
-    fit_degrees: list
-    region_key: Optional[str] = None  # provenance of the sampled region
+    extrapolated: float     # the capacity: fine level, Richardson-corrected on circles
+    error_bound: float      # |fine - coarse|
+    panels: tuple           # (coarse, fine) panel counts
+    values: tuple           # (coarse, fine) capacity of each level
+    masses: tuple           # equilibrium mass of each fine panel
+    region_key: Optional[str] = None  # provenance of the solved region
 
 
-def monic_values(coeffs: Sequence[complex], zs) -> np.ndarray:
-    """Evaluate the monic polynomial with given low-order coefficients."""
-    zs = np.asarray(zs, dtype=complex)
-    acc = np.ones_like(zs)
-    for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * zs + coeffs[k]
-    return acc
+def _graded(m: int) -> np.ndarray:
+    """m + 1 breakpoints on [0, 1], graded towards both ends by t -> t^3."""
+    half = (np.arange(m // 2 + 1) / (m // 2)) ** 3 / 2
+    return np.concatenate([half, 1 - half[-2::-1]])
 
 
-def chebyshev_polynomial(region: Region, n: int, m: Optional[int] = None, tol: float = 2e-3) -> ChebyshevResult:
-    """Lawson IRLS minimax fit of a monic degree-n polynomial on the boundary.
+def _polygon_breakpoints(vs: tuple, level: int) -> np.ndarray:
+    """Closed ring of panel breakpoints along a polygon, corners included.
 
-    Stops when the relative gap between the max residual and the weighted
-    mean residual drops below tol, or after 500 iterations (converged=False).
+    Vertices turning by more than _CORNER_TURN are corners; each stretch
+    between two corners gets panels in proportion to its length, graded
+    towards both ends. A polygon without corners (a dilation, a hull of
+    discs) is resampled uniformly in arclength plus turning, so its
+    rounded corners get as many panels as its straight stretches.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if m is None:
-        m = 16 * n
-    if m < 8 * n:
-        raise ValueError("need at least 8n boundary samples")
-    if not 0 < tol <= 1e-2:
-        raise ValueError("solver tolerance must lie in (0, 1e-2]")
-    zeta = np.asarray([complex(z) for z in boundary_points(region, m)], dtype=complex)
-    center = zeta.mean()
-    scale = float(np.abs(zeta - center).max())
-    if scale == 0.0:
-        raise ValueError("degenerate boundary sample (all points coincide)")
-    x = (zeta - center) / scale
-
-    V = np.vander(x, n + 1, increasing=True)
-    w = np.full(len(x), 1.0 / len(x))
-    converged = False
-    iterations = 0
-    rmax = 0.0
-    coeff_vec = np.zeros(n + 1, dtype=complex)
-    for iterations in range(1, MAX_LAWSON_ITERATIONS + 1):
-        # weighted least squares monic minimizer = discrete monic orthogonal
-        # polynomial: R of the sqrt(w)-scaled Vandermonde, one triangular solve
-        R = np.linalg.qr(np.sqrt(w)[:, None] * V, mode="r")
-        a = np.linalg.solve(R[:n, :n], -R[:n, n])
-        coeff_vec = np.append(a, 1.0)
-        r = np.abs(V @ coeff_vec)
-        rmax = float(r.max())
-        if rmax == 0.0:
-            raise ValueError("degenerate boundary sample (zero minimax norm)")
-        gap = (rmax - float(w @ r)) / rmax
-        if gap < tol:
-            converged = True
-            break
-        w = w * r
-        w = w / w.sum()
-
-    # expand s^n t((z - c)/s) back to the plain z basis
-    full = np.zeros(n + 1, dtype=complex)
-    neg_center_pow = (-center) ** np.arange(n + 1)
-    for k in range(n + 1):
-        ck = coeff_vec[k] * scale ** (n - k)
-        for j in range(k + 1):
-            full[j] += ck * math.comb(k, j) * neg_center_pow[k - j]
-    log_sup = n * math.log(scale) + math.log(rmax)
-    return ChebyshevResult(
-        degree=n,
-        coeffs=list(full[:n]),
-        log_sup_norm=log_sup,
-        sample_size=len(zeta),
-        solver_tolerance=tol,
-        converged=converged,
-        iterations=iterations,
-    )
-
-
-def _thread_count(threads: Optional[int], jobs: int) -> int:
-    if threads is None:
-        raw = os.environ.get("LANDAUCAP_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            threads = 1
-    return max(1, min(threads, jobs))
-
-
-def capacity_estimate(
-    region: Region,
-    degrees: Sequence[int] = DEFAULT_LADDER,
-    m_rule: Optional[Callable[[int], int]] = None,
-    tol: float = 2e-3,
-    threads: Optional[int] = None,
-) -> CapacityEstimate:
-    """Capacity of the region from the n-th roots of minimax norms.
-
-    Fits log ||t_n|| = n log c + d over the top half of the converged ladder
-    degrees and reports exp(log c), clamped into the range of the fit-window
-    values. Ladder degrees are independent and solved in a thread pool sized
-    by the threads argument (default: the LANDAUCAP_THREADS variable, else 1);
-    results are reduced in degree order, so the output does not depend on
-    the thread count.
-    """
-    degrees = list(degrees)
-    if not degrees or any(d < 1 for d in degrees) or degrees != sorted(degrees):
-        raise ValueError("degrees must be an ascending list of integers >= 1")
-    if m_rule is None:
-        m_rule = lambda n: 16 * n
-
-    nthreads = _thread_count(threads, len(degrees))
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(lambda n: chebyshev_polynomial(region, n, m_rule(n), tol), degrees))
+    ring = np.array(vs + (vs[0],))
+    edges = np.diff(ring)
+    lengths = np.abs(edges)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)])
+    perimeter = cum[-1]
+    turn = np.abs(np.angle(edges / np.roll(edges, 1)))  # at the first vertex of each edge
+    corners = np.flatnonzero(turn > _CORNER_TURN)
+    if len(corners) == 0:
+        # spread the panels by arclength and by turning alike
+        weight = lengths / perimeter + (turn + np.roll(turn, -1)) / (2 * turn.sum())
+        cw = np.concatenate([[0.0], np.cumsum(weight)])
+        n = _POLYGON_PANELS * level
+        s = np.interp(cw[-1] * np.arange(n) / n, cw, cum)
     else:
-        results = [chebyshev_polynomial(region, n, m_rule(n), tol) for n in degrees]
+        starts = cum[corners]
+        spans = np.diff(np.append(starts, starts[0] + perimeter))
+        counts = [level * max(_MIN_RUN_PANELS, 2 * round(_POLYGON_PANELS * span / (2 * perimeter)))
+                  for span in spans]
+        s = np.concatenate([start + span * _graded(m)[:-1]
+                            for start, span, m in zip(starts, spans, counts)]) % perimeter
+    k = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(vs) - 1)
+    points = ring[k] + (s - cum[k]) / lengths[k] * edges[k]
+    return np.append(points, points[0])
 
-    values = [math.exp(res.log_sup_norm / res.degree) for res in results]
-    conv = [res.converged for res in results]
-    usable = [(res.degree, res.log_sup_norm) for res in results if res.converged]
-    if len(usable) < 3:
-        raise NonConvergenceError("fewer than 3 ladder degrees converged; capacity fit aborted")
-    half = usable[-max(2, math.ceil(len(usable) / 2)):]
-    ns = np.array([n for n, _ in half], dtype=float)
-    ys = np.array([y for _, y in half], dtype=float)
-    slope = float(np.polyfit(ns, ys, 1)[0])
-    window_vals = [math.exp(y / n) for n, y in half]
-    extrapolated = min(max(math.exp(slope), min(window_vals)), max(window_vals))
+
+def _part_breakpoints(part, level: int) -> np.ndarray:
+    if isinstance(part, Polygon):
+        return _polygon_breakpoints(part.vertices, level)
+    # a disc, or the outer circle of an annulus: the hole carries no charge
+    radius = part.radius if isinstance(part, Disc) else part.outer
+    n = _CIRCLE_PANELS * level
+    return part.center + radius * np.exp(2j * np.pi * np.arange(n + 1) / n)
+
+
+def _panels(region: Region, level: int):
+    """Panel endpoints (a, b) of the region's outer boundary at one level.
+
+    Each part of a union gets its own panels; a panel is dropped when its
+    midpoint lies strictly inside another part, or on an earlier part, so a
+    shared edge is kept once.
+    """
+    parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    a, b = [], []
+    for i, part in enumerate(parts):
+        ring = _part_breakpoints(part, level)
+        for za, zb in zip(ring[:-1], ring[1:]):
+            mid = 0.5 * (za + zb)
+            if any(_strictly_inside(q, mid, 1e-12) for q in parts[i + 1:]) or any(
+                    contains(q, mid) for q in parts[:i]):
+                continue
+            a.append(za)
+            b.append(zb)
+    return np.array(a), np.array(b)
+
+
+def _panel_log_integral(s, y):
+    """F(s) with F(L - x) - F(-x) = int_0^L log|x - t + iy| dt."""
+    return 0.5 * s * np.log(s * s + y * y) - s + y * np.arctan2(s, y)
+
+
+def _solve(a: np.ndarray, b: np.ndarray):
+    """Capacity and panel masses from the collocated Symm system."""
+    n = len(a)
+    mid = 0.5 * (a + b)
+    d = b - a
+    lengths = np.abs(d)
+    system = np.zeros((n + 1, n + 1))
+    for j in range(n):
+        # midpoints in the frame of panel j: w = x + iy, the panel on [0, L]
+        w = (mid - a[j]) * (d[j].conjugate() / lengths[j])
+        y = np.abs(w.imag)
+        system[:n, j] = _panel_log_integral(lengths[j] - w.real, y) - _panel_log_integral(-w.real, y)
+    system[:n, n] = -1.0
+    system[n, :n] = lengths
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    sol = np.linalg.solve(system, rhs)
+    return math.exp(sol[n]), sol[:n] * lengths
+
+
+def capacity_estimate(region: Region) -> CapacityEstimate:
+    """Logarithmic capacity of the region from two panel levels.
+
+    Raises NonConvergenceError when doubling the panels moves the capacity
+    by more than _MAX_REL_ERROR relative.
+    """
+    a1, b1 = _panels(region, 1)
+    a2, b2 = _panels(region, 2)
+    coarse, _ = _solve(a1, b1)
+    fine, masses = _solve(a2, b2)
+    parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    cap = fine
+    if all(isinstance(p, (Disc, Annulus)) for p in parts):
+        cap = fine + (fine - coarse) / 3  # chord panels: error ~ h^2
+    error_bound = abs(fine - coarse)
+    if not error_bound <= _MAX_REL_ERROR * cap:
+        raise NonConvergenceError(
+            f"capacity moved by {error_bound:.2e} between {len(a1)} and {len(a2)} boundary panels, "
+            f"more than {_MAX_REL_ERROR:g} relative")
     return CapacityEstimate(
-        degrees=degrees,
-        values=values,
-        converged=conv,
-        extrapolated=extrapolated,
-        fit_degrees=[n for n, _ in half],
+        extrapolated=cap,
+        error_bound=error_bound,
+        panels=(len(a1), len(a2)),
+        values=(coarse, fine),
+        masses=tuple(masses.tolist()),
         region_key=_region_key(region),
     )

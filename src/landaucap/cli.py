@@ -1,19 +1,16 @@
 """Batch front end: read a JSON experiment record, run one pipeline, emit a table.
 
-Commands map one-to-one onto the library layers: `capacity` runs the
-minimax-norm ladder, `orthopoly` the monic orthogonalization, `toeplitz` the
-level-q compression spectrum, `predict` the capacity-based limit predictions,
-and `verify` a named cross-check suite. Results go to one CSV or JSON table;
-every linear column has a log-domain twin because the spectra decay below
-any fixed-precision linear representation within a few dozen eigenvalues.
+Commands map one-to-one onto the library layers: `capacity` solves Symm's
+integral equation for the equilibrium measure, `orthopoly` the monic
+orthogonalization, `toeplitz` the level-q compression spectrum, `predict`
+the capacity-based limit predictions, and `verify` a named cross-check
+suite. Results go to one CSV or JSON table; every linear column has a
+log-domain twin because the spectra decay below any fixed-precision linear
+representation within a few dozen eigenvalues.
 
 Exit codes: 0 success, 1 a verify check failed, 2 malformed config or an
-invariant violation, 3 an iterative solver did not converge, 4 the moment
-matrix degenerated at the working precision.
-
-The environment variable LANDAUCAP_THREADS caps the worker pool used for
-independent ladder degrees; results are reduced in index order, so output
-files are bit-identical for any thread count.
+invariant violation, 3 a solver did not converge, 4 the moment matrix
+degenerated at the working precision.
 """
 
 from __future__ import annotations
@@ -102,41 +99,22 @@ def _emit(command: str, precision: int, fmt: str, output: Optional[str],
         sys.stdout.write(text)
 
 
-def _parse_degrees(cfg: dict) -> list:
-    spec = cfg.get("degrees", [4, 8, 12, 16, 20, 24, 28, 32])
-    if isinstance(spec, dict):
-        try:
-            spec = list(range(int(spec["start"]), int(spec["stop"]) + 1, int(spec.get("step", 2))))
-        except KeyError as e:
-            raise ConfigError(f"degree ladder record missing key {e}") from e
-    if not isinstance(spec, list) or not all(isinstance(d, int) and d >= 1 for d in spec):
-        raise ConfigError("degrees must be a list of integers >= 1 or a start/stop/step record")
-    return spec
-
-
 # ------------------------------------------------------------------ commands
 
 def cmd_capacity(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> int:
     region = region_from_config(_require(cfg, "region"))
-    degrees = _parse_degrees(cfg)
-    mult = int(cfg.get("m_multiplier", 16))
-    if mult < 1:
-        raise ConfigError("m_multiplier must be a positive integer")
-    tol = float(cfg.get("tol", 2e-3))
-    est = capacity_estimate(region, degrees, m_rule=lambda n: mult * n, tol=tol)
+    est = capacity_estimate(region)
     digits = emission_digits(precision)
-    rows = []
-    for deg, val, conv in zip(est.degrees, est.values, est.converged):
-        rows.append([deg, mult * deg, _dec(val, digits), _log_dec(val, digits), conv])
+    rows = [[n, _dec(val, digits), _log_dec(val, digits)]
+            for n, val in zip(est.panels, est.values)]
     summary = [("extrapolated", _dec(est.extrapolated, digits)),
                ("log_extrapolated", _log_dec(est.extrapolated, digits)),
-               ("fit_degrees", " ".join(str(d) for d in est.fit_degrees))]
+               ("error_bound", _dec(est.error_bound, 6))]
     known = capacity_known(region)
     if known is not None:
         summary.append(("known_value", _dec(known, digits)))
     _emit("capacity", precision, fmt, output,
-          ["degree", "boundary_points", "tn_nth_root", "log_tn_nth_root", "converged"],
-          rows, summary)
+          ["panels", "capacity", "log_capacity"], rows, summary)
     return 0
 
 
@@ -204,7 +182,7 @@ def cmd_predict(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> i
     N = int(cfg.get("N", 24))
     basis = monic_orthogonalize(mixed_moments(w, "plain", maxdeg=N, precision_bits=precision))
     rho = rho_estimates(basis, n_min=int(cfg.get("n_min", 1)))
-    est = capacity_estimate(w.support, _parse_degrees(cfg), tol=float(cfg.get("tol", 2e-3)))
+    est = capacity_estimate(w.support)
     preds = theorem_predictions(w, q, b0, rho, est)
     digits = emission_digits(precision)
     rows = []
@@ -226,6 +204,7 @@ def cmd_predict(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> i
     add("log_asymptote_nlogn_coefficient", la["nlogn_coefficient"])
     add("log_asymptote_linear_coefficient", la["linear_coefficient"])
     summary = [("capacity_extrapolated", _dec(est.extrapolated, digits)),
+               ("capacity_error_bound", _dec(est.error_bound, 6)),
                ("rho_extrapolated", _dec(rho.extrapolated, digits)),
                ("q", q), ("b0", _dec(b0, digits)),
                ("weight", preds["provenance"]["weight"]),
@@ -259,8 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="landaucap",
         description="Spectral tails of weighted Landau-level compressions, monic "
                     "minimal norms, and logarithmic capacity from one config record.",
-        epilog=f"Verify suites: {', '.join(SUITE_NAMES)}. "
-               "LANDAUCAP_THREADS caps the ladder worker pool.")
+        epilog=f"Verify suites: {', '.join(SUITE_NAMES)}.")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", required=True, help="JSON experiment record")
     p.add_argument("--output", help="write the table here instead of stdout")

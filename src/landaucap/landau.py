@@ -274,45 +274,52 @@ def _rotate(re, im, i: int, j: int, w: int) -> None:
 def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None) -> ToeplitzSpectrum:
     """Eigenvalues of a Hermitian compression block by cyclic complex Jacobi.
 
-    The symmetrized block is converted once to integers over a shared power
-    of two, 2p + FIXED_GUARD_BITS bits below its largest entry, and the
-    rotations run on those integers exactly Hermitian until the off-diagonal
-    Frobenius mass drops below 10^(-p/2) times the trace; each eigenvalue is
-    then rounded once to p = precision_bits.  Eigenvalues are reported
-    sorted descending in log domain, trusted_count marks how many exceed the
-    relative floor s_1 * 10^(-p/3), and sweeps counts the sweeps run.  A
-    diagonal input is not converted and returns its sorted diagonal
-    unchanged.  Raises NonConvergenceError after _MAX_SWEEPS sweeps.
+    The block is checked and symmetrized at 2p + FIXED_GUARD_BITS bits, not
+    rounded to p first (level_q_matrix assembles it at p + 20 bits). It is
+    then converted once to integers over a shared power of two, that many
+    bits below its largest entry, and the rotations run on those integers exactly
+    Hermitian until the off-diagonal Frobenius mass drops below 10^(-p/2)
+    times the trace; each eigenvalue is then rounded once to
+    p = precision_bits.  Eigenvalues are reported sorted descending in log
+    domain, trusted_count marks how many exceed the relative floor
+    s_1 * 10^(-p/3), and sweeps counts the sweeps run.  A diagonal input is
+    not converted: its sorted diagonal, each entry rounded once to p, is the
+    spectrum.  Raises NonConvergenceError after _MAX_SWEEPS sweeps.
     """
     p = precision_bits
+    if hasattr(matrix, "rows"):
+        n = matrix.rows
+        if matrix.cols != n:
+            raise ValueError("matrix must be square")
+        rows = [[matrix[i, j] for j in range(n)] for i in range(n)]
+    else:
+        n = len(matrix)
+        if any(len(row) != n for row in matrix):
+            raise ValueError("matrix must be square")
+        rows = matrix
     with mp.workprec(p):
-        if hasattr(matrix, "rows"):
-            n = matrix.rows
-            if matrix.cols != n:
-                raise ValueError("matrix must be square")
-            a = [[mp.mpc(matrix[i, j]) for j in range(n)] for i in range(n)]
-        else:
-            n = len(matrix)
-            if any(len(row) != n for row in matrix):
-                raise ValueError("matrix must be square")
-            a = [[mp.mpc(x) for x in row] for row in matrix]
-        amax = mp.mpf(0)
-        herm = mp.mpf(0)
-        for i in range(n):
-            for j in range(n):
-                amax = max(amax, abs(a[i][j]))
-                herm = max(herm, abs(a[i][j] - mp.conj(a[j][i])))
         tol = mp.mpf(10) ** (-(p / mp.mpf(2)))
-        if amax > 0 and herm > tol * amax:
-            raise ValueError(
-                f"matrix is not Hermitian within tolerance (relative defect {mp.nstr(herm / amax, 6)})"
-            )
-        for i in range(n):
-            for j in range(i + 1, n):
-                sym = (a[i][j] + mp.conj(a[j][i])) / 2
-                a[i][j] = sym
-                a[j][i] = mp.conj(sym)
-            a[i][i] = mp.mpc(mp.re(a[i][i]))
+        bits = 2 * p + FIXED_GUARD_BITS
+        # check and symmetrize at the width of the integer columns below, so
+        # no input bit they can hold is rounded away first
+        with mp.workprec(bits):
+            a = [[mp.mpc(x) for x in row] for row in rows]
+            amax = mp.mpf(0)
+            herm = mp.mpf(0)
+            for i in range(n):
+                for j in range(n):
+                    amax = max(amax, abs(a[i][j]))
+                    herm = max(herm, abs(a[i][j] - mp.conj(a[j][i])))
+            if amax > 0 and herm > tol * amax:
+                raise ValueError(
+                    f"matrix is not Hermitian within tolerance (relative defect {mp.nstr(herm / amax, 6)})"
+                )
+            for i in range(n):
+                for j in range(i + 1, n):
+                    sym = (a[i][j] + mp.conj(a[j][i])) / 2
+                    a[i][j] = sym
+                    a[j][i] = mp.conj(sym)
+                a[i][i] = mp.mpc(mp.re(a[i][i]))
 
         trace = mp.re(sum(a[i][i] for i in range(n)))
         threshold = tol * (trace if trace > 0 else n * amax)
@@ -321,7 +328,6 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
         skip = threshold / (n * n) if n else threshold
         sweeps = 0
         if any(a[i][j] != 0 for i in range(n) for j in range(i + 1, n)):
-            bits = 2 * p + FIXED_GUARD_BITS
             re, im, e = _fixed_columns(a, n, bits)
             thr2 = int(mp.ldexp(threshold, -e) ** 2)
             skip2 = int(mp.ldexp(skip, -e) ** 2)
@@ -339,7 +345,7 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
             eigs = [from_fixed(re[k][k], None, e, p) for k in range(n)]
             off = mp.sqrt(from_fixed(off2, None, 2 * e, p))
         else:
-            eigs = [mp.re(a[i][i]) for i in range(n)]
+            eigs = [+mp.re(a[i][i]) for i in range(n)]  # each rounded once to p
             off = mp.mpf(0)
 
         residual = 0.0

@@ -29,12 +29,12 @@ def gate(label, checks):
 
 
 def test_offcenter_disc_capacity_within_two_percent():
-    # complex-centered disc, degree ladder 8..32, estimate within 2% of radius
+    # complex-centered disc, Symm solve within 1e-6 of the radius and within its error bound
     gate("capacity on an off-center disc", capacity_disc_checks())
 
 
 def test_capacity_doubles_under_dilation():
-    # unit square vs its 2x dilation: ratio of estimates in [1.98, 2.02]
+    # unit square vs its 2x dilation: ratio of estimates within 1e-9 of 2
     gate("capacity scaling under dilation", capacity_scaling_checks())
 
 

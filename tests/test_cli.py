@@ -15,7 +15,7 @@ import os
 import pytest
 from mpmath import mp
 
-from landaucap import landau
+from landaucap import chebyshev, landau
 from landaucap.cli import main
 
 UNIT_DISC_WEIGHT = {
@@ -54,22 +54,21 @@ def parse_csv(text):
 def test_capacity_disc_csv(tmp_path, capsys):
     cfg = write_config(tmp_path / "cap.json", {
         "region": {"shape": "disc", "center": [1.0, 0.5], "radius": 1.5},
-        "degrees": [4, 6, 8, 10, 12],
         "precision_bits": 64,
     })
     code, out, err = run_cli(["capacity", "--config", cfg], capsys)
     assert code == 0
     header, table, summary = parse_csv(out)
-    assert header == ["degree", "boundary_points", "tn_nth_root",
-                      "log_tn_nth_root", "converged"]
-    assert [int(r[0]) for r in table] == [4, 6, 8, 10, 12]
-    assert [int(r[1]) for r in table] == [64, 96, 128, 160, 192]
-    # every estimate of disc capacity sits near the radius already
+    assert header == ["panels", "capacity", "log_capacity"]
+    assert [int(r[0]) for r in table] == [128, 256]
+    # each level sits near the radius already
     for r in table:
-        assert abs(float(r[2]) - 1.5) < 0.05
-        assert abs(float(r[3]) - math.log(float(r[2]))) < 1e-12
-        assert r[4] == "true"
-    assert abs(float(summary["extrapolated"]) - 1.5) < 1e-4
+        assert abs(float(r[1]) - 1.5) < 1e-3
+        assert abs(float(r[2]) - math.log(float(r[1]))) < 1e-12
+    err_cap = abs(float(summary["extrapolated"]) - 1.5)
+    assert err_cap < 1e-6
+    assert err_cap <= float(summary["error_bound"])
+    assert abs(float(summary["log_extrapolated"]) - math.log(1.5)) < 1e-6
     assert float(summary["known_value"]) == 1.5
 
 
@@ -88,17 +87,33 @@ def test_capacity_json_and_output_file(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["command"] == "capacity"
     assert payload["precision_bits"] == 64
-    assert len(payload["rows"]) == 4
+    assert len(payload["rows"]) == 2
     assert abs(float(payload["summary"]["extrapolated"]) - 2.0) < 1e-4
 
 
-def test_capacity_nonconvergence_exits_3(tmp_path, capsys):
-    # impossible tolerance: no ladder rung converges
+def test_capacity_square_known_value_and_ignored_ladder_keys(tmp_path, capsys):
+    square = {"shape": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
+    outputs = []
+    for extra in ({}, {"degrees": {"start": 8, "stop": 64, "step": 8}, "tol": 1e-30,
+                       "m_multiplier": 3}):
+        cfg = write_config(tmp_path / "cap.json", {"region": square, **extra})
+        code, out, err = run_cli(["capacity", "--config", cfg, "--format", "json"], capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    summary = json.loads(outputs[0])["summary"]
+    known = float(summary["known_value"])
+    assert abs(known - 0.5901702995080481) < 1e-15
+    assert abs(float(summary["extrapolated"]) - known) <= min(1e-4 * known,
+                                                              float(summary["error_bound"]))
+
+
+def test_capacity_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):
+    # too few panels: doubling them moves the capacity by more than 1e-3
+    monkeypatch.setattr(chebyshev, "_POLYGON_PANELS", 16)
     cfg = write_config(tmp_path / "cap.json", {
         "region": {"shape": "polygon",
                    "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
-        "degrees": [3, 5, 7],
-        "tol": 1e-30,
         "precision_bits": 64,
     })
     out_path = tmp_path / "never.csv"
@@ -313,6 +328,25 @@ def test_predict_unit_disc_level_limit(tmp_path, capsys):
     assert summary["weight"].startswith("const:")
 
 
+def test_predict_square_capacity_and_error_bound(tmp_path, capsys):
+    cfg = write_config(tmp_path / "pred.json", {
+        "weight": {"support": {"shape": "polygon",
+                               "vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]},
+                   "density": {"kind": "constant"}},
+        "q": 0, "N": 13, "precision_bits": 64,
+    })
+    code, out, err = run_cli(["predict", "--config", cfg, "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    summary = payload["summary"]
+    cap = float(summary["capacity_extrapolated"])
+    bound = float(summary["capacity_error_bound"])
+    exact = 0.5901702995080481
+    assert abs(cap - exact) <= min(1e-4 * exact, bound)
+    values = {r["quantity"]: float(r["value"]) for r in payload["rows"]}
+    assert abs(values["level_limit"] - cap ** 2) < 1e-12
+
+
 def test_verify_unknown_suite_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "ver.json", {"suite": "nope"})
     code, out, err = run_cli(["verify", "--config", cfg], capsys)
@@ -333,6 +367,7 @@ def test_verify_suite_smoke(tmp_path, capsys):
 
 
 def test_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
+    # every command runs on one thread; a stale LANDAUCAP_THREADS is ignored
     cfg = write_config(tmp_path / "cap.json", {
         "region": {"shape": "polygon",
                    "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
@@ -340,14 +375,17 @@ def test_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
         "precision_bits": 64,
     })
     outputs = []
-    for workers in ("1", "4"):
-        monkeypatch.setenv("LANDAUCAP_THREADS", workers)
+    for workers in (None, "1", "4"):
+        if workers is None:
+            monkeypatch.delenv("LANDAUCAP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("LANDAUCAP_THREADS", workers)
         path = tmp_path / f"cap_{workers}.csv"
         code, out, err = run_cli(
             ["capacity", "--config", cfg, "--output", str(path)], capsys)
         assert code == 0
         outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_cli_precision_flag_overrides_config(tmp_path, capsys):

@@ -312,6 +312,19 @@ def test_spectrum_sweep_limit_raises(monkeypatch):
         spectrum(T, 128)
 
 
+def test_spectrum_keeps_the_input_precision():
+    # level_q_matrix assembles at p + 20 bits; the small eigenvalues of the
+    # off-centre block are ill-conditioned against rounding it to p, which
+    # moved s_25 by 2.2e-23 relative
+    T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 24, 128)
+    lo = spectrum(T, 128)
+    hi = spectrum(T, 256)
+    assert lo.trusted_count == 25
+    with mp.workprec(300):
+        for a, b in zip(lo.log_eigs[:lo.trusted_count], hi.log_eigs):
+            assert abs(mp.expm1(a - b)) <= mp.mpf(10) ** -30
+
+
 # ------------------------------------------------------------ radial oracle
 
 def test_radial_oracle_closed_values():
@@ -530,17 +543,17 @@ def test_theorem_predictions_provenance_mismatch():
     other = Weight(SQUARE, Constant(1.0))
     with pytest.raises(ValueError, match="provenance does not match this weight"):
         theorem_predictions(other, 0, 2.0, rho, 0.59)
-    stale = CapacityEstimate([4], [0.6], [True], 0.6, [4], region_key=region_key(Disc(0j, 0.5)))
+    stale = CapacityEstimate(0.6, 1e-6, (4, 8), (0.6, 0.6), (1.0,), region_key=region_key(Disc(0j, 0.5)))
     with pytest.raises(ValueError, match="provenance does not match supp"):
         theorem_predictions(v, 0, 2.0, rho, stale)
-    untagged = CapacityEstimate([4], [1.29], [True], 1.29, [4], region_key=None)
+    untagged = CapacityEstimate(1.29, 1e-6, (4, 8), (1.29, 1.29), (1.0,), region_key=None)
     preds = theorem_predictions(v, 0, 2.0, rho, untagged)
     assert abs(float(preds["theorem2"]["limit"]) - 1.29**2) < 1e-10
 
 
 def test_theorem_predictions_square_q1():
     w = Weight(SQUARE, Constant(1.0))
-    cap = capacity_estimate(SQUARE, degrees=(4, 8, 12, 16))
+    cap = capacity_estimate(SQUARE)
     plain = mixed_moments(w, "plain", maxdeg=16, precision_bits=128)
     rho = rho_estimates(monic_orthogonalize(plain))
     preds = theorem_predictions(w, 1, 2.0, rho, cap)

@@ -290,9 +290,26 @@ def test_affine_disc_membership_transport(a, b):
 
 def test_capacity_known():
     assert capacity_known(Disc(3 - 2j, 0.75)) == 0.75
-    assert capacity_known(UNIT_SQUARE) is None
+    assert capacity_known(UNIT_SQUARE) == pytest.approx(0.5901702995080481, rel=1e-14)
     assert capacity_known(Annulus(0j, 0.5, 1.0)) is None
     assert capacity_known(UnionRegion((Disc(0j, 1.0),))) is None
+
+
+def test_capacity_known_regular_polygons():
+    # the n-gon formula against the separate closed forms for n = 3 and 4
+    triangle = Polygon((0j, 2 + 0j, complex(1, math.sqrt(3))))
+    exact3 = math.gamma(1 / 3) ** 3 * math.sqrt(3) / (8 * math.pi ** 2)
+    assert capacity_known(triangle) == pytest.approx(2 * exact3, rel=1e-14)
+    square = affine(UNIT_SQUARE, 3 * complex(math.cos(0.4), math.sin(0.4)), 5 - 1j)
+    exact4 = math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5)
+    assert capacity_known(square) == pytest.approx(3 * exact4, rel=1e-13)
+    hexagon = Polygon(tuple(complex(math.cos(k * math.pi / 3), math.sin(k * math.pi / 3))
+                            for k in range(6)))
+    assert math.sqrt(3) / 2 < capacity_known(hexagon) < 1  # between in- and circumradius
+    # equal sides without a common circle, and a common circle without equal sides
+    rhombus = (0j, 1 + 0j, complex(1.5, math.sqrt(3) / 2), complex(0.5, math.sqrt(3) / 2))
+    assert capacity_known(Polygon(rhombus)) is None
+    assert capacity_known(Polygon((0j, 2 + 0j, 2 + 1j, 1j))) is None
 
 
 # ------------------------------------------------------------------- config
