@@ -52,14 +52,11 @@ from .weight import (
     Constant,
     Generic,
     MomentTable,
-    Potential3D,
     Radial,
-    SectionGrid,
     Weight,
     ball_reduction_weight,
     mixed_moments,
     quadrature,
-    reduce_3d,
     weight_from_config,
     weight_key,
 )
@@ -80,11 +77,9 @@ __all__ = [
     "MonicOrthoBasis",
     "NonConvergenceError",
     "Polygon",
-    "Potential3D",
     "Radial",
     "RhoEstimate",
     "SUITE_NAMES",
-    "SectionGrid",
     "ToeplitzSpectrum",
     "UnionRegion",
     "Weight",
@@ -102,7 +97,6 @@ __all__ = [
     "monic_orthogonalize",
     "quadrature",
     "radial_oracle",
-    "reduce_3d",
     "region_from_config",
     "region_key",
     "rescaled_weight",

@@ -35,6 +35,8 @@ from .weight import emission_digits, mixed_moments, weight_from_config
 
 ALLOWED_PRECISIONS = (64, 128, 256, 512)
 COMMANDS = ("capacity", "orthopoly", "toeplitz", "verify", "predict")
+# capacities are float64; 17 significant digits round-trip a double
+FLOAT_DIGITS = 17
 
 
 class ConfigError(ValueError):
@@ -45,6 +47,15 @@ def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"config is missing the {key!r} record")
     return cfg[key]
+
+
+def _number(cfg: dict, key: str, default, kind=int):
+    """cfg[key] read as int or float; a non-number is a ConfigError."""
+    val = cfg.get(key, default)
+    try:
+        return kind(val)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{key} must be a number, got {val!r}") from e
 
 
 def _dec(x, digits: int) -> str:
@@ -104,15 +115,14 @@ def _emit(command: str, precision: int, fmt: str, output: Optional[str],
 def cmd_capacity(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> int:
     region = region_from_config(_require(cfg, "region"))
     est = capacity_estimate(region)
-    digits = emission_digits(precision)
-    rows = [[n, _dec(val, digits), _log_dec(val, digits)]
+    rows = [[n, _dec(val, FLOAT_DIGITS), _log_dec(val, FLOAT_DIGITS)]
             for n, val in zip(est.panels, est.values)]
-    summary = [("extrapolated", _dec(est.extrapolated, digits)),
-               ("log_extrapolated", _log_dec(est.extrapolated, digits)),
+    summary = [("extrapolated", _dec(est.extrapolated, FLOAT_DIGITS)),
+               ("log_extrapolated", _log_dec(est.extrapolated, FLOAT_DIGITS)),
                ("error_bound", _dec(est.error_bound, 6))]
     known = capacity_known(region)
     if known is not None:
-        summary.append(("known_value", _dec(known, digits)))
+        summary.append(("known_value", _dec(known, FLOAT_DIGITS)))
     _emit("capacity", precision, fmt, output,
           ["panels", "capacity", "log_capacity"], rows, summary)
     return 0
@@ -120,10 +130,10 @@ def cmd_capacity(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> 
 
 def cmd_orthopoly(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> int:
     w = weight_from_config(_require(cfg, "weight"))
-    N = int(cfg.get("N", 24))
+    N = _number(cfg, "N", 24)
     table = mixed_moments(w, "plain", maxdeg=N, precision_bits=precision)
     basis = monic_orthogonalize(table)
-    rho = rho_estimates(basis, n_min=int(cfg.get("n_min", 1)))
+    rho = rho_estimates(basis, n_min=_number(cfg, "n_min", 1))
     digits = emission_digits(precision)
     rows = []
     with mp.workprec(precision + 10):
@@ -143,9 +153,9 @@ def cmd_orthopoly(cfg: dict, precision: int, fmt: str, output: Optional[str]) ->
 def cmd_toeplitz(cfg: dict, precision: int, fmt: str, output: Optional[str],
                  oracle: bool) -> int:
     w = weight_from_config(_require(cfg, "weight"))
-    q = int(cfg.get("q", 0))
-    b0 = float(cfg.get("b0", 2.0))
-    N = int(cfg.get("N", 48))
+    q = _number(cfg, "q", 0)
+    b0 = _number(cfg, "b0", 2.0, float)
+    N = _number(cfg, "N", 48)
     sp = toeplitz_spectrum(w, q, b0, N, precision)
     orc = radial_oracle(w, b0, N, precision, q=q) if oracle else None
     digits = emission_digits(precision)
@@ -177,38 +187,39 @@ def cmd_toeplitz(cfg: dict, precision: int, fmt: str, output: Optional[str],
 
 def cmd_predict(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> int:
     w = weight_from_config(_require(cfg, "weight"))
-    q = int(cfg.get("q", 0))
-    b0 = float(cfg.get("b0", 2.0))
-    N = int(cfg.get("N", 24))
+    q = _number(cfg, "q", 0)
+    b0 = _number(cfg, "b0", 2.0, float)
+    N = _number(cfg, "N", 24)
     basis = monic_orthogonalize(mixed_moments(w, "plain", maxdeg=N, precision_bits=precision))
-    rho = rho_estimates(basis, n_min=int(cfg.get("n_min", 1)))
+    rho = rho_estimates(basis, n_min=_number(cfg, "n_min", 1))
     est = capacity_estimate(w.support)
-    preds = theorem_predictions(w, q, b0, rho, est)
     digits = emission_digits(precision)
     rows = []
 
-    def add(name, val):
+    def add(name, val, digits=digits):
         rows.append([name, _dec(val, digits), _log_dec(val, digits)])
 
-    t1, t3 = preds["theorem1"], preds["theorem3"]
-    add("nth_root_limsup", t1["limsup"])
-    add("nth_root_liminf", t1["liminf"])
-    if "extrapolated" in t1:
-        add("nth_root_extrapolated", t1["extrapolated"])
-    add("level_limit", preds["theorem2"]["limit"])
-    add("squared_limsup", t3["limsup"])
-    add("squared_liminf", t3["liminf"])
-    if "extrapolated" in t3:
-        add("squared_extrapolated", t3["extrapolated"])
-    la = preds["log_asymptote"]
-    add("log_asymptote_nlogn_coefficient", la["nlogn_coefficient"])
-    add("log_asymptote_linear_coefficient", la["linear_coefficient"])
-    summary = [("capacity_extrapolated", _dec(est.extrapolated, digits)),
-               ("capacity_error_bound", _dec(est.error_bound, 6)),
-               ("rho_extrapolated", _dec(rho.extrapolated, digits)),
-               ("q", q), ("b0", _dec(b0, digits)),
-               ("weight", preds["provenance"]["weight"]),
-               ("support", preds["provenance"]["support"])]
+    with mp.workprec(precision + 10):
+        preds = theorem_predictions(w, q, b0, rho, est)
+        t1, t3 = preds["theorem1"], preds["theorem3"]
+        add("nth_root_limsup", t1["limsup"])
+        add("nth_root_liminf", t1["liminf"])
+        if "extrapolated" in t1:
+            add("nth_root_extrapolated", t1["extrapolated"])
+        add("level_limit", preds["theorem2"]["limit"], FLOAT_DIGITS)
+        add("squared_limsup", t3["limsup"])
+        add("squared_liminf", t3["liminf"])
+        if "extrapolated" in t3:
+            add("squared_extrapolated", t3["extrapolated"])
+        la = preds["log_asymptote"]
+        add("log_asymptote_nlogn_coefficient", la["nlogn_coefficient"])
+        add("log_asymptote_linear_coefficient", la["linear_coefficient"], FLOAT_DIGITS)
+        summary = [("capacity_extrapolated", _dec(est.extrapolated, FLOAT_DIGITS)),
+                   ("capacity_error_bound", _dec(est.error_bound, 6)),
+                   ("rho_extrapolated", _dec(rho.extrapolated, digits)),
+                   ("q", q), ("b0", _dec(b0, digits)),
+                   ("weight", preds["provenance"]["weight"]),
+                   ("support", preds["provenance"]["support"])]
     _emit("predict", precision, fmt, output,
           ["quantity", "value", "log_value"], rows, summary)
     return 0
@@ -216,6 +227,8 @@ def cmd_predict(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> i
 
 def cmd_verify(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> int:
     suite = _require(cfg, "suite")
+    if not isinstance(suite, str):
+        raise ConfigError(f"suite must be a name, got {suite!r}")
     results = run_suite(suite)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -271,6 +284,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError(f"precision_bits must be one of {ALLOWED_PRECISIONS}, got {precision}")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
+        if output is not None and not isinstance(output, str):
+            raise ConfigError(f"output must be a path, got {output!r}")
         if args.command == "capacity":
             return cmd_capacity(cfg, precision, fmt, output)
         if args.command == "orthopoly":
@@ -286,7 +301,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except NonConvergenceError as e:
         sys.stderr.write(f"landaucap: solver did not converge: {e}\n")
         return 3
-    except (ConfigError, ValueError, TypeError, KeyError) as e:
+    except ValueError as e:
         sys.stderr.write(f"landaucap: invalid config: {e}\n")
         return 2
 

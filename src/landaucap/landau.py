@@ -160,8 +160,7 @@ def _creation_pow(j: int, q: int) -> dict:
     return poly
 
 
-def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int,
-                   method: str = "auto"):
+def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     """Compression matrix on the q-th level via the symbolic creation rule.
 
     The general field is first reduced to b0 = 2 by rescaled_weight. Basis
@@ -179,8 +178,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int,
     """
     LandauBasisSpec(q, float(b0), N)  # validate the triple
     u = rescaled_weight(v, b0)
-    table = mixed_moments(u, "gaussian", maxdeg=N + q, precision_bits=precision_bits,
-                          b0=2.0, method=method)
+    table = mixed_moments(u, "gaussian", maxdeg=N + q, precision_bits=precision_bits, b0=2.0)
     if not table.diagonal:
         size = table.maxdeg + 1
         gram = [[table.entry(a, b) for b in range(size)] for a in range(size)]
@@ -359,9 +357,9 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
 
 
 def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
-                      precision_bits: int = 256, method: str = "auto") -> ToeplitzSpectrum:
+                      precision_bits: int = 256) -> ToeplitzSpectrum:
     """Assemble the level-q compression of v and diagonalize it."""
-    T = level_q_matrix(v, q, b0, N, precision_bits, method)
+    T = level_q_matrix(v, q, b0, N, precision_bits)
     return spectrum(T, precision_bits, spec=LandauBasisSpec(q, float(b0), N))
 
 
@@ -413,7 +411,7 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
 # ------------------------------------------------------- asymptotic sequences
 
 def lemma1_sequences(v: Weight, b0: float = 2.0, N: int = 48,
-                     precision_bits: int = 256, method: str = "auto") -> AsymptoticsReport:
+                     precision_bits: int = 256) -> AsymptoticsReport:
     """The two sides of (n! s_{n+1})^(1/n) = (b0/2) M_n^(1/n) (1 + o(1)).
 
     lhs comes from the ground-level spectrum of v, rhs from the monic
@@ -422,11 +420,11 @@ def lemma1_sequences(v: Weight, b0: float = 2.0, N: int = 48,
     """
     if N < 4:
         raise ValueError("need N >= 4")
-    sp = toeplitz_spectrum(v, 0, b0, N, precision_bits, method)
+    sp = toeplitz_spectrum(v, 0, b0, N, precision_bits)
     if sp.trusted_count < 5:
         raise NonConvergenceError(TRUST_MSG)
     n_max = sp.trusted_count - 1
-    plain = mixed_moments(v, "plain", maxdeg=n_max, precision_bits=precision_bits, method=method)
+    plain = mixed_moments(v, "plain", maxdeg=n_max, precision_bits=precision_bits)
     basis = monic_orthogonalize(plain)
     with mp.workprec(precision_bits):
         half_b0 = mp.mpf(b0) / 2

@@ -457,10 +457,24 @@ def region_key(region: Region) -> str:
     raise TypeError(f"not a region: {region!r}")
 
 
+def _real(x) -> float:
+    """A config number as float; a non-number is a ValueError."""
+    try:
+        return float(x)
+    except TypeError as e:
+        raise ValueError(f"expected a number, got {x!r}") from e
+
+
+def _items(x, what: str):
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{what} must be a list")
+    return x
+
+
 def _cx(pair) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise ValueError("points must be [re, im] pairs")
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(_real(pair[0]), _real(pair[1]))
 
 
 def region_from_config(rec: dict) -> Region:
@@ -469,13 +483,13 @@ def region_from_config(rec: dict) -> Region:
     shape = rec["shape"]
     try:
         if shape == "disc":
-            return Disc(_cx(rec["center"]), float(rec["radius"]))
+            return Disc(_cx(rec["center"]), _real(rec["radius"]))
         if shape == "annulus":
-            return Annulus(_cx(rec["center"]), float(rec["inner"]), float(rec["outer"]))
+            return Annulus(_cx(rec["center"]), _real(rec["inner"]), _real(rec["outer"]))
         if shape == "polygon":
-            return Polygon(tuple(_cx(p) for p in rec["vertices"]))
+            return Polygon(tuple(_cx(p) for p in _items(rec["vertices"], "vertices")))
         if shape == "union":
-            return UnionRegion(tuple(region_from_config(p) for p in rec["parts"]))
+            return UnionRegion(tuple(region_from_config(p) for p in _items(rec["parts"], "parts")))
     except KeyError as e:
         raise ValueError(f"region record missing key {e}") from e
     raise ValueError(f"unknown region shape {shape!r}")

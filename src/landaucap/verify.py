@@ -31,15 +31,7 @@ from .landau import (
 )
 from .orthopoly import monic_orthogonalize, rho_estimates, zeros
 from .region import Annulus, Disc, Polygon, affine, bounding_radius, contains, convex_hull, dilate
-from .weight import (
-    Constant,
-    Potential3D,
-    Weight,
-    ball_reduction_weight,
-    mixed_moments,
-    reduce_3d,
-    weight_value,
-)
+from .weight import Constant, Weight, ball_reduction_weight, mixed_moments
 
 __all__ = [
     "CheckResult",
@@ -180,7 +172,7 @@ def dense_offcenter_limit_checks() -> List[CheckResult]:
     """
     t0 = time.time()
     v = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
-    sp = toeplitz_spectrum(v, 0, 2.0, 48, 256, method="generic")
+    sp = toeplitz_spectrum(v, 0, 2.0, 48, 256)
     with mp.workprec(256):
         n = 40
         lhs = mp.exp((mp.loggamma(n + 1) + sp.log_eigs[n - 1]) / n)
@@ -238,20 +230,9 @@ def level_one_checks() -> List[CheckResult]:
 
 # ----------------------------------------------------------- 3d ball reduction
 
-def _unit_ball(x1, x2, x3):
-    return mp.mpf(1) if x1 * x1 + x2 * x2 + x3 * x3 <= 1 else mp.mpf(0)
-
-
 def ball_reduction_checks() -> List[CheckResult]:
     """Collapse the unit ball indicator to 2 sqrt(1-|z|^2) and take limits."""
     out: List[CheckResult] = []
-    numeric = reduce_3d(Potential3D(_unit_ball, ((-1, 1), (-1, 1), (-1, 1))), support=Disc(0j, 1.0))
-    with mp.workprec(96):
-        exact = 2 * mp.sqrt(1 - mp.mpf("0.36"))
-        dev = abs(weight_value(numeric, mp.mpf("0.6")) - exact) / exact
-    out.append(CheckResult("reduce_3d section integral of the unit ball at |z| = 0.6",
-                           dev <= mp.mpf(10) ** -10, f"rel dev {_num(dev, 4)}", "<= 1e-10"))
-
     w = ball_reduction_weight(1.0)
 
     basis = monic_orthogonalize(mixed_moments(w, "plain", maxdeg=40, precision_bits=128))

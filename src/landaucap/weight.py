@@ -5,13 +5,15 @@ table mu_ab = int z^a conj(z)^b v(z) g(z) dm(z) comes in two flavours:
 plain (g = 1) and Gaussian (g = exp(-b0 |z|^2 / 2)). Tables are computed
 at a stated bit precision and stored with monomials prescaled by the
 bounding radius, which keeps the Gram entries of order of the total mass.
+
+A three-dimensional potential V enters as its x3-integral, a density on
+the plane: ball_reduction_weight is the solid ball's, in closed form.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from mpmath import mp
@@ -29,6 +31,7 @@ from .region import (
     region_from_config,
     region_key,
     region_to_config,
+    _real,
     _strictly_inside,
 )
 
@@ -38,17 +41,11 @@ __all__ = [
     "Generic",
     "Weight",
     "MomentTable",
-    "Potential3D",
-    "SectionGrid",
     "quadrature",
     "mixed_moments",
-    "reduce_3d",
-    "weight_value",
     "weight_key",
     "weight_from_config",
     "weight_to_config",
-    "moment_table_to_json",
-    "moment_table_from_json",
     "emission_digits",
 ]
 
@@ -125,14 +122,6 @@ def _density_value(density, z):
     if isinstance(density, Radial):
         return density.profile(abs(z))
     return density.fn(z)
-
-
-def weight_value(w: Weight, z) -> object:
-    """v(z), zero off the support."""
-    z = mp.mpc(z)
-    if not contains(w.support, complex(z)):
-        return mp.mpf(0)
-    return _density_value(w.density, z)
 
 
 def _density_key(density) -> str:
@@ -581,14 +570,13 @@ def mixed_moments(
     maxdeg: int,
     precision_bits: Optional[int] = None,
     b0: float = 2.0,
-    method: str = "auto",
 ) -> MomentTable:
     """Moment table mu_ab for 0 <= a, b <= maxdeg, Hermitian by construction.
 
-    method "auto" takes the diagonal radial path when the support is a disc
-    or annulus centered at the origin with a Constant/Radial density, and
-    the generic two-dimensional path otherwise. On the 2d path the design
-    degree covers the monomials exactly; non-polynomial densities get an
+    A disc or annulus centered at the origin with a Constant/Radial density
+    gets the diagonal radial path; every other weight, a Generic density
+    included, the two-dimensional one. On the 2d path the design degree
+    covers the monomials exactly; non-polynomial densities get an
     oversampling margin of 48 degrees, so results for such densities are
     approximate, not design-exact.
 
@@ -608,15 +596,10 @@ def mixed_moments(
         raise ValueError("kind must be 'plain' or 'gaussian'")
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
-    if method not in ("auto", "radial", "generic"):
-        raise ValueError("method must be auto, radial or generic")
     prec = precision_bits if precision_bits is not None else _default_precision(maxdeg)
-    radial = _radial_applicable(w) if method == "auto" else (method == "radial")
-    if method == "radial" and not _radial_applicable(w):
-        raise ValueError("radial moment path needs an origin-centered disc/annulus with Constant/Radial density")
 
     with mp.workprec(prec):
-        if radial:
+        if _radial_applicable(w):
             rows, R0, degree_used = _radial_table(w, kind, maxdeg, prec, b0)
             diagonal = True
         else:
@@ -643,90 +626,7 @@ def mixed_moments(
     )
 
 
-# ------------------------------------------------------------- 3d reduction
-
-@dataclass(frozen=True)
-class Potential3D:
-    evaluator: Callable          # (x1, x2, x3) -> value >= 0
-    support_box: tuple           # ((x1lo, x1hi), (x2lo, x2hi), (x3lo, x3hi))
-
-
-@dataclass(frozen=True)
-class SectionGrid:
-    """Section rule of ``reduce_3d``.
-
-    The endpoints of a section are located to ``bisect_tol`` (absolute, in
-    x3) within at most 80 bisection steps, whatever the working precision,
-    so an indicator section integrates to about 1e-15 relative at best, even
-    at 256 bits and more."""
-
-    nodes: int = 64      # Gauss-Legendre count on the located section
-    scan: int = 257      # coarse positivity scan along x3
-    bisect_tol: float = 1e-15
-
-
-def _section_integral(V: Potential3D, x1, x2, grid: SectionGrid, prec: int):
-    """Integrate V(x1, x2, .) over its positive section of the box interval.
-
-    The section endpoints are located by a scan plus bisection, so indicator
-    profiles integrate to about ``grid.bisect_tol``; sections are assumed to
-    be single intervals (multi-interval sections lose accuracy in the gaps).
-    """
-    lo, hi = V.support_box[2]
-    with mp.workprec(prec):
-        lo, hi = mp.mpf(lo), mp.mpf(hi)
-        n = grid.scan
-        ts = [lo + (hi - lo) * k / (n - 1) for k in range(n)]
-        pos = [k for k, t in enumerate(ts) if V.evaluator(x1, x2, t) > 0]
-        if not pos:
-            return mp.mpf(0)
-
-        def bisect(a, b):
-            # V(..a) <= 0 < V(..b); returns the crossing within bisect_tol
-            for _ in range(80):
-                if abs(b - a) <= grid.bisect_tol:
-                    break
-                mid = (a + b) / 2
-                if V.evaluator(x1, x2, mid) > 0:
-                    b = mid
-                else:
-                    a = mid
-            return b
-
-        left = ts[pos[0]] if pos[0] == 0 else bisect(ts[pos[0] - 1], ts[pos[0]])
-        right = ts[pos[-1]] if pos[-1] == n - 1 else bisect(ts[pos[-1] + 1], ts[pos[-1]])
-        if not right > left:
-            return mp.mpf(0)
-        xs, ws = gauss_legendre(grid.nodes, prec)
-        nodes, wts = map_rule(xs, ws, left, right)
-        return mp.fsum(wt * V.evaluator(x1, x2, t) for t, wt in zip(nodes, wts))
-
-
-def reduce_3d(V: Potential3D, grid: Optional[SectionGrid] = None, support: Optional[Region] = None) -> Weight:
-    """Collapse a 3d potential to a plane weight w(z) = int V(x1, x2, x3) dx3.
-
-    Each value is a numerical section integral (see ``SectionGrid``). Where V
-    jumps, as on an indicator, the bisection tolerance caps the weight at
-    about 1e-15 relative at any working precision."""
-    grid = grid or SectionGrid()
-    (x1lo, x1hi), (x2lo, x2hi), _ = V.support_box
-    if support is None:
-        support = Polygon(
-            (
-                complex(x1lo, x2lo),
-                complex(x1hi, x2lo),
-                complex(x1hi, x2hi),
-                complex(x1lo, x2hi),
-            )
-        )
-
-    def fn(z):
-        return _section_integral(V, mp.re(z), mp.im(z), grid, mp.prec)
-
-    return Weight(support=support, density=Generic(fn, label="reduce3d"))
-
-
-# ------------------------------------------------------------ config + json
+# ------------------------------------------------------------------ configs
 
 def weight_from_config(rec: dict) -> Weight:
     if not isinstance(rec, dict) or "density" not in rec:
@@ -736,7 +636,7 @@ def weight_from_config(rec: dict) -> Weight:
         raise ValueError("density record needs a 'kind'")
     kind = dens["kind"]
     if kind == "ball3d_reduction":
-        R = float(dens.get("R", 1.0))
+        R = _real(dens.get("R", 1.0))
         if not R > 0:
             raise ValueError("ball radius must be positive")
         if rec.get("support") not in (None, "auto"):
@@ -746,7 +646,7 @@ def weight_from_config(rec: dict) -> Weight:
         raise ValueError("weight record needs a 'support'")
     support = region_from_config(rec["support"])
     if kind == "constant":
-        return Weight(support, Constant(float(dens.get("c", 1.0))))
+        return Weight(support, Constant(_real(dens.get("c", 1.0))))
     if kind == "radial":
         prof = dens.get("profile", "chi")
         if prof == "chi":
@@ -767,8 +667,8 @@ def ball_reduction_weight(R: float = 1.0) -> Weight:
     The profile evaluates that chord in closed form at the working precision,
     with R^2 formed there too, so the weight carries every bit of
     ``precision_bits``. It depends on |z| only, so the diagonal moment path
-    applies. ``reduce_3d`` of the ball indicator gives the same weight by
-    numerical section integrals, to about 1e-15 relative."""
+    applies. Any other 3d potential enters the same way: write its
+    x3-integral as a Radial or Generic density on the shadow region."""
     R = float(R)
 
     def chord(r):
@@ -789,54 +689,3 @@ def weight_to_config(w: Weight) -> dict:
     else:
         raise ValueError("weight has no config form (callable density)")
     return {"support": region_to_config(w.support), "density": dens}
-
-
-def _num_str(x, digits):
-    return mp.nstr(mp.mpf(x), digits, strip_zeros=False)
-
-
-def moment_table_to_json(table: MomentTable) -> str:
-    digits = emission_digits(table.precision_bits) + 5
-    with mp.workprec(table.precision_bits + 10):
-        rows = [
-            [[_num_str(mp.re(v), digits), _num_str(mp.im(v), digits)] for v in row]
-            for row in table.rows
-        ]
-        payload = {
-            "kind": table.kind,
-            "b0": table.b0,
-            "maxdeg": table.maxdeg,
-            "precision_bits": table.precision_bits,
-            "scale_radius": _num_str(table.scale_radius, digits),
-            "diagonal": table.diagonal,
-            "weight_key": table.weight_key,
-            "design_degree": table.design_degree,
-            "rows": rows,
-        }
-    return json.dumps(payload, indent=1)
-
-
-def moment_table_from_json(text: str) -> MomentTable:
-    payload = json.loads(text)
-    prec = int(payload["precision_bits"])
-    with mp.workprec(prec + 10):
-        rows = []
-        for a, row in enumerate(payload["rows"]):
-            out = []
-            for b, (re_s, im_s) in enumerate(row):
-                if b == a:
-                    out.append(mp.mpf(re_s))
-                else:
-                    out.append(mp.mpc(mp.mpf(re_s), mp.mpf(im_s)))
-            rows.append(out)
-        return MomentTable(
-            kind=payload["kind"],
-            b0=float(payload["b0"]),
-            maxdeg=int(payload["maxdeg"]),
-            precision_bits=prec,
-            scale_radius=mp.mpf(payload["scale_radius"]),
-            rows=rows,
-            diagonal=bool(payload["diagonal"]),
-            weight_key=payload["weight_key"],
-            design_degree=int(payload["design_degree"]),
-        )

@@ -107,14 +107,13 @@ def test_capacity_fit_window_containment():
         assert est.error_bound == max(est.values) - min(est.values)
 
 
-def test_thread_count_does_not_change_result(monkeypatch):
+def test_concurrent_calls_match_serial():
     # the solver keeps no shared state, so concurrent calls agree bit for
-    # bit with a serial one; the retired LANDAUCAP_THREADS is inert
+    # bit with a serial one, and so does a rerun
     serial = capacity_estimate(UNIT_SQUARE)
     with ThreadPoolExecutor(max_workers=3) as pool:
         pooled = list(pool.map(capacity_estimate, [UNIT_SQUARE] * 3))
     assert all(est == serial for est in pooled)
-    monkeypatch.setenv("LANDAUCAP_THREADS", "4")
     assert capacity_estimate(UNIT_SQUARE) == serial
 
 

@@ -10,16 +10,22 @@ import csv
 import io
 import json
 import math
-import os
 
 import pytest
 from mpmath import mp
 
-from landaucap import chebyshev, landau
+from landaucap import chebyshev, cli, landau
 from landaucap.cli import main
+from landaucap.region import capacity_known, region_from_config
 
 UNIT_DISC_WEIGHT = {
     "support": {"shape": "disc", "center": [0, 0], "radius": 1.0},
+    "density": {"kind": "constant"},
+}
+
+UNIT_SQUARE_WEIGHT = {
+    "support": {"shape": "polygon",
+                "vertices": [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]},
     "density": {"kind": "constant"},
 }
 
@@ -366,8 +372,8 @@ def test_verify_suite_smoke(tmp_path, capsys):
     assert any("measured" in ln and "expected" in ln for ln in lines)
 
 
-def test_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
-    # every command runs on one thread; a stale LANDAUCAP_THREADS is ignored
+def test_reruns_write_identical_files(tmp_path, capsys):
+    # every command runs on one thread, in a fixed order
     cfg = write_config(tmp_path / "cap.json", {
         "region": {"shape": "polygon",
                    "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
@@ -375,12 +381,8 @@ def test_threads_do_not_change_output(tmp_path, capsys, monkeypatch):
         "precision_bits": 64,
     })
     outputs = []
-    for workers in (None, "1", "4"):
-        if workers is None:
-            monkeypatch.delenv("LANDAUCAP_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("LANDAUCAP_THREADS", workers)
-        path = tmp_path / f"cap_{workers}.csv"
+    for run in range(3):
+        path = tmp_path / f"cap_{run}.csv"
         code, out, err = run_cli(
             ["capacity", "--config", cfg, "--output", str(path)], capsys)
         assert code == 0
@@ -402,3 +404,109 @@ def test_cli_precision_flag_overrides_config(tmp_path, capsys):
     m1 = json.loads(out)["rows"][1]["log_Mn"]
     mantissa = m1.replace("-", "").replace(".", "").split("e")[0]
     assert len(mantissa) >= 70
+
+
+# ------------------------------------------------- digits of emitted values
+
+def significant_digits(text):
+    mantissa = text.lstrip("-").split("e")[0].replace(".", "")
+    return len(mantissa.lstrip("0"))
+
+
+def test_predict_matches_orthopoly_at_working_precision(tmp_path, capsys):
+    # predict derives its rows at the working precision, not at 53 bits
+    cfg = write_config(tmp_path / "sq.json", {"weight": UNIT_SQUARE_WEIGHT, "N": 24})
+    code, out, _ = run_cli(["orthopoly", "--config", cfg, "--format", "json"], capsys)
+    assert code == 0
+    ortho = json.loads(out)["summary"]
+    code, out, _ = run_cli(["predict", "--config", cfg, "--format", "json"], capsys)
+    assert code == 0
+    pred = json.loads(out)
+    assert pred["summary"]["rho_extrapolated"] == ortho["rho_extrapolated"]
+    rows = {r["quantity"]: r["value"] for r in pred["rows"]}
+    with mp.workprec(256):
+        limsup = mp.mpf(rows["nth_root_limsup"])
+        rel = abs(mp.mpf(rows["squared_limsup"]) / limsup ** 2 - 1)
+    assert rel <= mp.mpf(10) ** -35
+
+
+def test_capacity_values_emitted_as_doubles(tmp_path, capsys):
+    # float64 capacities print 17 significant digits that parse back to the
+    # same double, whatever the working precision
+    region = UNIT_SQUARE_WEIGHT["support"]
+    est = chebyshev.capacity_estimate(region_from_config(region))
+    known = capacity_known(region_from_config(region))
+    cfg = write_config(tmp_path / "cap.json", {"region": region})
+    code, out, _ = run_cli(["capacity", "--config", cfg, "--format", "json",
+                            "--precision", "256"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    summary = payload["summary"]
+    with mp.workprec(256):
+        expected = [(summary["extrapolated"], est.extrapolated),
+                    (summary["log_extrapolated"], mp.log(est.extrapolated)),
+                    (summary["known_value"], known)]
+        for row, val in zip(payload["rows"], est.values):
+            expected += [(row["capacity"], val), (row["log_capacity"], mp.log(val))]
+    for text, value in expected:
+        assert significant_digits(text) <= 17, text
+        assert float(text) == float(value), text
+
+
+def test_predict_capacity_values_emitted_as_doubles(tmp_path, capsys):
+    cfg = write_config(tmp_path / "pred.json", {
+        "weight": UNIT_SQUARE_WEIGHT, "q": 0, "b0": 3.0, "N": 13})
+    code, out, _ = run_cli(["predict", "--config", cfg, "--format", "json",
+                            "--precision", "256"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    rows = {r["quantity"]: r["value"] for r in payload["rows"]}
+    cap_text = payload["summary"]["capacity_extrapolated"]
+    est = chebyshev.capacity_estimate(region_from_config(UNIT_SQUARE_WEIGHT["support"]))
+    with mp.workprec(256):
+        cap = mp.mpf(est.extrapolated)
+        expected = [(cap_text, cap),
+                    (rows["level_limit"], mp.mpf(1.5) * cap ** 2),
+                    (rows["log_asymptote_linear_coefficient"], mp.log(1.5) + 2 * mp.log(cap))]
+    for text, value in expected:
+        assert significant_digits(text) <= 17, text
+        assert float(text) == float(value), text
+    # the rows that do not depend on the capacity keep every digit
+    assert significant_digits(rows["nth_root_limsup"]) >= 70
+
+
+# ------------------------------------------------- config errors vs bugs
+
+@pytest.mark.parametrize("payload", [
+    {"weight": {**UNIT_DISC_WEIGHT}, "N": None},
+    {"weight": {"support": {"shape": "disc", "center": [0, 0], "radius": None},
+                "density": {"kind": "constant"}}},
+    {"weight": {"support": UNIT_DISC_WEIGHT["support"],
+                "density": {"kind": "constant", "c": None}}},
+    {"weight": {"support": {"shape": "polygon", "vertices": 4},
+                "density": {"kind": "constant"}}},
+    {"weight": {**UNIT_DISC_WEIGHT}, "output": ["x.csv"]},
+])
+def test_null_config_fields_exit_2(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path / "bad.json", payload)
+    code, out, err = run_cli(["toeplitz", "--config", cfg], capsys)
+    assert code == 2
+    assert "invalid config" in err
+
+
+def test_non_string_suite_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "ver.json", {"suite": ["x"]})
+    code, out, err = run_cli(["verify", "--config", cfg], capsys)
+    assert code == 2
+    assert "invalid config" in err
+
+
+def test_internal_type_error_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    # a bug in the library must surface as a traceback, not as exit 2
+    def broken(*args, **kwargs):
+        raise TypeError("internal bug")
+
+    monkeypatch.setattr(cli, "toeplitz_spectrum", broken)
+    cfg = write_config(tmp_path / "toep.json", {"weight": UNIT_DISC_WEIGHT, "N": 4})
+    with pytest.raises(TypeError, match="internal bug"):
+        main(["toeplitz", "--config", cfg])

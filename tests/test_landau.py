@@ -28,6 +28,8 @@ from landaucap.region import Annulus, Disc, Polygon, region_key
 from landaucap.weight import Constant, Generic, Radial, Weight, mixed_moments
 
 UNIT_DISC = Weight(Disc(0j, 1.0), Constant(1.0))
+# the same weight as a Generic density, which takes the dense 2d moment path
+FLAT_DISC = Weight(Disc(0j, 1.0), Generic(lambda z: 1.0 + 0 * abs(z), label="flat"))
 SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
 
 
@@ -82,7 +84,7 @@ def test_lll_t00_value():
 
 
 def test_lll_generic_path_matches_radial():
-    Tg = level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128, method="generic")
+    Tg = level_q_matrix(FLAT_DISC, 0, 2.0, 8, 128)
     Tr = level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128)
     with mp.workprec(160):
         diag_rel = max(abs(Tg[j, j] - Tr[j, j]) / abs(Tr[j, j]) for j in range(9))
@@ -137,7 +139,7 @@ def test_level_q1_unit_disc_tie():
 
 
 def test_level_q1_generic_path_matches_closed_form():
-    T = level_q_matrix(UNIT_DISC, 1, 2.0, 6, 128, method="generic")
+    T = level_q_matrix(FLAT_DISC, 1, 2.0, 6, 128)
     with mp.workprec(160):
         for n in range(7):
             exact = q1_diag(n, mp.mpf(1))
@@ -341,7 +343,7 @@ def test_radial_oracle_requires_centered_radial():
     for w in (
         Weight(Disc(0.3 + 0j, 1.0), Constant(1.0)),
         Weight(SQUARE, Constant(1.0)),
-        Weight(Disc(0j, 1.0), Generic(lambda z: 1.0 + 0 * abs(z), label="flat")),
+        FLAT_DISC,
     ):
         with pytest.raises(ValueError, match="oracle requires centered radial weight"):
             radial_oracle(w, 2.0, 4)
@@ -378,7 +380,7 @@ def test_oracle_equivalence_of_spectrum():
         with mp.workprec(192):
             for a, b in zip(sp.eigenvalues()[:nt], orc.eigenvalues()[:nt]):
                 assert abs(a - b) / b < mp.mpf(10) ** -8
-    dense = spectrum(level_q_matrix(UNIT_DISC, 0, 2.0, 12, 128, method="generic"), 128)
+    dense = spectrum(level_q_matrix(FLAT_DISC, 0, 2.0, 12, 128), 128)
     orc = radial_oracle(UNIT_DISC, 2.0, 12, 128)
     with mp.workprec(128):
         nt = min(dense.trusted_count, orc.trusted_count)
@@ -442,7 +444,7 @@ def test_rescaling_consistency_against_direct_normalization():
     b0 = 3.7
     v = Weight(Disc(0.3 + 0j, 0.8), Constant(1.0))
     sp_int = toeplitz_spectrum(v, 0, b0, 8, 128)
-    G = mixed_moments(v, "gaussian", maxdeg=8, precision_bits=128, b0=b0, method="generic")
+    G = mixed_moments(v, "gaussian", maxdeg=8, precision_bits=128, b0=b0)
     with mp.workprec(148):
         T = mp.matrix(9, 9)
         for j in range(9):

@@ -5,7 +5,6 @@ Gaussian disc moments via the lower incomplete gamma, separable square
 moments via binomial expansion, and chord integrals of the solid ball.
 """
 
-import json
 import math
 
 import pytest
@@ -19,26 +18,25 @@ from landaucap.weight import (
     Constant,
     Generic,
     MomentTable,
-    Potential3D,
     Radial,
-    SectionGrid,
     UNION_MSG,
     Weight,
     ball_reduction_weight,
     emission_digits,
     mixed_moments,
-    moment_table_from_json,
-    moment_table_to_json,
     quadrature,
-    reduce_3d,
     weight_from_config,
     weight_key,
     weight_to_config,
-    weight_value,
     _gaussian_excess,
 )
 
 L_SHAPE = Polygon((0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j))
+
+
+def flat(support):
+    """The constant weight 1 as a Generic density, which takes the 2d path."""
+    return Weight(support, Generic(lambda z: 1.0 + 0 * abs(z), label="flat"))
 
 
 def quad_sum(support, degree, f, prec=128):
@@ -127,8 +125,7 @@ def test_plain_disc_radial_path_closed_form():
 
 
 def test_plain_disc_generic_matches_radial():
-    w = Weight(Disc(0j, 1.5), Constant(1.0))
-    tab = mixed_moments(w, "plain", 12, precision_bits=128, method="generic")
+    tab = mixed_moments(flat(Disc(0j, 1.5)), "plain", 12, precision_bits=128)
     assert not tab.diagonal
     with mp.workprec(150):
         r = mp.mpf(1.5)
@@ -235,7 +232,7 @@ def test_gaussian_disc_incomplete_gamma():
 def test_gaussian_generic_matches_radial():
     w = Weight(Disc(0j, 1.0), Constant(1.0))
     t1 = mixed_moments(w, "gaussian", 10, precision_bits=128, b0=2.0)
-    t2 = mixed_moments(w, "gaussian", 10, precision_bits=128, b0=2.0, method="generic")
+    t2 = mixed_moments(flat(w.support), "gaussian", 10, precision_bits=128, b0=2.0)
     with mp.workprec(150):
         for a in range(11):
             d = abs(t1.raw_entry(a, a) - t2.raw_entry(a, a)) / t1.raw_entry(a, a)
@@ -292,11 +289,6 @@ def test_mixed_moments_validation():
         mixed_moments(w, "weird", 4)
     with pytest.raises(ValueError):
         mixed_moments(w, "plain", -1)
-    with pytest.raises(ValueError):
-        mixed_moments(w, "plain", 4, method="sideways")
-    shifted = Weight(Disc(1 + 0j, 1.0), Constant(1.0))
-    with pytest.raises(ValueError):
-        mixed_moments(shifted, "plain", 4, method="radial")
 
 
 def test_degenerate_weight_rejected():
@@ -308,12 +300,6 @@ def test_degenerate_weight_rejected():
         Weight(Disc(0j, 1.0), Generic(lambda z: -1.0))
 
 
-def test_weight_value_off_support():
-    w = Weight(Disc(0j, 1.0), Constant(2.5))
-    assert weight_value(w, 3 + 0j) == 0
-    assert weight_value(w, 0.5) == mp.mpf(2.5)
-
-
 @settings(max_examples=12, deadline=None)
 @given(
     radius=st.floats(min_value=0.3, max_value=2.0),
@@ -322,7 +308,7 @@ def test_weight_value_off_support():
 def test_radial_generic_agreement_property(radius, maxdeg):
     w = Weight(Disc(0j, radius), Constant(1.0))
     t1 = mixed_moments(w, "plain", maxdeg, precision_bits=128)
-    t2 = mixed_moments(w, "plain", maxdeg, precision_bits=128, method="generic")
+    t2 = mixed_moments(flat(w.support), "plain", maxdeg, precision_bits=128)
     with mp.workprec(140):
         for a in range(maxdeg + 1):
             d = abs(t1.entry(a, a) - t2.entry(a, a)) / t1.entry(a, a)
@@ -451,7 +437,7 @@ def test_flat_kernel_signed_node_values():
     _assert_kernel_matches_reference(w, rule, "plain", 3, 128)
 
 
-# ------------------------------------------------------------- 3d reduction
+# ----------------------------------------------------------- ball reduction
 
 def test_ball_chord_profile():
     w = ball_reduction_weight(1.0)
@@ -459,23 +445,7 @@ def test_ball_chord_profile():
         for x in (0.0, 0.3, 0.65, 0.95):
             z = mp.mpc(x, 0.2)
             exact = 2 * mp.sqrt(1 - abs(z) ** 2)
-            assert abs(weight_value(w, z) - exact) < mp.mpf(10) ** -10
-
-
-def test_ball_weight_runs_no_section_integral(monkeypatch):
-    # the chord is closed form: neither the weight's probe points nor its
-    # N = 12, q = 1 Gaussian table (maxdeg N + q) run a section integral
-    calls = []
-    original = weight_module._section_integral
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(weight_module, "_section_integral", counting)
-    w = ball_reduction_weight(1.0)
-    mixed_moments(w, "gaussian", 13, precision_bits=128)
-    assert calls == []
+            assert abs(w.density.profile(abs(z)) - exact) < mp.mpf(10) ** -10
 
 
 @pytest.mark.parametrize("prec,maxdeg", [(64, 20), (128, 40), (256, 49)])
@@ -517,39 +487,7 @@ def test_ball_mass_conservation():
         assert abs(tab.raw_entry(0, 0) - 4 * mp.pi / 3) < mp.mpf(10) ** -10
 
 
-def test_reduce_3d_separable_box():
-    # V = (1 + x1^2) on [0,1]^3 collapses to w = 1 + x^2 on the unit square
-    def V(x1, x2, x3):
-        if 0 <= x1 <= 1 and 0 <= x2 <= 1 and 0 <= x3 <= 1:
-            return 1 + x1 * x1
-        return mp.mpf(0)
-
-    w = reduce_3d(Potential3D(V, ((0, 1), (0, 1), (0, 1))))
-    tab = mixed_moments(w, "plain", 0, precision_bits=128)
-    with mp.workprec(140):
-        assert abs(tab.raw_entry(0, 0) - mp.mpf(4) / 3) < mp.mpf(10) ** -10
-
-
-def test_reduce_3d_ball_indicator_matches_chord():
-    # the numerical section integrals of the unit-ball indicator against the
-    # closed-form chord 2 sqrt(1 - |z|^2)
-    def ball(x1, x2, x3):
-        return mp.mpf(1) if x1 * x1 + x2 * x2 + x3 * x3 <= 1 else mp.mpf(0)
-
-    w = reduce_3d(Potential3D(ball, ((-1, 1), (-1, 1), (-1, 1))), support=Disc(0j, 1.0))
-    with mp.workprec(128):
-        for z in (mp.mpc(0.6), mp.mpc(0.36, 0.48), mp.mpc(0, 0.95)):
-            exact = 2 * mp.sqrt(1 - abs(z) ** 2)
-            assert abs(weight_value(w, z) - exact) / exact <= mp.mpf(10) ** -13
-
-
-def test_reduce_3d_zero_potential_degenerate():
-    V = Potential3D(lambda a, b, c: mp.mpf(0), ((0, 1), (0, 1), (0, 1)))
-    with pytest.raises(ValueError, match="degenerate"):
-        reduce_3d(V)
-
-
-# ----------------------------------------------------------- config + json
+# ------------------------------------------------------------------ configs
 
 def test_weight_config_round_trips():
     recs = [
@@ -588,26 +526,6 @@ def test_weight_config_rejects_malformed():
     for rec in bad:
         with pytest.raises(ValueError):
             weight_from_config(rec)
-
-
-def test_moment_table_json_round_trip():
-    w = Weight(Disc(0.3 + 0.1j, 1.0), Constant(1.0))
-    tab = mixed_moments(w, "plain", 5, precision_bits=128)
-    text = moment_table_to_json(tab)
-    back = moment_table_from_json(text)
-    assert back.kind == tab.kind
-    assert back.maxdeg == tab.maxdeg
-    assert back.precision_bits == tab.precision_bits
-    assert back.weight_key == tab.weight_key
-    with mp.workprec(140):
-        floor = mp.mpf(10) ** (-emission_digits(tab.precision_bits))
-        for a in range(6):
-            for b in range(a + 1):
-                assert abs(back.entry(a, b) - tab.entry(a, b)) <= floor
-    # emission is deterministic
-    assert moment_table_to_json(back) == moment_table_to_json(back)
-    payload = json.loads(text)
-    assert payload["kind"] == "plain"
 
 
 def test_emission_digits():
