@@ -50,8 +50,11 @@ def _require(cfg: dict, key: str):
 
 
 def _number(cfg: dict, key: str, default, kind=int):
-    """cfg[key] read as int or float; a non-number is a ConfigError."""
+    """cfg[key] read as int or float. A non-number, a boolean, or a
+    non-integral value for an int field (24.0 is integral) is a ConfigError."""
     val = cfg.get(key, default)
+    if isinstance(val, bool) or (kind is int and isinstance(val, float) and not val.is_integer()):
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {val!r}")
     try:
         return kind(val)
     except (TypeError, ValueError, OverflowError) as e:
@@ -276,10 +279,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.stderr.write(f"landaucap: config is not valid JSON: {e}\n")
         return 2
 
-    precision = args.precision if args.precision is not None else cfg.get("precision_bits", 128)
     fmt = args.fmt or cfg.get("format", "csv")
     output = args.output or cfg.get("output")
     try:
+        precision = args.precision if args.precision is not None else _number(cfg, "precision_bits", 128)
         if precision not in ALLOWED_PRECISIONS:
             raise ConfigError(f"precision_bits must be one of {ALLOWED_PRECISIONS}, got {precision}")
         if fmt not in ("csv", "json"):

@@ -179,7 +179,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     LandauBasisSpec(q, float(b0), N)  # validate the triple
     u = rescaled_weight(v, b0)
     table = mixed_moments(u, "gaussian", maxdeg=N + q, precision_bits=precision_bits, b0=2.0)
-    if not table.diagonal:
+    if table.path != "radial":
         size = table.maxdeg + 1
         gram = [[table.entry(a, b) for b in range(size)] for a in range(size)]
         try:

@@ -6,6 +6,11 @@ plain (g = 1) and Gaussian (g = exp(-b0 |z|^2 / 2)). Tables are computed
 at a stated bit precision and stored with monomials prescaled by the
 bounding radius, which keeps the Gram entries of order of the total mass.
 
+A table takes one of three paths (mixed_moments): 1d radial integrals for a
+centred radial weight, a contour integral over the boundary for any other
+constant density (Green's theorem), and a 2d area rule for the rest. The
+last two share one exact fixed-point integer Gram kernel.
+
 A three-dimensional potential V enters as its x3-integral, a density on
 the plane: ball_reduction_weight is the solid ball's, in closed form.
 """
@@ -18,7 +23,7 @@ from typing import Callable, Optional
 
 from mpmath import mp
 
-from ._mp import cdot, dot, fixed_bits, from_fixed, gauss_legendre, map_rule, tanh_sinh, to_fixed
+from ._mp import cdot, fixed_bits, from_fixed, gauss_legendre, map_rule, tanh_sinh, to_fixed
 from .errors import DegenerateMomentError
 from .region import (
     Annulus,
@@ -139,26 +144,27 @@ def weight_key(w: Weight) -> str:
 # ----------------------------------------------------------- quadrature rules
 
 @dataclass
-class _PolarRule:
-    center: complex
-    rho: list    # radial nodes, mpf
-    rw: list     # radial weights including the rho jacobian, mpf
-    ntheta: int
+class _Rule:
+    """Nodes with area weights, or with the steps dz of a boundary rule."""
 
-
-@dataclass
-class _FlatRule:
     nodes: list
     weights: list
+    boundary: bool = False
 
 
-def _polar(center, lo, hi, degree, prec) -> _PolarRule:
+def _polar(center, lo, hi, degree, prec):
+    """Product rule on the ring lo <= |z - center| <= hi: Gauss-Legendre in
+    the radius, degree + 1 equispaced angles."""
     n_r = max(1, math.ceil((degree + 2) / 2))
     xs, ws = gauss_legendre(n_r, prec)
+    T = degree + 1
     with mp.workprec(prec + 10):
-        rho, rw = map_rule(xs, ws, mp.mpf(lo), mp.mpf(hi))
-        rw = [w * r for w, r in zip(rw, rho)]
-    return _PolarRule(center, rho, rw, degree + 1)
+        rho, rw = map_rule(xs, ws, lo, hi)
+        circle = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
+        step = 2 * mp.pi / T
+        nodes = [center + r * e for r in rho for e in circle]
+        weights = [w * r * step for r, w in zip(rho, rw) for _ in circle]
+    return nodes, weights
 
 
 def _triangle_rule(a, b, c, degree, prec):
@@ -179,6 +185,30 @@ def _triangle_rule(a, b, c, degree, prec):
                 nodes.append(a + u * ((1 - v) * (b - a) + v * (c - a)))
                 weights.append(wu_ * wv_ * area2 * u)
     return nodes, weights
+
+
+def _edges(vs, degree, prec):
+    """Gauss-Legendre on every edge of a counterclockwise ring, degree // 2 + 1
+    nodes each: exact for polynomials in (z, conj z) of degree <= degree."""
+    xs, ws = gauss_legendre(degree // 2 + 1, prec)
+    nodes, steps = [], []
+    with mp.workprec(prec + 10):
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
+            nodes.extend(mid + half * x for x in xs)
+            steps.extend(half * w for w in ws)
+    return nodes, steps
+
+
+def _circle(center, radius, degree, prec, sign=1):
+    """Trapezoid rule with degree + 2 nodes on a counterclockwise circle (sign
+    -1 reverses it): exact for polynomials in (z, conj z) of degree <= degree."""
+    T = degree + 2
+    with mp.workprec(prec + 10):
+        es = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
+        r = mp.mpf(radius)
+        k = mp.mpc(0, sign * 2 * mp.pi / T) * r
+        return [center + r * e for e in es], [k * e for e in es]
 
 
 def _is_convex_ring(vs) -> bool:
@@ -272,45 +302,36 @@ def _disjoint(a: Region, b: Region) -> bool:
     return True
 
 
-def _build_rule(support: Region, degree: int, prec: int):
-    if isinstance(support, Disc):
-        return _polar(support.center, 0, support.radius, degree, prec)
-    if isinstance(support, Annulus):
-        return _polar(support.center, support.inner, support.outer, degree, prec)
-    if isinstance(support, Polygon):
-        nodes, weights = [], []
-        for a, b, c in _triangulate(support.vertices):
-            ns, ws = _triangle_rule(a, b, c, degree, prec)
+def _build_rule(support: Region, degree: int, prec: int, boundary: bool = False) -> _Rule:
+    """Area rule on the support, or with boundary=True a rule on its
+    positively oriented boundary; either is exact for polynomials in
+    (z, conj z) of total degree <= degree."""
+    parts = support.parts if isinstance(support, UnionRegion) else (support,)
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if not _disjoint(parts[i], parts[j]):
+                raise ValueError(UNION_MSG)
+    nodes, weights = [], []
+    for p in parts:
+        for ns, ws in _pieces(p, degree, prec, boundary):
             nodes.extend(ns)
             weights.extend(ws)
-        return _FlatRule(nodes, weights)
-    if isinstance(support, UnionRegion):
-        parts = support.parts
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                if not _disjoint(parts[i], parts[j]):
-                    raise ValueError(UNION_MSG)
-        nodes, weights = [], []
-        for p in parts:
-            ns, ws = _materialize(_build_rule(p, degree, prec), prec)
-            nodes.extend(ns)
-            weights.extend(ws)
-        return _FlatRule(nodes, weights)
-    raise TypeError(f"not a region: {support!r}")
+    return _Rule(nodes, weights, boundary)
 
 
-def _materialize(rule, prec):
-    if isinstance(rule, _FlatRule):
-        return rule.nodes, rule.weights
-    with mp.workprec(prec + 10):
-        T = rule.ntheta
-        step = 2 * mp.pi / T
-        nodes, weights = [], []
-        for r, w in zip(rule.rho, rule.rw):
-            for t in range(T):
-                nodes.append(rule.center + r * mp.expjpi(mp.mpf(2 * t) / T))
-                weights.append(w * step)
-    return nodes, weights
+def _pieces(part: Region, degree: int, prec: int, boundary: bool):
+    """(nodes, weights) pieces of one part's area or boundary rule."""
+    if isinstance(part, Polygon):
+        if boundary:
+            return [_edges(part.vertices, degree, prec)]
+        return [_triangle_rule(a, b, c, degree, prec) for a, b, c in _triangulate(part.vertices)]
+    if not isinstance(part, (Disc, Annulus)):
+        raise TypeError(f"not a region: {part!r}")
+    lo, hi = _radial_interval(part)
+    if not boundary:
+        return [_polar(part.center, lo, hi, degree, prec)]
+    inner = [_circle(part.center, lo, degree, prec, -1)] if isinstance(part, Annulus) else []
+    return [_circle(part.center, hi, degree, prec)] + inner
 
 
 def quadrature(support: Region, design_degree: int, precision_bits: int = 128):
@@ -319,7 +340,7 @@ def quadrature(support: Region, design_degree: int, precision_bits: int = 128):
     if design_degree < 0:
         raise ValueError("design degree must be >= 0")
     rule = _build_rule(support, design_degree, precision_bits)
-    return _materialize(rule, precision_bits)
+    return rule.nodes, rule.weights
 
 
 # ------------------------------------------------------------- moment tables
@@ -332,7 +353,7 @@ class MomentTable:
     precision_bits: int
     scale_radius: object   # mpf; monomials are (z / scale_radius)^a
     rows: list             # rows[a][b], b <= a
-    diagonal: bool
+    path: str              # "radial" | "boundary" | "area", see mixed_moments
     weight_key: str
     design_degree: int
 
@@ -428,138 +449,75 @@ def _radial_table(w, kind, maxdeg, prec, b0):
     return rows, R0, need
 
 
-def _polar_dft_table(w, rule: _PolarRule, kind, maxdeg, prec, b0):
-    """Origin moments via centered angular DFT sums plus an exact binomial
-    shift; a pure reassociation of the quadrature sum, carried out in exact
-    fixed-point integer arithmetic and rounded once per entry."""
+def _s_rows(xs, maxdeg):
+    """S_b(x) = int_0^1 t^b exp(-x t) dt for b = 0..maxdeg at every x, as
+    rows[b][i]: S_maxdeg from its positive series
+    exp(-x) sum_j x^j / ((b+1)...(b+1+j)), then downward by
+    S_b = (exp(-x) + x S_(b+1)) / (b+1). No step cancels."""
+    cols = []
+    for x in xs:
+        ex = mp.exp(-x)
+        term = total = mp.one / (maxdeg + 1)
+        j = maxdeg + 1
+        while term > mp.eps * total:
+            j += 1
+            term = term * x / j
+            total += term
+        col = [ex * total]
+        for b in range(maxdeg, 0, -1):
+            col.append((ex + x * col[-1]) / b)
+        cols.append(col[::-1])
+    return [list(row) for row in zip(*cols)]
+
+
+def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
+    """Scaled table rows[a][b] = sum_i x_i u_i^a conj(y_ib), u = z / R0, as
+    exact fixed-point integer sums carrying guard more bits, rounded once
+    per entry to prec.
+
+    Area rule: x_i = c_i, the node weight times the density and the
+    Gaussian, and y_ib = u_i^b. Boundary rule: x_i = c R0 dz_i / 2i and
+    y_ib = S_b(beta |z_i|^2) u_i^(b+1), the contour form of the constant
+    density's moments (see mixed_moments)."""
     R0 = mp.mpf(bounding_radius(w.support))
-    b0m = mp.mpf(b0)
-    T = rule.ntheta
-    step = 2 * mp.pi / T
-    omega = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
-    center = mp.mpc(rule.center)
-    gaussian = kind == "gaussian"
-    dens = w.density
-
-    F = fixed_bits(prec, len(rule.rho) * T)
+    F = fixed_bits(prec + guard, len(rule.nodes))
     with mp.workprec(F):
-        cos_sin = ([mp.cospi(mp.mpf(2 * m) / T) for m in range(T)],
-                   [mp.sinpi(mp.mpf(2 * m) / T) for m in range(T)])
-        rr = [r / R0 for r in rule.rho]
-    (cos_t, sin_t), e_trig = to_fixed(cos_sin, F)
-    (rfix,), e_r = to_fixed([rr], F)
-    omega_k = [([cos_t[(t * k) % T] for t in range(T)], [sin_t[(t * k) % T] for t in range(T)])
-               for k in range(maxdeg + 1)]
-
-    # angular sums C_i[k] = sum_t c_{i,t} omega^{t k}, one ring at a time,
-    # each ring's node values over their own exponent
-    const_val = mp.mpf(dens.c) if isinstance(dens, Constant) else None
-    ring_sums, ring_exps = [], []
-    for r, rwt in zip(rule.rho, rule.rw):
-        base = rwt * step
-        cdata = []
-        for t in range(T):
-            z = center + r * omega[t]
-            val = base * const_val if const_val is not None else base * mp.mpf(_density_value(dens, z))
-            if gaussian:
-                val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
-            cdata.append(val)
-        (c,), e_i = to_fixed([cdata], F)
-        ring_sums.append([(dot(c, cos_k), dot(c, sin_k)) for cos_k, sin_k in omega_k])
-        ring_exps.append(e_i)
-    # exact left shifts put every ring over the smallest exponent
-    e_c = min(ring_exps)
-    chat = [([sums[k][0] << (e - e_c) for sums, e in zip(ring_sums, ring_exps)],
-             [sums[k][1] << (e - e_c) for sums, e in zip(ring_sums, ring_exps)])
-            for k in range(maxdeg + 1)]
-
-    # (r_i / R0)^m, m = 0..2 maxdeg, every row over the exponent e_r
-    powers = [[1 << -e_r] * len(rfix)]
-    for _ in range(2 * maxdeg):
-        powers.append([(p * r) >> -e_r for p, r in zip(powers[-1], rfix)])
-
-    # scaled centered moments nu[alpha][beta] over 2^e_nu, Hermitian,
-    # stored as (re, im) rows of integers
-    e_nu = e_c + e_trig + e_r
-    nu = [([0] * (maxdeg + 1), [0] * (maxdeg + 1)) for _ in range(maxdeg + 1)]
-    for alpha in range(maxdeg + 1):
-        for beta in range(alpha + 1):
-            re_k, im_k = chat[alpha - beta]
-            re, im = dot(powers[alpha + beta], re_k), dot(powers[alpha + beta], im_k)
-            nu[alpha][0][beta] = nu[beta][0][alpha] = re
-            nu[alpha][1][beta], nu[beta][1][alpha] = im, -im
-
-    if center == 0:
-        return [
-            [from_fixed(nu[a][0][b], nu[a][1][b], e_nu, prec) for b in range(a)]
-            + [from_fixed(nu[a][0][a], None, e_nu, prec)]
-            for a in range(maxdeg + 1)
-        ], R0
-
-    # u^a = sum_alpha K[a][alpha] (u - chat0)^alpha, K[a][alpha] = C(a, alpha) chat0^(a - alpha),
-    # so the table is K nu K^H: two triangular products, one exponent per row of K
-    with mp.workprec(F):
-        chat0 = center / R0
-        pw = [mp.mpc(1)]
-        for _ in range(maxdeg):
-            pw.append(pw[-1] * chat0)
-        kmat = []
-        for a in range(maxdeg + 1):
-            ka = [math.comb(a, al) * pw[a - al] for al in range(a + 1)]
-            kmat.append(to_fixed([[v.real for v in ka], [v.imag for v in ka]], F))
-    rows = []
-    for a in range(maxdeg + 1):
-        ka, e_ka = kmat[a]
-        # (K nu)[a][beta] = sum_alpha K[a][alpha] conj(nu[beta][alpha])
-        m_re, m_im = zip(*(cdot(ka, (re[: a + 1], im[: a + 1])) for re, im in nu))
-        row = []
-        for b in range(a + 1):
-            kb, e_kb = kmat[b]
-            re, im = cdot((m_re[: b + 1], m_im[: b + 1]), kb)
-            row.append(from_fixed(re, None if b == a else im, e_ka + e_nu + e_kb, prec))
-        rows.append(row)
-    return rows, R0
-
-
-def _flat_table(w, rule: _FlatRule, kind, maxdeg, prec, b0):
-    """Gram entries sum_i c_i u_i^a conj(u_i)^b, u = z / R0, as exact
-    fixed-point integer dot products of the rows x^a = sqrt|c| u^a, rounded
-    once per entry."""
-    R0 = mp.mpf(bounding_radius(w.support))
-    b0m = mp.mpf(b0)
-    gaussian = kind == "gaussian"
-    dens = w.density
-    cs = []
-    for z, wt in zip(rule.nodes, rule.weights):
-        val = wt * mp.mpf(dens.c) if isinstance(dens, Constant) else wt * mp.mpf(_density_value(dens, z))
-        if gaussian:
-            val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
-        cs.append(val)
-    F = fixed_bits(prec, len(cs))
-    with mp.workprec(F):
-        roots = [mp.sqrt(abs(c)) for c in cs]
-        us = [mp.mpc(z) / R0 for z in rule.nodes]
-    (root,), e_x = to_fixed([roots], F)
+        zs = [mp.mpc(z) for z in rule.nodes]
+        beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.zero
+        sq = [beta * (z.real ** 2 + z.imag ** 2) for z in zs]
+        if rule.boundary:
+            k = mp.mpc(0, -mp.mpf(w.density.c) * R0 / 2)
+            x0 = [k * dz for dz in rule.weights]
+            srows = _s_rows(sq, maxdeg)
+        else:
+            x0 = [wt * mp.mpf(_density_value(w.density, z)) for z, wt in zip(zs, rule.weights)]
+            if beta:
+                x0 = [x * mp.exp(-s) for x, s in zip(x0, sq)]
+        us = [z / R0 for z in zs]
+    (xr, xi), e_x = to_fixed([[mp.re(x) for x in x0], [mp.im(x) for x in x0]], F)
     (ur, ui), e_u = to_fixed([[u.real for u in us], [u.imag for u in us]], F)
-    xs = [(root, [0] * len(root))]
+
+    def times_u(p):
+        pr, pi = p
+        return ([(a * c - b * d) >> -e_u for a, b, c, d in zip(pr, pi, ur, ui)],
+                [(a * d + b * c) >> -e_u for a, b, c, d in zip(pr, pi, ur, ui)])
+
+    xs = [(xr, xi)]
+    ys = [([1 << -e_u] * len(ur), [0] * len(ur))]  # u^k over 2^e_u
     for _ in range(maxdeg):
-        xr, xi = xs[-1]
-        xs.append((
-            [(p * c - q * d) >> -e_u for p, q, c, d in zip(xr, xi, ur, ui)],
-            [(p * d + q * c) >> -e_u for p, q, c, d in zip(xr, xi, ur, ui)],
-        ))
-    # a negative node value flips the sign of its conjugate factor
-    if any(c < 0 for c in cs):
-        sign = [-1 if c < 0 else 1 for c in cs]
-        ys = [([s * v for s, v in zip(sign, xr)], [s * v for s, v in zip(sign, xi)]) for xr, xi in xs]
-    else:
-        ys = xs
+        xs.append(times_u(xs[-1]))
+    for _ in range(maxdeg + 1):
+        ys.append(times_u(ys[-1]))
+    if rule.boundary:
+        fixed_s = [to_fixed([row], F) for row in srows]
+        ys = [([(v * p) >> -e_s for v, p in zip(s, pr)], [(v * p) >> -e_s for v, p in zip(s, pi)])
+              for ((s,), e_s), (pr, pi) in zip(fixed_s, ys[1:])]
     rows = []
     for a in range(maxdeg + 1):
         row = []
         for b in range(a + 1):
             re, im = cdot(xs[a], ys[b])
-            row.append(from_fixed(re, None if b == a else im, 2 * e_x, prec))
+            row.append(from_fixed(re, None if b == a else im, e_x + e_u, prec))
         rows.append(row)
     return rows, R0
 
@@ -571,26 +529,33 @@ def mixed_moments(
     precision_bits: Optional[int] = None,
     b0: float = 2.0,
 ) -> MomentTable:
-    """Moment table mu_ab for 0 <= a, b <= maxdeg, Hermitian by construction.
+    """Moment table mu_ab for 0 <= a, b <= maxdeg, Hermitian by construction,
+    on one of three paths named by MomentTable.path:
 
-    A disc or annulus centered at the origin with a Constant/Radial density
-    gets the diagonal radial path; every other weight, a Generic density
-    included, the two-dimensional one. On the 2d path the design degree
-    covers the monomials exactly; non-polynomial densities get an
-    oversampling margin of 48 degrees, so results for such densities are
-    approximate, not design-exact.
+    - "radial": a disc or annulus centred at 0 with a Constant or Radial
+      density; 1d radial integrals, exactly zero off the diagonal.
+    - "boundary": a Constant density c on any other support. For b <= a,
+      with beta = b0/2 (Gaussian) or 0 (plain) and
+      S_b(x) = int_0^1 t^b exp(-x t) dt,
+      mu_ab = (c/2i) contour-integral of z^a conj(z)^(b+1) S_b(beta |z|^2) dz
+      (Green's theorem: (b+1) S_b + x S_b' = exp(-x)). With design degree
+      D = 2 maxdeg + 1, plus the Gaussian excess, each polygon edge gets
+      D//2 + 1 Gauss-Legendre nodes and each circle D + 2 trapezoid nodes
+      (an annulus's inner circle reversed); a union joins its parts' rules,
+      so an edge two parts share cancels. Plain tables are exact.
+    - "area": a Generic density, or a Radial one off centre, on a 2d product
+      rule of design degree 2 maxdeg, plus the Gaussian excess, plus 48
+      degrees for a non-polynomial density, which is then approximate.
 
-    The 2d sums are exact: node values, evaluated at precision_bits, are
-    converted once to fixed-point integers carrying 32 guard bits
-    (_mp.FIXED_GUARD_BITS) plus the bit length of the node count past the
-    precision; the sums run over Python integers, and each table entry is
-    rounded once to precision_bits. Against the same rule summed at 128 more
-    bits, every entry lies within 4 units in the last place of
-    sqrt(G_aa G_bb); about 1 is typical.
+    Boundary and area node values, evaluated at _mp.fixed_bits (32 guard
+    bits and the bit length of the node count past precision_bits), become
+    fixed-point integers; the sums are exact and each entry is rounded once.
+    Against the same rule summed in mpc at 128 more bits, every entry lies
+    within 4 units of 2^-precision_bits sqrt(G_aa G_bb); about 1 is typical.
 
-    The radial path rejects a nonpositive diagonal entry. A 2d table is
-    checked where it is used: by the Cholesky of monic_orthogonalize when
-    plain, by the level-q assembly when Gaussian.
+    The radial path rejects a nonpositive diagonal entry. A boundary or area
+    table is checked where it is used: by the Cholesky of
+    monic_orthogonalize when plain, by the level-q assembly when Gaussian.
     """
     if kind not in ("plain", "gaussian"):
         raise ValueError("kind must be 'plain' or 'gaussian'")
@@ -601,18 +566,21 @@ def mixed_moments(
     with mp.workprec(prec):
         if _radial_applicable(w):
             rows, R0, degree_used = _radial_table(w, kind, maxdeg, prec, b0)
-            diagonal = True
+            path = "radial"
         else:
-            degree_used = 2 * maxdeg
+            boundary = isinstance(w.density, Constant)
+            degree_used = 2 * maxdeg + (1 if boundary else 0) + _density_margin(w.density)
+            guard = 0
             if kind == "gaussian":
-                degree_used += _gaussian_excess(b0, bounding_radius(w.support), prec)
-            degree_used += _density_margin(w.density)
-            rule = _build_rule(w.support, degree_used, prec)
-            if isinstance(rule, _PolarRule):
-                rows, R0 = _polar_dft_table(w, rule, kind, maxdeg, prec, b0)
-            else:
-                rows, R0 = _flat_table(w, rule, kind, maxdeg, prec, b0)
-            diagonal = False
+                rmax = bounding_radius(w.support)
+                degree_used += _gaussian_excess(b0, rmax, prec)
+                if boundary:
+                    # boundary terms lack the factor exp(-b0 |z|^2 / 2) of the
+                    # moments, so their sum cancels up to b0 rmax^2 / 2 nats
+                    guard = math.ceil(b0 * rmax ** 2 / 2 / math.log(2))
+            rule = _build_rule(w.support, degree_used, prec + guard, boundary)
+            rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0, guard)
+            path = "boundary" if boundary else "area"
     return MomentTable(
         kind=kind,
         b0=float(b0),
@@ -620,7 +588,7 @@ def mixed_moments(
         precision_bits=prec,
         scale_radius=R0,
         rows=rows,
-        diagonal=diagonal,
+        path=path,
         weight_key=weight_key(w),
         design_degree=degree_used,
     )

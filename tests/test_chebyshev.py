@@ -1,7 +1,8 @@
 """Capacity from Symm's integral equation against closed forms and geometry.
 
 Independent checks: the capacity of a disc is its radius, that of a regular
-n-gon of side s is Gamma(1/n) s / (2^(1+2/n) sqrt(pi) Gamma(1/2+1/n)); it
+n-gon of side s is Gamma(1/n) s / (2^(1+2/n) sqrt(pi) Gamma(1/2+1/n)), that
+of a rectangle follows from complete elliptic integrals; it
 ignores interior holes, scales linearly under affine maps and grows with
 the set.
 """
@@ -11,6 +12,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from mpmath import mp
 
 from landaucap import chebyshev
 from landaucap.errors import NonConvergenceError
@@ -21,6 +23,18 @@ UNIT_SQUARE = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
 SQUARE_CAPACITY = 0.5901702995080481  # Gamma(1/4)^2 / (4 pi^(3/2)), side 1
 TRIANGLE = Polygon((0j, 1 + 0j, complex(0.5, math.sqrt(3) / 2)))
 TRIANGLE_CAPACITY = math.gamma(1 / 3) ** 3 * math.sqrt(3) / (8 * math.pi ** 2)  # side 1
+
+
+def rectangle_capacity(a, b):
+    """Capacity of an a x b rectangle: with m the elliptic parameter solving
+    a/b = (E(m) - (1-m) K(m)) / (E(1-m) - m K(1-m)),
+    Cap = a / (4 (E(m) - (1-m) K(m)))."""
+    def lhs(m):
+        return mp.ellipe(m) - (1 - m) * mp.ellipk(m)
+
+    with mp.workprec(80):
+        m = mp.findroot(lambda m: lhs(m) - mp.mpf(a) / b * lhs(1 - m), 0.5)
+        return float(a / (4 * lhs(m)))
 
 
 # ------------------------------------------------------------------ capacity
@@ -126,7 +140,13 @@ CLOSED_FORMS = [
     (Disc(0j, 1.0), 1.0, 5e-7),
     (Disc(1 + 0.5j, 1.5), 1.5, 1e-6),
     (Annulus(0j, 0.5, 1.0), 1.0, 1e-6),
+    (Polygon((0j, 2 + 0j, 2 + 1j, 1j)), rectangle_capacity(2, 1), 1e-4),
+    (Polygon((0j, 3 + 0j, 3 + 1j, 1j)), rectangle_capacity(3, 1), 1e-4),
 ]
+
+
+def test_rectangle_formula_reduces_to_square():
+    assert abs(rectangle_capacity(1, 1) - SQUARE_CAPACITY) < 1e-15
 
 
 @pytest.mark.parametrize("region,exact,band", CLOSED_FORMS)

@@ -510,3 +510,33 @@ def test_internal_type_error_is_not_a_config_error(tmp_path, capsys, monkeypatch
     cfg = write_config(tmp_path / "toep.json", {"weight": UNIT_DISC_WEIGHT, "N": 4})
     with pytest.raises(TypeError, match="internal bug"):
         main(["toeplitz", "--config", cfg])
+
+
+@pytest.mark.parametrize("command,fields", [
+    ("toeplitz", {"N": 4.9}),
+    ("toeplitz", {"N": 4, "q": 0.5}),
+    ("orthopoly", {"N": 12, "n_min": 1.5}),
+    ("toeplitz", {"N": True}),
+])
+def test_non_integral_integer_fields_exit_2(tmp_path, capsys, command, fields):
+    # a fractional or boolean N, q or n_min must not be truncated to an int
+    cfg = write_config(tmp_path / "frac.json", {"weight": UNIT_DISC_WEIGHT, **fields})
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 2
+    assert "invalid config" in err
+    assert not out_path.exists()
+
+
+def test_integral_float_precision_runs_and_fractional_exits_2(tmp_path, capsys):
+    payload = {"weight": OFFCENTER_WEIGHT, "q": 0, "N": 4.0, "precision_bits": 128.0}
+    cfg = write_config(tmp_path / "p.json", payload)
+    code, out, err = run_cli(["toeplitz", "--config", cfg, "--format", "json"], capsys)
+    assert code == 0, err
+    result = json.loads(out)
+    assert result["precision_bits"] == 128
+    assert len(result["rows"]) == 5
+    cfg = write_config(tmp_path / "q.json", {**payload, "precision_bits": 128.5})
+    code, out, err = run_cli(["toeplitz", "--config", cfg], capsys)
+    assert code == 2
+    assert "invalid config" in err

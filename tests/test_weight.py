@@ -116,7 +116,7 @@ def test_quadrature_degree_validation():
 def test_plain_disc_radial_path_closed_form():
     w = Weight(Disc(0j, 1.5), Constant(1.0))
     tab = mixed_moments(w, "plain", 20, precision_bits=128)
-    assert tab.diagonal
+    assert tab.path == "radial"
     with mp.workprec(150):
         r = mp.mpf(1.5)
         for a in range(21):
@@ -126,7 +126,7 @@ def test_plain_disc_radial_path_closed_form():
 
 def test_plain_disc_generic_matches_radial():
     tab = mixed_moments(flat(Disc(0j, 1.5)), "plain", 12, precision_bits=128)
-    assert not tab.diagonal
+    assert tab.path == "area"
     with mp.workprec(150):
         r = mp.mpf(1.5)
         mass = mp.pi * r * r
@@ -315,90 +315,44 @@ def test_radial_generic_agreement_property(radius, maxdeg):
             assert d < mp.mpf(10) ** -25
 
 
-# ------------------------------------- fixed-point kernels vs the mpc loops
+# ------------------------------------- fixed-point kernel vs the mpc loops
 #
-# The 2d tables are exact fixed-point integer sums rounded once per entry.
-# The references below are the plain mpc multiply-add loops they replaced,
-# run at prec + 128 bits on the same rule, so any difference is rounding in
-# the kernel. The rules sit below design degree to keep the loops fast; a
-# same-rule comparison does not need exactness. At these sizes the mpc loops
-# themselves, run at prec, miss the 4-ulp bound (8.6, 13 and 14 ulp).
+# Boundary and area tables are exact fixed-point integer sums rounded once
+# per entry. The references below are plain mpc multiply-add loops over the
+# same rule at prec + 128 bits, with S_b from mpmath's incomplete gamma, so
+# any difference is rounding in the kernel. Units are 2^-prec sqrt(G_aa G_bb).
 
-def _reference_flat_table(w, rule, kind, maxdeg, b0):
+def _s_reference(b, x):
+    """int_0^1 t^b exp(-x t) dt = gamma(b + 1, x) / x^(b + 1)."""
+    return mp.gammainc(b + 1, 0, x) / x ** (b + 1) if x else mp.mpf(1) / (b + 1)
+
+
+def _reference_table(w, rule, kind, maxdeg, b0):
     R0 = mp.mpf(bounding_radius(w.support))
-    b0m = mp.mpf(b0)
-    cs, zs = [], []
-    for z, wt in zip(rule.nodes, rule.weights):
-        val = wt * mp.mpf(weight_module._density_value(w.density, z))
-        if kind == "gaussian":
-            val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
-        cs.append(val)
-        zs.append(mp.mpc(z) / R0)
-    mpow = [[mp.mpc(1)] * len(zs)]
-    for a in range(maxdeg):
-        mpow.append([p * z for p, z in zip(mpow[-1], zs)])
+    beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.mpf(0)
+    zs = [mp.mpc(z) for z in rule.nodes]
+    us = [z / R0 for z in zs]
+    if rule.boundary:
+        k = mp.mpf(w.density.c) * R0 / mp.mpc(0, 2)
+        xs = [k * dz for dz in rule.weights]
+        ys = [[_s_reference(b, beta * abs(z) ** 2) * u ** (b + 1) for z, u in zip(zs, us)]
+              for b in range(maxdeg + 1)]
+    else:
+        xs = [wt * mp.mpf(weight_module._density_value(w.density, z)) * mp.exp(-beta * abs(z) ** 2)
+              for z, wt in zip(zs, rule.weights)]
+        ys = [[u ** b for u in us] for b in range(maxdeg + 1)]
     rows = []
     for a in range(maxdeg + 1):
-        row = []
-        for b in range(a + 1):
-            acc = mp.mpc(0)
-            for i in range(len(zs)):
-                acc += cs[i] * mpow[a][i] * mp.conj(mpow[b][i])
-            row.append(mp.re(acc) if b == a else acc)
+        xa = [x * u ** a for x, u in zip(xs, us)]
+        row = [mp.fsum(x * mp.conj(y) for x, y in zip(xa, ys[b])) for b in range(a + 1)]
+        row[a] = mp.re(row[a])
         rows.append(row)
     return rows
 
 
-def _reference_polar_table(w, rule, kind, maxdeg, b0):
-    R0 = mp.mpf(bounding_radius(w.support))
-    b0m = mp.mpf(b0)
-    T = rule.ntheta
-    step = 2 * mp.pi / T
-    omega = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
-    center = mp.mpc(rule.center)
-    chat = []
-    for r, rwt in zip(rule.rho, rule.rw):
-        cdata = []
-        for t in range(T):
-            z = center + r * omega[t]
-            val = rwt * step * mp.mpf(weight_module._density_value(w.density, z))
-            if kind == "gaussian":
-                val *= mp.exp(-b0m * (mp.re(z) ** 2 + mp.im(z) ** 2) / 2)
-            cdata.append(val)
-        chat.append([mp.fsum(cdata[t] * omega[(t * k) % T] for t in range(T)) for k in range(maxdeg + 1)])
-    rr = [r / R0 for r in rule.rho]
-    nu = [[None] * (maxdeg + 1) for _ in range(maxdeg + 1)]
-    for alpha in range(maxdeg + 1):
-        for beta in range(alpha + 1):
-            acc = mp.mpc(0)
-            for i in range(len(rr)):
-                acc += rr[i] ** (alpha + beta) * chat[i][alpha - beta]
-            nu[alpha][beta] = acc
-            nu[beta][alpha] = mp.conj(acc)
-    chat0 = center / R0
-    kmat = [[math.comb(a, al) * chat0 ** (a - al) for al in range(a + 1)] for a in range(maxdeg + 1)]
-    rows = []
-    for a in range(maxdeg + 1):
-        row = []
-        for b in range(a + 1):
-            acc = mp.mpc(0)
-            for al in range(a + 1):
-                for be in range(b + 1):
-                    acc += kmat[a][al] * mp.conj(kmat[b][be]) * nu[al][be]
-            row.append(mp.re(acc) if b == a else acc)
-        rows.append(row)
-    return rows
-
-
-def _assert_kernel_matches_reference(w, rule, kind, maxdeg, prec, b0=2.0):
-    flat = isinstance(rule, weight_module._FlatRule)
-    kernel = weight_module._flat_table if flat else weight_module._polar_dft_table
-    reference = _reference_flat_table if flat else _reference_polar_table
-    with mp.workprec(prec):
-        rows, _ = kernel(w, rule, kind, maxdeg, prec, b0)
+def _assert_within_units(rows, ref, maxdeg, prec, units=4):
     with mp.workprec(prec + 128):
-        ref = reference(w, rule, kind, maxdeg, b0)
-        bound = 4 * mp.mpf(2) ** -prec
+        bound = units * mp.mpf(2) ** -prec
         for a in range(maxdeg + 1):
             assert mp.im(rows[a][a]) == 0
             for b in range(a + 1):
@@ -406,35 +360,137 @@ def _assert_kernel_matches_reference(w, rule, kind, maxdeg, prec, b0=2.0):
                 assert abs(rows[a][b] - ref[a][b]) <= bound * scale, (a, b)
 
 
-def test_flat_kernel_gaussian_side3_square():
-    # corner nodes carry exp(-4.5) of the centre's Gaussian factor, and the
-    # collapsed-square map shrinks weights near each apex
-    sq = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
-    w = Weight(sq, Constant(1.0))
-    rule = weight_module._build_rule(sq, 24, 128)
-    _assert_kernel_matches_reference(w, rule, "gaussian", 12, 128)
+def _assert_kernel_matches_reference(w, rule, kind, maxdeg, prec, b0=2.0):
+    with mp.workprec(prec):
+        rows, _ = weight_module._gram_table(w, rule, kind, maxdeg, prec, b0)
+    with mp.workprec(prec + 128):
+        ref = _reference_table(w, rule, kind, maxdeg, b0)
+    _assert_within_units(rows, ref, maxdeg, prec)
 
 
-def test_polar_kernel_gaussian_offcenter_disc():
+def _boundary_rule(w, kind, maxdeg, prec, extra=0):
+    """The boundary rule mixed_moments builds, extra degrees past design."""
+    degree = 2 * maxdeg + 1 + extra
+    if kind == "gaussian":
+        degree += _gaussian_excess(2.0, bounding_radius(w.support), prec)
+    return weight_module._build_rule(w.support, degree, prec, boundary=True)
+
+
+SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
+
+
+@pytest.mark.parametrize("support,kind,maxdeg,prec", [
+    (Disc(0.7 + 0j, 1.0), "gaussian", 12, 128),
+    # corner nodes carry exp(-4.5) of the centre's Gaussian factor
+    (SIDE3_SQUARE, "gaussian", 12, 128),
+    (Disc(0.6 - 0.5j, 1.0), "plain", 16, 64),
+    (Annulus(0.3j, 0.4, 1.0), "gaussian", 12, 128),
+])
+def test_boundary_kernel_matches_mpc_sum(support, kind, maxdeg, prec):
+    w = Weight(support, Constant(1.0))
+    _assert_kernel_matches_reference(w, _boundary_rule(w, kind, maxdeg, prec), kind, maxdeg, prec)
+
+
+def test_boundary_table_resolves_gaussian():
+    # the trapezoid rule at design degree against 40 more degrees at +128 bits
     w = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
-    rule = weight_module._build_rule(w.support, 40, 128)
+    tab = mixed_moments(w, "gaussian", 24, precision_bits=128)
+    rule = _boundary_rule(w, "gaussian", 24, 256, extra=40)
+    with mp.workprec(256):
+        ref, _ = weight_module._gram_table(w, rule, "gaussian", 24, 256, 2.0)
+    _assert_within_units(tab.rows, ref, 24, 128)
+
+
+def test_boundary_table_far_from_origin():
+    # the Gaussian moments of Disc(6, 1) are about e^-25 of the boundary
+    # terms, so the sum must carry the bits that cancel
+    w = Weight(Disc(6 + 0j, 1.0), Constant(1.0))
+    tab = mixed_moments(w, "gaussian", 6, 128)
+    _assert_within_units(tab.rows, mixed_moments(w, "gaussian", 6, 256).rows, 6, 128)
+    with mp.workprec(200):
+        # the circle |z| = rho meets the disc in an arc of half-angle phi
+        def phi(rho):
+            return mp.acos((rho * rho + 35) / (12 * rho))
+
+        mass = mp.quad(lambda rho: 2 * phi(rho) * rho * mp.exp(-rho * rho), [5, 6, 7])
+        assert abs(tab.raw_entry(0, 0) - mass) < mass * mp.mpf(10) ** -30
+
+
+def test_union_sharing_an_edge_matches_rectangle():
+    # the shared edge's two opposite rules cancel
+    left = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
+    right = Polygon((1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j))
+    rect = Polygon((0j, 2 + 0j, 2 + 1j, 1j))
+    union = mixed_moments(Weight(UnionRegion((left, right)), Constant(1.0)), "gaussian", 10, 128)
+    whole = mixed_moments(Weight(rect, Constant(1.0)), "gaussian", 10, 128)
+    _assert_within_units(union.rows, whole.rows, 10, 128)
+
+
+def test_overlapping_union_table_rejected():
+    w = Weight(UnionRegion((Disc(0j, 1.0), Disc(1 + 0j, 1.0))), Constant(1.0))
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        mixed_moments(w, "plain", 4, 128)
+
+
+def test_flat_kernel_gaussian_side3_square():
+    # area rule: the collapsed-square map shrinks weights near each apex
+    w = flat(SIDE3_SQUARE)
+    rule = weight_module._build_rule(SIDE3_SQUARE, 24, 128)
     _assert_kernel_matches_reference(w, rule, "gaussian", 12, 128)
-
-
-def test_polar_kernel_plain_offcenter_disc_64_bits():
-    w = Weight(Disc(0.6 - 0.5j, 1.0), Constant(1.0))
-    rule = weight_module._build_rule(w.support, 32, 64)
-    _assert_kernel_matches_reference(w, rule, "plain", 16, 64)
 
 
 def test_flat_kernel_signed_node_values():
-    # a negative node value must flip its conjugate factor, not vanish
+    # a negative node value enters with its sign
     w = Weight(Disc(0j, 1.0), Constant(1.0))
     with mp.workprec(128):
         nodes = [mp.mpc(0.3, 0.1), mp.mpc(-0.5, 0.4), mp.mpc(0.2, -0.7), mp.mpc(-0.1, -0.2)]
         weights = [mp.mpf(1), mp.mpf(-0.5), mp.mpf(2), mp.mpf(-1.25)]
-    rule = weight_module._FlatRule(nodes, weights)
+    rule = weight_module._Rule(nodes, weights)
     _assert_kernel_matches_reference(w, rule, "plain", 3, 128)
+
+
+# -------------------------------------------------------------- table paths
+
+POWER1 = Radial(lambda r: r, poly_degree=1, label="power:1")
+
+
+@pytest.mark.parametrize("w,path", [
+    (Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), "boundary"),
+    (Weight(SIDE3_SQUARE, Constant(2.0)), "boundary"),
+    (Weight(UnionRegion((Disc(-2 + 0j, 0.75), Disc(2 + 0j, 1.0))), Constant(1.0)), "boundary"),
+    (flat(Disc(0j, 1.0)), "area"),
+    (Weight(Disc(0.7 + 0j, 1.0), POWER1), "area"),
+    (Weight(Disc(0j, 1.0), POWER1), "radial"),
+    (ball_reduction_weight(1.0), "radial"),
+])
+def test_table_names_its_path(w, path):
+    assert mixed_moments(w, "plain", 2, 64).path == path
+
+
+def test_constant_tables_build_no_area_rule(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("area rule built for a constant density")
+
+    monkeypatch.setattr(weight_module, "_triangle_rule", refuse)
+    monkeypatch.setattr(weight_module, "_polar", refuse)
+    for support in (Disc(0.7 + 0j, 1.0), Annulus(0.3j, 0.4, 1.0), L_SHAPE,
+                    UnionRegion((L_SHAPE, Disc(5 + 0j, 1.0)))):
+        for kind in ("plain", "gaussian"):
+            assert mixed_moments(Weight(support, Constant(1.0)), kind, 4, 64).path == "boundary"
+
+
+@pytest.mark.xfail(strict=True, reason="the area rule's 48-degree margin cannot resolve the "
+                                       "cone |z| at the origin inside an off-centre disc")
+def test_power1_offcenter_mass():
+    # polar coordinates about 0: the disc's edge lies at rho(theta), and
+    # int |z| dA = int rho(theta)^3 / 3 dtheta
+    tab = mixed_moments(Weight(Disc(0.7 + 0j, 1.0), POWER1), "plain", 4, 128)
+    with mp.workprec(160):
+        def rho(t):
+            return mp.mpf(0.7) * mp.cos(t) + mp.sqrt(mp.mpf(0.51) + mp.mpf(0.49) * mp.cos(t) ** 2)
+
+        exact = mp.quad(lambda t: rho(t) ** 3 / 3, [0, mp.pi, 2 * mp.pi])
+        assert abs(tab.raw_entry(0, 0) - exact) < mp.mpf(10) ** -30
 
 
 # ----------------------------------------------------------- ball reduction
@@ -472,7 +528,7 @@ def test_ball_moment_table_beta_oracle():
     # mu_aa = 2 pi B(a+1, 3/2) for the chord weight of the unit ball
     w = ball_reduction_weight(1.0)
     tab = mixed_moments(w, "plain", 6, precision_bits=128)
-    assert tab.diagonal
+    assert tab.path == "radial"
     with mp.workprec(140):
         for a in range(7):
             exact = 2 * mp.pi * mp.beta(a + 1, mp.mpf(3) / 2)
