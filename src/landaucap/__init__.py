@@ -50,13 +50,11 @@ from .region import (
 from .verify import CheckResult, SUITE_NAMES, run_suite
 from .weight import (
     Constant,
-    Generic,
     MomentTable,
     Radial,
     Weight,
     ball_reduction_weight,
     mixed_moments,
-    quadrature,
     weight_from_config,
     weight_key,
 )
@@ -71,7 +69,6 @@ __all__ = [
     "Constant",
     "DegenerateMomentError",
     "Disc",
-    "Generic",
     "LandauBasisSpec",
     "MomentTable",
     "MonicOrthoBasis",
@@ -95,7 +92,6 @@ __all__ = [
     "level_q_matrix",
     "mixed_moments",
     "monic_orthogonalize",
-    "quadrature",
     "radial_oracle",
     "region_from_config",
     "region_key",

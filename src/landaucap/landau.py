@@ -25,7 +25,6 @@ from .region import affine, region_key
 from .weight import (
     DEGENERATE_MSG,
     Constant,
-    Generic,
     Radial,
     Weight,
     _default_precision,
@@ -126,17 +125,10 @@ def rescaled_weight(v: Weight, b0: float) -> Weight:
     support = affine(v.support, eta, 0.0)
     pos = affine(v.positive_on, eta, 0.0) if v.positive_on is not None else None
     d = v.density
-    if isinstance(d, Constant):
-        density = d
-    elif isinstance(d, Radial):
-        density = Radial(
-            lambda rho, _p=d.profile, _e=eta: _p(rho / _e),
-            d.poly_degree,
-            f"{d.label}~scale:{eta!r}",
-        )
-    else:
-        density = Generic(lambda z, _f=d.fn, _e=eta: _f(z / _e), f"{d.label}~scale:{eta!r}")
-    return Weight(support, density, pos)
+    if isinstance(d, Radial):
+        d = Radial(lambda rho, _p=d.profile, _e=eta: _p(rho / _e), d.poly_degree,
+                   f"{d.label}~scale:{eta!r}")
+    return Weight(support, d, pos)
 
 
 # ------------------------------------------------------------ matrix assembly

@@ -458,11 +458,14 @@ def region_key(region: Region) -> str:
 
 
 def _real(x) -> float:
-    """A config number as float; a non-number is a ValueError."""
+    """A config number as float; a non-number, NaN or infinity is a ValueError."""
     try:
-        return float(x)
+        val = float(x)
     except TypeError as e:
         raise ValueError(f"expected a number, got {x!r}") from e
+    if not math.isfinite(val):
+        raise ValueError(f"expected a finite number, got {x!r}")
+    return val
 
 
 def _items(x, what: str):

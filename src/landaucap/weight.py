@@ -6,10 +6,10 @@ plain (g = 1) and Gaussian (g = exp(-b0 |z|^2 / 2)). Tables are computed
 at a stated bit precision and stored with monomials prescaled by the
 bounding radius, which keeps the Gram entries of order of the total mass.
 
-A table takes one of three paths (mixed_moments): 1d radial integrals for a
-centred radial weight, a contour integral over the boundary for any other
-constant density (Green's theorem), and a 2d area rule for the rest. The
-last two share one exact fixed-point integer Gram kernel.
+A table takes one of two paths (mixed_moments): 1d radial integrals for a
+centred radial weight, and for any other density c|z|^k a contour integral
+over the boundary (Green's theorem), summed by an exact fixed-point integer
+Gram kernel.
 
 A three-dimensional potential V enters as its x3-integral, a density on
 the plane: ball_reduction_weight is the solid ball's, in closed form.
@@ -17,6 +17,7 @@ the plane: ball_reduction_weight is the solid ball's, in closed form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -24,7 +25,7 @@ from typing import Callable, Optional
 from mpmath import mp
 
 from ._mp import cdot, fixed_bits, from_fixed, gauss_legendre, map_rule, tanh_sinh, to_fixed
-from .errors import DegenerateMomentError
+from .errors import DegenerateMomentError, NonConvergenceError
 from .region import (
     Annulus,
     Disc,
@@ -43,10 +44,8 @@ from .region import (
 __all__ = [
     "Constant",
     "Radial",
-    "Generic",
     "Weight",
     "MomentTable",
-    "quadrature",
     "mixed_moments",
     "weight_key",
     "weight_from_config",
@@ -56,6 +55,10 @@ __all__ = [
 
 DEGENERATE_MSG = "moment table numerically degenerate; increase precision"
 UNION_MSG = "union parts must be pairwise disjoint for quadrature"
+ODD_POWER_MSG = ("an odd power |z|^k is not smooth where the boundary passes through the "
+                 "origin: the boundary rule would need more than {} nodes on one circle or edge")
+# per circle or edge; the Gram kernel holds about 4 maxdeg integers per node
+_MAX_ODD_POWER_NODES = 1 << 14
 
 
 def emission_digits(prec: int) -> int:
@@ -68,20 +71,18 @@ def emission_digits(prec: int) -> int:
 class Constant:
     c: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.c):
+            raise ValueError("density constant must be finite")
+
 
 @dataclass(frozen=True)
 class Radial:
     """Density depending on |z| only (radial about the origin)."""
 
     profile: Callable
-    poly_degree: Optional[int] = None  # set when profile is polynomial in rho
+    poly_degree: Optional[int] = None  # k when the profile is c * rho^k
     label: str = "radial"
-
-
-@dataclass(frozen=True)
-class Generic:
-    fn: Callable
-    label: str = "generic"
 
 
 @dataclass(frozen=True)
@@ -98,8 +99,8 @@ class Weight:
             if self.positive_on is None:
                 object.__setattr__(self, "positive_on", self.support)
             return
-        if not isinstance(d, (Radial, Generic)):
-            raise ValueError("density must be Constant, Radial or Generic")
+        if not isinstance(d, Radial):
+            raise ValueError("density must be Constant or Radial")
         # sampling nondegeneracy check at double precision
         vals = [float(_density_value(d, z)) for z in _probe_points(self.support)]
         if min(vals) < -1e-12:
@@ -124,146 +125,103 @@ def _probe_points(support: Region, per_axis: int = 12):
 def _density_value(density, z):
     if isinstance(density, Constant):
         return mp.mpf(density.c)
-    if isinstance(density, Radial):
-        return density.profile(abs(z))
-    return density.fn(z)
+    return density.profile(abs(z))
 
 
 def _density_key(density) -> str:
     if isinstance(density, Constant):
         return f"const:{density.c!r}"
-    if isinstance(density, Radial):
-        return f"radial:{density.label}:{density.poly_degree}"
-    return f"generic:{density.label}"
+    return f"radial:{density.label}:{density.poly_degree}"
 
 
 def weight_key(w: Weight) -> str:
     return f"{_density_key(w.density)}|{region_key(w.support)}"
 
 
-# ----------------------------------------------------------- quadrature rules
+# ------------------------------------------------------------ boundary rules
 
 @dataclass
 class _Rule:
-    """Nodes with area weights, or with the steps dz of a boundary rule."""
+    """Nodes on a positively oriented boundary with their steps dz."""
 
     nodes: list
-    weights: list
-    boundary: bool = False
+    steps: list
 
 
-def _polar(center, lo, hi, degree, prec):
-    """Product rule on the ring lo <= |z - center| <= hi: Gauss-Legendre in
-    the radius, degree + 1 equispaced angles."""
-    n_r = max(1, math.ceil((degree + 2) / 2))
-    xs, ws = gauss_legendre(n_r, prec)
-    T = degree + 1
-    with mp.workprec(prec + 10):
-        rho, rw = map_rule(xs, ws, lo, hi)
-        circle = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
-        step = 2 * mp.pi / T
-        nodes = [center + r * e for r in rho for e in circle]
-        weights = [w * r * step for r, w in zip(rho, rw) for _ in circle]
-    return nodes, weights
+def _odd_power_nodes(log_decay: float, prec: int) -> int:
+    """Nodes past the design degree that bring a quadrature error falling
+    like exp(-log_decay * nodes) below 2^-prec."""
+    count = math.ceil(prec * math.log(2) / log_decay) if log_decay > 0 else math.inf
+    if count > _MAX_ODD_POWER_NODES:
+        raise NonConvergenceError(ODD_POWER_MSG.format(_MAX_ODD_POWER_NODES))
+    return count
 
 
-def _triangle_rule(a, b, c, degree, prec):
-    """Tensor rule on a triangle via the collapsed-square map, exact for
-    total degree <= degree."""
-    n_u = max(1, math.ceil((degree + 2) / 2))
-    n_v = max(1, math.ceil((degree + 1) / 2))
-    xu, wu = gauss_legendre(n_u, prec)
-    xv, wv = gauss_legendre(n_v, prec)
-    with mp.workprec(prec + 10):
-        a, b, c = mp.mpc(a), mp.mpc(b), mp.mpc(c)
-        area2 = abs(mp.im(mp.conj(b - a) * (c - a)))  # twice the area
-        us, uw = map_rule(xu, wu, mp.mpf(0), mp.mpf(1))
-        vs, vw = map_rule(xv, wv, mp.mpf(0), mp.mpf(1))
-        nodes, weights = [], []
-        for u, wu_ in zip(us, uw):
-            for v, wv_ in zip(vs, vw):
-                nodes.append(a + u * ((1 - v) * (b - a) + v * (c - a)))
-                weights.append(wu_ * wv_ * area2 * u)
-    return nodes, weights
-
-
-def _edges(vs, degree, prec):
+def _edges(vs, degree, prec, k=0):
     """Gauss-Legendre on every edge of a counterclockwise ring, degree // 2 + 1
-    nodes each: exact for polynomials in (z, conj z) of degree <= degree."""
-    xs, ws = gauss_legendre(degree // 2 + 1, prec)
+    nodes each: exact for polynomials in (z, conj z) of degree <= degree.
+
+    For odd k, |z|^k is polynomial along an edge whose line passes through
+    the origin once the edge is split there. On any other edge it is analytic
+    inside the Bernstein ellipse through the edge parameter t0 of the origin,
+    so the error falls like rho(t0)^-2 per node. Those edges all get the
+    largest count of _odd_power_nodes more, so the ring computes at most two
+    Gauss-Legendre rules."""
+    pieces, extra = [], 0
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        if k % 2 and mp.fmul(a.real, b.imag, exact=True) != mp.fmul(a.imag, b.real, exact=True):
+            t0 = -(a + b) / (b - a)
+            root = cmath.sqrt(t0 * t0 - 1)
+            rho = max(abs(t0 + root), abs(t0 - root))
+            extra = max(extra, _odd_power_nodes(2 * math.log(rho), prec))
+            pieces.append((a, b, True))
+        elif k % 2 and a.real * b.real + a.imag * b.imag < 0:  # the origin lies inside the edge
+            pieces += [(a, 0j, False), (0j, b, False)]
+        else:
+            pieces.append((a, b, False))
+    n = degree // 2 + 1
     nodes, steps = [], []
     with mp.workprec(prec + 10):
-        for a, b in zip(vs, vs[1:] + vs[:1]):
+        for a, b, analytic in pieces:
+            xs, ws = gauss_legendre(n + extra if analytic else n, prec)
             half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
             nodes.extend(mid + half * x for x in xs)
             steps.extend(half * w for w in ws)
     return nodes, steps
 
 
-def _circle(center, radius, degree, prec, sign=1):
+def _circle(center, radius, degree, prec, k=0, sign=1):
     """Trapezoid rule with degree + 2 nodes on a counterclockwise circle (sign
-    -1 reverses it): exact for polynomials in (z, conj z) of degree <= degree."""
+    -1 reverses it): exact for polynomials in (z, conj z) of degree <= degree.
+
+    For odd k, |z|^k has Fourier coefficients falling like q^j on the circle,
+    q = min(|center|, radius) / max(|center|, radius), so the rule gets
+    _odd_power_nodes more; a circle through the origin has q = 1."""
     T = degree + 2
+    if k % 2 and center != 0:
+        T += _odd_power_nodes(abs(math.log(abs(center) / radius)), prec)
     with mp.workprec(prec + 10):
         es = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
         r = mp.mpf(radius)
-        k = mp.mpc(0, sign * 2 * mp.pi / T) * r
-        return [center + r * e for e in es], [k * e for e in es]
-
-
-def _is_convex_ring(vs) -> bool:
-    n = len(vs)
-    for i in range(n):
-        a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
-        if (b.real - a.real) * (c.imag - b.imag) - (b.imag - a.imag) * (c.real - b.real) < 0:
-            return False
-    return True
-
-
-def _triangulate(vs):
-    if _is_convex_ring(vs):
-        return [(vs[0], vs[i], vs[i + 1]) for i in range(1, len(vs) - 1)]
-    # ear clipping for simple non-convex rings
-    idx = list(range(len(vs)))
-    tris = []
-
-    def cross(o, a, b):
-        return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-    def inside(p, a, b, c):
-        # closed triangle: a vertex exactly on a diagonal must block the ear
-        d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
-        return d1 >= 0 and d2 >= 0 and d3 >= 0
-
-    guard = 0
-    while len(idx) > 3 and guard < 10000:
-        guard += 1
-        clipped = False
-        for k in range(len(idx)):
-            i0, i1, i2 = idx[k - 1], idx[k], idx[(k + 1) % len(idx)]
-            a, b, c = vs[i0], vs[i1], vs[i2]
-            if cross(a, b, c) <= 0:
-                continue
-            if any(inside(vs[j], a, b, c) for j in idx if j not in (i0, i1, i2)):
-                continue
-            tris.append((a, b, c))
-            idx.pop(k)
-            clipped = True
-            break
-        if not clipped:
-            raise ValueError("triangulation failed; polygon may be degenerate")
-    tris.append((vs[idx[0]], vs[idx[1]], vs[idx[2]]))
-    return tris
+        step = mp.mpc(0, sign * 2 * mp.pi / T) * r
+        return [center + r * e for e in es], [step * e for e in es]
 
 
 def _rep_point(region: Region) -> complex:
+    """A point inside the region."""
     if isinstance(region, Disc):
         return region.center
     if isinstance(region, Annulus):
         return region.center + (region.inner + region.outer) / 2.0
     if isinstance(region, Polygon):
-        a, b, c = _triangulate(region.vertices)[0]
-        return (a + b + c) / 3.0
+        # the midpoint of the first two crossings of a line between the two
+        # lowest vertex heights
+        vs = region.vertices
+        lo, hi = sorted({v.imag for v in vs})[:2]
+        y = (lo + hi) / 2
+        xs = sorted(a.real + (y - a.imag) * (b.real - a.real) / (b.imag - a.imag)
+                    for a, b in zip(vs, vs[1:] + vs[:1]) if (a.imag < y) != (b.imag < y))
+        return complex((xs[0] + xs[1]) / 2, y)
     if isinstance(region, UnionRegion):
         return _rep_point(region.parts[0])
     raise TypeError
@@ -302,45 +260,32 @@ def _disjoint(a: Region, b: Region) -> bool:
     return True
 
 
-def _build_rule(support: Region, degree: int, prec: int, boundary: bool = False) -> _Rule:
-    """Area rule on the support, or with boundary=True a rule on its
-    positively oriented boundary; either is exact for polynomials in
-    (z, conj z) of total degree <= degree."""
+def _build_rule(support: Region, degree: int, prec: int, k: int = 0) -> _Rule:
+    """A rule on the positively oriented boundary of the support, exact for
+    polynomials in (z, conj z) of total degree <= degree and, for odd k,
+    resolving |z|^k times them to 2^-prec."""
     parts = support.parts if isinstance(support, UnionRegion) else (support,)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not _disjoint(parts[i], parts[j]):
                 raise ValueError(UNION_MSG)
-    nodes, weights = [], []
+    nodes, steps = [], []
     for p in parts:
-        for ns, ws in _pieces(p, degree, prec, boundary):
+        for ns, ds in _pieces(p, degree, prec, k):
             nodes.extend(ns)
-            weights.extend(ws)
-    return _Rule(nodes, weights, boundary)
+            steps.extend(ds)
+    return _Rule(nodes, steps)
 
 
-def _pieces(part: Region, degree: int, prec: int, boundary: bool):
-    """(nodes, weights) pieces of one part's area or boundary rule."""
+def _pieces(part: Region, degree: int, prec: int, k: int):
+    """(nodes, steps) pieces of one part's boundary rule."""
     if isinstance(part, Polygon):
-        if boundary:
-            return [_edges(part.vertices, degree, prec)]
-        return [_triangle_rule(a, b, c, degree, prec) for a, b, c in _triangulate(part.vertices)]
+        return [_edges(part.vertices, degree, prec, k)]
     if not isinstance(part, (Disc, Annulus)):
         raise TypeError(f"not a region: {part!r}")
     lo, hi = _radial_interval(part)
-    if not boundary:
-        return [_polar(part.center, lo, hi, degree, prec)]
-    inner = [_circle(part.center, lo, degree, prec, -1)] if isinstance(part, Annulus) else []
-    return [_circle(part.center, hi, degree, prec)] + inner
-
-
-def quadrature(support: Region, design_degree: int, precision_bits: int = 128):
-    """Nodes and weights integrating polynomials in (z, conj z) of total
-    degree <= design_degree exactly over the support."""
-    if design_degree < 0:
-        raise ValueError("design degree must be >= 0")
-    rule = _build_rule(support, design_degree, precision_bits)
-    return rule.nodes, rule.weights
+    inner = [_circle(part.center, lo, degree, prec, k, -1)] if lo > 0 else []
+    return [_circle(part.center, hi, degree, prec, k)] + inner
 
 
 # ------------------------------------------------------------- moment tables
@@ -353,7 +298,7 @@ class MomentTable:
     precision_bits: int
     scale_radius: object   # mpf; monomials are (z / scale_radius)^a
     rows: list             # rows[a][b], b <= a
-    path: str              # "radial" | "boundary" | "area", see mixed_moments
+    path: str              # "radial" | "boundary", see mixed_moments
     weight_key: str
     design_degree: int
 
@@ -387,24 +332,17 @@ def _default_precision(maxdeg: int) -> int:
     return 128 if maxdeg <= 24 else 256
 
 
-_GENERIC_MARGIN = 48  # oversampling degrees for non-polynomial densities on the 2d path
-
-
-def _density_margin(density) -> int:
+def _power(density) -> int:
+    """k for a density c |z|^k, which the boundary path integrates."""
     if isinstance(density, Constant):
         return 0
-    if isinstance(density, Radial) and density.poly_degree is not None:
-        k = density.poly_degree
-        return k if k % 2 == 0 else k + _GENERIC_MARGIN  # odd |z|^k is not polynomial in (x, y)
-    return _GENERIC_MARGIN
+    if density.poly_degree is None:
+        raise ValueError("a radial profile other than c |z|^k needs a disc or annulus centred at 0")
+    return density.poly_degree
 
 
 def _radial_applicable(w: Weight) -> bool:
-    if not isinstance(w.support, (Disc, Annulus)):
-        return False
-    if w.support.center != 0:
-        return False
-    return isinstance(w.density, (Constant, Radial))
+    return isinstance(w.support, (Disc, Annulus)) and w.support.center == 0
 
 
 def _radial_interval(support):
@@ -449,23 +387,24 @@ def _radial_table(w, kind, maxdeg, prec, b0):
     return rows, R0, need
 
 
-def _s_rows(xs, maxdeg):
-    """S_b(x) = int_0^1 t^b exp(-x t) dt for b = 0..maxdeg at every x, as
-    rows[b][i]: S_maxdeg from its positive series
-    exp(-x) sum_j x^j / ((b+1)...(b+1+j)), then downward by
-    S_b = (exp(-x) + x S_(b+1)) / (b+1). No step cancels."""
+def _s_rows(xs, maxdeg, k=0):
+    """S_s(x) = int_0^1 t^s exp(-x t) dt for s = b + k/2, b = 0..maxdeg, at
+    every x, as rows[b][i]: S at b = maxdeg from its positive series
+    exp(-x) sum_j x^j / ((s+1)...(s+1+j)), then downward by
+    S_s = (exp(-x) + x S_(s+1)) / (s+1). No step cancels."""
+    h = mp.mpf(k) / 2
     cols = []
     for x in xs:
         ex = mp.exp(-x)
-        term = total = mp.one / (maxdeg + 1)
-        j = maxdeg + 1
+        term = total = mp.one / (maxdeg + 1 + h)
+        j = maxdeg + 1 + h
         while term > mp.eps * total:
             j += 1
             term = term * x / j
             total += term
         col = [ex * total]
         for b in range(maxdeg, 0, -1):
-            col.append((ex + x * col[-1]) / b)
+            col.append((ex + x * col[-1]) / (b + h))
         cols.append(col[::-1])
     return [list(row) for row in zip(*cols)]
 
@@ -473,26 +412,18 @@ def _s_rows(xs, maxdeg):
 def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
     """Scaled table rows[a][b] = sum_i x_i u_i^a conj(y_ib), u = z / R0, as
     exact fixed-point integer sums carrying guard more bits, rounded once
-    per entry to prec.
-
-    Area rule: x_i = c_i, the node weight times the density and the
-    Gaussian, and y_ib = u_i^b. Boundary rule: x_i = c R0 dz_i / 2i and
-    y_ib = S_b(beta |z_i|^2) u_i^(b+1), the contour form of the constant
-    density's moments (see mixed_moments)."""
+    per entry to prec, with x_i = v(z_i) R0 dz_i / 2i and
+    y_ib = S_(b+k/2)(beta |z_i|^2) u_i^(b+1): the contour form of the
+    moments of v = c |z|^k (see mixed_moments)."""
     R0 = mp.mpf(bounding_radius(w.support))
     F = fixed_bits(prec + guard, len(rule.nodes))
     with mp.workprec(F):
         zs = [mp.mpc(z) for z in rule.nodes]
         beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.zero
         sq = [beta * (z.real ** 2 + z.imag ** 2) for z in zs]
-        if rule.boundary:
-            k = mp.mpc(0, -mp.mpf(w.density.c) * R0 / 2)
-            x0 = [k * dz for dz in rule.weights]
-            srows = _s_rows(sq, maxdeg)
-        else:
-            x0 = [wt * mp.mpf(_density_value(w.density, z)) for z, wt in zip(zs, rule.weights)]
-            if beta:
-                x0 = [x * mp.exp(-s) for x, s in zip(x0, sq)]
+        x0 = [mp.mpc(0, -mp.mpf(_density_value(w.density, z)) * R0 / 2) * dz
+              for z, dz in zip(zs, rule.steps)]
+        srows = _s_rows(sq, maxdeg, _power(w.density))
         us = [z / R0 for z in zs]
     (xr, xi), e_x = to_fixed([[mp.re(x) for x in x0], [mp.im(x) for x in x0]], F)
     (ur, ui), e_u = to_fixed([[u.real for u in us], [u.imag for u in us]], F)
@@ -503,15 +434,13 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
                 [(a * d + b * c) >> -e_u for a, b, c, d in zip(pr, pi, ur, ui)])
 
     xs = [(xr, xi)]
-    ys = [([1 << -e_u] * len(ur), [0] * len(ur))]  # u^k over 2^e_u
+    ys = [(ur, ui)]  # u^(b+1) over 2^e_u
     for _ in range(maxdeg):
         xs.append(times_u(xs[-1]))
-    for _ in range(maxdeg + 1):
         ys.append(times_u(ys[-1]))
-    if rule.boundary:
-        fixed_s = [to_fixed([row], F) for row in srows]
-        ys = [([(v * p) >> -e_s for v, p in zip(s, pr)], [(v * p) >> -e_s for v, p in zip(s, pi)])
-              for ((s,), e_s), (pr, pi) in zip(fixed_s, ys[1:])]
+    fixed_s = [to_fixed([row], F) for row in srows]
+    ys = [([(v * p) >> -e_s for v, p in zip(s, pr)], [(v * p) >> -e_s for v, p in zip(s, pi)])
+          for ((s,), e_s), (pr, pi) in zip(fixed_s, ys)]
     rows = []
     for a in range(maxdeg + 1):
         row = []
@@ -530,32 +459,35 @@ def mixed_moments(
     b0: float = 2.0,
 ) -> MomentTable:
     """Moment table mu_ab for 0 <= a, b <= maxdeg, Hermitian by construction,
-    on one of three paths named by MomentTable.path:
+    on one of two paths named by MomentTable.path:
 
     - "radial": a disc or annulus centred at 0 with a Constant or Radial
       density; 1d radial integrals, exactly zero off the diagonal.
-    - "boundary": a Constant density c on any other support. For b <= a,
-      with beta = b0/2 (Gaussian) or 0 (plain) and
-      S_b(x) = int_0^1 t^b exp(-x t) dt,
-      mu_ab = (c/2i) contour-integral of z^a conj(z)^(b+1) S_b(beta |z|^2) dz
-      (Green's theorem: (b+1) S_b + x S_b' = exp(-x)). With design degree
-      D = 2 maxdeg + 1, plus the Gaussian excess, each polygon edge gets
-      D//2 + 1 Gauss-Legendre nodes and each circle D + 2 trapezoid nodes
-      (an annulus's inner circle reversed); a union joins its parts' rules,
-      so an edge two parts share cancels. Plain tables are exact.
-    - "area": a Generic density, or a Radial one off centre, on a 2d product
-      rule of design degree 2 maxdeg, plus the Gaussian excess, plus 48
-      degrees for a non-polynomial density, which is then approximate.
+    - "boundary": a density v = c |z|^k (a Constant, k = 0, or a Radial
+      with poly_degree k) on any other support. For b <= a, with
+      beta = b0/2 (Gaussian) or 0 (plain) and
+      S_s(x) = int_0^1 t^s exp(-x t) dt,
+      mu_ab = (1/2i) contour-integral of v z^a conj(z)^(b+1) S_(b+k/2)(beta |z|^2) dz
+      (Green's theorem: (s+1) S_s + x S_s' = exp(-x) for real s). With
+      design degree D = 2 maxdeg + 1 + k, plus the Gaussian excess, each
+      polygon edge gets D//2 + 1 Gauss-Legendre nodes and each circle D + 2
+      trapezoid nodes (an annulus's inner circle reversed); a union joins
+      its parts' rules, so an edge two parts share cancels. Plain tables
+      with even k are exact. For odd k, |z|^k is not a polynomial: a circle
+      or an edge gets the further nodes that resolve it to
+      2^-precision_bits at a rate set by its distance from the origin, an
+      edge on a line through the origin is split there instead, and a
+      circle through the origin raises NonConvergenceError.
 
-    Boundary and area node values, evaluated at _mp.fixed_bits (32 guard
-    bits and the bit length of the node count past precision_bits), become
-    fixed-point integers; the sums are exact and each entry is rounded once.
-    Against the same rule summed in mpc at 128 more bits, every entry lies
-    within 4 units of 2^-precision_bits sqrt(G_aa G_bb); about 1 is typical.
+    Node values, evaluated at _mp.fixed_bits (32 guard bits and the bit
+    length of the node count past precision_bits), become fixed-point
+    integers; the sums are exact and each entry is rounded once. Against the
+    same rule summed in mpc at 128 more bits, every entry lies within 4
+    units of 2^-precision_bits sqrt(G_aa G_bb); about 1 is typical.
 
-    The radial path rejects a nonpositive diagonal entry. A boundary or area
-    table is checked where it is used: by the Cholesky of
-    monic_orthogonalize when plain, by the level-q assembly when Gaussian.
+    The radial path rejects a nonpositive diagonal entry. A boundary table
+    is checked where it is used: by the Cholesky of monic_orthogonalize when
+    plain, by the level-q assembly when Gaussian.
     """
     if kind not in ("plain", "gaussian"):
         raise ValueError("kind must be 'plain' or 'gaussian'")
@@ -568,19 +500,18 @@ def mixed_moments(
             rows, R0, degree_used = _radial_table(w, kind, maxdeg, prec, b0)
             path = "radial"
         else:
-            boundary = isinstance(w.density, Constant)
-            degree_used = 2 * maxdeg + (1 if boundary else 0) + _density_margin(w.density)
+            k = _power(w.density)
+            degree_used = 2 * maxdeg + 1 + k
             guard = 0
             if kind == "gaussian":
                 rmax = bounding_radius(w.support)
                 degree_used += _gaussian_excess(b0, rmax, prec)
-                if boundary:
-                    # boundary terms lack the factor exp(-b0 |z|^2 / 2) of the
-                    # moments, so their sum cancels up to b0 rmax^2 / 2 nats
-                    guard = math.ceil(b0 * rmax ** 2 / 2 / math.log(2))
-            rule = _build_rule(w.support, degree_used, prec + guard, boundary)
+                # boundary terms lack the factor exp(-b0 |z|^2 / 2) of the
+                # moments, so their sum cancels up to b0 rmax^2 / 2 nats
+                guard = math.ceil(b0 * rmax ** 2 / 2 / math.log(2))
+            rule = _build_rule(w.support, degree_used, prec + guard, k)
             rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0, guard)
-            path = "boundary" if boundary else "area"
+            path = "boundary"
     return MomentTable(
         kind=kind,
         b0=float(b0),
@@ -636,7 +567,7 @@ def ball_reduction_weight(R: float = 1.0) -> Weight:
     with R^2 formed there too, so the weight carries every bit of
     ``precision_bits``. It depends on |z| only, so the diagonal moment path
     applies. Any other 3d potential enters the same way: write its
-    x3-integral as a Radial or Generic density on the shadow region."""
+    x3-integral as a Radial density on the shadow region."""
     R = float(R)
 
     def chord(r):

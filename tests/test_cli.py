@@ -540,3 +540,39 @@ def test_integral_float_precision_runs_and_fractional_exits_2(tmp_path, capsys):
     code, out, err = run_cli(["toeplitz", "--config", cfg], capsys)
     assert code == 2
     assert "invalid config" in err
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("toeplitz", {"weight": {"support": UNIT_DISC_WEIGHT["support"],
+                             "density": {"kind": "constant", "c": math.inf}}}),
+    ("orthopoly", {"weight": {"support": {"shape": "polygon",
+                                          "vertices": [[0, 0], [1, 0], [math.nan, 1]]},
+                              "density": {"kind": "constant"}}}),
+    ("orthopoly", {"weight": {"support": {"shape": "disc", "center": [math.nan, 0], "radius": 1.0},
+                              "density": {"kind": "constant"}}}),
+    ("toeplitz", {"weight": {"support": {"shape": "disc", "center": [math.inf, 0], "radius": 1.0},
+                             "density": {"kind": "constant"}}}),
+    ("toeplitz", {"weight": UNIT_DISC_WEIGHT, "b0": math.inf}),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, payload):
+    # JSON readers accept NaN and Infinity; they must stop at the config
+    cfg = write_config(tmp_path / "nonfinite.json", {"N": 12, "precision_bits": 64, **payload})
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 2
+    assert "invalid config" in err
+    assert not out_path.exists()
+
+
+def test_odd_power_on_a_circle_through_the_origin_exits_3(tmp_path, capsys):
+    # |z| is not smooth on a circle through 0, so no boundary rule resolves it
+    cfg = write_config(tmp_path / "p1.json", {
+        "weight": {"support": {"shape": "disc", "center": [1, 0], "radius": 1.0},
+                   "density": {"kind": "radial", "profile": "power:1"}},
+        "N": 12, "precision_bits": 64,
+    })
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(["orthopoly", "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 3
+    assert "odd power" in err
+    assert not out_path.exists()

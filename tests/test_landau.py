@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from landaucap.chebyshev import CapacityEstimate, capacity_estimate
-from landaucap import landau
+from landaucap import landau, weight as weight_module
 from landaucap.errors import NonConvergenceError
 from landaucap.landau import (
     LandauBasisSpec,
@@ -25,12 +25,18 @@ from landaucap.landau import (
 )
 from landaucap.orthopoly import monic_orthogonalize, rho_estimates
 from landaucap.region import Annulus, Disc, Polygon, region_key
-from landaucap.weight import Constant, Generic, Radial, Weight, mixed_moments
+from landaucap.weight import Constant, Radial, Weight, mixed_moments
 
 UNIT_DISC = Weight(Disc(0j, 1.0), Constant(1.0))
-# the same weight as a Generic density, which takes the dense 2d moment path
-FLAT_DISC = Weight(Disc(0j, 1.0), Generic(lambda z: 1.0 + 0 * abs(z), label="flat"))
 SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
+
+
+def on_boundary_path(fn, *args):
+    """fn(*args) with centred discs sent down the dense boundary moment path,
+    as every other support is, instead of the diagonal radial one."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weight_module, "_radial_applicable", lambda w: False)
+        return fn(*args)
 
 
 def g(a, x):
@@ -84,7 +90,7 @@ def test_lll_t00_value():
 
 
 def test_lll_generic_path_matches_radial():
-    Tg = level_q_matrix(FLAT_DISC, 0, 2.0, 8, 128)
+    Tg = on_boundary_path(level_q_matrix, UNIT_DISC, 0, 2.0, 8, 128)
     Tr = level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128)
     with mp.workprec(160):
         diag_rel = max(abs(Tg[j, j] - Tr[j, j]) / abs(Tr[j, j]) for j in range(9))
@@ -139,7 +145,7 @@ def test_level_q1_unit_disc_tie():
 
 
 def test_level_q1_generic_path_matches_closed_form():
-    T = level_q_matrix(FLAT_DISC, 1, 2.0, 6, 128)
+    T = on_boundary_path(level_q_matrix, UNIT_DISC, 1, 2.0, 6, 128)
     with mp.workprec(160):
         for n in range(7):
             exact = q1_diag(n, mp.mpf(1))
@@ -343,7 +349,7 @@ def test_radial_oracle_requires_centered_radial():
     for w in (
         Weight(Disc(0.3 + 0j, 1.0), Constant(1.0)),
         Weight(SQUARE, Constant(1.0)),
-        FLAT_DISC,
+        Weight(Disc(0.3 + 0j, 1.0), Radial(lambda r: 1 + r)),
     ):
         with pytest.raises(ValueError, match="oracle requires centered radial weight"):
             radial_oracle(w, 2.0, 4)
@@ -380,7 +386,7 @@ def test_oracle_equivalence_of_spectrum():
         with mp.workprec(192):
             for a, b in zip(sp.eigenvalues()[:nt], orc.eigenvalues()[:nt]):
                 assert abs(a - b) / b < mp.mpf(10) ** -8
-    dense = spectrum(level_q_matrix(FLAT_DISC, 0, 2.0, 12, 128), 128)
+    dense = spectrum(on_boundary_path(level_q_matrix, UNIT_DISC, 0, 2.0, 12, 128), 128)
     orc = radial_oracle(UNIT_DISC, 2.0, 12, 128)
     with mp.workprec(128):
         nt = min(dense.trusted_count, orc.trusted_count)

@@ -16,6 +16,7 @@ from landaucap.region import Annulus, Disc, Polygon, contains, convex_hull, dila
 from landaucap.weight import (
     Constant,
     MomentTable,
+    Radial,
     Weight,
     ball_reduction_weight,
     mixed_moments,
@@ -269,7 +270,7 @@ def test_degenerate_moment_matrix_message():
     one = mp.mpf(1)
     rank_deficient = MomentTable(
         kind="plain", b0=2.0, maxdeg=1, precision_bits=128, scale_radius=one,
-        rows=[[one], [mp.mpc(1), one]], path="area", weight_key="synthetic",
+        rows=[[one], [mp.mpc(1), one]], path="boundary", weight_key="synthetic",
         design_degree=2,
     )
     with pytest.raises(DegenerateMomentError, match="degree 1"):
@@ -303,8 +304,6 @@ def test_theoretical_bounds_estimator_callback():
 
 
 def test_theoretical_bounds_unsupported_density():
-    from landaucap.weight import Generic
-
-    w = Weight(Disc(0j, 1.0), Generic(lambda z: 1.0 + abs(z)))
+    w = Weight(Disc(0j, 1.0), Radial(lambda r: 1 + r))
     with pytest.raises(ValueError, match="not derivable"):
         theoretical_bounds(w)

@@ -1,8 +1,9 @@
-"""Weights, quadrature and moment tables against independent closed forms.
+"""Weights, boundary rules and moment tables against independent closed forms.
 
 Oracle values are classical integrals: disc moments pi r^(2a+2)/(a+1),
 Gaussian disc moments via the lower incomplete gamma, separable square
-moments via binomial expansion, and chord integrals of the solid ball.
+moments via binomial expansion, polar integrals of |z|, and chord integrals
+of the solid ball.
 """
 
 import math
@@ -12,11 +13,10 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import landaucap.weight as weight_module
-from landaucap.errors import DegenerateMomentError
-from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius
+from landaucap.errors import DegenerateMomentError, NonConvergenceError
+from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius, region_to_config
 from landaucap.weight import (
     Constant,
-    Generic,
     MomentTable,
     Radial,
     UNION_MSG,
@@ -24,7 +24,6 @@ from landaucap.weight import (
     ball_reduction_weight,
     emission_digits,
     mixed_moments,
-    quadrature,
     weight_from_config,
     weight_key,
     weight_to_config,
@@ -34,22 +33,25 @@ from landaucap.weight import (
 L_SHAPE = Polygon((0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j))
 
 
-def flat(support):
-    """The constant weight 1 as a Generic density, which takes the 2d path."""
-    return Weight(support, Generic(lambda z: 1.0 + 0 * abs(z), label="flat"))
+def boundary_table(w, *args, **kwargs):
+    """mixed_moments with centred discs and annuli sent down the boundary
+    path, as every other support is."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(weight_module, "_radial_applicable", lambda w: False)
+        return mixed_moments(w, *args, **kwargs)
 
 
-def quad_sum(support, degree, f, prec=128):
-    nodes, weights = quadrature(support, degree, prec)
-    with mp.workprec(prec):
-        return mp.fsum(w * f(z) for z, w in zip(nodes, weights))
+def mass(support, prec=128, density=Constant(1.0)):
+    tab = boundary_table(Weight(support, density), "plain", 0, prec)
+    assert tab.path == "boundary"
+    return tab.raw_entry(0, 0)
 
 
-# ---------------------------------------------------------------- quadrature
+# ------------------------------------------------------------ boundary rules
 
 def test_disc_area_exact():
     with mp.workprec(128):
-        got = quad_sum(Disc(0.2 - 0.1j, 1.3), 0, lambda z: mp.mpf(1))
+        got = mass(Disc(0.2 - 0.1j, 1.3))
         area = mp.pi * mp.mpf(1.3) ** 2
         assert abs(got - area) / area < mp.mpf(10) ** -35
 
@@ -57,58 +59,55 @@ def test_disc_area_exact():
 def test_disc_second_moment():
     # int |z|^2 over unit disc = pi/2
     with mp.workprec(128):
-        got = quad_sum(Disc(0j, 1.0), 2, lambda z: abs(z) ** 2)
+        got = mass(Disc(0j, 1.0), density=Radial(lambda r: r * r, poly_degree=2, label="power:2"))
         assert abs(got - mp.pi / 2) < mp.mpf(10) ** -35
 
 
 def test_annulus_area():
     with mp.workprec(128):
-        got = quad_sum(Annulus(0j, 0.5, 1.25), 0, lambda z: mp.mpf(1))
+        got = mass(Annulus(0j, 0.5, 1.25))
         area = mp.pi * (mp.mpf(1.25) ** 2 - mp.mpf(0.5) ** 2)
         assert abs(got - area) / area < mp.mpf(10) ** -35
 
 
 def test_square_monomial():
-    # int x^2 y^2 over [0,1]^2 = 1/9; degree-4 integrand
+    # int x^2 y^2 over [0,1]^2 = 1/9, and x^2 y^2 = (|z|^4 - Re z^4) / 8
     sq = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
+    tab = mixed_moments(Weight(sq, Constant(1.0)), "plain", 4, 128)
     with mp.workprec(128):
-        got = quad_sum(sq, 4, lambda z: mp.re(z) ** 2 * mp.im(z) ** 2)
+        got = (tab.raw_entry(2, 2) - mp.re(tab.raw_entry(4, 0))) / 8
         assert abs(got - mp.mpf(1) / 9) < mp.mpf(10) ** -36
 
 
 def test_triangle_centroid():
     tri = Polygon((0j, 2 + 0j, 1j))
+    tab = mixed_moments(Weight(tri, Constant(1.0)), "plain", 1, 128)
     with mp.workprec(128):
-        area = quad_sum(tri, 0, lambda z: mp.mpf(1))
-        assert abs(area - 1) < mp.mpf(10) ** -36
-        # int x = area * centroid_x = 1 * (0 + 2 + 0)/3
-        mx = quad_sum(tri, 1, lambda z: mp.re(z))
-        assert abs(mx - mp.mpf(2) / 3) < mp.mpf(10) ** -36
+        assert abs(tab.raw_entry(0, 0) - 1) < mp.mpf(10) ** -36
+        # int z = area * centroid = 1 * (0 + 2 + i) / 3
+        assert abs(tab.raw_entry(1, 0) - mp.mpc(2, 1) / 3) < mp.mpf(10) ** -36
 
 
 def test_l_shape_area():
     with mp.workprec(128):
-        got = quad_sum(L_SHAPE, 0, lambda z: mp.mpf(1))
-        assert abs(got - 3) < mp.mpf(10) ** -35
+        assert abs(mass(L_SHAPE) - 3) < mp.mpf(10) ** -35
 
 
 def test_union_quadrature_disjoint():
     u = UnionRegion((Disc(0j, 1.0), Disc(5 + 0j, 0.5)))
     with mp.workprec(128):
-        got = quad_sum(u, 0, lambda z: mp.mpf(1))
         area = mp.pi * (1 + mp.mpf(0.25))
-        assert abs(got - area) / area < mp.mpf(10) ** -35
+        assert abs(mass(u) - area) / area < mp.mpf(10) ** -35
 
 
 def test_union_quadrature_rejects_overlap():
-    u = UnionRegion((Disc(0j, 1.0), Disc(1 + 0j, 1.0)))
-    with pytest.raises(ValueError, match="pairwise disjoint"):
-        quadrature(u, 2, 128)
-
-
-def test_quadrature_degree_validation():
-    with pytest.raises(ValueError):
-        quadrature(Disc(0j, 1.0), -1, 128)
+    # identical or nested parts share no boundary crossing; an interior point
+    # of one part strictly inside the other gives them away
+    sq = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
+    inner = Polygon((0.25 + 0.25j, 0.75 + 0.25j, 0.5 + 0.75j))
+    for parts in ((Disc(0j, 1.0), Disc(1 + 0j, 1.0)), (sq, sq), (sq, inner), (L_SHAPE, L_SHAPE)):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            mass(UnionRegion(parts), 64)
 
 
 # ------------------------------------------------------ plain moment oracles
@@ -125,8 +124,8 @@ def test_plain_disc_radial_path_closed_form():
 
 
 def test_plain_disc_generic_matches_radial():
-    tab = mixed_moments(flat(Disc(0j, 1.5)), "plain", 12, precision_bits=128)
-    assert tab.path == "area"
+    tab = boundary_table(Weight(Disc(0j, 1.5), Constant(1.0)), "plain", 12, precision_bits=128)
+    assert tab.path == "boundary"
     with mp.workprec(150):
         r = mp.mpf(1.5)
         mass = mp.pi * r * r
@@ -232,7 +231,7 @@ def test_gaussian_disc_incomplete_gamma():
 def test_gaussian_generic_matches_radial():
     w = Weight(Disc(0j, 1.0), Constant(1.0))
     t1 = mixed_moments(w, "gaussian", 10, precision_bits=128, b0=2.0)
-    t2 = mixed_moments(flat(w.support), "gaussian", 10, precision_bits=128, b0=2.0)
+    t2 = boundary_table(w, "gaussian", 10, precision_bits=128, b0=2.0)
     with mp.workprec(150):
         for a in range(11):
             d = abs(t1.raw_entry(a, a) - t2.raw_entry(a, a)) / t1.raw_entry(a, a)
@@ -295,9 +294,9 @@ def test_degenerate_weight_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         Weight(Disc(0j, 1.0), Constant(0.0))
     with pytest.raises(ValueError, match="degenerate"):
-        Weight(Disc(0j, 1.0), Generic(lambda z: 0.0))
+        Weight(Disc(0j, 1.0), Radial(lambda r: 0 * r))
     with pytest.raises(ValueError, match="nonnegative"):
-        Weight(Disc(0j, 1.0), Generic(lambda z: -1.0))
+        Weight(Disc(0j, 1.0), Radial(lambda r: r - 1))
 
 
 @settings(max_examples=12, deadline=None)
@@ -308,7 +307,7 @@ def test_degenerate_weight_rejected():
 def test_radial_generic_agreement_property(radius, maxdeg):
     w = Weight(Disc(0j, radius), Constant(1.0))
     t1 = mixed_moments(w, "plain", maxdeg, precision_bits=128)
-    t2 = mixed_moments(flat(w.support), "plain", maxdeg, precision_bits=128)
+    t2 = boundary_table(w, "plain", maxdeg, precision_bits=128)
     with mp.workprec(140):
         for a in range(maxdeg + 1):
             d = abs(t1.entry(a, a) - t2.entry(a, a)) / t1.entry(a, a)
@@ -317,30 +316,30 @@ def test_radial_generic_agreement_property(radius, maxdeg):
 
 # ------------------------------------- fixed-point kernel vs the mpc loops
 #
-# Boundary and area tables are exact fixed-point integer sums rounded once
-# per entry. The references below are plain mpc multiply-add loops over the
-# same rule at prec + 128 bits, with S_b from mpmath's incomplete gamma, so
-# any difference is rounding in the kernel. Units are 2^-prec sqrt(G_aa G_bb).
+# Boundary tables are exact fixed-point integer sums rounded once per entry.
+# The references below are plain mpc multiply-add loops over the same rule
+# at prec + 128 bits, with S_s from mpmath's incomplete gamma, so any
+# difference is rounding in the kernel. Units are 2^-prec sqrt(G_aa G_bb).
 
-def _s_reference(b, x):
-    """int_0^1 t^b exp(-x t) dt = gamma(b + 1, x) / x^(b + 1)."""
-    return mp.gammainc(b + 1, 0, x) / x ** (b + 1) if x else mp.mpf(1) / (b + 1)
+POWER1 = Radial(lambda r: r, poly_degree=1, label="power:1")
+POWER2 = Radial(lambda r: r * r, poly_degree=2, label="power:2")
+
+
+def _s_reference(s, x):
+    """int_0^1 t^s exp(-x t) dt = gamma(s + 1, x) / x^(s + 1)."""
+    return mp.gammainc(s + 1, 0, x) / x ** (s + 1) if x else 1 / (s + 1)
 
 
 def _reference_table(w, rule, kind, maxdeg, b0):
     R0 = mp.mpf(bounding_radius(w.support))
     beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.mpf(0)
+    half_k = mp.mpf(weight_module._power(w.density)) / 2
     zs = [mp.mpc(z) for z in rule.nodes]
     us = [z / R0 for z in zs]
-    if rule.boundary:
-        k = mp.mpf(w.density.c) * R0 / mp.mpc(0, 2)
-        xs = [k * dz for dz in rule.weights]
-        ys = [[_s_reference(b, beta * abs(z) ** 2) * u ** (b + 1) for z, u in zip(zs, us)]
-              for b in range(maxdeg + 1)]
-    else:
-        xs = [wt * mp.mpf(weight_module._density_value(w.density, z)) * mp.exp(-beta * abs(z) ** 2)
-              for z, wt in zip(zs, rule.weights)]
-        ys = [[u ** b for u in us] for b in range(maxdeg + 1)]
+    xs = [mp.mpf(weight_module._density_value(w.density, z)) * R0 * dz / mp.mpc(0, 2)
+          for z, dz in zip(zs, rule.steps)]
+    ys = [[_s_reference(b + half_k, beta * abs(z) ** 2) * u ** (b + 1) for z, u in zip(zs, us)]
+          for b in range(maxdeg + 1)]
     rows = []
     for a in range(maxdeg + 1):
         xa = [x * u ** a for x, u in zip(xs, us)]
@@ -370,10 +369,11 @@ def _assert_kernel_matches_reference(w, rule, kind, maxdeg, prec, b0=2.0):
 
 def _boundary_rule(w, kind, maxdeg, prec, extra=0):
     """The boundary rule mixed_moments builds, extra degrees past design."""
-    degree = 2 * maxdeg + 1 + extra
+    k = weight_module._power(w.density)
+    degree = 2 * maxdeg + 1 + k + extra
     if kind == "gaussian":
         degree += _gaussian_excess(2.0, bounding_radius(w.support), prec)
-    return weight_module._build_rule(w.support, degree, prec, boundary=True)
+    return weight_module._build_rule(w.support, degree, prec, k)
 
 
 SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
@@ -433,33 +433,29 @@ def test_overlapping_union_table_rejected():
 
 
 def test_flat_kernel_gaussian_side3_square():
-    # area rule: the collapsed-square map shrinks weights near each apex
-    w = flat(SIDE3_SQUARE)
-    rule = weight_module._build_rule(SIDE3_SQUARE, 24, 128)
-    _assert_kernel_matches_reference(w, rule, "gaussian", 12, 128)
+    # an odd power: node values follow |z| along the edges
+    w = Weight(SIDE3_SQUARE, POWER1)
+    _assert_kernel_matches_reference(w, _boundary_rule(w, "gaussian", 12, 128), "gaussian", 12, 128)
 
 
 def test_flat_kernel_signed_node_values():
-    # a negative node value enters with its sign
+    # steps of either sign in both parts enter with their signs
     w = Weight(Disc(0j, 1.0), Constant(1.0))
     with mp.workprec(128):
         nodes = [mp.mpc(0.3, 0.1), mp.mpc(-0.5, 0.4), mp.mpc(0.2, -0.7), mp.mpc(-0.1, -0.2)]
-        weights = [mp.mpf(1), mp.mpf(-0.5), mp.mpf(2), mp.mpf(-1.25)]
-    rule = weight_module._Rule(nodes, weights)
+        steps = [mp.mpc(1, -0.25), mp.mpc(-0.5, 0.5), mp.mpc(2, 0), mp.mpc(-1.25, -3)]
+    rule = weight_module._Rule(nodes, steps)
     _assert_kernel_matches_reference(w, rule, "plain", 3, 128)
 
 
 # -------------------------------------------------------------- table paths
 
-POWER1 = Radial(lambda r: r, poly_degree=1, label="power:1")
-
-
 @pytest.mark.parametrize("w,path", [
     (Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), "boundary"),
     (Weight(SIDE3_SQUARE, Constant(2.0)), "boundary"),
     (Weight(UnionRegion((Disc(-2 + 0j, 0.75), Disc(2 + 0j, 1.0))), Constant(1.0)), "boundary"),
-    (flat(Disc(0j, 1.0)), "area"),
-    (Weight(Disc(0.7 + 0j, 1.0), POWER1), "area"),
+    (Weight(L_SHAPE, POWER1), "boundary"),
+    (Weight(Disc(0.7 + 0j, 1.0), POWER1), "boundary"),
     (Weight(Disc(0j, 1.0), POWER1), "radial"),
     (ball_reduction_weight(1.0), "radial"),
 ])
@@ -467,30 +463,107 @@ def test_table_names_its_path(w, path):
     assert mixed_moments(w, "plain", 2, 64).path == path
 
 
-def test_constant_tables_build_no_area_rule(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("area rule built for a constant density")
-
-    monkeypatch.setattr(weight_module, "_triangle_rule", refuse)
-    monkeypatch.setattr(weight_module, "_polar", refuse)
-    for support in (Disc(0.7 + 0j, 1.0), Annulus(0.3j, 0.4, 1.0), L_SHAPE,
-                    UnionRegion((L_SHAPE, Disc(5 + 0j, 1.0)))):
+def test_every_config_density_takes_radial_or_boundary():
+    densities = [{"kind": "constant", "c": 2.0}, {"kind": "radial", "profile": "chi"}]
+    densities += [{"kind": "radial", "profile": f"power:{k}"} for k in range(4)]
+    supports = [(Disc(0j, 1.0), "radial"), (Disc(0.7 + 0j, 1.0), "boundary"),
+                (Annulus(0.3j, 0.4, 1.0), "boundary"), (L_SHAPE, "boundary"),
+                (UnionRegion((L_SHAPE, Disc(-1.5 + 0j, 0.5))), "boundary")]
+    ball = {"density": {"kind": "ball3d_reduction", "R": 1.0}}
+    cases = [(ball, "radial")] + [({"support": region_to_config(s), "density": d}, path)
+                                  for s, path in supports for d in densities]
+    for rec, path in cases:
+        w = weight_from_config(rec)
         for kind in ("plain", "gaussian"):
-            assert mixed_moments(Weight(support, Constant(1.0)), kind, 4, 64).path == "boundary"
+            assert mixed_moments(w, kind, 4, 64).path == path, rec
 
 
-@pytest.mark.xfail(strict=True, reason="the area rule's 48-degree margin cannot resolve the "
-                                       "cone |z| at the origin inside an off-centre disc")
-def test_power1_offcenter_mass():
-    # polar coordinates about 0: the disc's edge lies at rho(theta), and
-    # int |z| dA = int rho(theta)^3 / 3 dtheta
-    tab = mixed_moments(Weight(Disc(0.7 + 0j, 1.0), POWER1), "plain", 4, 128)
-    with mp.workprec(160):
-        def rho(t):
-            return mp.mpf(0.7) * mp.cos(t) + mp.sqrt(mp.mpf(0.51) + mp.mpf(0.49) * mp.cos(t) ** 2)
+# ----------------------------------------------------------- odd radial powers
 
-        exact = mp.quad(lambda t: rho(t) ** 3 / 3, [0, mp.pi, 2 * mp.pi])
-        assert abs(tab.raw_entry(0, 0) - exact) < mp.mpf(10) ** -30
+def _disc_edge(t):
+    """Distance from 0 to the edge of Disc(0.7, 1) in the direction t."""
+    c = mp.mpf(0.7)
+    return c * mp.cos(t) + mp.sqrt(1 - (c * mp.sin(t)) ** 2)
+
+
+def _disc_power1(kind, a, b):
+    """mu_ab of |z| on Disc(0.7, 1) in polar coordinates about 0: the radial
+    integral int_0^R r^(a+b+2) g(r) dr in closed form, then a 1d quadrature
+    in the angle."""
+    m = a + b + 3
+    if kind == "plain":
+        radial = lambda R: R ** m / m  # noqa: E731
+    else:
+        radial = lambda R: mp.gammainc(mp.mpf(m) / 2, 0, R * R) / 2  # noqa: E731
+    return mp.quad(lambda t: mp.expj((a - b) * t) * radial(_disc_edge(t)), [0, mp.pi, 2 * mp.pi])
+
+
+def _rectangle_power1(x0, x1, y0, y1):
+    """int |z| over [x0, x1] x [y0, y1] with x0 <= 0 < x1 and y0 <= 0 < y1,
+    from the quadrant integrals int_0^X int_0^Y |z| (X, Y > 0)."""
+    def quadrant(X, Y):
+        if not (X and Y):
+            return 0
+        R = mp.sqrt(X * X + Y * Y)
+        return (2 * X * Y * R + X ** 3 * mp.log((Y + R) / X) + Y ** 3 * mp.log((X + R) / Y)) / 6
+
+    return mp.fsum(quadrant(abs(mp.mpf(x)), abs(mp.mpf(y))) for x in (x0, x1) for y in (y0, y1))
+
+
+def _polygon_mass(support):
+    xs = sorted({v.real for v in support.vertices})
+    ys = sorted({v.imag for v in support.vertices})
+    return _rectangle_power1(xs[0], xs[-1], ys[0], ys[-1])
+
+
+SHIFTED_SQUARE = Polygon(tuple(v + (0.3 + 0.1j) for v in (-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j)))
+
+
+@pytest.mark.parametrize("support,kind", [
+    (Disc(0.7 + 0j, 1.0), "plain"),
+    (Disc(0.7 + 0j, 1.0), "gaussian"),
+    # the origin inside, off every edge's line
+    (SHIFTED_SQUARE, "plain"),
+    # the origin at a vertex
+    (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), "plain"),
+    # the origin inside an edge, which is split there
+    (Polygon((-1 + 0j, 1 + 0j, 1 + 1j, -1 + 1j)), "plain"),
+])
+def test_power1_offcenter_mass(support, kind):
+    tab = mixed_moments(Weight(support, POWER1), kind, 4, 128)
+    assert tab.path == "boundary"
+    with mp.workprec(200):
+        if isinstance(support, Disc):
+            for a, b in ((0, 0), (2, 1), (4, 4)):
+                exact = _disc_power1(kind, a, b)
+                assert abs(tab.raw_entry(a, b) - exact) < abs(exact) * mp.mpf(10) ** -30, (a, b)
+        else:
+            assert abs(tab.raw_entry(0, 0) - _polygon_mass(support)) < mp.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("kind", ["plain", "gaussian"])
+def test_power2_is_the_shifted_constant_table(kind):
+    # |z|^2 z^a conj(z)^b = z^(a+1) conj(z)^(b+1), so mu2_ab = mu0_(a+1)(b+1)
+    support = Disc(0.7 + 0.2j, 1.0)
+    p2 = mixed_moments(Weight(support, POWER2), kind, 8, 128)
+    c = mixed_moments(Weight(support, Constant(1.0)), kind, 9, 128)
+    with mp.workprec(256):
+        r2 = p2.scale_radius ** 2
+        ref = [[r2 * c.entry(a + 1, b + 1) for b in range(a + 1)] for a in range(9)]
+    _assert_within_units(p2.rows, ref, 8, 128)
+
+
+def test_odd_power_on_a_circle_through_the_origin_raises():
+    # the last circle misses 0 by 1e-9, which would take ~1e11 nodes
+    for support in (Disc(1 + 0j, 1.0), Annulus(0.5j, 0.5, 1.0), Disc(1 + 1e-9 + 0j, 1.0)):
+        with pytest.raises(NonConvergenceError, match="odd power"):
+            mixed_moments(Weight(support, POWER1), "plain", 2, 64)
+
+
+def test_non_power_profile_off_centre_rejected():
+    w = Weight(Disc(0.7 + 0j, 1.0), Radial(lambda r: 1 + r))
+    with pytest.raises(ValueError, match="centred at 0"):
+        mixed_moments(w, "plain", 2, 64)
 
 
 # ----------------------------------------------------------- ball reduction
