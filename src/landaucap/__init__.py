@@ -22,7 +22,6 @@ from .landau import (
     lemma1_sequences,
     level_q_matrix,
     radial_oracle,
-    rescaled_weight,
     spectrum,
     theorem_predictions,
     toeplitz_spectrum,
@@ -49,9 +48,10 @@ from .region import (
 )
 from .verify import CheckResult, SUITE_NAMES, run_suite
 from .weight import (
+    Chord,
     Constant,
     MomentTable,
-    Radial,
+    Power,
     Weight,
     ball_reduction_weight,
     mixed_moments,
@@ -66,6 +66,7 @@ __all__ = [
     "Annulus",
     "CapacityEstimate",
     "CheckResult",
+    "Chord",
     "Constant",
     "DegenerateMomentError",
     "Disc",
@@ -74,7 +75,7 @@ __all__ = [
     "MonicOrthoBasis",
     "NonConvergenceError",
     "Polygon",
-    "Radial",
+    "Power",
     "RhoEstimate",
     "SUITE_NAMES",
     "ToeplitzSpectrum",
@@ -95,7 +96,6 @@ __all__ = [
     "radial_oracle",
     "region_from_config",
     "region_key",
-    "rescaled_weight",
     "rho_estimates",
     "run_suite",
     "spectrum",

@@ -20,6 +20,9 @@ def gauss_legendre(n: int, prec: int):
 
     float64 seeds refined by Newton steps at extended precision; each step
     doubles the correct digits, so a handful suffices even at 512 bits.
+    numpy's seeds are antisymmetric, and so is the refinement, so only the
+    nonpositive half is refined and the rest mirrored, exactly at the
+    working precision.
     """
     if n < 1:
         raise ValueError("need at least one node")
@@ -27,7 +30,7 @@ def gauss_legendre(n: int, prec: int):
     nodes, weights = [], []
     with mp.workprec(prec + 30):
         eps = mp.mpf(2) ** (-(prec + 10))
-        for x0 in seeds:
+        for x0 in seeds[:(n + 1) // 2]:
             x = mp.mpf(float(x0))
             for _ in range(10):
                 p, dp = _legendre_pair(n, x)
@@ -38,6 +41,8 @@ def gauss_legendre(n: int, prec: int):
             p, dp = _legendre_pair(n, x)
             nodes.append(x)
             weights.append(2 / ((1 - x * x) * dp * dp))
+        nodes += [-x for x in nodes[:n // 2][::-1]]
+        weights += weights[:n // 2][::-1]
     return tuple(nodes), tuple(weights)
 
 

@@ -21,11 +21,10 @@ from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_cholesky, to_fixed
 from .chebyshev import CapacityEstimate
 from .errors import DegenerateMomentError, NonConvergenceError
 from .orthopoly import monic_orthogonalize
-from .region import affine, region_key
+from .region import region_key
 from .weight import (
     DEGENERATE_MSG,
     Constant,
-    Radial,
     Weight,
     _default_precision,
     _radial_applicable,
@@ -38,7 +37,6 @@ __all__ = [
     "LandauBasisSpec",
     "ToeplitzSpectrum",
     "AsymptoticsReport",
-    "rescaled_weight",
     "level_q_matrix",
     "spectrum",
     "toeplitz_spectrum",
@@ -108,29 +106,6 @@ class AsymptoticsReport:
     trusted_n_max: Optional[int] = None
 
 
-# ----------------------------------------------------------- field reduction
-
-def rescaled_weight(v: Weight, b0: float) -> Weight:
-    """The weight u(z) = v(z * sqrt(2/b0)) reducing field b0 to 2.
-
-    Substituting z -> sqrt(b0/2) z in the quadratic form turns the field-b0
-    Gaussian into the b0=2 one exactly, so every level-q matrix of u at b0=2
-    equals the one of v at b0 (only quadrature error distinguishes them).
-    """
-    if not b0 > 0:
-        raise ValueError("b0 must be positive")
-    eta = math.sqrt(b0 / 2.0)
-    if eta == 1.0:
-        return v
-    support = affine(v.support, eta, 0.0)
-    pos = affine(v.positive_on, eta, 0.0) if v.positive_on is not None else None
-    d = v.density
-    if isinstance(d, Radial):
-        d = Radial(lambda rho, _p=d.profile, _e=eta: _p(rho / _e), d.poly_degree,
-                   f"{d.label}~scale:{eta!r}")
-    return Weight(support, d, pos)
-
-
 # ------------------------------------------------------------ matrix assembly
 
 def _creation_pow(j: int, q: int) -> dict:
@@ -155,22 +130,24 @@ def _creation_pow(j: int, q: int) -> dict:
 def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     """Compression matrix on the q-th level via the symbolic creation rule.
 
-    The general field is first reduced to b0 = 2 by rescaled_weight. Basis
-    functions at b0=2 are (polynomial in z, conj z) x exp(-|z|^2/2)
+    Basis functions at b0=2 are (polynomial in z, conj z) x exp(-|z|^2/2)
     obtained by q applications of P -> dP/dz - conj(z) P to z^j; entries are
     finite combinations of Gaussian mixed moments up to degree N + q with an
     overall prefactor 1/q! (the creation-operator modulus (2 b0)^q cancels
-    the (2 b0)^(-q) of the quadratic form).  At q = 0 this is the ground
-    level, T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!) with G the Gaussian
-    moment table of v, i.e. G~_jk / (pi sqrt(j! k!)) after the reduction;
-    the factorials enter through log-gamma in log domain.
+    the (2 b0)^(-q) of the quadratic form).  A field b0 enters through the
+    dilation z -> z / eta, eta = sqrt(b0/2), which carries the level at b0
+    unitarily onto the one at 2: the moments of v(z / eta) at b0 = 2 are
+    eta^(a+b+2) times those of v at b0, so the table G of v is built at b0
+    itself and eta is folded into the powers (R0 eta)^(a+b) that unscale it
+    and into the prefactor.  At q = 0 this is the ground level,
+    T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!); the factorials enter
+    through log-gamma in log domain.
 
     Raises DegenerateMomentError when a 2d Gaussian table fails its
     Cholesky at the working precision.
     """
     LandauBasisSpec(q, float(b0), N)  # validate the triple
-    u = rescaled_weight(v, b0)
-    table = mixed_moments(u, "gaussian", maxdeg=N + q, precision_bits=precision_bits, b0=2.0)
+    table = mixed_moments(v, "gaussian", maxdeg=N + q, precision_bits=precision_bits, b0=b0)
     if table.path != "radial":
         size = table.maxdeg + 1
         gram = [[table.entry(a, b) for b in range(size)] for a in range(size)]
@@ -180,15 +157,19 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
             raise DegenerateMomentError(DEGENERATE_MSG) from e
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     T = mp.matrix(N + 1, N + 1)
+    with mp.workprec(precision_bits + 10):
+        R0_eta = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
+        unscale = [R0_eta ** n for n in range(2 * (N + q) + 1)]
     with mp.workprec(precision_bits + 20):
-        log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1)
+        log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
         half_lg = [mp.loggamma(n + 1) / 2 for n in range(N + 1)]
         for j in range(N + 1):
             for k in range(j, N + 1):
                 acc = mp.mpc(0)
                 for (m1, l1), c1 in polys[j].items():
                     for (m2, l2), c2 in polys[k].items():
-                        acc += (c1 * c2) * table.raw_entry(m1 + l2, l1 + m2)
+                        a, b = m1 + l2, l1 + m2
+                        acc += (c1 * c2) * (table.entry(a, b) * unscale[a + b])
                 val = acc * mp.e ** (-(log_pi_q + half_lg[j] + half_lg[k]))
                 T[j, k] = val
                 if k != j:
@@ -366,8 +347,9 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
 
         (p! / (p + a)!) int t^a [L_p^(a)(t)]^2 e^(-t) u(sqrt t) dt
 
-    with m = j - q, a = |m|, p = q + min(m, 0), and L the associated Laguerre
-    polynomial. At q = 0 this is (1/j!) int t^j e^(-t) u(sqrt t) dt, and for
+    with m = j - q, a = |m|, p = q + min(m, 0), L the associated Laguerre
+    polynomial and u(rho) = v(rho sqrt(2/b0)) the profile seen at field 2.
+    At q = 0 this is (1/j!) int t^j e^(-t) u(sqrt t) dt, and for
     characteristic profiles it collapses to gamma(j+1, r^2)/j!. Independent
     of the creation-polynomial matrix assembly, so it serves as an oracle.
     """
@@ -381,18 +363,14 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
         lo, hi = _radial_interval(v.support)
         lo2, hi2 = scale * lo * lo, scale * hi * hi
         d = v.density
-        if isinstance(d, Constant):
-            c = mp.mpf(d.c)
-            dens = lambda t: c
-        else:
-            dens = lambda t: d.profile(mp.sqrt(t / scale))
+        dens = lambda t: d.value(mp.sqrt(t / scale))
         vals = []
         for j in range(N + 1):
             m = j - q
             alpha = abs(m)
             pdeg = q + min(m, 0)
             if q == 0 and isinstance(d, Constant):
-                vals.append(c * mp.gammainc(j + 1, lo2, hi2) / mp.factorial(j))
+                vals.append(d.value(0) * mp.gammainc(j + 1, lo2, hi2) / mp.factorial(j))
                 continue
             norm = mp.e ** (mp.loggamma(pdeg + 1) - mp.loggamma(pdeg + alpha + 1))
             f = lambda t: t ** alpha * mp.laguerre(pdeg, alpha, t) ** 2 * mp.e ** (-t) * dens(t)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from mpmath import mp
 
 from ._mp import hermitian_cholesky
 from .errors import DegenerateMomentError, NonConvergenceError
-from .region import capacity_known
-from .weight import Constant, MomentTable, Radial, Weight
+from .weight import MomentTable
 
 __all__ = [
     "MonicOrthoBasis",
@@ -28,7 +27,6 @@ __all__ = [
     "zeros",
     "evaluate",
     "orthogonality_defect",
-    "theoretical_bounds",
 ]
 
 
@@ -182,28 +180,3 @@ def zeros(basis: MonicOrthoBasis, n: int) -> list:
             if abs(evaluate(basis, n, r)) / R0**n > floor:
                 raise NonConvergenceError(f"zero refinement failed at degree {n}")
         return roots
-
-
-def theoretical_bounds(v: Weight, capacity_estimator: Optional[Callable] = None):
-    """Asymptotic envelope for the n-th-root limit of M_n: (lower, upper) =
-    (Cp of the positivity region squared, Cp of the support squared).
-
-    Supported densities: Constant on a region, and the ball-reduction chord
-    weight (whose positivity region is the full closed disc shadow).
-    """
-    d = v.density
-    is_ball = isinstance(d, Radial) and d.label.startswith("ball3d:")
-    if not (isinstance(d, Constant) or is_ball):
-        raise ValueError("bounds not derivable for this density")
-
-    def cap(region):
-        known = capacity_known(region)
-        if known is not None:
-            return mp.mpf(known)
-        if capacity_estimator is None:
-            raise ValueError("region capacity unknown and no estimator supplied")
-        return mp.mpf(capacity_estimator(region))
-
-    upper = cap(v.support) ** 2
-    lower = cap(v.positive_on if v.positive_on is not None else v.support) ** 2
-    return lower, upper

@@ -7,6 +7,7 @@ precision; extended precision enters only at the quadrature stage.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union as _TUnion
@@ -47,6 +48,7 @@ class Disc:
     def __post_init__(self):
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ValueError("disc radius must be positive and finite")
+        _finite_points((self.center,), "disc centre")
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class Annulus:
     def __post_init__(self):
         if not (0.0 <= self.inner < self.outer and math.isfinite(self.outer)):
             raise ValueError("annulus radii must satisfy 0 <= inner < outer")
+        _finite_points((self.center,), "annulus centre")
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ class Polygon:
 
     def __post_init__(self):
         vs = tuple(complex(v) for v in self.vertices)
+        _finite_points(vs, "polygon vertices")
         if len(vs) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         area2 = _signed_area2(vs)
@@ -96,6 +100,11 @@ class UnionRegion:
 
 
 Region = _TUnion[Disc, Annulus, Polygon, UnionRegion]
+
+
+def _finite_points(points, what: str) -> None:
+    if not all(cmath.isfinite(complex(z)) for z in points):
+        raise ValueError(f"{what} must be finite")
 
 
 def _signed_area2(vs) -> float:

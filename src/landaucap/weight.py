@@ -1,18 +1,17 @@
 """Weights on plane regions and their mixed moment tables.
 
-A weight is a nonnegative density on a compact support region. The moment
+A weight is one of three densities on a compact support region: a
+Constant c, a Power |z|^k, or the solid ball's Chord 2 sqrt(R^2 - |z|^2) on
+Disc(0, R); each evaluates itself at the working precision. The moment
 table mu_ab = int z^a conj(z)^b v(z) g(z) dm(z) comes in two flavours:
 plain (g = 1) and Gaussian (g = exp(-b0 |z|^2 / 2)). Tables are computed
 at a stated bit precision and stored with monomials prescaled by the
 bounding radius, which keeps the Gram entries of order of the total mass.
 
-A table takes one of two paths (mixed_moments): 1d radial integrals for a
-centred radial weight, and for any other density c|z|^k a contour integral
-over the boundary (Green's theorem), summed by an exact fixed-point integer
-Gram kernel.
-
-A three-dimensional potential V enters as its x3-integral, a density on
-the plane: ball_reduction_weight is the solid ball's, in closed form.
+A table takes one of two paths (mixed_moments): 1d radial integrals on a
+disc or annulus centred at 0, and for a Constant or Power anywhere else a
+contour integral over the boundary (Green's theorem), summed by an exact
+fixed-point integer Gram kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from mpmath import mp
 
@@ -33,7 +32,6 @@ from .region import (
     Region,
     UnionRegion,
     bounding_radius,
-    contains,
     region_from_config,
     region_key,
     region_to_config,
@@ -43,7 +41,8 @@ from .region import (
 
 __all__ = [
     "Constant",
-    "Radial",
+    "Power",
+    "Chord",
     "Weight",
     "MomentTable",
     "mixed_moments",
@@ -75,63 +74,61 @@ class Constant:
         if not math.isfinite(self.c):
             raise ValueError("density constant must be finite")
 
+    def value(self, r):
+        return mp.mpf(self.c)
+
 
 @dataclass(frozen=True)
-class Radial:
-    """Density depending on |z| only (radial about the origin)."""
+class Power:
+    """|z|^k, the config profile power:k."""
 
-    profile: Callable
-    poly_degree: Optional[int] = None  # k when the profile is c * rho^k
-    label: str = "radial"
+    k: int
+
+    def __post_init__(self):
+        if not (isinstance(self.k, int) and self.k >= 0):
+            raise ValueError("power profile needs k >= 0")
+
+    def value(self, r):
+        return mp.mpf(r) ** self.k
+
+
+@dataclass(frozen=True)
+class Chord:
+    """2 sqrt(R^2 - |z|^2), the x3-chord of the solid ball of radius R, on
+    its shadow Disc(0, R); R^2 is formed at the working precision."""
+
+    R: float
+
+    def __post_init__(self):
+        if not (self.R > 0 and math.isfinite(self.R)):
+            raise ValueError("ball radius must be positive")
+
+    def value(self, r):
+        r = mp.mpf(r)
+        return 2 * mp.sqrt(mp.mpf(self.R) ** 2 - r * r) if r < self.R else mp.mpf(0)
 
 
 @dataclass(frozen=True)
 class Weight:
     support: Region
-    density: object
-    positive_on: Optional[Region] = None  # region whose interior has v >= c > 0 on compacts
+    density: object  # Constant, Power or Chord
 
     def __post_init__(self):
         d = self.density
-        if isinstance(d, Constant):
-            if not d.c > 0:
-                raise ValueError("weight is degenerate (zero mass)")
-            if self.positive_on is None:
-                object.__setattr__(self, "positive_on", self.support)
-            return
-        if not isinstance(d, Radial):
-            raise ValueError("density must be Constant or Radial")
-        # sampling nondegeneracy check at double precision
-        vals = [float(_density_value(d, z)) for z in _probe_points(self.support)]
-        if min(vals) < -1e-12:
-            raise ValueError("weight must be nonnegative")
-        if max(vals) <= 0.0:
+        if not isinstance(d, (Constant, Power, Chord)):
+            raise ValueError("density must be Constant, Power or Chord")
+        if isinstance(d, Constant) and not d.c > 0:
             raise ValueError("weight is degenerate (zero mass)")
-
-
-def _probe_points(support: Region, per_axis: int = 12):
-    r = bounding_radius(support)
-    pts = []
-    for i in range(per_axis):
-        for j in range(per_axis):
-            z = complex(-r + (2 * r) * (i + 0.5) / per_axis, -r + (2 * r) * (j + 0.5) / per_axis)
-            if contains(support, z):
-                pts.append(z)
-    if not pts:
-        raise ValueError("support has no probe points, region looks degenerate")
-    return pts
-
-
-def _density_value(density, z):
-    if isinstance(density, Constant):
-        return mp.mpf(density.c)
-    return density.profile(abs(z))
+        if isinstance(d, Chord) and self.support != Disc(0j, d.R):
+            raise ValueError("a Chord density needs the support Disc(0, R)")
 
 
 def _density_key(density) -> str:
     if isinstance(density, Constant):
         return f"const:{density.c!r}"
-    return f"radial:{density.label}:{density.poly_degree}"
+    if isinstance(density, Power):
+        return f"radial:power:{density.k}:{density.k}"
+    return f"radial:ball3d:{density.R}:None"
 
 
 def weight_key(w: Weight) -> str:
@@ -334,11 +331,7 @@ def _default_precision(maxdeg: int) -> int:
 
 def _power(density) -> int:
     """k for a density c |z|^k, which the boundary path integrates."""
-    if isinstance(density, Constant):
-        return 0
-    if density.poly_degree is None:
-        raise ValueError("a radial profile other than c |z|^k needs a disc or annulus centred at 0")
-    return density.poly_degree
+    return density.k if isinstance(density, Power) else 0
 
 
 def _radial_applicable(w: Weight) -> bool:
@@ -354,10 +347,9 @@ def _radial_interval(support):
 def _radial_table(w, kind, maxdeg, prec, b0):
     lo, hi = _radial_interval(w.support)
     d = w.density
-    poly_deg = 0 if isinstance(d, Constant) else d.poly_degree
     gaussian = kind == "gaussian"
-    if poly_deg is not None:
-        need = 2 * maxdeg + 1 + poly_deg
+    if not isinstance(d, Chord):
+        need = 2 * maxdeg + 1 + _power(d)
         if gaussian:
             need += _gaussian_excess(b0, float(hi), prec)
         xs, ws = gauss_legendre(math.ceil((need + 1) / 2), prec)
@@ -371,7 +363,7 @@ def _radial_table(w, kind, maxdeg, prec, b0):
     two_pi = 2 * mp.pi
     data, ratio = [], []
     for r, wt in zip(rho, rw):
-        val = mp.mpf(d.c) if isinstance(d, Constant) else mp.mpf(d.profile(r))
+        val = d.value(r)
         if gaussian:
             val *= mp.exp(-b0m * r * r / 2)
         data.append(two_pi * wt * r * val)
@@ -421,7 +413,7 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
         zs = [mp.mpc(z) for z in rule.nodes]
         beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.zero
         sq = [beta * (z.real ** 2 + z.imag ** 2) for z in zs]
-        x0 = [mp.mpc(0, -mp.mpf(_density_value(w.density, z)) * R0 / 2) * dz
+        x0 = [mp.mpc(0, -w.density.value(abs(z)) * R0 / 2) * dz
               for z, dz in zip(zs, rule.steps)]
         srows = _s_rows(sq, maxdeg, _power(w.density))
         us = [z / R0 for z in zs]
@@ -461,10 +453,10 @@ def mixed_moments(
     """Moment table mu_ab for 0 <= a, b <= maxdeg, Hermitian by construction,
     on one of two paths named by MomentTable.path:
 
-    - "radial": a disc or annulus centred at 0 with a Constant or Radial
-      density; 1d radial integrals, exactly zero off the diagonal.
-    - "boundary": a density v = c |z|^k (a Constant, k = 0, or a Radial
-      with poly_degree k) on any other support. For b <= a, with
+    - "radial": a disc or annulus centred at 0, with any density; 1d radial
+      integrals, exactly zero off the diagonal.
+    - "boundary": a density v = c |z|^k (a Constant, k = 0, or a Power) on
+      any other support. For b <= a, with
       beta = b0/2 (Gaussian) or 0 (plain) and
       S_s(x) = int_0^1 t^s exp(-x t) dt,
       mu_ab = (1/2i) contour-integral of v z^a conj(z)^(b+1) S_(b+k/2)(beta |z|^2) dz
@@ -535,12 +527,9 @@ def weight_from_config(rec: dict) -> Weight:
         raise ValueError("density record needs a 'kind'")
     kind = dens["kind"]
     if kind == "ball3d_reduction":
-        R = _real(dens.get("R", 1.0))
-        if not R > 0:
-            raise ValueError("ball radius must be positive")
         if rec.get("support") not in (None, "auto"):
             raise ValueError("ball3d_reduction fixes its own support; omit it or use 'auto'")
-        return ball_reduction_weight(R)
+        return ball_reduction_weight(_real(dens.get("R", 1.0)))
     if "support" not in rec:
         raise ValueError("weight record needs a 'support'")
     support = region_from_config(rec["support"])
@@ -551,40 +540,26 @@ def weight_from_config(rec: dict) -> Weight:
         if prof == "chi":
             return Weight(support, Constant(1.0))
         if isinstance(prof, str) and prof.startswith("power:"):
-            k = int(prof.split(":", 1)[1])
-            if k < 0:
-                raise ValueError("power profile needs k >= 0")
-            return Weight(support, Radial(lambda r, _k=k: r**_k, poly_degree=k, label=f"power:{k}"))
+            return Weight(support, Power(int(prof.split(":", 1)[1])))
         raise ValueError(f"unknown radial profile {prof!r}")
     raise ValueError(f"unknown density kind {kind!r}")
 
 
 def ball_reduction_weight(R: float = 1.0) -> Weight:
-    """Weight from collapsing the indicator of the ball of radius R along x3;
-    the chord integral gives 2 sqrt(R^2 - |z|^2) on the disc shadow.
-
-    The profile evaluates that chord in closed form at the working precision,
-    with R^2 formed there too, so the weight carries every bit of
-    ``precision_bits``. It depends on |z| only, so the diagonal moment path
-    applies. Any other 3d potential enters the same way: write its
-    x3-integral as a Radial density on the shadow region."""
-    R = float(R)
-
-    def chord(r):
-        r = mp.mpf(r)
-        return 2 * mp.sqrt(mp.mpf(R) ** 2 - r * r) if r < R else mp.mpf(0)
-
-    return Weight(Disc(0j, R), Radial(chord, None, label=f"ball3d:{R}"), positive_on=Disc(0j, R))
+    """Weight from collapsing the indicator of the ball of radius R along x3:
+    the Chord 2 sqrt(R^2 - |z|^2) on the disc shadow, in closed form at the
+    working precision. It depends on |z| only, so the diagonal moment path
+    applies."""
+    chord = Chord(float(R))
+    return Weight(Disc(0j, chord.R), chord)
 
 
 def weight_to_config(w: Weight) -> dict:
     d = w.density
-    if isinstance(d, Constant):
-        dens = {"kind": "constant", "c": d.c}
-    elif isinstance(d, Radial) and d.label.startswith("power:"):
-        dens = {"kind": "radial", "profile": d.label}
-    elif isinstance(d, Radial) and d.label.startswith("ball3d:"):
-        return {"support": "auto", "density": {"kind": "ball3d_reduction", "R": float(d.label.split(":", 1)[1])}}
+    if isinstance(d, Chord):
+        return {"support": "auto", "density": {"kind": "ball3d_reduction", "R": d.R}}
+    if isinstance(d, Power):
+        dens = {"kind": "radial", "profile": f"power:{d.k}"}
     else:
-        raise ValueError("weight has no config form (callable density)")
+        dens = {"kind": "constant", "c": d.c}
     return {"support": region_to_config(w.support), "density": dens}

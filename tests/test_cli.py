@@ -270,6 +270,20 @@ def test_toeplitz_ball_oracle_full_precision(tmp_path, capsys):
     assert int(summary["trusted_count"]) == 13
 
 
+def test_toeplitz_oracle_general_field_full_precision(tmp_path, capsys):
+    # at b0 != 2 the table is built at the field itself, so the spectrum
+    # holds to the working precision there as it does at b0 = 2
+    cfg = write_config(tmp_path / "toep.json", {
+        "weight": UNIT_DISC_WEIGHT, "q": 1, "b0": 3.0, "N": 24, "precision_bits": 128,
+    })
+    code, out, err = run_cli(
+        ["toeplitz", "--config", cfg, "--oracle", "--format", "json"], capsys)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert float(summary["b0"]) == 3.0
+    assert float(summary["max_oracle_rel_dev"]) < 1e-30
+
+
 def test_toeplitz_oracle_rejects_offcenter(tmp_path, capsys):
     cfg = write_config(tmp_path / "toep.json", {
         "weight": {

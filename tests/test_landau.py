@@ -18,14 +18,13 @@ from landaucap.landau import (
     lemma1_sequences,
     level_q_matrix,
     radial_oracle,
-    rescaled_weight,
     spectrum,
     theorem_predictions,
     toeplitz_spectrum,
 )
 from landaucap.orthopoly import monic_orthogonalize, rho_estimates
 from landaucap.region import Annulus, Disc, Polygon, region_key
-from landaucap.weight import Constant, Radial, Weight, mixed_moments
+from landaucap.weight import Constant, Power, Weight, ball_reduction_weight, mixed_moments
 
 UNIT_DISC = Weight(Disc(0j, 1.0), Constant(1.0))
 SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
@@ -349,14 +348,14 @@ def test_radial_oracle_requires_centered_radial():
     for w in (
         Weight(Disc(0.3 + 0j, 1.0), Constant(1.0)),
         Weight(SQUARE, Constant(1.0)),
-        Weight(Disc(0.3 + 0j, 1.0), Radial(lambda r: 1 + r)),
+        Weight(Disc(0.3 + 0j, 1.0), Power(2)),
     ):
         with pytest.raises(ValueError, match="oracle requires centered radial weight"):
             radial_oracle(w, 2.0, 4)
 
 
 def test_radial_oracle_profile_quadrature():
-    v = Weight(Disc(0j, 1.0), Radial(lambda r: r * r, poly_degree=2, label="rsq"))
+    v = Weight(Disc(0j, 1.0), Power(2))
     sp = radial_oracle(v, 2.0, 6, 192)
     with mp.workprec(256):
         exact = sorted((g(n + 2, 1) / mp.factorial(n) for n in range(7)), reverse=True)
@@ -414,7 +413,7 @@ def test_level_q_oracle_matches_matrix():
         (UNIT_DISC, 1, 2.0, 16, 192),
         (UNIT_DISC, 2, 2.0, 12, 192),
         (Weight(Annulus(0j, 0.5, 1.2), Constant(1.0)), 1, 3.0, 8, 160),
-        (Weight(Disc(0j, 1.0), Radial(lambda r: r * r, poly_degree=2, label="rsq")), 1, 2.0, 8, 160),
+        (Weight(Disc(0j, 1.0), Power(2)), 1, 2.0, 8, 160),
     ]
     for w, q, b0, N, p in cases:
         sp = toeplitz_spectrum(w, q, b0, N, p)
@@ -435,18 +434,11 @@ def test_level_q_oracle_validation():
 
 # --------------------------------------------------------- field rescaling
 
-def test_rescaled_weight_geometry():
-    v = Weight(Disc(0.3 + 0j, 0.8), Constant(1.0))
-    u = rescaled_weight(v, 8.0)  # eta = 2
-    assert u.support == Disc(0.6 + 0j, 1.6)
-    assert rescaled_weight(v, 2.0) is v
-    with pytest.raises(ValueError, match="b0 must be positive"):
-        rescaled_weight(v, 0.0)
-
-
-def test_rescaling_consistency_against_direct_normalization():
-    # same spectrum from the internal b0 -> 2 reduction and from normalizing
-    # the field-b0 Gaussian moments directly (reduction exact, quadrature not)
+def test_general_b0_assembly_against_direct_normalization():
+    # same spectrum from level_q_matrix, which folds eta = sqrt(b0/2) into
+    # its unscaling powers and prefactor, and from normalizing the field-b0
+    # Gaussian moments directly in log form; both read one table, so only
+    # rounding separates them
     b0 = 3.7
     v = Weight(Disc(0.3 + 0j, 0.8), Constant(1.0))
     sp_int = toeplitz_spectrum(v, 0, b0, 8, 128)
@@ -465,7 +457,7 @@ def test_rescaling_consistency_against_direct_normalization():
         nt = min(sp_int.trusted_count, sp_dir.trusted_count)
         assert nt > 5
         for a, b in zip(sp_int.eigenvalues()[:nt], sp_dir.eigenvalues()[:nt]):
-            assert abs(a - b) / b < mp.mpf(10) ** -10
+            assert abs(a - b) / b < mp.mpf(10) ** -30
 
 
 def test_general_b0_radial_closed_form():
@@ -478,7 +470,19 @@ def test_general_b0_radial_closed_form():
         for a, b in zip(orc.eigenvalues(), exact):
             assert abs(a - b) / b < mp.mpf(10) ** -35
         for a, b in zip(mat.eigenvalues(), exact):
-            assert abs(a - b) / b < mp.mpf(10) ** -12
+            assert abs(a - b) / b < mp.mpf(10) ** -35
+
+
+def test_general_b0_ball_chord_matches_oracle():
+    # level 1 at b0 = 3 on the ball chord: the tanh-sinh table built at b0
+    # against the Laguerre quadrature of the oracle, to the working precision
+    w = ball_reduction_weight(1.0)
+    sp = toeplitz_spectrum(w, 1, 3.0, 16, 256)
+    orc = radial_oracle(w, 3.0, 16, 256, q=1)
+    assert sp.trusted_count == orc.trusted_count == 17
+    with mp.workprec(256):
+        for a, b in zip(sp.eigenvalues(), orc.eigenvalues()):
+            assert abs(a - b) / b < mp.mpf(10) ** -70
 
 
 # ------------------------------------------------------- asymptotic reports

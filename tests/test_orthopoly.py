@@ -12,13 +12,11 @@ import pytest
 from mpmath import mp
 
 from landaucap.errors import DegenerateMomentError
-from landaucap.region import Annulus, Disc, Polygon, contains, convex_hull, dilate
+from landaucap.region import Annulus, Disc, Polygon, capacity_known, contains, convex_hull, dilate
 from landaucap.weight import (
     Constant,
     MomentTable,
-    Radial,
     Weight,
-    ball_reduction_weight,
     mixed_moments,
 )
 from landaucap.orthopoly import (
@@ -26,7 +24,6 @@ from landaucap.orthopoly import (
     monic_orthogonalize,
     orthogonality_defect,
     rho_estimates,
-    theoretical_bounds,
     zeros,
 )
 
@@ -211,14 +208,14 @@ def test_rho_estimates_validation():
 
 
 def test_rho_envelope_vs_capacity_bounds():
-    # extrapolated rho_+ estimate within 5% above the capacity-squared ceiling
+    # extrapolated rho within 5% of the squared capacity of the support
     w = Weight(Disc(0j, 1.3), Constant(1.0))
     basis = monic_orthogonalize(mixed_moments(w, "plain", 32, precision_bits=256))
     est = rho_estimates(basis, 1)
-    lo, hi = theoretical_bounds(w)
+    cap2 = mp.mpf(capacity_known(w.support)) ** 2
     with mp.workprec(100):
-        assert est.extrapolated <= (1 + 0.05) * hi
-        assert est.extrapolated >= (1 - 0.05) * lo
+        assert est.extrapolated <= (1 + 0.05) * cap2
+        assert est.extrapolated >= (1 - 0.05) * cap2
 
 
 # -------------------------------------------------------------------- zeros
@@ -282,28 +279,3 @@ def test_degenerate_moment_matrix_message():
     )
     with pytest.raises(DegenerateMomentError, match="degree 1"):
         monic_orthogonalize(zero_diag)
-
-
-# ------------------------------------------------------------------- bounds
-
-def test_theoretical_bounds_disc_and_ball():
-    w = Weight(Disc(0.2 + 0.2j, 1.4), Constant(1.0))
-    lo, hi = theoretical_bounds(w)
-    with mp.workprec(80):
-        assert abs(lo - mp.mpf(1.4) ** 2) < mp.mpf(10) ** -15
-        assert lo == hi
-    wb = ball_reduction_weight(1.0)
-    lo, hi = theoretical_bounds(wb)
-    assert lo == hi == 1
-
-
-def test_theoretical_bounds_estimator_callback():
-    w = Weight(Annulus(0j, 0.5, 2.0), Constant(1.0))
-    lo, hi = theoretical_bounds(w, capacity_estimator=lambda reg: reg.outer)
-    assert lo == hi == 4
-
-
-def test_theoretical_bounds_unsupported_density():
-    w = Weight(Disc(0j, 1.0), Radial(lambda r: 1 + r))
-    with pytest.raises(ValueError, match="not derivable"):
-        theoretical_bounds(w)

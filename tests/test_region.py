@@ -109,6 +109,14 @@ def test_polygon_rejects_degenerate():
         Polygon((0j, 1 + 0j, 1 + 0j, 1j))  # repeated vertex
     with pytest.raises(ValueError):
         Polygon((0j, 1 + 1j, 1 + 0j, 1j))  # bowtie
+    # non-finite points: construction alone must fail, before any table work
+    inf, nan = float("inf"), float("nan")
+    for build in (lambda: Disc(complex(inf, 0), 1.0),
+                  lambda: Annulus(complex(nan, 0), 0.5, 1.0),
+                  lambda: Polygon((0j, 1 + 0j, complex(inf, 1))),
+                  lambda: Polygon((0j, 1 + 0j, complex(1, nan)))):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
 
 
 # ---------------------------------------------------------- boundary_points

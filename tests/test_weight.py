@@ -8,6 +8,7 @@ of the solid ball.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
@@ -15,10 +16,12 @@ from mpmath import mp
 import landaucap.weight as weight_module
 from landaucap.errors import DegenerateMomentError, NonConvergenceError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius, region_to_config
+from landaucap._mp import _legendre_pair, gauss_legendre
 from landaucap.weight import (
+    Chord,
     Constant,
     MomentTable,
-    Radial,
+    Power,
     UNION_MSG,
     Weight,
     ball_reduction_weight,
@@ -49,6 +52,32 @@ def mass(support, prec=128, density=Constant(1.0)):
 
 # ------------------------------------------------------------ boundary rules
 
+@pytest.mark.parametrize("n", [1, 2, 25, 26])
+def test_gauss_legendre_mirrors_the_refined_half(n):
+    # reference: every float64 seed refined on its own by the same Newton
+    # loop; the rule refines only the nonpositive half and mirrors it, and
+    # must agree with the reference bit for bit
+    prec = 128
+    seeds, _ = np.polynomial.legendre.leggauss(n)
+    ref_x, ref_w = [], []
+    with mp.workprec(prec + 30):
+        eps = mp.mpf(2) ** (-(prec + 10))
+        for x0 in seeds:
+            x = mp.mpf(float(x0))
+            for _ in range(10):
+                p, dp = _legendre_pair(n, x)
+                dx = p / dp
+                x -= dx
+                if abs(dx) <= eps:
+                    break
+            p, dp = _legendre_pair(n, x)
+            ref_x.append(x)
+            ref_w.append(2 / ((1 - x * x) * dp * dp))
+    xs, ws = gauss_legendre(n, prec)
+    assert list(xs) == ref_x
+    assert list(ws) == ref_w
+
+
 def test_disc_area_exact():
     with mp.workprec(128):
         got = mass(Disc(0.2 - 0.1j, 1.3))
@@ -59,7 +88,7 @@ def test_disc_area_exact():
 def test_disc_second_moment():
     # int |z|^2 over unit disc = pi/2
     with mp.workprec(128):
-        got = mass(Disc(0j, 1.0), density=Radial(lambda r: r * r, poly_degree=2, label="power:2"))
+        got = mass(Disc(0j, 1.0), density=Power(2))
         assert abs(got - mp.pi / 2) < mp.mpf(10) ** -35
 
 
@@ -209,7 +238,7 @@ def test_scaled_entries_match_raw():
 
 def test_polynomial_radial_profile():
     # v = |z|^4 on unit disc: mu_aa = 2 pi / (2a + 6)
-    w = Weight(Disc(0j, 1.0), Radial(lambda r: r ** 4, poly_degree=4, label="power:4"))
+    w = Weight(Disc(0j, 1.0), Power(4))
     tab = mixed_moments(w, "plain", 10, precision_bits=128)
     with mp.workprec(150):
         for a in range(11):
@@ -293,10 +322,14 @@ def test_mixed_moments_validation():
 def test_degenerate_weight_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         Weight(Disc(0j, 1.0), Constant(0.0))
-    with pytest.raises(ValueError, match="degenerate"):
-        Weight(Disc(0j, 1.0), Radial(lambda r: 0 * r))
-    with pytest.raises(ValueError, match="nonnegative"):
-        Weight(Disc(0j, 1.0), Radial(lambda r: r - 1))
+    with pytest.raises(ValueError, match="k >= 0"):
+        Power(-1)
+    for R in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ball radius"):
+            Chord(R)
+    for support in (Disc(0j, 2.0), Disc(0.1 + 0j, 1.0), Annulus(0j, 0.5, 1.0)):
+        with pytest.raises(ValueError, match="Disc\\(0, R\\)"):
+            Weight(support, Chord(1.0))
 
 
 @settings(max_examples=12, deadline=None)
@@ -321,8 +354,8 @@ def test_radial_generic_agreement_property(radius, maxdeg):
 # at prec + 128 bits, with S_s from mpmath's incomplete gamma, so any
 # difference is rounding in the kernel. Units are 2^-prec sqrt(G_aa G_bb).
 
-POWER1 = Radial(lambda r: r, poly_degree=1, label="power:1")
-POWER2 = Radial(lambda r: r * r, poly_degree=2, label="power:2")
+POWER1 = Power(1)
+POWER2 = Power(2)
 
 
 def _s_reference(s, x):
@@ -336,7 +369,7 @@ def _reference_table(w, rule, kind, maxdeg, b0):
     half_k = mp.mpf(weight_module._power(w.density)) / 2
     zs = [mp.mpc(z) for z in rule.nodes]
     us = [z / R0 for z in zs]
-    xs = [mp.mpf(weight_module._density_value(w.density, z)) * R0 * dz / mp.mpc(0, 2)
+    xs = [w.density.value(abs(z)) * R0 * dz / mp.mpc(0, 2)
           for z, dz in zip(zs, rule.steps)]
     ys = [[_s_reference(b + half_k, beta * abs(z) ** 2) * u ** (b + 1) for z, u in zip(zs, us)]
           for b in range(maxdeg + 1)]
@@ -560,12 +593,6 @@ def test_odd_power_on_a_circle_through_the_origin_raises():
             mixed_moments(Weight(support, POWER1), "plain", 2, 64)
 
 
-def test_non_power_profile_off_centre_rejected():
-    w = Weight(Disc(0.7 + 0j, 1.0), Radial(lambda r: 1 + r))
-    with pytest.raises(ValueError, match="centred at 0"):
-        mixed_moments(w, "plain", 2, 64)
-
-
 # ----------------------------------------------------------- ball reduction
 
 def test_ball_chord_profile():
@@ -574,7 +601,7 @@ def test_ball_chord_profile():
         for x in (0.0, 0.3, 0.65, 0.95):
             z = mp.mpc(x, 0.2)
             exact = 2 * mp.sqrt(1 - abs(z) ** 2)
-            assert abs(w.density.profile(abs(z)) - exact) < mp.mpf(10) ** -10
+            assert abs(w.density.value(abs(z)) - exact) < mp.mpf(10) ** -10
 
 
 @pytest.mark.parametrize("prec,maxdeg", [(64, 20), (128, 40), (256, 49)])
@@ -619,15 +646,17 @@ def test_ball_mass_conservation():
 # ------------------------------------------------------------------ configs
 
 def test_weight_config_round_trips():
+    # the density half of each key is pinned: predict prints the keys
     recs = [
-        {"support": {"shape": "disc", "center": [0.0, 0.0], "radius": 1.0},
-         "density": {"kind": "constant", "c": 2.0}},
-        {"support": {"shape": "disc", "center": [0.0, 0.0], "radius": 1.0},
-         "density": {"kind": "radial", "profile": "power:3"}},
-        {"density": {"kind": "ball3d_reduction", "R": 1.0}},
+        ({"support": {"shape": "disc", "center": [0.0, 0.0], "radius": 1.0},
+          "density": {"kind": "constant", "c": 2.0}}, "const:2.0"),
+        ({"support": {"shape": "disc", "center": [0.0, 0.0], "radius": 1.0},
+          "density": {"kind": "radial", "profile": "power:3"}}, "radial:power:3:3"),
+        ({"density": {"kind": "ball3d_reduction", "R": 0.7}}, "radial:ball3d:0.7:None"),
     ]
-    for rec in recs:
+    for rec, density_key in recs:
         w = weight_from_config(rec)
+        assert weight_key(w).split("|")[0] == density_key
         back = weight_to_config(w)
         w2 = weight_from_config(back)
         assert weight_key(w2) == weight_key(w)
