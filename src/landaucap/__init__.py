@@ -41,8 +41,6 @@ from .region import (
     bounding_radius,
     capacity_known,
     contains,
-    convex_hull,
-    dilate,
     region_from_config,
     region_key,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "capacity_estimate",
     "capacity_known",
     "contains",
-    "convex_hull",
-    "dilate",
     "lemma1_sequences",
     "level_q_matrix",
     "mixed_moments",

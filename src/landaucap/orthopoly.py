@@ -2,9 +2,8 @@
 
 Gram-Schmidt is performed implicitly through a Cholesky factorization of the
 moment matrix: the n-th pivot is the squared minimal norm M_n among monic
-degree-n polynomials, and back-substitution recovers the minimizer's
-coefficients. The n-th-root sequence M_n^{1/n} estimates the decay rate
-rho, with a three-parameter tail fit for extrapolation.
+degree-n polynomials. The n-th-root sequence M_n^{1/n} estimates the decay
+rate rho, with a three-parameter tail fit for extrapolation.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Optional
 from mpmath import mp
 
 from ._mp import hermitian_cholesky
-from .errors import DegenerateMomentError, NonConvergenceError
+from .errors import DegenerateMomentError
 from .weight import MomentTable
 
 __all__ = [
@@ -24,16 +23,12 @@ __all__ = [
     "RhoEstimate",
     "monic_orthogonalize",
     "rho_estimates",
-    "zeros",
-    "evaluate",
-    "orthogonality_defect",
 ]
 
 
 @dataclass
 class MonicOrthoBasis:
     maxdeg: int
-    coeffs: list        # row n: coefficients of z^0..z^(n-1) of monic p_n (leading 1 implicit)
     log_norms: list     # log M_n for 0 <= n <= maxdeg, mpf
     source: MomentTable
 
@@ -49,13 +44,13 @@ class RhoEstimate:
 
 
 def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
-    """Monic orthogonal polynomials and their squared norms M_n.
+    """The squared norms M_n of the monic orthogonal polynomials.
 
     The moment table holds prescaled entries for monomials (z/R0)^a; pivots
-    are rescaled back through log M_n += 2n log R0, and coefficients through
-    c_k *= R0^(n-k), so everything reported lives in the plain z basis. The
-    Cholesky is also the table's validity check: a nonpositive pivot, on a
-    diagonal table too, raises DegenerateMomentError.
+    are rescaled back through log M_n += 2n log R0, so the norms reported
+    live in the plain z basis. The Cholesky is also the table's validity
+    check: a nonpositive pivot, on a diagonal table too, raises
+    DegenerateMomentError.
     """
     N = moments.maxdeg
     prec = moments.precision_bits
@@ -63,32 +58,13 @@ def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
         logR0 = mp.log(moments.scale_radius)
         G = [[moments.entry(a, b) for b in range(N + 1)] for a in range(N + 1)]
         try:
-            L, log_pivots = hermitian_cholesky(G, prec)
+            _, log_pivots = hermitian_cholesky(G, prec)
         except DegenerateMomentError as e:
             raise DegenerateMomentError(
                 f"non-positive pivot at degree {e.degree}; raise precision or lower N"
             ) from e
         log_norms = [lp + 2 * n * logR0 for n, lp in enumerate(log_pivots)]
-        coeff_rows = [[]]
-        for n in range(1, N + 1):
-            rhs = [-G[i][n] for i in range(n)]
-            y = [mp.mpc(0)] * n
-            for i in range(n):
-                s = rhs[i]
-                for k in range(i):
-                    s -= L[i][k] * y[k]
-                y[i] = s / L[i][i]
-            c = [mp.mpc(0)] * n
-            for i in range(n - 1, -1, -1):
-                s = y[i]
-                for j in range(i + 1, n):
-                    s -= mp.conj(L[j][i]) * c[j]
-                c[i] = s / mp.conj(L[i][i])
-            # stationarity reads G conj(c) = -g, so the solve above found conj(c)
-            c = [mp.conj(v) for v in c]
-            # undo the monomial prescale: coefficient of z^k gains R0^(n-k)
-            coeff_rows.append([c[k] * moments.scale_radius ** (n - k) for k in range(n)])
-        return MonicOrthoBasis(N, coeff_rows, log_norms, moments)
+        return MonicOrthoBasis(N, log_norms, moments)
 
 
 def rho_estimates(basis: MonicOrthoBasis, n_min: int = 1) -> RhoEstimate:
@@ -124,59 +100,3 @@ def rho_estimates(basis: MonicOrthoBasis, n_min: int = 1) -> RhoEstimate:
         sol = mp.lu_solve(ata, atb)
         extrapolated = mp.exp(sol[0])
         return RhoEstimate(seq, rho_plus, rho_minus, extrapolated, (n_min, N), basis.source.weight_key)
-
-
-def evaluate(basis: MonicOrthoBasis, n: int, z) -> object:
-    """p_n(z) by Horner's rule in the plain z basis."""
-    if not 0 <= n <= basis.maxdeg:
-        raise ValueError("degree outside basis")
-    with mp.workprec(basis.source.precision_bits):
-        z = mp.mpc(z)
-        acc = mp.mpc(1)
-        row = basis.coeffs[n]
-        for k in range(n - 1, -1, -1):
-            acc = acc * z + row[k]
-        return acc
-
-
-def orthogonality_defect(basis: MonicOrthoBasis, j: int, k: int) -> object:
-    """|<p_j, p_k>_v| / sqrt(M_j M_k), recombined from the moment table."""
-    table = basis.source
-    with mp.workprec(table.precision_bits):
-        cj = list(basis.coeffs[j]) + [mp.mpc(1)]
-        ck = list(basis.coeffs[k]) + [mp.mpc(1)]
-        acc = mp.mpc(0)
-        for a in range(j + 1):
-            for b in range(k + 1):
-                acc += cj[a] * mp.conj(ck[b]) * table.raw_entry(a, b)
-        return abs(acc) / mp.exp((basis.log_norms[j] + basis.log_norms[k]) / 2)
-
-
-def zeros(basis: MonicOrthoBasis, n: int) -> list:
-    """Roots of p_n with multiplicity, from companion-matrix eigenvalues."""
-    if not 1 <= n <= basis.maxdeg:
-        raise ValueError("need 1 <= n <= maxdeg")
-    prec = basis.source.precision_bits
-    with mp.workprec(prec):
-        R0 = basis.source.scale_radius
-        # scaled basis u = z/R0 keeps the companion matrix well conditioned
-        cs = [basis.coeffs[n][k] / R0 ** (n - k) for k in range(n)]
-        A = mp.matrix(n, n)
-        for i in range(1, n):
-            A[i, i - 1] = 1
-        for i in range(n):
-            A[i, n - 1] = -cs[i]
-        try:
-            eigs = mp.eig(A, left=False, right=False)
-        except Exception as e:  # pragma: no cover - mpmath failure path
-            raise NonConvergenceError(f"eigenvalue iteration failed at degree {n}") from e
-        if isinstance(eigs, tuple):  # mpmath's 1x1 shortcut ignores the flags
-            eigs = eigs[0]
-        roots = sorted((R0 * u for u in eigs), key=lambda r: (mp.re(r), mp.im(r)))
-        # residual sanity: |p_n(root)| small relative to the coefficient scale
-        scale = max([mp.mpf(1)] + [abs(c) for c in cs])
-        floor = scale * mp.mpf(2) ** (-prec // 4) * 4 ** n
-        for r in roots:
-            if abs(evaluate(basis, n, r)) / R0**n > floor:
-                raise NonConvergenceError(f"zero refinement failed at degree {n}")
-        return roots

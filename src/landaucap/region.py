@@ -21,23 +21,13 @@ __all__ = [
     "UnionRegion",
     "Region",
     "contains",
-    "boundary_points",
-    "convex_hull",
     "bounding_radius",
-    "dilate",
     "affine",
     "capacity_known",
     "region_from_config",
     "region_to_config",
     "region_key",
 ]
-
-# Full pairwise self-intersection validation is O(n^2); above this vertex
-# count (internally generated hulls, dilations) only local checks run.
-_FULL_VALIDATION_LIMIT = 256
-
-# Chord-approximation step for dilation arcs: sec(a/2) <= 1 + 1e-6.
-_ARC_MAX_STEP = 2.0 * math.sqrt(2.0e-6)
 
 
 @dataclass(frozen=True)
@@ -117,11 +107,13 @@ def _signed_area2(vs) -> float:
     return a
 
 
+def _orient(p, q, r) -> float:
+    """Twice the signed area of pqr, positive when r lies left of p -> q."""
+    return (q.real - p.real) * (r.imag - p.imag) - (q.imag - p.imag) * (r.real - p.real)
+
+
 def _seg_intersect(a, b, c, d) -> bool:
     """Proper or improper intersection of open segments ab and cd."""
-
-    def orient(p, q, r):
-        return (q.real - p.real) * (r.imag - p.imag) - (q.imag - p.imag) * (r.real - p.real)
 
     def on_seg(p, q, r):
         return (
@@ -129,8 +121,8 @@ def _seg_intersect(a, b, c, d) -> bool:
             and min(p.imag, q.imag) - 1e-15 <= r.imag <= max(p.imag, q.imag) + 1e-15
         )
 
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
     if ((o1 > 0) != (o2 > 0)) and ((o3 > 0) != (o4 > 0)) and o1 != 0 and o2 != 0 and o3 != 0 and o4 != 0:
         return True
     if o1 == 0 and on_seg(a, b, c):
@@ -149,8 +141,6 @@ def _validate_simple(vs):
     for i in range(n):
         if abs(vs[i] - vs[(i + 1) % n]) == 0.0:
             raise ValueError("polygon has a repeated consecutive vertex")
-    if n > _FULL_VALIDATION_LIMIT:
-        return
     for i in range(n):
         a, b = vs[i], vs[(i + 1) % n]
         for j in range(i + 1, n):
@@ -175,17 +165,17 @@ def _polygon_scale(vs) -> float:
     return max(1.0, max(abs(v) for v in vs))
 
 
-def contains(region: Region, z: complex, tol: float = 0.0) -> bool:
-    """Closed membership test, with optional outward slack tol >= 0."""
+def contains(region: Region, z: complex) -> bool:
+    """Closed membership test; a polygon's edges count within 1e-12 of its scale."""
     z = complex(z)
     if isinstance(region, Disc):
-        return abs(z - region.center) <= region.radius + tol
+        return abs(z - region.center) <= region.radius
     if isinstance(region, Annulus):
         d = abs(z - region.center)
-        return region.inner - tol <= d <= region.outer + tol
+        return region.inner <= d <= region.outer
     if isinstance(region, Polygon):
         vs = region.vertices
-        eps = 1e-12 * _polygon_scale(vs) + tol
+        eps = 1e-12 * _polygon_scale(vs)
         n = len(vs)
         for i in range(n):
             if _dist_to_segment(z, vs[i], vs[(i + 1) % n]) <= eps:
@@ -200,7 +190,7 @@ def contains(region: Region, z: complex, tol: float = 0.0) -> bool:
                     inside = not inside
         return inside
     if isinstance(region, UnionRegion):
-        return any(contains(p, z, tol) for p in region.parts)
+        return any(contains(p, z) for p in region.parts)
     raise TypeError(f"not a region: {region!r}")
 
 
@@ -222,118 +212,6 @@ def _strictly_inside(region: Region, z: complex, margin: float) -> bool:
     raise TypeError(f"not a region: {region!r}")
 
 
-def _perimeter(region: Region) -> float:
-    if isinstance(region, Disc):
-        return 2.0 * math.pi * region.radius
-    if isinstance(region, Annulus):
-        return 2.0 * math.pi * region.outer
-    if isinstance(region, Polygon):
-        vs = region.vertices
-        return sum(abs(vs[(i + 1) % len(vs)] - vs[i]) for i in range(len(vs)))
-    raise TypeError
-
-
-def _single_boundary(region: Region, m: int) -> np.ndarray:
-    if isinstance(region, Disc):
-        k = np.arange(m)
-        return region.center + region.radius * np.exp(2j * np.pi * k / m)
-    if isinstance(region, Annulus):
-        # only the outer circle matters for capacity-type work
-        k = np.arange(m)
-        return region.center + region.outer * np.exp(2j * np.pi * k / m)
-    if isinstance(region, Polygon):
-        vs = region.vertices
-        n = len(vs)
-        lens = np.array([abs(vs[(i + 1) % n] - vs[i]) for i in range(n)])
-        cum = np.concatenate([[0.0], np.cumsum(lens)])
-        L = cum[-1]
-        out = np.empty(m, dtype=complex)
-        targets = np.arange(m) * (L / m)
-        edge = 0
-        for j, s in enumerate(targets):
-            while edge + 1 < n and cum[edge + 1] <= s:
-                edge += 1
-            t = (s - cum[edge]) / lens[edge]
-            a, b = vs[edge], vs[(edge + 1) % n]
-            out[j] = a + t * (b - a)
-        return out
-    raise TypeError
-
-
-def boundary_points(region: Region, m: int) -> np.ndarray:
-    """m points along the outer boundary, near-uniform in arclength."""
-    if m < 8:
-        raise ValueError("need m >= 8 boundary points")
-    if not isinstance(region, UnionRegion):
-        return _single_boundary(region, m)
-
-    parts = region.parts
-    lens = [_perimeter(p) for p in parts]
-    total = sum(lens)
-    factor = 1.0
-    for _ in range(24):
-        kept = []
-        for i, p in enumerate(parts):
-            mi = max(8, math.ceil(m * factor * lens[i] / total))
-            for z in _single_boundary(p, mi):
-                others = (q for j, q in enumerate(parts) if j != i)
-                if not any(_strictly_inside(q, z, 1e-12) for q in others):
-                    kept.append(z)
-        if len(kept) >= m:
-            idx = np.floor(np.arange(m) * (len(kept) / m)).astype(int)
-            return np.array(kept)[idx]
-        factor *= 2.0
-    raise RuntimeError("union boundary sampling failed to accumulate enough points")
-
-
-def _hull_of_points(pts) -> Polygon:
-    """Andrew monotone chain; keeps collinear points so discs stay covered."""
-    arr = sorted(set((z.real, z.imag) for z in pts))
-    if len(arr) < 3:
-        raise ValueError("hull needs at least 3 distinct points")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(points):
-        chain = []
-        for p in points:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) < 0.0:
-                chain.pop()
-            chain.append(p)
-        return chain
-
-    lower = half(arr)
-    upper = half(arr[::-1])
-    ring = lower[:-1] + upper[:-1]
-    return Polygon(tuple(complex(x, y) for x, y in ring))
-
-
-def _disc_hull_points(c: complex, r: float):
-    k = 2048
-    while r * (1.0 / math.cos(math.pi / k) - 1.0) > 1e-6:
-        k *= 2
-    rr = r / math.cos(math.pi / k)
-    ang = 2.0 * np.pi * np.arange(k) / k
-    return list(c + rr * np.exp(1j * ang))
-
-
-def convex_hull(region: Region) -> Polygon:
-    """Convex hull as a Polygon; discs are circumscribed within 1e-6."""
-    if isinstance(region, Disc):
-        return _hull_of_points(_disc_hull_points(region.center, region.radius))
-    if isinstance(region, Annulus):
-        return _hull_of_points(_disc_hull_points(region.center, region.outer))
-    if isinstance(region, Polygon):
-        return _hull_of_points(region.vertices)
-    if isinstance(region, UnionRegion):
-        pts = []
-        for p in region.parts:
-            pts.extend(convex_hull(p).vertices)
-        return _hull_of_points(pts)
-    raise TypeError(f"not a region: {region!r}")
-
-
 def bounding_radius(region: Region) -> float:
     """max |z| over the region, exactly."""
     if isinstance(region, Disc):
@@ -344,74 +222,6 @@ def bounding_radius(region: Region) -> float:
         return max(abs(v) for v in region.vertices)
     if isinstance(region, UnionRegion):
         return max(bounding_radius(p) for p in region.parts)
-    raise TypeError(f"not a region: {region!r}")
-
-
-def _is_convex(vs) -> bool:
-    n = len(vs)
-    scale = _polygon_scale(vs) ** 2
-    for i in range(n):
-        a, b, c = vs[i], vs[(i + 1) % n], vs[(i + 2) % n]
-        cr = (b.real - a.real) * (c.imag - b.imag) - (b.imag - a.imag) * (c.real - b.real)
-        if cr < -1e-12 * scale:
-            return False
-    return True
-
-
-def _dilate_convex_polygon(vs, delta: float) -> Polygon:
-    n = len(vs)
-    dirs = [(vs[(i + 1) % n] - vs[i]) / abs(vs[(i + 1) % n] - vs[i]) for i in range(n)]
-    normals = [-1j * d for d in dirs]  # outward for counterclockwise
-    out = []
-    for i in range(n):
-        v = vs[i]
-        n_prev, n_next = normals[(i - 1) % n], normals[i]
-        span = math.atan2(
-            n_prev.real * n_next.imag - n_prev.imag * n_next.real,
-            n_prev.real * n_next.real + n_prev.imag * n_next.imag,
-        )
-        span = max(span, 0.0)
-        steps = max(1, math.ceil(span / _ARC_MAX_STEP))
-        rr = delta / math.cos(span / steps / 2.0)
-        th0 = math.atan2(n_prev.imag, n_prev.real)
-        for j in range(steps + 1):
-            th = th0 + span * j / steps
-            out.append(v + rr * complex(math.cos(th), math.sin(th)))
-    return Polygon(tuple(out))
-
-
-def _edge_strip(a: complex, b: complex, delta: float) -> Polygon:
-    d = (b - a) / abs(b - a)
-    nrm = -1j * d
-    return Polygon((a - delta * nrm, b - delta * nrm, b + delta * nrm, a + delta * nrm))
-
-
-def dilate(region: Region, delta: float) -> Region:
-    """Closed delta-neighbourhood; exact for discs/annuli, within a relative
-    1e-6 outward chord slack at polygon corners."""
-    if delta < 0.0:
-        raise ValueError("dilation distance must be >= 0")
-    if delta == 0.0:
-        return region
-    if isinstance(region, Disc):
-        return Disc(region.center, region.radius + delta)
-    if isinstance(region, Annulus):
-        if region.inner - delta > 0.0:
-            return Annulus(region.center, region.inner - delta, region.outer + delta)
-        return Disc(region.center, region.outer + delta)
-    if isinstance(region, Polygon):
-        vs = region.vertices
-        if _is_convex(vs):
-            return _dilate_convex_polygon(vs, delta)
-        # non-convex: exact Minkowski sum as a union (not quadrable, fine for
-        # membership and boundary work)
-        n = len(vs)
-        parts = [region]
-        parts += [_edge_strip(vs[i], vs[(i + 1) % n], delta) for i in range(n)]
-        parts += [Disc(v, delta) for v in vs]
-        return UnionRegion(tuple(parts))
-    if isinstance(region, UnionRegion):
-        return UnionRegion(tuple(dilate(p, delta) for p in region.parts))
     raise TypeError(f"not a region: {region!r}")
 
 

@@ -35,6 +35,7 @@ from .region import (
     region_from_config,
     region_key,
     region_to_config,
+    _orient,
     _real,
     _strictly_inside,
 )
@@ -54,6 +55,8 @@ __all__ = [
 
 DEGENERATE_MSG = "moment table numerically degenerate; increase precision"
 UNION_MSG = "union parts must be pairwise disjoint for quadrature"
+# union parts may overlap by at most this distance and still count as touching
+_TOUCH = 1e-12
 ODD_POWER_MSG = ("an odd power |z|^k is not smooth where the boundary passes through the "
                  "origin: the boundary rule would need more than {} nodes on one circle or edge")
 # per circle or edge; the Gram kernel holds about 4 maxdeg integers per node
@@ -239,21 +242,64 @@ def _bounding_circle(region: Region):
     raise TypeError
 
 
+def _boundary_pieces(part: Region):
+    """A part's boundary as edges (a, b) and circles (centre, radius)."""
+    if isinstance(part, Polygon):
+        vs = part.vertices
+        return list(zip(vs, vs[1:] + vs[:1])), []
+    if isinstance(part, Disc):
+        return [], [(part.center, part.radius)]
+    return [], [(part.center, r) for r in (part.inner, part.outer) if r > 0]
+
+
+def _edges_cross(a, b, c, d) -> bool:
+    """Segments ab and cd cross where each endpoint clears the other's line."""
+    o1, o2 = _orient(a, b, c), _orient(a, b, d)
+    o3, o4 = _orient(c, d, a), _orient(c, d, b)
+    return ((o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0)
+            and min(abs(o1), abs(o2)) > _TOUCH * abs(b - a)
+            and min(abs(o3), abs(o4)) > _TOUCH * abs(d - c))
+
+
+def _edge_crosses_circle(a, b, c, r) -> bool:
+    """Segment ab crosses the circle |z - c| = r away from ab's endpoints."""
+    length = abs(b - a)
+    w = (c - a) * (b - a).conjugate() / length
+    foot, dist = w.real, abs(w.imag)  # c's position along ab and its distance from the line
+    if dist >= r - _TOUCH:
+        return False
+    half = math.sqrt(r * r - dist * dist)
+    return any(_TOUCH < t < length - _TOUCH for t in (foot - half, foot + half))
+
+
+def _circles_cross(c1, r1, c2, r2) -> bool:
+    return abs(r1 - r2) + _TOUCH < abs(c1 - c2) < r1 + r2 - _TOUCH
+
+
 def _disjoint(a: Region, b: Region) -> bool:
+    """Whether two parts share no interior point; touching parts count as disjoint.
+
+    Interiors meet when the boundaries cross, when a point of one boundary
+    piece (an edge's midpoint, a circle's point at angle 0) lies strictly
+    inside the other part, or when one part's interior point does. Overlaps
+    thinner than _TOUCH count as touching.
+    """
     ca, ra = _bounding_circle(a)
     cb, rb = _bounding_circle(b)
     if abs(ca - cb) >= ra + rb - 1e-15:
         return True
-    if isinstance(a, Disc) and isinstance(b, Disc):
-        return abs(a.center - b.center) >= a.radius + b.radius - 1e-15
-    from .region import boundary_points  # local import to dodge cycles
-
-    for first, second in ((a, b), (b, a)):
-        if _strictly_inside(second, _rep_point(first), 1e-12):
+    edges_a, circles_a = _boundary_pieces(a)
+    edges_b, circles_b = _boundary_pieces(b)
+    if (any(_edges_cross(p, q, s, t) for p, q in edges_a for s, t in edges_b)
+            or any(_edge_crosses_circle(p, q, c, r) for p, q in edges_a for c, r in circles_b)
+            or any(_edge_crosses_circle(p, q, c, r) for p, q in edges_b for c, r in circles_a)
+            or any(_circles_cross(*ka, *kb) for ka in circles_a for kb in circles_b)):
+        return False
+    for first, second, edges, circles in ((a, b, edges_a, circles_a), (b, a, edges_b, circles_b)):
+        points = ([_rep_point(first)] + [(p + q) / 2 for p, q in edges]
+                  + [c + r for c, r in circles])
+        if any(_strictly_inside(second, z, _TOUCH) for z in points):
             return False
-        for z in boundary_points(first, 512):
-            if _strictly_inside(second, complex(z), 1e-12):
-                return False
     return True
 
 

@@ -67,5 +67,5 @@ def test_ball_reduction_weight_and_predictions():
 
 
 def test_invariant_property_suite():
-    # zeros in the hull, monotonicity, covariance, interlacing, determinism
+    # panel masses, monotonicity, covariance, interlacing, determinism
     gate("invariant property suite", property_checks())

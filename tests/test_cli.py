@@ -186,6 +186,22 @@ def test_orthopoly_tail_window_guard(tmp_path, capsys):
     assert "tail window" in err
 
 
+def test_orthopoly_overlapping_union_exits_2(tmp_path, capsys):
+    # two thin crossed rectangles: no vertex of either lies inside the other
+    def rect(x0, x1, y0, y1):
+        return {"shape": "polygon", "vertices": [[x0, y0], [x1, y0], [x1, y1], [x0, y1]]}
+
+    cfg = write_config(tmp_path / "crossed.json", {
+        "weight": {"support": {"shape": "union", "parts": [rect(-100, 100, -0.1, 0.1),
+                                                           rect(50, 50.02, -100, 10)]},
+                   "density": {"kind": "constant"}},
+        "N": 12,
+    })
+    code, out, err = run_cli(["orthopoly", "--config", cfg], capsys)
+    assert code == 2
+    assert "pairwise disjoint" in err
+
+
 def test_orthopoly_degenerate_moments_exit_4(tmp_path, capsys):
     # two tiny far-apart discs: Gram matrix falls below working precision
     cfg = write_config(tmp_path / "degen.json", {

@@ -123,18 +123,26 @@ def test_l_shape_area():
 
 
 def test_union_quadrature_disjoint():
-    u = UnionRegion((Disc(0j, 1.0), Disc(5 + 0j, 0.5)))
+    # apart, a disc in an annulus's hole, and a disc tangent to a square
+    sq = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
     with mp.workprec(128):
-        area = mp.pi * (1 + mp.mpf(0.25))
-        assert abs(mass(u) - area) / area < mp.mpf(10) ** -35
+        for parts, area in (((Disc(0j, 1.0), Disc(5 + 0j, 0.5)), mp.pi * (1 + mp.mpf(0.25))),
+                            ((Annulus(0j, 0.5, 1.0), Disc(0j, 0.4)),
+                             mp.pi * (1 - mp.mpf(0.25) + mp.mpf(0.4) ** 2)),
+                            ((sq, Disc(1.5 + 0.5j, 0.5)), 1 + mp.pi / 4)):
+            assert abs(mass(UnionRegion(parts)) - area) / area < mp.mpf(10) ** -35
 
 
 def test_union_quadrature_rejects_overlap():
-    # identical or nested parts share no boundary crossing; an interior point
-    # of one part strictly inside the other gives them away
+    # crossing boundaries give an overlap away; identical or nested parts
+    # share no crossing, and a boundary or interior point of one part
+    # strictly inside the other gives them away
     sq = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
     inner = Polygon((0.25 + 0.25j, 0.75 + 0.25j, 0.5 + 0.75j))
-    for parts in ((Disc(0j, 1.0), Disc(1 + 0j, 1.0)), (sq, sq), (sq, inner), (L_SHAPE, L_SHAPE)):
+    wide = Polygon((-100 - 0.1j, 100 - 0.1j, 100 + 0.1j, -100 + 0.1j))
+    tall = Polygon((50 - 100j, 50.02 - 100j, 50.02 + 10j, 50 + 10j))
+    for parts in ((Disc(0j, 1.0), Disc(1 + 0j, 1.0)), (sq, sq), (sq, inner), (L_SHAPE, L_SHAPE),
+                  (wide, tall), (Annulus(0j, 0.5, 1.0), Disc(0j, 0.6))):
         with pytest.raises(ValueError, match="pairwise disjoint"):
             mass(UnionRegion(parts), 64)
 
