@@ -47,6 +47,19 @@ def test_disc_minimal_norms_closed_form():
                 assert abs(got - exact) / exact < mp.mpf(10) ** -15
 
 
+def test_disc_minimizers_are_monomials():
+    # the centred disc's Gram matrix is diagonal, so the minimizers are the
+    # monomials and each pivot M_n is the diagonal moment itself
+    basis = disc_basis(radius=1.5, maxdeg=12)
+    tab = basis.source
+    with mp.workprec(140):
+        for a in range(13):
+            for b in range(a):
+                assert tab.entry(a, b) == 0
+            exact = mp.log(tab.raw_entry(a, a))
+            assert abs(basis.log_norms[a] - exact) < mp.mpf(10) ** -30
+
+
 def test_mass_is_degree_zero_norm():
     w = Weight(Disc(0.3 + 0.7j, 1.1), Constant(1.0))
     tab = mixed_moments(w, "plain", 4, precision_bits=128)
@@ -97,6 +110,17 @@ def test_support_monotonicity():
     b_big = disc_basis(radius=1.2, maxdeg=10)
     for n in range(11):
         assert b_small.log_norms[n] < b_big.log_norms[n]
+
+
+def test_translation_covariance_of_minimizers():
+    # p(z - a) is monic whenever p is, so translation leaves every M_n alone
+    base = square_basis(maxdeg=10)
+    a = 0.5 - 0.25j  # dyadic, so the moved vertices are exact
+    moved = Polygon(tuple(v + a for v in UNIT_SQUARE.vertices))
+    w = Weight(moved, Constant(1.0))
+    shifted = monic_orthogonalize(mixed_moments(w, "plain", 10, precision_bits=128))
+    for n in range(11):
+        assert abs(shifted.log_norms[n] - base.log_norms[n]) < mp.mpf(10) ** -20
 
 
 def test_trivial_degree_step_bound():

@@ -15,6 +15,7 @@ from landaucap.region import (
     region_from_config,
     region_to_config,
 )
+from landaucap.weight import _build_rule
 
 UNIT_SQUARE = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
 L_SHAPE = Polygon((0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j))
@@ -26,6 +27,38 @@ SAMPLE_REGIONS = [
     L_SHAPE,
     UnionRegion((Disc(-2 + 0j, 0.5), Disc(2 + 0j, 0.5))),
 ]
+
+
+def boundary_distance(region, z):
+    if isinstance(region, Disc):
+        return abs(abs(z - region.center) - region.radius)
+    if isinstance(region, Annulus):
+        d = abs(z - region.center)
+        return min(abs(d - region.inner), abs(d - region.outer))
+    if isinstance(region, Polygon):
+        vs = region.vertices
+        n = len(vs)
+        best = math.inf
+        for i in range(n):
+            a, b = vs[i], vs[(i + 1) % n]
+            ab = b - a
+            t = min(1.0, max(0.0, ((z - a).real * ab.real + (z - a).imag * ab.imag) / abs(ab) ** 2))
+            best = min(best, abs(z - (a + t * ab)))
+        return best
+    if isinstance(region, UnionRegion):
+        return min(boundary_distance(p, z) for p in region.parts)
+    raise TypeError
+
+
+def rule_size(region, degree):
+    """Node count of the boundary rule: degree + 2 per circle, degree // 2 + 1 per edge."""
+    if isinstance(region, Disc):
+        return degree + 2
+    if isinstance(region, Annulus):
+        return 2 * (degree + 2)
+    if isinstance(region, Polygon):
+        return len(region.vertices) * (degree // 2 + 1)
+    return sum(rule_size(p, degree) for p in region.parts)
 
 
 # ---------------------------------------------------------------- contains
@@ -86,6 +119,19 @@ def test_polygon_rejects_degenerate():
                   lambda: Polygon((0j, 1 + 0j, complex(1, nan)))):
         with pytest.raises(ValueError, match="must be finite"):
             build()
+
+
+# ------------------------------------------------------- boundary rule nodes
+
+@pytest.mark.parametrize("region", SAMPLE_REGIONS)
+@pytest.mark.parametrize("m", [8, 33, 128])
+def test_boundary_points_on_boundary(region, m):
+    # the nodes that boundary-path moment tables integrate over
+    rule = _build_rule(region, m, 64)
+    assert len(rule.nodes) == len(rule.steps) == rule_size(region, m)
+    scale = max(1.0, bounding_radius(region))
+    for z in rule.nodes:
+        assert boundary_distance(region, complex(z)) <= 1e-12 * scale
 
 
 # ----------------------------------------------------------- bounding radius
