@@ -119,7 +119,8 @@ def hermitian_cholesky(g, prec: int):
 
 # Fraction bits a fixed-point computation carries past the precision it
 # needs: past that of its result plus the bit length of the term count in a
-# sum, past twice the working precision in the Jacobi eigen-solve.
+# sum, past twice the working precision in the Householder reduction of the
+# eigen-solve.
 FIXED_GUARD_BITS = 32
 
 

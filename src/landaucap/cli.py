@@ -181,7 +181,7 @@ def cmd_toeplitz(cfg: dict, precision: int, fmt: str, output: Optional[str],
             rows.append(row)
         summary = [("trusted_count", sp.trusted_count),
                    ("matrix_residual", _dec(sp.matrix_residual, 6)),
-                   ("jacobi_sweeps", sp.sweeps),
+                   ("eigen_solve", sp.eigen_solve),
                    ("q", q), ("b0", _dec(b0, digits))]
         if orc is not None:
             summary.append(("max_oracle_rel_dev", _dec(max_dev, 6)))

@@ -2,11 +2,13 @@
 
 The compression of multiplication by a compactly supported weight v onto the
 q-th Landau level is represented by its top-left (N+1)x(N+1) block in the
-normalized level basis.  The block is assembled from Gaussian mixed moments
-and diagonalized by a cyclic complex Jacobi sweep on fixed-point Python
-integers at 2p + 32 bits (p the working precision), each eigenvalue rounded
-once to p bits; the resulting eigenvalues s_n feed the n-th-root sequences
-that the minimal-norm and capacity machinery is asymptotically equal to.
+normalized level basis.  The block is assembled from Gaussian mixed moments,
+reduced to a real tridiagonal matrix by Householder reflections on
+fixed-point Python integers at 2p + 32 bits (p the working precision), and
+the tridiagonal solved by mpmath's implicit QL at 2p + 52 bits, each
+eigenvalue rounded once to p bits; the resulting eigenvalues s_n feed the
+n-th-root sequences that the minimal-norm and capacity machinery is
+asymptotically equal to.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_cholesky, to_fixed
 from .chebyshev import CapacityEstimate
@@ -48,9 +51,6 @@ __all__ = [
 TRUST_MSG = "raise precision to extend the trusted spectral tail"
 ORACLE_MSG = "oracle requires centered radial weight"
 
-_MAX_SWEEPS = 60
-
-
 @dataclass(frozen=True)
 class LandauBasisSpec:
     q: int
@@ -70,20 +70,21 @@ class LandauBasisSpec:
 class ToeplitzSpectrum:
     spec: LandauBasisSpec
     log_eigs: tuple         # log s_n descending, mpf (-inf for nonpositive noise)
-    matrix_residual: float  # max of Hermiticity defect and final off-diagonal mass
+    matrix_residual: float  # max of Hermiticity defect and Frobenius-norm gap / trace
     trusted_count: int      # eigenvalues above s_1 * 10^(-p/3)
     precision_bits: int     # p, the working precision of the run
-    sweeps: int = 0         # Jacobi sweeps run; 0 for a diagonal input or an oracle
+    eigen_solve: str        # "diagonal", or "householder-ql" for a dense block
+    eigs: tuple             # s_n descending, each rounded once to p (0 for nonpositive noise)
 
     def eigenvalues(self):
         """s_1 >= s_2 >= ... as mpf at the run's precision (nonpositive noise
-        entries collapse to 0)."""
-        with mp.workprec(self.precision_bits):
-            return tuple(mp.exp(lg) for lg in self.log_eigs)
+        entries collapse to 0), not read back from log_eigs, whose rounding
+        would cost log2|log s_n| bits."""
+        return self.eigs
 
 
 def _sorted_spectrum(spec: LandauBasisSpec, eigs, residual: float,
-                     precision_bits: int, sweeps: int) -> ToeplitzSpectrum:
+                     precision_bits: int, eigen_solve: str) -> ToeplitzSpectrum:
     """Sort eigenvalues descending, count those above s_1 * 10^(-p/3) and
     take logs, all at the caller's working precision."""
     eigs = sorted(eigs, reverse=True)
@@ -93,7 +94,9 @@ def _sorted_spectrum(spec: LandauBasisSpec, eigs, residual: float,
         floor = s1 * mp.mpf(10) ** (-(precision_bits / mp.mpf(3)))
         trusted = sum(1 for e in eigs if e > floor)
     log_eigs = tuple(mp.log(e) if e > 0 else mp.ninf for e in eigs)
-    return ToeplitzSpectrum(spec, log_eigs, residual, trusted, precision_bits, sweeps)
+    with mp.workprec(precision_bits):
+        values = tuple(+e if e > 0 else mp.zero for e in eigs)
+    return ToeplitzSpectrum(spec, log_eigs, residual, trusted, precision_bits, eigen_solve, values)
 
 
 @dataclass
@@ -179,83 +182,130 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
 
 # -------------------------------------------------------------- eigenvalues
 
-def _fixed_columns(a, n, bits: int):
-    """(re, im) integer columns of the Hermitian list-of-lists a over one
-    power of two 2^e; the lower triangle is copied from the upper one by
-    conjugation, so the fixed-point matrix is exactly Hermitian."""
+def _fixed_hermitian(rows, n: int, bits: int, tol):
+    """Integer columns (re, im) of the Hermitian part of rows, over one
+    power of two 2^e, and its relative Hermiticity defect.
+
+    Each entry is read at bits precision and both triangles are converted
+    once with to_fixed; the defect |a_ij - conj(a_ji)| / max|a_ij| is read
+    from those integers and a ValueError raised when it exceeds tol.  The
+    symmetrized entry a_ij + conj(a_ji), twice the Hermitian part, is exact
+    in the same integers, so the columns come back over 2^(e - 1), exactly
+    Hermitian with a real diagonal.
+    """
     parts = []
-    for j in range(n):
-        parts.append([a[k][j].real for k in range(n)])
-        parts.append([a[k][j].imag for k in range(n)])
+    with mp.workprec(bits):
+        for j in range(n):
+            col = [mp.mpc(rows[k][j]) for k in range(n)]
+            parts.append([z.real for z in col])
+            parts.append([z.imag for z in col])
     ints, e = to_fixed(parts, bits)
     re, im = ints[0::2], ints[1::2]
+    amax2 = max((x * x + y * y for cr, ci in zip(re, im) for x, y in zip(cr, ci)), default=0)
+    herm2 = 0
     for j in range(n):
+        for k in range(j, n):
+            # re[j][k] + i im[j][k] is a_kj, re[k][j] + i im[k][j] is a_jk
+            dr, di = re[j][k] - re[k][j], im[j][k] + im[k][j]
+            herm2 = max(herm2, dr * dr + di * di)
+    defect = mp.sqrt(mp.mpf(herm2) / amax2) if amax2 else mp.mpf(0)
+    if defect > tol:
+        raise ValueError(
+            f"matrix is not Hermitian within tolerance (relative defect {mp.nstr(defect, 6)})"
+        )
+    for j in range(n):
+        cr, ci = re[j], im[j]
+        cr[j] *= 2
+        ci[j] = 0
         for k in range(j + 1, n):
-            re[j][k] = re[k][j]
-            im[j][k] = -im[k][j]
-    return re, im, e
+            x, y = cr[k] + re[k][j], ci[k] - im[k][j]
+            cr[k] = re[k][j] = x
+            ci[k], im[k][j] = y, -y
+    return re, im, e - 1, defect
 
 
-def _offdiag_squared(re, im) -> int:
-    """Exact squared off-diagonal Frobenius mass of integer columns."""
-    total = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
-    return total - sum(cr[k] * cr[k] for k, cr in enumerate(re))
+def _householder_tridiagonal(re, im, bits: int):
+    """Reduce exactly Hermitian integer columns (re, im) to a real
+    tridiagonal matrix by complex Householder reflections carried at bits
+    fraction bits; returns the integer diagonal and the exact squared
+    sub-diagonal moduli, on the scale of the input.
 
-
-def _rotate(re, im, i: int, j: int, w: int) -> None:
-    """One complex Jacobi rotation zeroing a_ij (i < j) of the integer
-    columns (re, im), with its scalars carried at w fraction bits.
-
-    Columns i and j are rotated and their conjugates written into rows i and
-    j, so the matrix stays exactly Hermitian; the new 2x2 diagonal is
-    alpha - t|beta| and gamma + t|beta|.
+    For column k the entries x below the diagonal give the reflector
+    u = (x - alpha e_1) sqrt(2) / |x - alpha e_1|, |u|^2 = 2, with
+    alpha = -|x| x_0/|x_0|; the trailing block B becomes
+    B - u w^H - w u^H with p = B u, K = u^H p / 2 and w = p - K u, exactly
+    Hermitian again.  The sub-diagonal alpha keeps only its modulus |x|: a
+    diagonal unitary similarity takes the phases away.  The columns are
+    overwritten.
     """
-    ri, ii, rj, ij = re[i], im[i], re[j], im[j]
-    br, bi = rj[i], ij[i]
-    alpha, gamma = ri[i], rj[j]
-    d = gamma - alpha
-    ab = math.isqrt((br * br + bi * bi) << 2 * w)          # |beta| 2^w
-    dw = abs(d) << w
-    # t = sign(d) 2|beta| / (|d| + sqrt(d^2 + 4|beta|^2)), tan of the angle
-    t = (ab << w + 1) // (dw + math.isqrt(dw * dw + 4 * ab * ab))
-    if d < 0:
-        t = -t
-    one = 1 << 2 * w
-    c = one // math.isqrt(one + t * t)                    # 1/sqrt(1 + t^2)
-    s = t * c
-    # (u + iv) = s beta/|beta| at w bits; s still carries 2w of them
-    u = (s * br) // ab
-    v = (s * bi) // ab
-    half = 1 << w - 1
-    nri = [(c * x - u * y - v * z + half) >> w for x, y, z in zip(ri, rj, ij)]
-    nii = [(c * x - u * y + v * z + half) >> w for x, y, z in zip(ii, ij, rj)]
-    nrj = [(u * x - v * y + c * z + half) >> w for x, y, z in zip(ri, ii, rj)]
-    nij = [(u * x + v * y + c * z + half) >> w for x, y, z in zip(ii, ri, ij)]
-    tb = (t * ab + (one >> 1)) >> 2 * w
-    nri[i], nrj[j] = alpha - tb, gamma + tb
-    nii[i] = nij[j] = nri[j] = nii[j] = nrj[i] = nij[i] = 0
-    re[i], im[i], re[j], im[j] = nri, nii, nrj, nij
-    for cr, ci, xr, xi, yr, yi in zip(re, im, nri, nii, nrj, nij):
-        cr[i] = xr
-        ci[i] = -xi
-        cr[j] = yr
-        ci[j] = -yi
+    n = len(re)
+    one = 1 << bits
+    half = one >> 1
+    diag, sub2 = [], []
+    for k in range(n - 1):
+        diag.append(re[k][k])
+        xr, xi = re[k][k + 1:], im[k][k + 1:]
+        s = dot(xr, xr) + dot(xi, xi)
+        sub2.append(s)
+        if not (any(xr[1:]) or any(xi[1:])):
+            continue            # x is already a multiple of e_1
+        nx = math.isqrt(s << 2 * bits)                                  # |x| 2^bits
+        a0 = math.isqrt((xr[0] * xr[0] + xi[0] * xi[0]) << 2 * bits)   # |x_0| 2^bits
+        den = math.isqrt(nx * (nx + a0))        # sqrt(|x| (|x| + |x_0|)) 2^bits
+        ur = [((x << 2 * bits) + (den >> 1)) // den for x in xr]
+        ui = [((x << 2 * bits) + (den >> 1)) // den for x in xi]
+        if a0:
+            # u_0 = (x_0/|x_0|) (|x_0| + |x|) / sqrt(|x| (|x| + |x_0|))
+            num, div = (a0 + nx) << 2 * bits, a0 * den
+            ur[0] = (xr[0] * num + (div >> 1)) // div
+            ui[0] = (xi[0] * num + (div >> 1)) // div
+        else:
+            ur[0], ui[0] = one, 0
+        cols = range(k + 1, n)
+        pr, pi = [], []
+        for j in cols:
+            # p_j = sum_i B_ji u_i = conj(sum_i B_ij conj(u_i)), B_ij in column j
+            cr, ci = re[j][k + 1:], im[j][k + 1:]
+            pr.append((dot(cr, ur) + dot(ci, ui) + half) >> bits)
+            pi.append((dot(cr, ui) - dot(ci, ur) + half) >> bits)
+        k2 = dot(ur, pr) + dot(ui, pi)                                  # 2K 2^bits
+        wr = [x - ((k2 * y + one * one) >> 2 * bits + 1) for x, y in zip(pr, ur)]
+        wi = [x - ((k2 * y + one * one) >> 2 * bits + 1) for x, y in zip(pi, ui)]
+        for t, j in enumerate(cols):
+            a, b, c, d = wr[t], wi[t], ur[t], ui[t]
+            cr, ci = re[j], im[j]
+            # B_ij -= u_i conj(w_j) + w_i conj(u_j) on and below the diagonal,
+            # and above it the conjugates of the columns already updated
+            cr[j:] = [z - ((a * x + b * y + c * g + d * h + half) >> bits)
+                      for z, x, y, g, h in zip(cr[j:], ur[t:], ui[t:], wr[t:], wi[t:])]
+            ci[j:] = [z - ((a * y - b * x + c * h - d * g + half) >> bits)
+                      for z, x, y, g, h in zip(ci[j:], ur[t:], ui[t:], wr[t:], wi[t:])]
+            cr[k + 1:j] = [re[i][j] for i in range(k + 1, j)]
+            ci[k + 1:j] = [-im[i][j] for i in range(k + 1, j)]
+    if n:
+        diag.append(re[n - 1][n - 1])
+    return diag, sub2
 
 
 def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None) -> ToeplitzSpectrum:
-    """Eigenvalues of a Hermitian compression block by cyclic complex Jacobi.
+    """Eigenvalues of a Hermitian compression block by Householder
+    tridiagonalization and implicit QL.
 
-    The block is checked and symmetrized at 2p + FIXED_GUARD_BITS bits, not
-    rounded to p first (level_q_matrix assembles it at p + 20 bits). It is
-    then converted once to integers over a shared power of two, that many
-    bits below its largest entry, and the rotations run on those integers exactly
-    Hermitian until the off-diagonal Frobenius mass drops below 10^(-p/2)
-    times the trace; each eigenvalue is then rounded once to
-    p = precision_bits.  Eigenvalues are reported sorted descending in log
-    domain, trusted_count marks how many exceed the relative floor
-    s_1 * 10^(-p/3), and sweeps counts the sweeps run.  A diagonal input is
-    not converted: its sorted diagonal, each entry rounded once to p, is the
-    spectrum.  Raises NonConvergenceError after _MAX_SWEEPS sweeps.
+    The block is read at 2p + FIXED_GUARD_BITS bits, not rounded to p first
+    (level_q_matrix assembles it at p + 20 bits), and converted once to
+    integers over a shared power of two, that many bits below its largest
+    entry; its Hermiticity is checked and its Hermitian part taken on those
+    integers.  Householder reflections reduce them, exactly Hermitian, to a
+    real tridiagonal matrix, whose eigenvalues mpmath's implicit QL finds at
+    2p + 52 bits; each is then rounded once to p = precision_bits.
+    Eigenvalues are reported sorted descending in log domain, trusted_count
+    marks how many exceed the relative floor s_1 * 10^(-p/3), and
+    eigen_solve names the path taken.  A block whose off-diagonal integers
+    all vanish is not reduced: its sorted diagonal, each input entry rounded
+    once to p, is the spectrum.  matrix_residual is the larger of the relative Hermiticity
+    defect and sqrt(|sum |a_ij|^2 - sum s_n^2|) / trace, which a unitary
+    similarity keeps at zero.  Raises NonConvergenceError when the QL does
+    not converge.
     """
     p = precision_bits
     if hasattr(matrix, "rows"):
@@ -268,65 +318,35 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
         if any(len(row) != n for row in matrix):
             raise ValueError("matrix must be square")
         rows = matrix
+    if spec is None:
+        spec = LandauBasisSpec(0, 2.0, n - 1)
+    bits = 2 * p + FIXED_GUARD_BITS
     with mp.workprec(p):
-        tol = mp.mpf(10) ** (-(p / mp.mpf(2)))
-        bits = 2 * p + FIXED_GUARD_BITS
-        # check and symmetrize at the width of the integer columns below, so
-        # no input bit they can hold is rounded away first
-        with mp.workprec(bits):
-            a = [[mp.mpc(x) for x in row] for row in rows]
-            amax = mp.mpf(0)
-            herm = mp.mpf(0)
-            for i in range(n):
-                for j in range(n):
-                    amax = max(amax, abs(a[i][j]))
-                    herm = max(herm, abs(a[i][j] - mp.conj(a[j][i])))
-            if amax > 0 and herm > tol * amax:
-                raise ValueError(
-                    f"matrix is not Hermitian within tolerance (relative defect {mp.nstr(herm / amax, 6)})"
-                )
-            for i in range(n):
-                for j in range(i + 1, n):
-                    sym = (a[i][j] + mp.conj(a[j][i])) / 2
-                    a[i][j] = sym
-                    a[j][i] = mp.conj(sym)
-                a[i][i] = mp.mpc(mp.re(a[i][i]))
-
-        trace = mp.re(sum(a[i][i] for i in range(n)))
-        threshold = tol * (trace if trace > 0 else n * amax)
-        if threshold <= 0:
-            threshold = mp.mpf(2) ** (-p)
-        skip = threshold / (n * n) if n else threshold
-        sweeps = 0
-        if any(a[i][j] != 0 for i in range(n) for j in range(i + 1, n)):
-            re, im, e = _fixed_columns(a, n, bits)
-            thr2 = int(mp.ldexp(threshold, -e) ** 2)
-            skip2 = int(mp.ldexp(skip, -e) ** 2)
-            off2 = _offdiag_squared(re, im)
-            while off2 >= thr2:
-                if sweeps >= _MAX_SWEEPS:
-                    raise NonConvergenceError("Jacobi sweep limit reached before off-diagonal target")
-                for i in range(n - 1):
-                    for j in range(i + 1, n):
-                        x, y = re[j][i], im[j][i]       # a_ij, row i of column j
-                        if x * x + y * y > skip2:
-                            _rotate(re, im, i, j, bits)
-                off2 = _offdiag_squared(re, im)
-                sweeps += 1
-            eigs = [from_fixed(re[k][k], None, e, p) for k in range(n)]
-            off = mp.sqrt(from_fixed(off2, None, 2 * e, p))
-        else:
-            eigs = [+mp.re(a[i][i]) for i in range(n)]  # each rounded once to p
-            off = mp.mpf(0)
-
-        residual = 0.0
-        if amax > 0:
-            residual = float(herm / amax)
-        if trace > 0:
-            residual = max(residual, float(off / trace))
-        if spec is None:
-            spec = LandauBasisSpec(0, 2.0, n - 1)
-        return _sorted_spectrum(spec, eigs, residual, p, sweeps)
+        re, im, e, defect = _fixed_hermitian(rows, n, bits, mp.mpf(10) ** (-(p / mp.mpf(2))))
+        residual = float(defect)
+        if not any(any(cr[j + 1:]) or any(ci[j + 1:]) for j, (cr, ci) in enumerate(zip(re, im))):
+            with mp.workprec(bits):
+                diag = [mp.mpc(rows[i][i]).real for i in range(n)]
+            eigs = [+x for x in diag]  # each rounded once to p
+            return _sorted_spectrum(spec, eigs, residual, p, "diagonal")
+        fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
+        diag, sub2 = _householder_tridiagonal(re, im, bits)
+        # the QL runs 20 bits past the integers, so every bit they hold enters
+        with mp.workprec(bits + 20):
+            d = [from_fixed(x, None, e, mp.prec) for x in diag]
+            sub = [mp.ldexp(mp.sqrt(s), e) for s in sub2] + [mp.mpf(0)]
+            trace = mp.fsum(d)
+            try:
+                tridiag_eigen(mp, d, sub)
+            except RuntimeError as err:
+                if not str(err).startswith("tridiag_eigen: no convergence"):
+                    raise
+                raise NonConvergenceError(str(err)) from err
+            if trace > 0:
+                gap = mp.ldexp(fro2, 2 * e) - mp.fsum(x * x for x in d)
+                residual = max(residual, float(mp.sqrt(abs(gap)) / trace))
+        eigs = [+x for x in d]  # each rounded once to p
+        return _sorted_spectrum(spec, eigs, residual, p, "householder-ql")
 
 
 def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
@@ -375,7 +395,7 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
             norm = mp.e ** (mp.loggamma(pdeg + 1) - mp.loggamma(pdeg + alpha + 1))
             f = lambda t: t ** alpha * mp.laguerre(pdeg, alpha, t) ** 2 * mp.e ** (-t) * dens(t)
             vals.append(norm * mp.quad(f, [lo2, hi2]))
-        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, p_bits, 0)
+        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, p_bits, "diagonal")
 
 
 # ------------------------------------------------------- asymptotic sequences

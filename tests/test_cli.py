@@ -314,25 +314,28 @@ def test_toeplitz_oracle_rejects_offcenter(tmp_path, capsys):
     assert "radial" in err
 
 
-def test_toeplitz_reports_jacobi_sweeps(tmp_path, capsys):
+def test_toeplitz_reports_eigen_solve(tmp_path, capsys):
     cfg = write_config(tmp_path / "toep.json", {
         "weight": OFFCENTER_WEIGHT, "q": 0, "N": 12, "precision_bits": 64,
     })
     code, out, err = run_cli(["toeplitz", "--config", cfg, "--format", "json"], capsys)
     assert code == 0
-    assert json.loads(out)["summary"]["jacobi_sweeps"] > 1
-    # the centred disc takes the radial path: a diagonal block, no sweeps
+    assert json.loads(out)["summary"]["eigen_solve"] == "householder-ql"
+    # the centred disc takes the radial path: a diagonal block, no reduction
     cfg = write_config(tmp_path / "disc.json", {
         "weight": UNIT_DISC_WEIGHT, "q": 0, "N": 12, "precision_bits": 64,
     })
     code, out, err = run_cli(["toeplitz", "--config", cfg], capsys)
     assert code == 0
     header, table, summary = parse_csv(out)
-    assert summary["jacobi_sweeps"] == "0"
+    assert summary["eigen_solve"] == "diagonal"
 
 
-def test_toeplitz_sweep_limit_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(landau, "_MAX_SWEEPS", 1)
+def test_toeplitz_ql_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):
+    def stuck(ctx, d, e):
+        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue after 2 iterations")
+
+    monkeypatch.setattr(landau, "tridiag_eigen", stuck)
     cfg = write_config(tmp_path / "toep.json", {
         "weight": OFFCENTER_WEIGHT, "q": 0, "N": 12, "precision_bits": 128,
     })

@@ -1,5 +1,5 @@
-"""Compression matrices, Jacobi spectra, oracle equivalence, and the
-asymptotic ratio sequences they feed."""
+"""Compression matrices, their Householder-QL spectra, oracle equivalence,
+and the asymptotic ratio sequences they feed."""
 
 import math
 import random
@@ -251,7 +251,7 @@ def test_s1_below_ess_sup():
         assert sp.eigenvalues()[0] <= mp.mpf("0.6") * (1 + mp.mpf(10) ** -30)
 
 
-def _rotated_diagonal(lams, seed, prec):
+def _dense_with_spectrum(lams, seed, prec):
     """G diag(lams) G^H as a list-of-lists at prec bits, with G three cyclic
     passes of seeded random complex Givens rotations."""
     rng = random.Random(seed)
@@ -283,11 +283,11 @@ def test_spectrum_matches_exact_oracle(n, prec):
     # a few units of 2^-p s_1
     with mp.workprec(prec + 128):
         lams = [mp.gammainc(k, 0, 1, regularized=True) for k in range(1, n + 1)]
-    a = _rotated_diagonal(lams, 20 + n, prec + 128)
+    a = _dense_with_spectrum(lams, 20 + n, prec + 128)
     with mp.workprec(prec):
         a = [[+x for x in row] for row in a]
     sp = spectrum(a, prec)
-    assert sp.sweeps > 0
+    assert sp.eigen_solve == "householder-ql"
     with mp.workprec(prec + 128):
         bound = 4 * mp.mpf(2) ** -prec * lams[0]
         for got, want in zip(sp.eigenvalues(), lams):
@@ -296,27 +296,82 @@ def test_spectrum_matches_exact_oracle(n, prec):
 
 def test_spectrum_diagonal_beyond_fixed_range():
     # 2^-400 lies below the fixed-point step of a 64-bit solve; a diagonal
-    # input is never converted, so it comes back exactly
+    # input's eigenvalues are read from the input, not from its integers, so
+    # it comes back exactly
     tiny = mp.mpf(2) ** -400
     sp = spectrum(mp.matrix([[1, 0], [0, tiny]]), 64)
     with mp.workprec(64):
         assert sp.log_eigs == (mp.log(1), mp.log(tiny))
-    assert sp.sweeps == 0
+    assert sp.eigen_solve == "diagonal"
     assert sp.matrix_residual == 0.0
 
 
-def test_spectrum_reports_sweeps():
+def test_spectrum_reports_eigen_solve():
     v = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
-    assert toeplitz_spectrum(v, 0, 2.0, 12, 128).sweeps > 1
-    assert toeplitz_spectrum(UNIT_DISC, 0, 2.0, 12, 128).sweeps == 0
-    assert radial_oracle(UNIT_DISC, 2.0, 12, 128).sweeps == 0
+    assert toeplitz_spectrum(v, 0, 2.0, 12, 128).eigen_solve == "householder-ql"
+    assert toeplitz_spectrum(UNIT_DISC, 0, 2.0, 12, 128).eigen_solve == "diagonal"
+    assert radial_oracle(UNIT_DISC, 2.0, 12, 128).eigen_solve == "diagonal"
 
 
-def test_spectrum_sweep_limit_raises(monkeypatch):
+def test_spectrum_ql_nonconvergence_raises(monkeypatch):
     T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 12, 128)
-    monkeypatch.setattr(landau, "_MAX_SWEEPS", 1)
-    with pytest.raises(NonConvergenceError, match="sweep limit"):
+
+    def stuck(ctx, d, e):
+        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue after 2 iterations")
+
+    monkeypatch.setattr(landau, "tridiag_eigen", stuck)
+    with pytest.raises(NonConvergenceError, match="no convergence"):
         spectrum(T, 128)
+
+    def broken(ctx, d, e):
+        raise RuntimeError("some other failure")
+
+    # only the QL's own non-convergence is a solver failure
+    monkeypatch.setattr(landau, "tridiag_eigen", broken)
+    with pytest.raises(RuntimeError, match="some other failure"):
+        spectrum(T, 128)
+
+
+@pytest.mark.parametrize("support", [
+    Disc(0.7 + 0j, 1.0),
+    Polygon((0j, 1 + 0j, 1 + 1j, 1j)),
+    SQUARE,
+], ids=["offcenter-disc", "corner-square", "centred-square"])
+def test_dense_spectrum_within_two_ulp(support):
+    # every trusted eigenvalue within 2^(1-p) relative of the same symmetrized
+    # block solved by mp.eighe at p + 128 bits; three quarters of the centred
+    # square's block is rounding noise, and all 25 of its eigenvalues are
+    # trusted down to s_25/s_1 = 5.9e-37
+    p = 128
+    T = level_q_matrix(Weight(support, Constant(1.0)), 0, 2.0, 24, p)
+    sp = spectrum(T, p)
+    assert sp.eigen_solve == "householder-ql"
+    n = T.rows
+    with mp.workprec(p + 128):
+        a = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                a[i, j] = (T[i, j] + mp.conj(T[j, i])) / 2
+        ref = sorted(mp.eighe(a, eigvals_only=True), reverse=True)
+        for got, want in zip(sp.eigenvalues()[:sp.trusted_count], ref):
+            assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
+    assert sp.matrix_residual <= 1e-30
+
+
+def test_matrix_residual_sees_a_wrong_reduction(monkeypatch):
+    # a unitary similarity keeps the Frobenius norm, so a reduction that is
+    # not one, here off by 1e-20 of one diagonal entry, shows in the residual
+    T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 12, 128)
+    assert spectrum(T, 128).matrix_residual <= 1e-30
+    reduce = landau._householder_tridiagonal
+
+    def off(re, im, bits):
+        diag, sub2 = reduce(re, im, bits)
+        diag[0] += diag[0] // 10 ** 20
+        return diag, sub2
+
+    monkeypatch.setattr(landau, "_householder_tridiagonal", off)
+    assert spectrum(T, 128).matrix_residual >= 1e-12
 
 
 def test_spectrum_keeps_the_input_precision():
