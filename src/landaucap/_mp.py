@@ -61,6 +61,11 @@ def tanh_sinh(prec: int):
     x = tanh(pi/2 sinh(kh)). Step h = 2^-m gives roughly exp(-pi^2/h) error
     for strip-analytic integrands, so m is picked from the precision; the
     sum is truncated once 1 - |x| drops below 2^-(prec+20).
+
+    Only k >= 0 is computed and the rule mirrored, so it is exactly
+    antisymmetric. With t = kh, u = pi/2 sinh(t) and E = exp(-2u), each node
+    takes two exponentials: x = (1 - E) / (1 + E) and
+    w = h pi (e^t + e^-t) E / (1 + E)^2, which is h pi/2 cosh(t) / cosh(u)^2.
     """
     if prec <= 150:
         m = 5
@@ -72,14 +77,15 @@ def tanh_sinh(prec: int):
         h = mp.mpf(2) ** (-m)
         u_cut = mp.log(2) * (prec + 24) / 2
         kmax = int(mp.ceil(mp.asinh(2 * u_cut / mp.pi) / h)) + 1
-        pairs = []
-        for k in range(-kmax, kmax + 1):
-            t = k * h
-            u = mp.pi / 2 * mp.sinh(t)
-            x = mp.tanh(u)
-            w = h * mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2
-            pairs.append((x, w))
-        return tuple(pairs)
+        half = []
+        for k in range(kmax + 1):
+            et = mp.exp(k * h)
+            eti = 1 / et
+            E = mp.exp(-mp.pi / 2 * (et - eti))
+            x = (1 - E) / (1 + E)
+            w = h * mp.pi * (et + eti) * E / (1 + E) ** 2
+            half.append((x, w))
+        return tuple((-x, w) for x, w in half[:0:-1]) + tuple(half)
 
 
 def map_rule(nodes, weights, lo, hi):

@@ -168,12 +168,14 @@ def cmd_toeplitz(cfg: dict, precision: int, fmt: str, output: Optional[str],
     digits = emission_digits(precision)
     rows = []
     max_dev = mp.mpf(0)
+    eigs = sp.eigenvalues()
     with mp.workprec(precision + 10):
         for i, lg in enumerate(sp.log_eigs):
-            row = [i + 1, _dec(lg, digits), _dec(mp.exp(lg), digits), i < sp.trusted_count]
+            row = [i + 1, _dec(lg, digits), _dec(eigs[i], digits), i < sp.trusted_count]
             if orc is not None:
                 if i < min(sp.trusted_count, orc.trusted_count):
-                    dev = abs(mp.exp(lg) - mp.exp(orc.log_eigs[i])) / mp.exp(orc.log_eigs[i])
+                    exact = orc.eigenvalues()[i]
+                    dev = abs(eigs[i] - exact) / exact
                     max_dev = max(max_dev, dev)
                     row += [_dec(orc.log_eigs[i], digits), _dec(dev, 6)]
                 else:

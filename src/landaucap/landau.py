@@ -146,6 +146,11 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!); the factorials enter
     through log-gamma in log domain.
 
+    Every monomial of the level-q image of z^j has m - l = j - q, so entry
+    (j, k) combines moments with a - b = j - k. A radial table is zero off
+    its diagonal, so on one only the entries k = j are assembled and the
+    rest are exactly 0.
+
     Raises DegenerateMomentError when a 2d Gaussian table fails its
     Cholesky at the working precision.
     """
@@ -167,7 +172,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
         log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
         half_lg = [mp.loggamma(n + 1) / 2 for n in range(N + 1)]
         for j in range(N + 1):
-            for k in range(j, N + 1):
+            for k in ([j] if table.path == "radial" else range(j, N + 1)):
                 acc = mp.mpc(0)
                 for (m1, l1), c1 in polys[j].items():
                     for (m2, l2), c2 in polys[k].items():

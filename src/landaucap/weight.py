@@ -10,8 +10,8 @@ bounding radius, which keeps the Gram entries of order of the total mass.
 
 A table takes one of two paths (mixed_moments): 1d radial integrals on a
 disc or annulus centred at 0, and for a Constant or Power anywhere else a
-contour integral over the boundary (Green's theorem), summed by an exact
-fixed-point integer Gram kernel.
+contour integral over the boundary (Green's theorem). Both sum their node
+values as exact fixed-point integers and round each entry once.
 """
 
 from __future__ import annotations
@@ -390,38 +390,60 @@ def _radial_interval(support):
     return mp.mpf(support.inner), mp.mpf(support.outer)
 
 
+def _radial_rule(w, kind, maxdeg, prec, b0):
+    """The [-1, 1] rule (xs, ws) of a radial table and its design degree:
+    Gauss-Legendre exact for the polynomial moments of a Constant or Power
+    (plus the Gaussian excess), tanh-sinh (degree -1) for the Chord's
+    square-root endpoint."""
+    d = w.density
+    if isinstance(d, Chord):
+        pairs = tanh_sinh(prec)
+        return [x for x, _ in pairs], [wt for _, wt in pairs], -1
+    need = 2 * maxdeg + 1 + _power(d)
+    if kind == "gaussian":
+        need += _gaussian_excess(b0, float(_radial_interval(w.support)[1]), prec)
+    xs, ws = gauss_legendre(math.ceil((need + 1) / 2), prec)
+    return xs, ws, need
+
+
 def _radial_table(w, kind, maxdeg, prec, b0):
+    """Diagonal rows[a][a] = sum_i d_i (r_i / R0)^(2a), d_i = 2 pi w_i r_i v(r_i)
+    [exp(-b0 r_i^2 / 2)], as exact fixed-point integer sums rounded once
+    per entry to prec.
+
+    Node values carry guard more bits, b0 (hi^2 - lo^2) / 2 / ln 2 for a
+    Gaussian table (0 for a plain one): the largest value sets the shared
+    step, and the Gaussian factor of the nodes that dominate the top rows
+    can lie that far below it. Each row's products are shifted back so that
+    the largest keeps the same bit count, so the falling powers lose no
+    relative precision."""
     lo, hi = _radial_interval(w.support)
     d = w.density
     gaussian = kind == "gaussian"
-    if not isinstance(d, Chord):
-        need = 2 * maxdeg + 1 + _power(d)
-        if gaussian:
-            need += _gaussian_excess(b0, float(hi), prec)
-        xs, ws = gauss_legendre(math.ceil((need + 1) / 2), prec)
-        rho, rw = map_rule(xs, ws, lo, hi)
-    else:
-        need = -1  # adaptive double-exponential rule, no polynomial design degree
-        pairs = tanh_sinh(prec)
-        rho, rw = map_rule([x for x, _ in pairs], [wt for _, wt in pairs], lo, hi)
+    xs, ws, need = _radial_rule(w, kind, maxdeg, prec, b0)
+    guard = math.ceil(b0 * float(hi * hi - lo * lo) / 2 / math.log(2)) if gaussian else 0
+    F = fixed_bits(prec + guard, len(xs))
     R0 = mp.mpf(bounding_radius(w.support))
-    b0m = mp.mpf(b0)
-    two_pi = 2 * mp.pi
-    data, ratio = [], []
-    for r, wt in zip(rho, rw):
-        val = d.value(r)
-        if gaussian:
-            val *= mp.exp(-b0m * r * r / 2)
-        data.append(two_pi * wt * r * val)
-        ratio.append((r / R0) ** 2)
+    with mp.workprec(F):
+        rho, rw = map_rule(xs, ws, lo, hi)
+        two_pi = 2 * mp.pi
+        b0m = mp.mpf(b0)
+        data = [two_pi * wt * r * d.value(r) * (mp.exp(-b0m * r * r / 2) if gaussian else 1)
+                for r, wt in zip(rho, rw)]
+        ratio = [(r / R0) ** 2 for r in rho]
+    (data,), e_d = to_fixed([data], F)
+    (ratio,), e_r = to_fixed([ratio], F)
     rows = []
     for a in range(maxdeg + 1):
-        s = mp.fsum(data)
+        s = from_fixed(sum(data), None, e_d, prec)
         if not s > 0:
             raise DegenerateMomentError(DEGENERATE_MSG)
         rows.append([mp.mpf(0)] * a + [s])
         if a < maxdeg:
-            data = [dv * rv for dv, rv in zip(data, ratio)]
+            data = [x * y for x, y in zip(data, ratio)]
+            shift = max(max(data).bit_length() - F, 0)
+            data = [x >> shift for x in data]
+            e_d += e_r + shift
     return rows, R0, need
 
 
@@ -500,7 +522,9 @@ def mixed_moments(
     on one of two paths named by MomentTable.path:
 
     - "radial": a disc or annulus centred at 0, with any density; 1d radial
-      integrals, exactly zero off the diagonal.
+      integrals mu_aa = 2 pi int r^(2a+1) v(r) g(r) dr, exactly zero off the
+      diagonal, by Gauss-Legendre exact for a Constant or Power (plus the
+      Gaussian excess) and by tanh-sinh for the Chord's square-root edge.
     - "boundary": a density v = c |z|^k (a Constant, k = 0, or a Power) on
       any other support. For b <= a, with
       beta = b0/2 (Gaussian) or 0 (plain) and
@@ -517,11 +541,15 @@ def mixed_moments(
       edge on a line through the origin is split there instead, and a
       circle through the origin raises NonConvergenceError.
 
-    Node values, evaluated at _mp.fixed_bits (32 guard bits and the bit
-    length of the node count past precision_bits), become fixed-point
-    integers; the sums are exact and each entry is rounded once. Against the
-    same rule summed in mpc at 128 more bits, every entry lies within 4
-    units of 2^-precision_bits sqrt(G_aa G_bb); about 1 is typical.
+    On both paths the node values, evaluated at _mp.fixed_bits (32 guard
+    bits and the bit length of the node count past precision_bits, plus
+    b0 rmax^2 / 2 / ln 2 on Gaussian boundary tables and
+    b0 (hi^2 - lo^2) / 2 / ln 2 on Gaussian radial ones), become
+    fixed-point integers; the sums are exact and each entry is rounded
+    once. Against the same rule summed in mpc (mpf) at 128 more bits, every
+    boundary entry lies within 4 units of 2^-precision_bits
+    sqrt(G_aa G_bb), about 1 typical, and every radial entry within 2 units
+    of 2^-precision_bits of itself.
 
     The radial path rejects a nonpositive diagonal entry. A boundary table
     is checked where it is used: by the Cholesky of monic_orthogonalize when

@@ -24,7 +24,7 @@ from landaucap.landau import (
 )
 from landaucap.orthopoly import monic_orthogonalize, rho_estimates
 from landaucap.region import Annulus, Disc, Polygon, region_key
-from landaucap.weight import Constant, Power, Weight, ball_reduction_weight, mixed_moments
+from landaucap.weight import Constant, Power, Weight, ball_reduction_weight, mixed_moments, weight_key
 
 UNIT_DISC = Weight(Disc(0j, 1.0), Constant(1.0))
 SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
@@ -117,6 +117,40 @@ def test_creation_rule():
     assert _creation_pow(0, 2) == {(0, 2): 1}
     assert _creation_pow(2, 2) == {(0, 0): 2, (1, 1): -4, (2, 2): 1}
 
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+def test_creation_monomials_keep_the_angular_index(q):
+    # every monomial z^m conj(z)^l of the level-q image of z^j has m - l = j - q,
+    # so entry (j, k) pairs moments with a - b = j - k
+    for j in range(12):
+        assert all(m - l == j - q for m, l in _creation_pow(j, q))
+
+
+RADIAL_WEIGHTS = [UNIT_DISC, Weight(Annulus(0j, 0.5, 2.0), Power(2)), ball_reduction_weight(1.0)]
+
+
+@pytest.mark.parametrize("q", [0, 1, 2, 3])
+@pytest.mark.parametrize("v", RADIAL_WEIGHTS, ids=weight_key)
+def test_radial_assembly_is_the_dense_loop_on_the_diagonal(v, q, monkeypatch):
+    # a radial table assembles only k = j; the dense loop over the same
+    # table, told it is not radial, must give the same block bit for bit
+    N = 6
+    T = level_q_matrix(v, q, 2.0, N, 128)
+
+    def as_dense(*args, **kwargs):
+        table = mixed_moments(*args, **kwargs)
+        assert table.path == "radial"
+        table.path = "boundary"
+        return table
+
+    monkeypatch.setattr(landau, "mixed_moments", as_dense)
+    D = level_q_matrix(v, q, 2.0, N, 128)
+    for j in range(N + 1):
+        assert T[j, j] == D[j, j] and mp.im(T[j, j]) == 0
+        for k in range(N + 1):
+            if k != j:
+                assert T[j, k] == 0 and D[j, k] == 0
 
 def test_level_q1_disc_diagonal_closed_form():
     with mp.workprec(160):
@@ -293,6 +327,17 @@ def test_spectrum_matches_exact_oracle(n, prec):
         for got, want in zip(sp.eigenvalues(), lams):
             assert abs(got - want) <= bound
 
+
+
+def test_centred_disc_spectrum_within_two_units():
+    # q = 0 on the unit disc: s_n = gamma(n, 1)/(n-1)! exactly, and every
+    # eigenvalue must lie within 2^(1-p) relative of it
+    p = 256
+    sp = toeplitz_spectrum(UNIT_DISC, 0, 2.0, 48, p)
+    with mp.workprec(p + 64):
+        for n, got in enumerate(sp.eigenvalues(), start=1):
+            exact = mp.gammainc(n, 0, 1, regularized=True)
+            assert abs(got - exact) <= mp.mpf(2) ** (1 - p) * exact, n
 
 def test_spectrum_diagonal_beyond_fixed_range():
     # 2^-400 lies below the fixed-point step of a 64-bit solve; a diagonal

@@ -16,7 +16,7 @@ from mpmath import mp
 import landaucap.weight as weight_module
 from landaucap.errors import DegenerateMomentError, NonConvergenceError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius, region_to_config
-from landaucap._mp import _legendre_pair, gauss_legendre
+from landaucap._mp import _legendre_pair, gauss_legendre, map_rule, tanh_sinh
 from landaucap.weight import (
     Chord,
     Constant,
@@ -145,6 +145,35 @@ def test_union_quadrature_rejects_overlap():
                   (wide, tall), (Annulus(0j, 0.5, 1.0), Disc(0j, 0.6))):
         with pytest.raises(ValueError, match="pairwise disjoint"):
             mass(UnionRegion(parts), 64)
+
+
+TS_PRECS = [64, 128, 256, 512]
+
+
+@pytest.mark.parametrize("prec", TS_PRECS)
+def test_tanh_sinh_is_exactly_antisymmetric(prec):
+    tanh_sinh.cache_clear()
+    pairs = tanh_sinh(prec)
+    assert len(pairs) % 2 == 1 and pairs[len(pairs) // 2][0] == 0
+    for (x, w), (y, v) in zip(pairs, pairs[::-1]):
+        assert x == mp.fneg(y, exact=True) and w == v
+
+
+@pytest.mark.parametrize("prec", TS_PRECS)
+def test_tanh_sinh_matches_the_tanh_cosh_formulas(prec):
+    # reference: x = tanh(u), w = h pi/2 cosh(t) / cosh(u)^2, u = pi/2 sinh(t),
+    # at 60 bits past the precision
+    pairs = tanh_sinh(prec)
+    m = 5 if prec <= 150 else 6 if prec <= 300 else 7
+    kmax = len(pairs) // 2
+    with mp.workprec(prec + 60):
+        h = mp.mpf(2) ** -m
+        tol = mp.mpf(2) ** -(prec + 20)
+        for (x, w), k in zip(pairs, range(-kmax, kmax + 1)):
+            t = k * h
+            u = mp.pi / 2 * mp.sinh(t)
+            assert abs(x - mp.tanh(u)) <= tol, k
+            assert abs(w - h * mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2) <= tol, k
 
 
 # ------------------------------------------------------ plain moment oracles
@@ -601,6 +630,73 @@ def test_odd_power_on_a_circle_through_the_origin_raises():
             mixed_moments(Weight(support, POWER1), "plain", 2, 64)
 
 
+# --------------------------------------------- radial kernel vs the mpf sum
+#
+# Radial tables are exact fixed-point integer sums rounded once per entry.
+# The reference sums the same rule in mpf at prec + 128 bits, so any
+# difference is rounding in the kernel. Units are 2^-prec of the entry.
+
+UNIT_DISC, DISC6, DISC10 = (Weight(Disc(0j, R), Constant(1.0)) for R in (1.0, 6.0, 10.0))
+POWER2_ANNULUS = Weight(Annulus(0j, 0.5, 2.0), Power(2))
+BALL = ball_reduction_weight(1.0)
+# (kind, b0, prec, maxdeg): the parity of maxdeg sets that of the node count
+FULL_GRID = [("plain", 2.0, 128, 48), ("plain", 2.0, 256, 49), ("gaussian", 2.0, 128, 49),
+             ("gaussian", 2.0, 256, 48), ("gaussian", 3.0, 128, 48), ("gaussian", 3.0, 256, 49)]
+# Gaussian rules on the wide discs run to 300-600 Gauss-Legendre nodes,
+# whose refinement dominates, so they take the largest guard at 128 bits
+RADIAL_CASES = ([(w, *case) for w in (UNIT_DISC, POWER2_ANNULUS, BALL) for case in FULL_GRID]
+                + [(w, *case) for w in (DISC6, DISC10) for case in FULL_GRID[:2]]
+                + [(DISC6, "gaussian", 2.0, 128, 49), (DISC10, "gaussian", 3.0, 128, 48)])
+
+
+def _case_id(case):
+    w, kind, b0, prec, maxdeg = case
+    return f"{weight_key(w)}-{kind}-{b0}-{prec}-{maxdeg}"
+
+
+def _radial_reference(w, kind, maxdeg, prec, b0):
+    xs, ws, _ = weight_module._radial_rule(w, kind, maxdeg, prec, b0)
+    lo, hi = weight_module._radial_interval(w.support)
+    R0 = mp.mpf(bounding_radius(w.support))
+    rho, rw = map_rule(xs, ws, lo, hi)
+    g = (lambda r: mp.exp(-mp.mpf(b0) * r * r / 2)) if kind == "gaussian" else (lambda r: 1)
+    data = [2 * mp.pi * wt * r * w.density.value(r) * g(r) for r, wt in zip(rho, rw)]
+    ratio = [(r / R0) ** 2 for r in rho]
+    sums = []
+    for _ in range(maxdeg + 1):
+        sums.append(mp.fsum(data))
+        data = [x * q for x, q in zip(data, ratio)]
+    return sums
+
+
+@pytest.mark.parametrize("w,kind,b0,prec,maxdeg", RADIAL_CASES, ids=map(_case_id, RADIAL_CASES))
+def test_radial_kernel_matches_mpf_sum(w, kind, b0, prec, maxdeg):
+    tab = mixed_moments(w, kind, maxdeg, precision_bits=prec, b0=b0)
+    assert tab.path == "radial"
+    with mp.workprec(prec + 128):
+        ref = _radial_reference(w, kind, maxdeg, prec, b0)
+        for a in range(maxdeg + 1):
+            assert all(tab.entry(a, b) == 0 for b in range(a))
+            assert abs(tab.entry(a, a) - ref[a]) <= 2 * mp.mpf(2) ** -prec * ref[a], a
+
+
+GAUSSIAN_DISC_CASES = [c for c in RADIAL_CASES
+                       if c[0] in (UNIT_DISC, DISC6, DISC10) and c[1] == "gaussian"]
+
+
+@pytest.mark.parametrize("w,kind,b0,prec,maxdeg", GAUSSIAN_DISC_CASES,
+                         ids=map(_case_id, GAUSSIAN_DISC_CASES))
+def test_radial_gaussian_disc_incomplete_gamma(w, kind, b0, prec, maxdeg):
+    # mu_aa = pi (2/b0)^(a+1) gamma(a+1, b0 R^2/2), stored over R^(2a)
+    tab = mixed_moments(w, kind, maxdeg, prec, b0=b0)
+    R = mp.mpf(w.support.radius)
+    with mp.workprec(prec + 64):
+        c = 2 / mp.mpf(b0)
+        for a in range(maxdeg + 1):
+            exact = mp.pi * c ** (a + 1) * mp.gammainc(a + 1, 0, R * R / c) / R ** (2 * a)
+            assert abs(tab.entry(a, a) - exact) <= 2 * mp.mpf(2) ** -prec * exact, a
+
+
 # ----------------------------------------------------------- ball reduction
 
 def test_ball_chord_profile():
@@ -614,13 +710,13 @@ def test_ball_chord_profile():
 
 @pytest.mark.parametrize("prec,maxdeg", [(64, 20), (128, 40), (256, 49)])
 def test_ball_moment_table_full_precision(prec, maxdeg):
-    # every diagonal entry within 16 ulp of 2 pi B(a+1, 3/2) at any precision
+    # every diagonal entry within 2 ulp of 2 pi B(a+1, 3/2) at any precision
     w = ball_reduction_weight(1.0)
     tab = mixed_moments(w, "plain", maxdeg, precision_bits=prec)
     with mp.workprec(prec + 64):
         for a in range(maxdeg + 1):
             exact = 2 * mp.pi * mp.beta(a + 1, mp.mpf(3) / 2)
-            assert abs(tab.raw_entry(a, a) - exact) / exact <= 16 * mp.mpf(2) ** -prec
+            assert abs(tab.raw_entry(a, a) - exact) / exact <= 2 * mp.mpf(2) ** -prec
 
 
 def test_ball_mass_full_precision_non_dyadic_radius():
