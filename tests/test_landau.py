@@ -118,7 +118,6 @@ def test_creation_rule():
     assert _creation_pow(2, 2) == {(0, 0): 2, (1, 1): -4, (2, 2): 1}
 
 
-
 @pytest.mark.parametrize("q", [0, 1, 2, 3])
 def test_creation_monomials_keep_the_angular_index(q):
     # every monomial z^m conj(z)^l of the level-q image of z^j has m - l = j - q,
@@ -151,6 +150,7 @@ def test_radial_assembly_is_the_dense_loop_on_the_diagonal(v, q, monkeypatch):
         for k in range(N + 1):
             if k != j:
                 assert T[j, k] == 0 and D[j, k] == 0
+
 
 def test_level_q1_disc_diagonal_closed_form():
     with mp.workprec(160):
@@ -328,7 +328,6 @@ def test_spectrum_matches_exact_oracle(n, prec):
             assert abs(got - want) <= bound
 
 
-
 def test_centred_disc_spectrum_within_two_units():
     # q = 0 on the unit disc: s_n = gamma(n, 1)/(n-1)! exactly, and every
     # eigenvalue must lie within 2^(1-p) relative of it
@@ -338,6 +337,7 @@ def test_centred_disc_spectrum_within_two_units():
         for n, got in enumerate(sp.eigenvalues(), start=1):
             exact = mp.gammainc(n, 0, 1, regularized=True)
             assert abs(got - exact) <= mp.mpf(2) ** (1 - p) * exact, n
+
 
 def test_spectrum_diagonal_beyond_fixed_range():
     # 2^-400 lies below the fixed-point step of a 64-bit solve; a diagonal
