@@ -16,42 +16,60 @@ from .errors import DegenerateMomentError
 
 @lru_cache(maxsize=128)
 def gauss_legendre(n: int, prec: int):
-    """Nodes and weights on [-1, 1], exact for polynomial degree 2n-1.
+    """Nodes and weights on [-1, 1], exact for polynomial degree 2n-1, each
+    rounded once to prec + 30 bits.
 
-    float64 seeds refined by Newton steps at extended precision; each step
-    doubles the correct digits, so a handful suffices even at 512 bits.
-    numpy's seeds are antisymmetric, and so is the refinement, so only the
-    nonpositive half is refined and the rest mirrored, exactly at the
-    working precision.
+    float64 seeds refined by Newton steps on fixed-point integers
+    (_legendre_node); each step doubles the correct digits, so a handful
+    suffices even at 512 bits. numpy's seeds are antisymmetric, so only the
+    nonpositive half is refined and the rest mirrored: the rule is exactly
+    antisymmetric, which the refinement, rounding down, is not on its own.
     """
     if n < 1:
         raise ValueError("need at least one node")
     seeds, _ = np.polynomial.legendre.leggauss(n)
-    nodes, weights = [], []
-    with mp.workprec(prec + 30):
-        eps = mp.mpf(2) ** (-(prec + 10))
-        for x0 in seeds[:(n + 1) // 2]:
-            x = mp.mpf(float(x0))
-            for _ in range(10):
-                p, dp = _legendre_pair(n, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) <= eps:
-                    break
-            p, dp = _legendre_pair(n, x)
-            nodes.append(x)
-            weights.append(2 / ((1 - x * x) * dp * dp))
-        nodes += [-x for x in nodes[:n // 2][::-1]]
-        weights += weights[:n // 2][::-1]
-    return tuple(nodes), tuple(weights)
+    half = [_legendre_node(n, float(x0), prec) for x0 in seeds[:(n + 1) // 2]]
+    mirror = half[:n // 2][::-1]
+    nodes = [x for x, _ in half] + [libmp.mpf_neg(x) for x, _ in mirror]
+    weights = [w for _, w in half + mirror]
+    return tuple(map(mp.make_mpf, nodes)), tuple(map(mp.make_mpf, weights))
 
 
-def _legendre_pair(n: int, x):
-    pm, p = mp.one, x
+def _legendre_node(n: int, x0: float, prec: int):
+    """The root of P_n next to x0 and its Gauss weight, as raw mpf tuples
+    rounded once to prec + 30 bits.
+
+    x is held as x 2^bits, bits = prec + 30 + 2 bitlen(n): the recurrence
+    for P_n truncates one unit per step, and the weight
+    2 (1 - x^2) / (n (x P_n - P_(n-1)))^2 loses up to about n^2 of
+    relative precision at the outermost nodes, where P_(n-1) is smallest.
+    Newton steps dx = P_n (x^2 - 1) / (n (x P_n - P_(n-1))) stop once
+    |dx| <= 2^-(prec+10)."""
+    bits = prec + 30 + 2 * n.bit_length()
+    one = 1 << bits
+    tol = one >> prec + 10
+    x = int(mp.ldexp(x0, bits))
+    for _ in range(10):
+        p, pm = _legendre_pair(n, x, bits)
+        dx = p * ((x * x >> bits) - one) // (n * ((x * p >> bits) - pm))
+        x -= dx
+        if abs(dx) <= tol:
+            break
+    p, pm = _legendre_pair(n, x, bits)
+    d = n * ((x * p >> bits) - pm)
+    out = prec + 30
+    weight = libmp.mpf_div(libmp.from_int(2 * (one * one - x * x)), libmp.from_int(d * d),
+                           out, libmp.round_nearest)
+    return libmp.from_man_exp(x, -bits, out, libmp.round_nearest), weight
+
+
+def _legendre_pair(n: int, x: int, bits: int):
+    """P_n(x) 2^bits and P_(n-1)(x) 2^bits for x 2^bits, by the three-term
+    recurrence on integers, each step rounded down."""
+    pm, p = 1 << bits, x
     for k in range(2, n + 1):
-        pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
-    dp = n * (x * p - pm) / (x * x - 1)
-    return p, dp
+        pm, p = p, ((2 * k - 1) * (x * p >> bits) - (k - 1) * pm) // k
+    return p, pm
 
 
 @lru_cache(maxsize=16)
@@ -147,22 +165,20 @@ def to_fixed(parts, bits: int):
     return [[libmp.to_fixed(v._mpf_, -e) for v in part] for part in parts], e
 
 
-def from_fixed(re: int, im, e: int, prec: int):
-    """(re + i im) * 2^e rounded once to prec bits: an mpf when im is None,
-    else an mpc."""
-    out = libmp.from_man_exp(re, e, prec, libmp.round_nearest)
+def from_fixed(re: int, im, e: int, prec: int, den: int = 1):
+    """(re + i im) * 2^e / den rounded once to prec bits: an mpf when im is
+    None, else an mpc."""
+    def part(m):
+        if den == 1:
+            return libmp.from_man_exp(m, e, prec, libmp.round_nearest)
+        return libmp.mpf_div(libmp.from_man_exp(m, e), libmp.from_int(den), prec, libmp.round_nearest)
+
     if im is None:
-        return mp.make_mpf(out)
-    return mp.make_mpc((out, libmp.from_man_exp(im, e, prec, libmp.round_nearest)))
+        return mp.make_mpf(part(re))
+    return mp.make_mpc((part(re), part(im)))
 
 
 def dot(xs, ys) -> int:
     """Exact sum of xs[i] * ys[i] over integers."""
     return sum(map(operator.mul, xs, ys))
 
-
-def cdot(x, y):
-    """Exact sum of x_i conj(y_i) over complex integer vectors given as
-    (re, im) pairs of lists; returns (re, im)."""
-    (xr, xi), (yr, yi) = x, y
-    return dot(xr, yr) + dot(xi, yi), dot(xi, yr) - dot(xr, yi)

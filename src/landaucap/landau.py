@@ -187,6 +187,22 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
 
 # -------------------------------------------------------------- eigenvalues
 
+def _check_hermitian(defect, tol):
+    if defect > tol:
+        raise ValueError(
+            f"matrix is not Hermitian within tolerance (relative defect {mp.nstr(defect, 6)})"
+        )
+
+
+def _diagonal_defect(diag, tol):
+    """Relative Hermiticity defect 2 max|Im a_ii| / max|a_ii| of a block
+    whose off-diagonal entries are all zero; a ValueError above tol."""
+    amax = max((abs(z) for z in diag), default=0)
+    defect = 2 * max(abs(z.imag) for z in diag) / amax if amax else mp.mpf(0)
+    _check_hermitian(defect, tol)
+    return defect
+
+
 def _fixed_hermitian(rows, n: int, bits: int, tol):
     """Integer columns (re, im) of the Hermitian part of rows, over one
     power of two 2^e, and its relative Hermiticity defect.
@@ -214,10 +230,7 @@ def _fixed_hermitian(rows, n: int, bits: int, tol):
             dr, di = re[j][k] - re[k][j], im[j][k] + im[k][j]
             herm2 = max(herm2, dr * dr + di * di)
     defect = mp.sqrt(mp.mpf(herm2) / amax2) if amax2 else mp.mpf(0)
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance (relative defect {mp.nstr(defect, 6)})"
-        )
+    _check_hermitian(defect, tol)
     for j in range(n):
         cr, ci = re[j], im[j]
         cr[j] *= 2
@@ -305,12 +318,15 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
     2p + 52 bits; each is then rounded once to p = precision_bits.
     Eigenvalues are reported sorted descending in log domain, trusted_count
     marks how many exceed the relative floor s_1 * 10^(-p/3), and
-    eigen_solve names the path taken.  A block whose off-diagonal integers
-    all vanish is not reduced: its sorted diagonal, each input entry rounded
-    once to p, is the spectrum.  matrix_residual is the larger of the relative Hermiticity
-    defect and sqrt(|sum |a_ij|^2 - sum s_n^2|) / trace, which a unitary
-    similarity keeps at zero.  Raises NonConvergenceError when the QL does
-    not converge.
+    eigen_solve names the path taken.  A block whose off-diagonal entries
+    are all exactly zero skips the integer conversion, and its Hermiticity
+    defect is read from the imaginary parts of its diagonal; such a block,
+    or one whose off-diagonal integers all vanish, is not reduced: its
+    sorted diagonal, each input entry rounded once to p, is the spectrum.
+    matrix_residual is the larger of the relative Hermiticity defect and
+    sqrt(|sum |a_ij|^2 - sum s_n^2|) / trace, which a unitary similarity
+    keeps at zero.  Raises NonConvergenceError when the QL does not
+    converge.
     """
     p = precision_bits
     if hasattr(matrix, "rows"):
@@ -327,12 +343,20 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
         spec = LandauBasisSpec(0, 2.0, n - 1)
     bits = 2 * p + FIXED_GUARD_BITS
     with mp.workprec(p):
-        re, im, e, defect = _fixed_hermitian(rows, n, bits, mp.mpf(10) ** (-(p / mp.mpf(2))))
-        residual = float(defect)
-        if not any(any(cr[j + 1:]) or any(ci[j + 1:]) for j, (cr, ci) in enumerate(zip(re, im))):
+        tol = mp.mpf(10) ** (-(p / mp.mpf(2)))
+        with mp.workprec(bits):
+            diag = [mp.mpc(rows[i][i]) for i in range(n)]
+        if any(rows[i][j] for i in range(n) for j in range(n) if j != i):
+            re, im, e, defect = _fixed_hermitian(rows, n, bits, tol)
+            diagonal = not any(any(cr[j + 1:]) or any(ci[j + 1:])
+                               for j, (cr, ci) in enumerate(zip(re, im)))
+        else:
             with mp.workprec(bits):
-                diag = [mp.mpc(rows[i][i]).real for i in range(n)]
-            eigs = [+x for x in diag]  # each rounded once to p
+                defect = _diagonal_defect(diag, tol)
+            diagonal = True
+        residual = float(defect)
+        if diagonal:
+            eigs = [+z.real for z in diag]  # each rounded once to p
             return _sorted_spectrum(spec, eigs, residual, p, "diagonal")
         fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
         diag, sub2 = _householder_tridiagonal(re, im, bits)

@@ -23,7 +23,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from ._mp import cdot, fixed_bits, from_fixed, gauss_legendre, map_rule, tanh_sinh, to_fixed
+from ._mp import dot, fixed_bits, from_fixed, gauss_legendre, map_rule, tanh_sinh, to_fixed
 from .errors import DegenerateMomentError, NonConvergenceError
 from .region import (
     Annulus,
@@ -447,26 +447,24 @@ def _radial_table(w, kind, maxdeg, prec, b0):
     return rows, R0, need
 
 
-def _s_rows(xs, maxdeg, k=0):
-    """S_s(x) = int_0^1 t^s exp(-x t) dt for s = b + k/2, b = 0..maxdeg, at
-    every x, as rows[b][i]: S at b = maxdeg from its positive series
-    exp(-x) sum_j x^j / ((s+1)...(s+1+j)), then downward by
-    S_s = (exp(-x) + x S_(s+1)) / (s+1). No step cancels."""
-    h = mp.mpf(k) / 2
-    cols = []
-    for x in xs:
-        ex = mp.exp(-x)
-        term = total = mp.one / (maxdeg + 1 + h)
-        j = maxdeg + 1 + h
-        while term > mp.eps * total:
-            j += 1
-            term = term * x / j
-            total += term
-        col = [ex * total]
-        for b in range(maxdeg, 0, -1):
-            col.append((ex + x * col[-1]) / (b + h))
-        cols.append(col[::-1])
-    return [list(row) for row in zip(*cols)]
+def _s_column(x, maxdeg: int, k: int, G: int):
+    """[S_(b+k/2)(x) 2^G for b = 0..maxdeg] as integers, S_s(x) =
+    int_0^1 t^s exp(-x t) dt, from X = x 2^G and E = exp(-x) 2^G: at
+    b = maxdeg the positive series exp(-x) sum_j x^j / ((s+1)...(s+1+j)),
+    then downward by S_s = (exp(-x) + x S_(s+1)) / (s+1). Every term is
+    positive, so no step cancels and each truncation costs one unit."""
+    X = int(mp.ldexp(x, G))
+    E = int(mp.ldexp(mp.exp(-x), G))
+    j = 2 * maxdeg + k + 2  # 2 (s + 1)
+    term = total = (2 << G) // j
+    while term:
+        j += 2
+        term = ((term * X >> G) << 1) // j
+        total += term
+    col = [total * E >> G]
+    for b in range(maxdeg, 0, -1):
+        col.append(2 * (E + (X * col[-1] >> G)) // (2 * b + k))
+    return col[::-1]
 
 
 def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
@@ -474,17 +472,33 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
     exact fixed-point integer sums carrying guard more bits, rounded once
     per entry to prec, with x_i = v(z_i) R0 dz_i / 2i and
     y_ib = S_(b+k/2)(beta |z_i|^2) u_i^(b+1): the contour form of the
-    moments of v = c |z|^k (see mixed_moments)."""
+    moments of v = c |z|^k (see mixed_moments).
+
+    The node values are evaluated at F = fixed_bits(prec + guard, nodes)
+    and converted once; from there on the kernel is integer-only. A
+    Gaussian table takes its S rows from _s_column at the shared scale
+    2^G, G = F + bitlen(2 maxdeg + k + 2) + 1. Since
+    S_s(x) >= exp(-x) / (s+1) and exp(-x) >= 2^-guard on the nodes
+    (guard = ceil(b0 rmax^2 / 2 / ln 2), see mixed_moments), every S_s
+    holds at least F - guard + 1 bits, the precision of the other node
+    values. A plain table has S_s(0) = 1 / (s+1): it sums x conj(u^(b+1))
+    and divides by (2b + 2 + k) / 2 inside the rounding of each entry.
+    Each complex entry takes three real dot products, with x_r + x_i
+    formed once per a and y_r - y_i once per b."""
     R0 = mp.mpf(bounding_radius(w.support))
+    k = _power(w.density)
+    gaussian = kind == "gaussian"
     F = fixed_bits(prec + guard, len(rule.nodes))
     with mp.workprec(F):
         zs = [mp.mpc(z) for z in rule.nodes]
-        beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.zero
-        sq = [beta * (z.real ** 2 + z.imag ** 2) for z in zs]
         x0 = [mp.mpc(0, -w.density.value(abs(z)) * R0 / 2) * dz
               for z, dz in zip(zs, rule.steps)]
-        srows = _s_rows(sq, maxdeg, _power(w.density))
         us = [z / R0 for z in zs]
+        if gaussian:
+            G = F + (2 * maxdeg + k + 2).bit_length() + 1
+            beta = mp.mpf(b0) / 2
+            srows = list(zip(*(_s_column(beta * (z.real ** 2 + z.imag ** 2), maxdeg, k, G)
+                               for z in zs)))
     (xr, xi), e_x = to_fixed([[mp.re(x) for x in x0], [mp.im(x) for x in x0]], F)
     (ur, ui), e_u = to_fixed([[u.real for u in us], [u.imag for u in us]], F)
 
@@ -498,15 +512,19 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
     for _ in range(maxdeg):
         xs.append(times_u(xs[-1]))
         ys.append(times_u(ys[-1]))
-    fixed_s = [to_fixed([row], F) for row in srows]
-    ys = [([(v * p) >> -e_s for v, p in zip(s, pr)], [(v * p) >> -e_s for v, p in zip(s, pi)])
-          for ((s,), e_s), (pr, pi) in zip(fixed_s, ys)]
+    if gaussian:
+        ys = [([(s * p) >> G for s, p in zip(row, pr)], [(s * p) >> G for s, p in zip(row, pi)])
+              for row, (pr, pi) in zip(srows, ys)]
+    sums = [[r + i for r, i in zip(pr, pi)] for pr, pi in xs]
+    diffs = [[r - i for r, i in zip(pr, pi)] for pr, pi in ys]
+    e = e_x + e_u if gaussian else e_x + e_u + 1
     rows = []
-    for a in range(maxdeg + 1):
+    for a, (pr, pi) in enumerate(xs):
         row = []
-        for b in range(a + 1):
-            re, im = cdot(xs[a], ys[b])
-            row.append(from_fixed(re, None if b == a else im, e_x + e_u, prec))
+        for b, (qr, qi) in enumerate(ys[:a + 1]):
+            A, B = dot(pr, qr), dot(pi, qi)
+            im = dot(sums[a], diffs[b]) - A + B if b < a else None
+            row.append(from_fixed(A + B, im, e, prec, 1 if gaussian else 2 * b + 2 + k))
         rows.append(row)
     return rows, R0
 

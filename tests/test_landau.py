@@ -238,6 +238,33 @@ def test_spectrum_rejects_bad_input():
         spectrum([[1.0, 0.5]], 64)
 
 
+def test_diagonal_block_skips_the_integer_conversion(monkeypatch):
+    # exactly zero off the diagonal: the defect is 2 max|Im a_ii| / max|a_ii|,
+    # read without _fixed_hermitian, and a non-real diagonal still raises
+    def unused(*args):
+        raise AssertionError("a diagonal block reached _fixed_hermitian")
+
+    monkeypatch.setattr(landau, "_fixed_hermitian", unused)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        spectrum([[mp.mpf(1), 0], [0, mp.mpc(1, 1e-3)]], 64)
+    sp = spectrum(mp.matrix([[2, 0], [0, mp.mpc(1, 1e-40)]]), 64)
+    assert sp.eigen_solve == "diagonal"
+    assert sp.matrix_residual == pytest.approx(1e-40, rel=1e-12)
+    with mp.workprec(64):
+        assert sp.eigenvalues() == (2, 1)
+
+
+def test_diagonal_defect_matches_the_integer_one():
+    rows = [[mp.mpc(3, 2e-35), 0, 0], [0, mp.mpf(1), 0], [0, 0, mp.mpc(2, -5e-35)]]
+    with mp.workprec(64):
+        _, _, _, fixed = landau._fixed_hermitian(rows, 3, 160, mp.mpf(10) ** -20)
+        direct = landau._diagonal_defect([mp.mpc(rows[i][i]) for i in range(3)], mp.mpf(10) ** -20)
+        # the integers hold each entry to about 2^-158 of the largest
+        assert abs(direct - fixed) <= mp.mpf(2) ** -150
+    assert spectrum(rows, 64).matrix_residual == pytest.approx(float(direct), rel=1e-15)
+    assert float(direct) == pytest.approx(1e-34 / 3, rel=1e-12)
+
+
 def test_spectrum_trusted_floor():
     sp = toeplitz_spectrum(UNIT_DISC, 0, 2.0, 20, 48)
     eigs = sp.eigenvalues()

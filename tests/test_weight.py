@@ -16,7 +16,7 @@ from mpmath import mp
 import landaucap.weight as weight_module
 from landaucap.errors import DegenerateMomentError, NonConvergenceError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius, region_to_config
-from landaucap._mp import _legendre_pair, gauss_legendre, map_rule, tanh_sinh
+from landaucap._mp import _legendre_node, fixed_bits, gauss_legendre, map_rule, tanh_sinh
 from landaucap.weight import (
     Chord,
     Constant,
@@ -54,28 +54,59 @@ def mass(support, prec=128, density=Constant(1.0)):
 
 @pytest.mark.parametrize("n", [1, 2, 25, 26])
 def test_gauss_legendre_mirrors_the_refined_half(n):
-    # reference: every float64 seed refined on its own by the same Newton
-    # loop; the rule refines only the nonpositive half and mirrors it, and
-    # must agree with the reference bit for bit
+    # the nonpositive half is its float64 seeds refined by the integer
+    # Newton loop, bit for bit, and the rest is its exact mirror; the
+    # positive seeds refined on their own land within one unit of
+    # 2^-(prec+30) of the mirror (test_gauss_legendre_matches_mpf_newton),
+    # not on it, since the loop rounds down
     prec = 128
     seeds, _ = np.polynomial.legendre.leggauss(n)
-    ref_x, ref_w = [], []
+    half = [_legendre_node(n, float(x0), prec) for x0 in seeds[:(n + 1) // 2]]
+    xs, ws = gauss_legendre(n, prec)
+    assert [x._mpf_ for x in xs[:len(half)]] == [x for x, _ in half]
+    assert [w._mpf_ for w in ws[:len(half)]] == [w for _, w in half]
     with mp.workprec(prec + 30):
-        eps = mp.mpf(2) ** (-(prec + 10))
+        assert list(xs) == [-x for x in xs[::-1]]
+    assert list(ws) == list(ws[::-1])
+
+
+def _mpf_legendre_rule(n, prec):
+    """Gauss-Legendre by Newton steps in mpf at prec + 60 bits, from the
+    same float64 seeds: P_n by its three-term recurrence, and
+    P_n' = n (x P_n - P_(n-1)) / (x^2 - 1)."""
+    def pair(x):
+        pm, p = mp.one, x
+        for k in range(2, n + 1):
+            pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / k
+        return p, n * (x * p - pm) / (x * x - 1)
+
+    seeds, _ = np.polynomial.legendre.leggauss(n)
+    xs, ws = [], []
+    with mp.workprec(prec + 60):
         for x0 in seeds:
             x = mp.mpf(float(x0))
-            for _ in range(10):
-                p, dp = _legendre_pair(n, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) <= eps:
+            for _ in range(20):
+                p, dp = pair(x)
+                x -= p / dp
+                if abs(p / dp) <= mp.mpf(2) ** -(prec + 50):
                     break
-            p, dp = _legendre_pair(n, x)
-            ref_x.append(x)
-            ref_w.append(2 / ((1 - x * x) * dp * dp))
+            p, dp = pair(x)
+            xs.append(x)
+            ws.append(2 / ((1 - x * x) * dp * dp))
+    return xs, ws
+
+
+@pytest.mark.parametrize("n,prec", [(1, 128), (2, 128), (25, 128), (26, 128), (80, 128), (41, 256)])
+def test_gauss_legendre_matches_mpf_newton(n, prec):
+    # nodes within 2^-(prec+30), weights within 2^-(prec+30) of themselves:
+    # the rule is rounded once to prec + 30 bits
     xs, ws = gauss_legendre(n, prec)
-    assert list(xs) == ref_x
-    assert list(ws) == ref_w
+    ref_x, ref_w = _mpf_legendre_rule(n, prec)
+    with mp.workprec(prec + 60):
+        unit = mp.mpf(2) ** -(prec + 30)
+        for x, w, rx, rw in zip(xs, ws, ref_x, ref_w):
+            assert abs(x - rx) <= unit
+            assert abs(w - rw) <= 2 * unit * rw
 
 
 def test_disc_area_exact():
@@ -449,16 +480,39 @@ def _boundary_rule(w, kind, maxdeg, prec, extra=0):
 SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
 
 
-@pytest.mark.parametrize("support,kind,maxdeg,prec", [
-    (Disc(0.7 + 0j, 1.0), "gaussian", 12, 128),
+@pytest.mark.parametrize("support,density,kind,maxdeg,prec", [
+    (Disc(0.7 + 0j, 1.0), Constant(1.0), "gaussian", 12, 128),
     # corner nodes carry exp(-4.5) of the centre's Gaussian factor
-    (SIDE3_SQUARE, "gaussian", 12, 128),
-    (Disc(0.6 - 0.5j, 1.0), "plain", 16, 64),
-    (Annulus(0.3j, 0.4, 1.0), "gaussian", 12, 128),
+    (SIDE3_SQUARE, Constant(1.0), "gaussian", 12, 128),
+    (Disc(0.6 - 0.5j, 1.0), Constant(1.0), "plain", 16, 64),
+    (Annulus(0.3j, 0.4, 1.0), Constant(1.0), "gaussian", 12, 128),
+    # plain odd powers divide by the half-integer b + 1 + k/2
+    (Disc(0.7 + 0j, 1.0), POWER1, "plain", 12, 128),
+    (Disc(0.7 + 0j, 1.0), Power(3), "plain", 12, 128),
 ])
-def test_boundary_kernel_matches_mpc_sum(support, kind, maxdeg, prec):
-    w = Weight(support, Constant(1.0))
+def test_boundary_kernel_matches_mpc_sum(support, density, kind, maxdeg, prec):
+    w = Weight(support, density)
     _assert_kernel_matches_reference(w, _boundary_rule(w, kind, maxdeg, prec), kind, maxdeg, prec)
+
+
+@pytest.mark.parametrize("prec", [128, 256])
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("x", [0.0, 1e-3, 2.89, 49.0])
+def test_s_column_matches_incomplete_gamma(x, k, prec):
+    # the scale of a Gaussian table whose guard covers x, on one node: S_s
+    # keeps F - guard bits of itself, within 2 units
+    maxdeg = 48
+    guard = math.ceil(x / math.log(2))
+    F = fixed_bits(prec + guard, 1)
+    G = F + (2 * maxdeg + k + 2).bit_length() + 1
+    with mp.workprec(F):
+        col = weight_module._s_column(mp.mpf(x), maxdeg, k, G)
+    assert len(col) == maxdeg + 1
+    with mp.workprec(prec + 128):
+        unit = mp.mpf(2) ** -(F - guard)
+        for b, c in enumerate(col):
+            exact = _s_reference(b + mp.mpf(k) / 2, mp.mpf(x))
+            assert abs(mp.ldexp(c, -G) - exact) <= 2 * unit * exact, b
 
 
 def test_boundary_table_resolves_gaussian():
@@ -642,11 +696,8 @@ BALL = ball_reduction_weight(1.0)
 # (kind, b0, prec, maxdeg): the parity of maxdeg sets that of the node count
 FULL_GRID = [("plain", 2.0, 128, 48), ("plain", 2.0, 256, 49), ("gaussian", 2.0, 128, 49),
              ("gaussian", 2.0, 256, 48), ("gaussian", 3.0, 128, 48), ("gaussian", 3.0, 256, 49)]
-# the Gaussian rules on the wide discs need 230-560 Gauss-Legendre nodes,
-# seconds each to build, so those two run one case each, at 128 bits
-RADIAL_CASES = ([(w, *case) for w in (UNIT_DISC, POWER2_ANNULUS, BALL) for case in FULL_GRID]
-                + [(w, *case) for w in (DISC6, DISC10) for case in FULL_GRID[:2]]
-                + [(DISC6, "gaussian", 2.0, 128, 49), (DISC10, "gaussian", 3.0, 128, 48)])
+RADIAL_CASES = [(w, *case) for w in (UNIT_DISC, DISC6, DISC10, POWER2_ANNULUS, BALL)
+                for case in FULL_GRID]
 
 
 def _case_id(case):
