@@ -10,8 +10,11 @@ bounding radius, which keeps the Gram entries of order of the total mass.
 
 A table takes one of two paths (mixed_moments): 1d radial integrals on a
 disc or annulus centred at 0, and for a Constant or Power anywhere else a
-contour integral over the boundary (Green's theorem). Both sum their node
-values as exact fixed-point integers and round each entry once.
+contour integral over the boundary (Green's theorem). Both evaluate their
+node values once in mpf, sum them as exact fixed-point integers and round
+each entry once. The boundary path's incomplete-gamma factors S_s are
+integer rows too (_s_column); a plain table has S_s(0) = 1 / (s + 1),
+so it divides each entry by b + 1 + k/2 inside that rounding instead.
 """
 
 from __future__ import annotations
@@ -467,27 +470,37 @@ def _s_column(x, maxdeg: int, k: int, G: int):
     return col[::-1]
 
 
-def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
+def _boundary_guard(w, kind, b0) -> int:
+    """Bits a Gaussian boundary sum can lose: its terms lack the factor
+    exp(-b0 |z|^2 / 2) of the moments, so they cancel up to b0 rmax^2 / 2
+    nats, rmax the bounding radius. A plain sum loses none."""
+    if kind != "gaussian":
+        return 0
+    return math.ceil(b0 * bounding_radius(w.support) ** 2 / 2 / math.log(2))
+
+
+def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0):
     """Scaled table rows[a][b] = sum_i x_i u_i^a conj(y_ib), u = z / R0, as
-    exact fixed-point integer sums carrying guard more bits, rounded once
-    per entry to prec, with x_i = v(z_i) R0 dz_i / 2i and
-    y_ib = S_(b+k/2)(beta |z_i|^2) u_i^(b+1): the contour form of the
+    exact fixed-point integer sums carrying guard = _boundary_guard more
+    bits, rounded once per entry to prec, with x_i = v(z_i) R0 dz_i / 2i
+    and y_ib = S_(b+k/2)(beta |z_i|^2) u_i^(b+1): the contour form of the
     moments of v = c |z|^k (see mixed_moments).
 
     The node values are evaluated at F = fixed_bits(prec + guard, nodes)
     and converted once; from there on the kernel is integer-only. A
     Gaussian table takes its S rows from _s_column at the shared scale
     2^G, G = F + bitlen(2 maxdeg + k + 2) + 1. Since
-    S_s(x) >= exp(-x) / (s+1) and exp(-x) >= 2^-guard on the nodes
-    (guard = ceil(b0 rmax^2 / 2 / ln 2), see mixed_moments), every S_s
-    holds at least F - guard + 1 bits, the precision of the other node
-    values. A plain table has S_s(0) = 1 / (s+1): it sums x conj(u^(b+1))
-    and divides by (2b + 2 + k) / 2 inside the rounding of each entry.
-    Each complex entry takes three real dot products, with x_r + x_i
-    formed once per a and y_r - y_i once per b."""
+    S_s(x) >= exp(-x) / (s+1) and exp(-x) >= 2^-guard on the nodes, every
+    S_s keeps at least F - guard + 1 bits of itself, more than the sum
+    keeps past the cancellation the guard covers. A plain table has
+    S_s(0) = 1 / (s+1): it sums x conj(u^(b+1)) and divides by
+    (2b + 2 + k) / 2 inside the rounding of each entry. Each complex entry
+    takes three real dot products, with x_r + x_i formed once per a and
+    y_r - y_i once per b."""
     R0 = mp.mpf(bounding_radius(w.support))
     k = _power(w.density)
     gaussian = kind == "gaussian"
+    guard = _boundary_guard(w, kind, b0)
     F = fixed_bits(prec + guard, len(rule.nodes))
     with mp.workprec(F):
         zs = [mp.mpc(z) for z in rule.nodes]
@@ -517,6 +530,7 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, guard=0):
               for row, (pr, pi) in zip(srows, ys)]
     sums = [[r + i for r, i in zip(pr, pi)] for pr, pi in xs]
     diffs = [[r - i for r, i in zip(pr, pi)] for pr, pi in ys]
+    # a plain entry is 2 sum / (2b + 2 + k): the 2 goes into the exponent
     e = e_x + e_u if gaussian else e_x + e_u + 1
     rows = []
     for a, (pr, pi) in enumerate(xs):
@@ -564,10 +578,14 @@ def mixed_moments(
     b0 rmax^2 / 2 / ln 2 on Gaussian boundary tables and
     b0 (hi^2 - lo^2) / 2 / ln 2 on Gaussian radial ones), become
     fixed-point integers; the sums are exact and each entry is rounded
-    once. Against the same rule summed in mpc (mpf) at 128 more bits, every
-    boundary entry lies within 4 units of 2^-precision_bits
-    sqrt(G_aa G_bb), about 1 typical, and every radial entry within 2 units
-    of 2^-precision_bits of itself.
+    once. A Gaussian boundary table builds its S_(b+k/2) rows on integers
+    from one exp per node (_s_column); a plain one sums
+    v z^a conj(z)^(b+1) and divides by b + 1 + k/2 in that rounding.
+    Against the same rule summed in mpc (mpf) at 128 more bits, with S_s
+    from mpmath's incomplete gamma, every boundary entry lies within 4
+    units of 2^-precision_bits sqrt(G_aa G_bb), at most 0.96 on the tested
+    supports, and every radial entry within 2 units of 2^-precision_bits
+    of itself.
 
     The radial path rejects a nonpositive diagonal entry. A boundary table
     is checked where it is used: by the Cholesky of monic_orthogonalize when
@@ -586,15 +604,10 @@ def mixed_moments(
         else:
             k = _power(w.density)
             degree_used = 2 * maxdeg + 1 + k
-            guard = 0
             if kind == "gaussian":
-                rmax = bounding_radius(w.support)
-                degree_used += _gaussian_excess(b0, rmax, prec)
-                # boundary terms lack the factor exp(-b0 |z|^2 / 2) of the
-                # moments, so their sum cancels up to b0 rmax^2 / 2 nats
-                guard = math.ceil(b0 * rmax ** 2 / 2 / math.log(2))
-            rule = _build_rule(w.support, degree_used, prec + guard, k)
-            rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0, guard)
+                degree_used += _gaussian_excess(b0, bounding_radius(w.support), prec)
+            rule = _build_rule(w.support, degree_used, prec + _boundary_guard(w, kind, b0), k)
+            rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0)
             path = "boundary"
     return MomentTable(
         kind=kind,

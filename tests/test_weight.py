@@ -486,6 +486,8 @@ SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
     (SIDE3_SQUARE, Constant(1.0), "gaussian", 12, 128),
     (Disc(0.6 - 0.5j, 1.0), Constant(1.0), "plain", 16, 64),
     (Annulus(0.3j, 0.4, 1.0), Constant(1.0), "gaussian", 12, 128),
+    # S rows down to exp(-49): the guard bits keep them
+    (Disc(6 + 0j, 1.0), Constant(1.0), "gaussian", 6, 128),
     # plain odd powers divide by the half-integer b + 1 + k/2
     (Disc(0.7 + 0j, 1.0), POWER1, "plain", 12, 128),
     (Disc(0.7 + 0j, 1.0), Power(3), "plain", 12, 128),
