@@ -55,10 +55,10 @@ def mass(support, prec=128, density=Constant(1.0)):
 @pytest.mark.parametrize("n", [1, 2, 25, 26])
 def test_gauss_legendre_mirrors_the_refined_half(n):
     # the nonpositive half is its float64 seeds refined by the integer
-    # Newton loop, bit for bit, and the rest is its exact mirror; the
-    # positive seeds refined on their own land within one unit of
-    # 2^-(prec+30) of the mirror (test_gauss_legendre_matches_mpf_newton),
-    # not on it, since the loop rounds down
+    # Newton loop, bit for bit, and the rest is its exact mirror. The
+    # positive seeds refined on their own need not land on the mirror bit
+    # for bit, since the loop rounds down; test_gauss_legendre_matches_mpf_newton
+    # checks the whole rule against an mpf refinement of every seed
     prec = 128
     seeds, _ = np.polynomial.legendre.leggauss(n)
     half = [_legendre_node(n, float(x0), prec) for x0 in seeds[:(n + 1) // 2]]
