@@ -1,6 +1,6 @@
 """Extended-precision building blocks: Gauss-Legendre and tanh-sinh node
-caches, a Hermitian Cholesky and exact fixed-point dot products, all on top
-of mpmath."""
+caches, the log pivots of a Hermitian Cholesky read from a stored lower
+triangle, and exact fixed-point dot products, all on top of mpmath."""
 
 from __future__ import annotations
 
@@ -113,32 +113,37 @@ def map_rule(nodes, weights, lo, hi):
     return [mid + half * x for x in nodes], [half * w for w in weights]
 
 
-def hermitian_cholesky(g, prec: int):
-    """Lower Cholesky factor of a Hermitian matrix given as list-of-lists.
+def hermitian_cholesky(rows, prec: int):
+    """Log pivots log d_n of the Hermitian matrix G whose lower triangle is
+    rows[n][k], k <= n (the layout of MomentTable.rows): G = L L^H with
+    d_n = L_nn^2, so d_n is the squared distance of basis vector n from the
+    span of those before it.
 
-    Returns (L, log_pivots) with log_pivots[n] = log(L[n][n]^2). Raises
-    DegenerateMomentError (with .degree set) on a non-positive pivot.
+    Each entry takes one mp.fdot of g_nk and -L_nj conj(L_kj), j < k: the
+    products are exact and the sum is rounded once to prec; L_nk is that
+    sum over L_kk and d_n its real part when k = n. Row n needs every
+    earlier row, so the factor is kept until the last pivot and dropped.
+    Raises DegenerateMomentError on a non-positive pivot.
     """
-    n = len(g)
+    L, logs = [], []
     with mp.workprec(prec):
-        L = [[mp.mpc(0)] * n for _ in range(n)]
-        logs = []
-        for i in range(n):
-            for j in range(i + 1):
-                s = g[i][j]
-                for k in range(j):
-                    s -= L[i][k] * mp.conj(L[j][k])
-                if i == j:
-                    piv = mp.re(s)
-                    if not piv > 0:
-                        err = DegenerateMomentError(f"non-positive pivot at degree {i}")
-                        err.degree = i
-                        raise err
-                    L[i][i] = mp.sqrt(piv)
-                    logs.append(mp.log(piv))
+        for n, row in enumerate(rows):
+            Ln, neg = [], []        # L_nj and -L_nj for j < k
+            for k in range(n + 1):
+                prev = L[k] if k < n else Ln
+                s = mp.fdot([(row[k], mp.one)] + list(zip(neg, prev)), conjugate=True)
+                if k == n:
+                    d = mp.re(s)
+                    if not d > 0:
+                        raise DegenerateMomentError(
+                            f"non-positive pivot at degree {n}; raise precision or lower N")
+                    logs.append(mp.log(d))
+                    Ln.append(mp.sqrt(d))
                 else:
-                    L[i][j] = s / L[j][j]
-        return L, logs
+                    Ln.append(s / L[k][k])
+                    neg.append(-Ln[-1])
+            L.append(Ln)
+    return logs
 
 
 # Fraction bits a fixed-point computation carries past the precision it

@@ -22,14 +22,12 @@ from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_cholesky, to_fixed
 from .chebyshev import CapacityEstimate
-from .errors import DegenerateMomentError, NonConvergenceError
+from .errors import NonConvergenceError
 from .orthopoly import monic_orthogonalize
 from .region import region_key
 from .weight import (
-    DEGENERATE_MSG,
     Constant,
     Weight,
-    _default_precision,
     _radial_applicable,
     _radial_interval,
     mixed_moments,
@@ -105,7 +103,6 @@ class AsymptoticsReport:
     lhs_sequence: tuple     # (n! s_{n+1})^(1/n), mpf
     rhs_sequence: tuple     # (b0/2) M_n^(1/n), mpf
     ratio_sequence: tuple
-    predicted_limits: Optional[dict] = None
     trusted_n_max: Optional[int] = None
 
 
@@ -151,18 +148,14 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     its diagonal, so on one only the entries k = j are assembled and the
     rest are exactly 0.
 
-    Raises DegenerateMomentError when a 2d Gaussian table fails its
-    Cholesky at the working precision.
+    A boundary table is checked by hermitian_cholesky on its stored lower
+    triangle, its log pivots unused: a non-positive pivot at the working
+    precision raises DegenerateMomentError naming the degree.
     """
     LandauBasisSpec(q, float(b0), N)  # validate the triple
     table = mixed_moments(v, "gaussian", maxdeg=N + q, precision_bits=precision_bits, b0=b0)
     if table.path != "radial":
-        size = table.maxdeg + 1
-        gram = [[table.entry(a, b) for b in range(size)] for a in range(size)]
-        try:
-            hermitian_cholesky(gram, table.precision_bits)
-        except DegenerateMomentError as e:
-            raise DegenerateMomentError(DEGENERATE_MSG) from e
+        hermitian_cholesky(table.rows, table.precision_bits)
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     T = mp.matrix(N + 1, N + 1)
     with mp.workprec(precision_bits + 10):
@@ -318,11 +311,12 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
     2p + 52 bits; each is then rounded once to p = precision_bits.
     Eigenvalues are reported sorted descending in log domain, trusted_count
     marks how many exceed the relative floor s_1 * 10^(-p/3), and
-    eigen_solve names the path taken.  A block whose off-diagonal entries
-    are all exactly zero skips the integer conversion, and its Hermiticity
-    defect is read from the imaginary parts of its diagonal; such a block,
-    or one whose off-diagonal integers all vanish, is not reduced: its
-    sorted diagonal, each input entry rounded once to p, is the spectrum.
+    eigen_solve names the path taken.  Whether the block is diagonal is
+    decided once, from exact zeros in the input: a block whose off-diagonal
+    entries are all zero skips the integer conversion, its Hermiticity
+    defect is read from the imaginary parts of its diagonal, and its sorted
+    diagonal, each input entry rounded once to p, is the spectrum.  Any
+    other block is reduced, even when its off-diagonal integers vanish.
     matrix_residual is the larger of the relative Hermiticity defect and
     sqrt(|sum |a_ij|^2 - sum s_n^2|) / trace, which a unitary similarity
     keeps at zero.  Raises NonConvergenceError when the QL does not
@@ -344,20 +338,14 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
     bits = 2 * p + FIXED_GUARD_BITS
     with mp.workprec(p):
         tol = mp.mpf(10) ** (-(p / mp.mpf(2)))
-        with mp.workprec(bits):
-            diag = [mp.mpc(rows[i][i]) for i in range(n)]
-        if any(rows[i][j] for i in range(n) for j in range(n) if j != i):
-            re, im, e, defect = _fixed_hermitian(rows, n, bits, tol)
-            diagonal = not any(any(cr[j + 1:]) or any(ci[j + 1:])
-                               for j, (cr, ci) in enumerate(zip(re, im)))
-        else:
+        if not any(rows[i][j] for i in range(n) for j in range(n) if j != i):
             with mp.workprec(bits):
+                diag = [mp.mpc(rows[i][i]) for i in range(n)]
                 defect = _diagonal_defect(diag, tol)
-            diagonal = True
-        residual = float(defect)
-        if diagonal:
             eigs = [+z.real for z in diag]  # each rounded once to p
-            return _sorted_spectrum(spec, eigs, residual, p, "diagonal")
+            return _sorted_spectrum(spec, eigs, float(defect), p, "diagonal")
+        re, im, e, defect = _fixed_hermitian(rows, n, bits, tol)
+        residual = float(defect)
         fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
         diag, sub2 = _householder_tridiagonal(re, im, bits)
         # the QL runs 20 bits past the integers, so every bit they hold enters
@@ -387,8 +375,8 @@ def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
 
 # ------------------------------------------------------------- radial oracle
 
-def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
-                  precision_bits: Optional[int] = None, q: int = 0) -> ToeplitzSpectrum:
+def radial_oracle(v: Weight, b0: float, N: int, precision_bits: int,
+                  q: int = 0) -> ToeplitzSpectrum:
     """Level-q eigenvalues of a centered radial weight by 1d quadrature.
 
     Separation of variables diagonalizes the compression in the angular
@@ -405,8 +393,7 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
     if not _radial_applicable(v):
         raise ValueError(ORACLE_MSG)
     LandauBasisSpec(q, float(b0), N)  # validates q, b0, N together
-    p_bits = precision_bits if precision_bits is not None else _default_precision(N)
-    with mp.workprec(p_bits + 20):
+    with mp.workprec(precision_bits + 20):
         # reduce to b0 = 2 inside the integral: t = (b0/2) rho^2, exact in mpf
         scale = mp.mpf(b0) / 2
         lo, hi = _radial_interval(v.support)
@@ -424,7 +411,8 @@ def radial_oracle(v: Weight, b0: float = 2.0, N: int = 48,
             norm = mp.e ** (mp.loggamma(pdeg + 1) - mp.loggamma(pdeg + alpha + 1))
             f = lambda t: t ** alpha * mp.laguerre(pdeg, alpha, t) ** 2 * mp.e ** (-t) * dens(t)
             vals.append(norm * mp.quad(f, [lo2, hi2]))
-        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, p_bits, "diagonal")
+        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, precision_bits,
+                                "diagonal")
 
 
 # ------------------------------------------------------- asymptotic sequences
@@ -456,7 +444,7 @@ def lemma1_sequences(v: Weight, b0: float = 2.0, N: int = 48,
             rhs.append(right)
             ratio.append(left / right)
     return AsymptoticsReport(tuple(ns), tuple(lhs), tuple(rhs), tuple(ratio),
-                             predicted_limits=None, trusted_n_max=n_max)
+                             trusted_n_max=n_max)
 
 
 def theorem_predictions(v_or_w: Weight, q: int, b0: float, rho, cap) -> dict:

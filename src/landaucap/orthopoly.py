@@ -15,7 +15,6 @@ from typing import Optional
 from mpmath import mp
 
 from ._mp import hermitian_cholesky
-from .errors import DegenerateMomentError
 from .weight import MomentTable
 
 __all__ = [
@@ -46,23 +45,18 @@ class RhoEstimate:
 def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
     """The squared norms M_n of the monic orthogonal polynomials.
 
-    The moment table holds prescaled entries for monomials (z/R0)^a; pivots
-    are rescaled back through log M_n += 2n log R0, so the norms reported
-    live in the plain z basis. The Cholesky is also the table's validity
-    check: a nonpositive pivot, on a diagonal table too, raises
+    hermitian_cholesky reads the table's stored lower triangle (rows) and
+    returns the log pivots, the log squared norms of the monomials (z/R0)^a
+    the table is prescaled to; log M_n += 2n log R0 takes them back to the
+    plain z basis. The Cholesky is also the table's validity check: a
+    nonpositive pivot, on a diagonal table too, raises its
     DegenerateMomentError.
     """
     N = moments.maxdeg
     prec = moments.precision_bits
+    log_pivots = hermitian_cholesky(moments.rows, prec)
     with mp.workprec(prec):
         logR0 = mp.log(moments.scale_radius)
-        G = [[moments.entry(a, b) for b in range(N + 1)] for a in range(N + 1)]
-        try:
-            _, log_pivots = hermitian_cholesky(G, prec)
-        except DegenerateMomentError as e:
-            raise DegenerateMomentError(
-                f"non-positive pivot at degree {e.degree}; raise precision or lower N"
-            ) from e
         log_norms = [lp + 2 * n * logR0 for n, lp in enumerate(log_pivots)]
         return MonicOrthoBasis(N, log_norms, moments)
 

@@ -22,6 +22,7 @@ from mpmath import mp
 
 from .chebyshev import capacity_estimate
 from .landau import (
+    LandauBasisSpec,
     lemma1_sequences,
     level_q_matrix,
     radial_oracle,
@@ -211,7 +212,7 @@ def level_one_checks() -> List[CheckResult]:
                            f"worst diag rel dev {_num(worst, 4)}, max |offdiag| {_num(offmax, 4)}",
                            "diag <= 1e-8, offdiag exactly 0"))
 
-    sp = spectrum(T, 256)
+    sp = spectrum(T, 256, LandauBasisSpec(1, 2.0, 48))
     orc = radial_oracle(_UNIT_DISC, 2.0, 48, 256, q=1)
     with mp.workprec(256):
         nt = min(sp.trusted_count, orc.trusted_count)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp
 
@@ -374,10 +373,6 @@ def _gaussian_excess(b0: float, rmax: float, prec: int) -> int:
     return max(30, 2 * K)
 
 
-def _default_precision(maxdeg: int) -> int:
-    return 128 if maxdeg <= 24 else 256
-
-
 def _power(density) -> int:
     """k for a density c |z|^k, which the boundary path integrates."""
     return density.k if isinstance(density, Power) else 0
@@ -547,7 +542,7 @@ def mixed_moments(
     w: Weight,
     kind: str,
     maxdeg: int,
-    precision_bits: Optional[int] = None,
+    precision_bits: int,
     b0: float = 2.0,
 ) -> MomentTable:
     """Moment table mu_ab for 0 <= a, b <= maxdeg, Hermitian by construction,
@@ -595,7 +590,7 @@ def mixed_moments(
         raise ValueError("kind must be 'plain' or 'gaussian'")
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
-    prec = precision_bits if precision_bits is not None else _default_precision(maxdeg)
+    prec = precision_bits
 
     with mp.workprec(prec):
         if _radial_applicable(w):

@@ -11,7 +11,7 @@ from mpmath import mp
 
 from landaucap.chebyshev import CapacityEstimate, capacity_estimate
 from landaucap import landau, weight as weight_module
-from landaucap.errors import NonConvergenceError
+from landaucap.errors import DegenerateMomentError, NonConvergenceError
 from landaucap.landau import (
     LandauBasisSpec,
     _creation_pow,
@@ -278,6 +278,25 @@ def test_spectrum_trusted_floor():
     assert all(a >= b for a, b in zip(trusted, trusted[1:]))
 
 
+def test_level_one_check_records_level_one(monkeypatch):
+    # the verify check solves a q = 1 block; its spectrum must say so
+    from landaucap import verify
+
+    class Stop(Exception):
+        pass
+
+    specs = []
+
+    def recording(*args, **kwargs):
+        specs.append(spectrum(*args, **kwargs).spec)
+        raise Stop
+
+    monkeypatch.setattr(verify, "spectrum", recording)
+    with pytest.raises(Stop):
+        verify.level_one_checks()
+    assert specs == [LandauBasisSpec(1, 2.0, 48)]
+
+
 def test_spectrum_determinism_and_spec_field():
     v = Weight(Disc(0.5 + 0.2j, 0.8), Constant(1.0))
     s1 = toeplitz_spectrum(v, 1, 2.0, 7, 128)
@@ -378,6 +397,23 @@ def test_spectrum_diagonal_beyond_fixed_range():
     assert sp.matrix_residual == 0.0
 
 
+def test_spectrum_decides_diagonal_from_exact_zeros():
+    # off-diagonal entries below the fixed-point step vanish as integers, but
+    # they are not exact zeros, so the block is reduced, not read as diagonal
+    tiny = mp.mpf(2) ** -400
+    sp = spectrum(mp.matrix([[1, tiny], [tiny, mp.mpf(1) / 2]]), 64)
+    assert sp.eigen_solve == "householder-ql"
+    with mp.workprec(64):
+        assert sp.eigenvalues() == (1, mp.mpf(1) / 2)
+
+
+def test_tiny_offcenter_disc_level_q_raises_with_the_degree():
+    # radius 0.01 at distance 1: the Gaussian table fails its Cholesky at 64 bits
+    w = Weight(Disc(1 + 0j, 0.01), Constant(1.0))
+    with pytest.raises(DegenerateMomentError, match="non-positive pivot at degree"):
+        level_q_matrix(w, 0, 2.0, 6, 64)
+
+
 def test_spectrum_reports_eigen_solve():
     v = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
     assert toeplitz_spectrum(v, 0, 2.0, 12, 128).eigen_solve == "householder-ql"
@@ -462,7 +498,7 @@ def test_spectrum_keeps_the_input_precision():
 # ------------------------------------------------------------ radial oracle
 
 def test_radial_oracle_closed_values():
-    sp = radial_oracle(UNIT_DISC, 2.0, 5)
+    sp = radial_oracle(UNIT_DISC, 2.0, 5, 128)
     with mp.workprec(160):
         eigs = sp.eigenvalues()
         assert abs(eigs[0] - (1 - mp.exp(-1))) < mp.mpf(10) ** -30
@@ -478,7 +514,7 @@ def test_radial_oracle_requires_centered_radial():
         Weight(Disc(0.3 + 0j, 1.0), Power(2)),
     ):
         with pytest.raises(ValueError, match="oracle requires centered radial weight"):
-            radial_oracle(w, 2.0, 4)
+            radial_oracle(w, 2.0, 4, 128)
 
 
 def test_radial_oracle_profile_quadrature():
@@ -591,7 +627,7 @@ def test_general_b0_radial_closed_form():
     # b0 = 5 on the unit disc: s_{n+1} = gamma(n+1, 5/2)/n!
     with mp.workprec(256):
         exact = sorted((g(n + 1, mp.mpf(5) / 2) / mp.factorial(n) for n in range(7)), reverse=True)
-    orc = radial_oracle(UNIT_DISC, 5.0, 6)
+    orc = radial_oracle(UNIT_DISC, 5.0, 6, 128)
     mat = toeplitz_spectrum(UNIT_DISC, 0, 5.0, 6, 128)
     with mp.workprec(160):
         for a, b in zip(orc.eigenvalues(), exact):

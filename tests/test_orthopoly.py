@@ -5,14 +5,18 @@ wherever it is centred; scaling multiplies M_n by alpha^(2n+2); degree-1
 norms follow from the 2x2 Gram determinant ratio.
 """
 
+import math
+
 import pytest
 from mpmath import mp
 
+from landaucap._mp import hermitian_cholesky
 from landaucap.errors import DegenerateMomentError
 from landaucap.region import Annulus, Disc, Polygon, capacity_known
 from landaucap.weight import (
     Constant,
     MomentTable,
+    Power,
     Weight,
     mixed_moments,
 )
@@ -139,19 +143,53 @@ def test_trivial_degree_step_bound():
                 assert basis.log_norms[n + 1] <= basis.log_norms[n] + log_r02 + mp.mpf(10) ** -18
 
 
-def test_cholesky_consistency():
-    w = Weight(UNIT_SQUARE, Constant(1.0))
-    tab = mixed_moments(w, "plain", 10, precision_bits=128)
-    from landaucap._mp import hermitian_cholesky
+def _mpc_cholesky_log_pivots(rows, prec):
+    """The earlier kernel, kept as the reference: the full Hermitian matrix
+    from its lower triangle, factored by an mpc loop that rounds after every
+    multiply-subtract."""
+    n = len(rows)
+    with mp.workprec(prec):
+        g = [[rows[a][b] if b <= a else mp.conj(rows[b][a]) for b in range(n)] for a in range(n)]
+        L = [[mp.mpc(0)] * n for _ in range(n)]
+        logs = []
+        for i in range(n):
+            for j in range(i + 1):
+                s = g[i][j]
+                for k in range(j):
+                    s -= L[i][k] * mp.conj(L[j][k])
+                if i == j:
+                    piv = mp.re(s)
+                    L[i][i] = mp.sqrt(piv)
+                    logs.append(mp.log(piv))
+                else:
+                    L[i][j] = s / L[j][j]
+        return logs
 
-    with mp.workprec(128):
-        G = [[tab.entry(a, b) for b in range(11)] for a in range(11)]
-        L, _ = hermitian_cholesky(G, 128)
-        scale = max(abs(G[a][a]) for a in range(11))
-        for a in range(11):
-            for b in range(11):
-                rec = mp.fsum(L[a][k] * mp.conj(L[b][k]) for k in range(min(a, b) + 1))
-                assert abs(rec - G[a][b]) <= scale * mp.mpf(2) ** (-128 // 4)
+
+CENTRED_SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
+TRIANGLE = Polygon((0j, 1 + 0j, complex(0.5, math.sqrt(3) / 2)))
+
+
+@pytest.mark.parametrize("support, density, kind", [
+    (CENTRED_SQUARE, Constant(1.0), "plain"),
+    (TRIANGLE, Constant(1.0), "plain"),
+    (UNIT_SQUARE, Constant(1.0), "plain"),
+    (Disc(0.7 + 0j, 1.0), Power(1), "plain"),
+    (Disc(0.7 + 0j, 1.0), Constant(1.0), "gaussian"),
+])
+def test_cholesky_log_pivots_match_the_mpc_loop(support, density, kind):
+    # against the mpc loop at p + 128 bits on the same table, the log pivots
+    # err by at most twice the loop's own worst error at p
+    N, p = 24, 128
+    rows = mixed_moments(Weight(support, density), kind, N, p).rows
+    got = hermitian_cholesky(rows, p)
+    ref = _mpc_cholesky_log_pivots(rows, p + 128)
+    loop = _mpc_cholesky_log_pivots(rows, p)
+    assert len(got) == N + 1
+    with mp.workprec(p + 128):
+        worst = max(abs(a - b) for a, b in zip(got, ref))
+        worst_loop = max(abs(a - b) for a, b in zip(loop, ref))
+    assert worst <= 2 * worst_loop
 
 
 def test_square_table_is_factored_once(monkeypatch):

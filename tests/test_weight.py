@@ -373,18 +373,12 @@ def test_entry_bounds_checked():
         tab.entry(5, 0)
 
 
-def test_default_precision_rule():
-    w = Weight(Disc(0j, 1.0), Constant(1.0))
-    assert mixed_moments(w, "plain", 24).precision_bits == 128
-    assert mixed_moments(w, "plain", 25).precision_bits == 256
-
-
 def test_mixed_moments_validation():
     w = Weight(Disc(0j, 1.0), Constant(1.0))
     with pytest.raises(ValueError):
-        mixed_moments(w, "weird", 4)
+        mixed_moments(w, "weird", 4, 128)
     with pytest.raises(ValueError):
-        mixed_moments(w, "plain", -1)
+        mixed_moments(w, "plain", -1, 128)
 
 
 def test_degenerate_weight_rejected():
