@@ -440,18 +440,88 @@ def test_spectrum_ql_nonconvergence_raises(monkeypatch):
         spectrum(T, 128)
 
 
-@pytest.mark.parametrize("support", [
-    Disc(0.7 + 0j, 1.0),
-    Polygon((0j, 1 + 0j, 1 + 1j, 1j)),
-    SQUARE,
-], ids=["offcenter-disc", "corner-square", "centred-square"])
-def test_dense_spectrum_within_two_ulp(support):
+def _record_ql_input(monkeypatch):
+    """Wrap the QL so that each call's diagonal and sub-diagonal are kept."""
+    calls = []
+    real = landau.tridiag_eigen
+
+    def recording(ctx, d, e):
+        calls.append((list(d), list(e)))
+        return real(ctx, d, e)
+
+    monkeypatch.setattr(landau, "tridiag_eigen", recording)
+    return calls
+
+
+def test_ql_starts_at_the_small_end(monkeypatch):
+    # the off-centre disc's tridiagonal falls from 2^-1 to 2^-92 down its
+    # diagonal; the QL deflates from the top, so it must receive the small
+    # end first (91 QL iterations top-down, 34 small end first)
+    calls = _record_ql_input(monkeypatch)
+    T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 24, 128)
+    spectrum(T, 128)
+    (d, e), = calls
+    assert abs(d[0]) <= abs(d[-1])
+    assert e[-1] == 0
+
+
+def _graded_tridiagonal(n, prec, ascending):
+    """A Hermitian tridiagonal block with diagonal 2^(-3k) and complex
+    sub-diagonal entries a quarter of their neighbours' geometric mean,
+    listed small end first when ascending."""
+    with mp.workprec(prec):
+        diag = [mp.mpf(2) ** (-3 * k) for k in range(n)]
+        sub = [mp.sqrt(diag[k] * diag[k + 1]) / 4 * mp.expj(k + 1) for k in range(n - 1)]
+        if ascending:
+            diag.reverse()
+            sub = [mp.conj(z) for z in reversed(sub)]
+        a = [[mp.mpc(0)] * n for _ in range(n)]
+        for k in range(n):
+            a[k][k] = mp.mpc(diag[k])
+        for k in range(n - 1):
+            a[k + 1][k], a[k][k + 1] = sub[k], mp.conj(sub[k])
+        return a
+
+
+def test_ql_keeps_an_upward_graded_order(monkeypatch):
+    # a block graded small to large already starts at the small end: the QL
+    # receives its order unchanged, and its flip (the same matrix graded
+    # downward) is reversed into that same order, so both give the same
+    # bits, each within 2^(1-p) relative of mp.eighe
+    p, n = 128, 16
+    calls = _record_ql_input(monkeypatch)
+    up = spectrum(_graded_tridiagonal(n, p, True), p)
+    down = spectrum(_graded_tridiagonal(n, p, False), p)
+    (d_up, e_up), (d_down, e_down) = calls
+    with mp.workprec(p):
+        assert d_up[0] == mp.mpf(2) ** (-3 * (n - 1)) and d_up[-1] == 1
+    assert (d_down, e_down) == (d_up, e_up)
+    assert up.eigs == down.eigs
+    with mp.workprec(p + 128):
+        ref = sorted(mp.eighe(mp.matrix(_graded_tridiagonal(n, p, True)), eigvals_only=True),
+                     reverse=True)
+        for got, want in zip(up.eigenvalues(), ref):
+            assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
+
+
+DENSE_SUPPORTS = {
+    "offcenter-disc": Disc(0.7 + 0j, 1.0),
+    "corner-square": Polygon((0j, 1 + 0j, 1 + 1j, 1j)),
+    "centred-square": SQUARE,
+}
+
+
+@pytest.mark.parametrize("support, q", [
+    pytest.param(support, q, id=name if q == 0 else f"{name}-q{q}")
+    for q in (0, 1, 2) for name, support in DENSE_SUPPORTS.items()
+])
+def test_dense_spectrum_within_two_ulp(support, q):
     # every trusted eigenvalue within 2^(1-p) relative of the same symmetrized
     # block solved by mp.eighe at p + 128 bits; three quarters of the centred
-    # square's block is rounding noise, and all 25 of its eigenvalues are
-    # trusted down to s_25/s_1 = 5.9e-37
+    # square's block is rounding noise, and at q = 0 all 25 of its eigenvalues
+    # are trusted down to s_25/s_1 = 5.9e-37
     p = 128
-    T = level_q_matrix(Weight(support, Constant(1.0)), 0, 2.0, 24, p)
+    T = level_q_matrix(Weight(support, Constant(1.0)), q, 2.0, 24, p)
     sp = spectrum(T, p)
     assert sp.eigen_solve == "householder-ql"
     n = T.rows
