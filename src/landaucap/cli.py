@@ -163,8 +163,9 @@ def cmd_toeplitz(cfg: dict, precision: int, fmt: str, output: Optional[str],
     q = _number(cfg, "q", 0)
     b0 = _number(cfg, "b0", 2.0, float)
     N = _number(cfg, "N", 48)
-    sp = toeplitz_spectrum(w, q, b0, N, precision)
+    # a non-radial --oracle run is a config error, rejected before the solve
     orc = radial_oracle(w, b0, N, precision, q=q) if oracle else None
+    sp = toeplitz_spectrum(w, q, b0, N, precision)
     digits = emission_digits(precision)
     rows = []
     max_dev = mp.mpf(0)

@@ -2,15 +2,17 @@
 
 The compression of multiplication by a compactly supported weight v onto the
 q-th Landau level is represented by its top-left (N+1)x(N+1) block in the
-normalized level basis.  The block is assembled from Gaussian mixed moments,
-reduced to a real tridiagonal matrix by Householder reflections on
-fixed-point Python integers at 2p + 32 bits (p the working precision), and
-the tridiagonal solved by mpmath's implicit QL at 2p + 52 bits, each
-eigenvalue rounded once to p bits.  The s_n decay super-geometrically, so
-the tridiagonal is steeply graded; the QL deflates from the top, and it is
-handed the tridiagonal small end first, which takes fewer iterations.  The
-resulting eigenvalues s_n feed the n-th-root sequences that the
-minimal-norm and capacity machinery is asymptotically equal to.
+normalized level basis, kept from assembly to eigen-solve as its lower
+triangle with a real diagonal, the moment table's own layout.  It is
+assembled from Gaussian mixed moments, reduced to a real tridiagonal matrix
+by Householder reflections on fixed-point Python integers at 2p + 32 bits
+(p the working precision), and the tridiagonal solved by mpmath's implicit
+QL at 2p + 52 bits, each eigenvalue rounded once to p bits.  The s_n decay
+super-geometrically, so the tridiagonal is steeply graded; the QL deflates
+from the top, and it is handed the tridiagonal small end first, which takes
+fewer iterations.  The resulting eigenvalues s_n feed the n-th-root
+sequences that the minimal-norm and capacity machinery is asymptotically
+equal to.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class LandauBasisSpec:
 class ToeplitzSpectrum:
     spec: LandauBasisSpec
     log_eigs: tuple         # log s_n descending, mpf (-inf for nonpositive noise)
-    matrix_residual: float  # max of Hermiticity defect and Frobenius-norm gap / trace
+    matrix_residual: float  # Frobenius-norm gap / trace; 0 on the diagonal path
     trusted_count: int      # eigenvalues above s_1 * 10^(-p/3)
     precision_bits: int     # p, the working precision of the run
     eigen_solve: str        # "diagonal", or "householder-ql" for a dense block
@@ -150,6 +152,11 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     its diagonal, so on one only the entries k = j are assembled and the
     rest are exactly 0.
 
+    The block is Hermitian and returned as its lower triangle, rows[j][k]
+    for k <= j, the layout spectrum reads: entry (j, k), k >= j, is formed
+    and its conjugate stored at rows[k][j], and the diagonal keeps its
+    real part, an mpf.  The leading m x m block is the prefix rows[:m].
+
     A boundary table is checked by hermitian_cholesky on its stored lower
     triangle, its log pivots unused: a non-positive pivot at the working
     precision raises DegenerateMomentError naming the degree.
@@ -159,7 +166,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     if table.path != "radial":
         hermitian_cholesky(table.rows, table.precision_bits)
     polys = [_creation_pow(j, q) for j in range(N + 1)]
-    T = mp.matrix(N + 1, N + 1)
+    rows = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
     with mp.workprec(precision_bits + 10):
         R0_eta = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
         unscale = [R0_eta ** n for n in range(2 * (N + q) + 1)]
@@ -174,67 +181,33 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
                         a, b = m1 + l2, l1 + m2
                         acc += (c1 * c2) * (table.entry(a, b) * unscale[a + b])
                 val = acc * mp.e ** (-(log_pi_q + half_lg[j] + half_lg[k]))
-                T[j, k] = val
-                if k != j:
-                    T[k, j] = mp.conj(val)
-    return T
+                rows[k][j] = val.real if k == j else mp.conj(val)
+    return rows
 
 
 # -------------------------------------------------------------- eigenvalues
 
-def _check_hermitian(defect, tol):
-    if defect > tol:
-        raise ValueError(
-            f"matrix is not Hermitian within tolerance (relative defect {mp.nstr(defect, 6)})"
-        )
+def _fixed_columns(rows, bits: int):
+    """Integer columns (re, im) of the Hermitian matrix whose lower triangle
+    is rows, over one power of two 2^e.
 
-
-def _diagonal_defect(diag, tol):
-    """Relative Hermiticity defect 2 max|Im a_ii| / max|a_ii| of a block
-    whose off-diagonal entries are all zero; a ValueError above tol."""
-    amax = max((abs(z) for z in diag), default=0)
-    defect = 2 * max(abs(z.imag) for z in diag) / amax if amax else mp.mpf(0)
-    _check_hermitian(defect, tol)
-    return defect
-
-
-def _fixed_hermitian(rows, n: int, bits: int, tol):
-    """Integer columns (re, im) of the Hermitian part of rows, over one
-    power of two 2^e, and its relative Hermiticity defect.
-
-    Each entry is read at bits precision and both triangles are converted
-    once with to_fixed; the defect |a_ij - conj(a_ji)| / max|a_ij| is read
-    from those integers and a ValueError raised when it exceeds tol.  The
-    symmetrized entry a_ij + conj(a_ji), twice the Hermitian part, is exact
-    in the same integers, so the columns come back over 2^(e - 1), exactly
-    Hermitian with a real diagonal.
+    The triangle is read at bits precision, converted once with to_fixed
+    (its largest entry keeping bits bits) and doubled onto half that step,
+    a guard bit for the reduction's own roundings.  Column j holds a_kj
+    for every k, conjugates mirrored above the diagonal.
     """
     parts = []
     with mp.workprec(bits):
-        for j in range(n):
-            col = [mp.mpc(rows[k][j]) for k in range(n)]
-            parts.append([z.real for z in col])
-            parts.append([z.imag for z in col])
+        for row in rows:
+            row = [mp.mpc(z) for z in row]
+            parts += [[z.real for z in row], [z.imag for z in row]]
     ints, e = to_fixed(parts, bits)
-    re, im = ints[0::2], ints[1::2]
-    amax2 = max((x * x + y * y for cr, ci in zip(re, im) for x, y in zip(cr, ci)), default=0)
-    herm2 = 0
-    for j in range(n):
-        for k in range(j, n):
-            # re[j][k] + i im[j][k] is a_kj, re[k][j] + i im[k][j] is a_jk
-            dr, di = re[j][k] - re[k][j], im[j][k] + im[k][j]
-            herm2 = max(herm2, dr * dr + di * di)
-    defect = mp.sqrt(mp.mpf(herm2) / amax2) if amax2 else mp.mpf(0)
-    _check_hermitian(defect, tol)
-    for j in range(n):
-        cr, ci = re[j], im[j]
-        cr[j] *= 2
-        ci[j] = 0
-        for k in range(j + 1, n):
-            x, y = cr[k] + re[k][j], ci[k] - im[k][j]
-            cr[k] = re[k][j] = x
-            ci[k], im[k][j] = y, -y
-    return re, im, e - 1, defect
+    lre = [[2 * x for x in part] for part in ints[0::2]]
+    lim = [[2 * y for y in part] for part in ints[1::2]]
+    n = len(rows)
+    re = [lre[j][:j] + [lre[k][j] for k in range(j, n)] for j in range(n)]
+    im = [[-y for y in lim[j][:j]] + [lim[k][j] for k in range(j, n)] for j in range(n)]
+    return re, im, e - 1
 
 
 def _householder_tridiagonal(re, im, bits: int):
@@ -300,59 +273,48 @@ def _householder_tridiagonal(re, im, bits: int):
     return diag, sub2
 
 
-def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None) -> ToeplitzSpectrum:
+def spectrum(rows, precision_bits: int, spec: Optional[LandauBasisSpec] = None) -> ToeplitzSpectrum:
     """Eigenvalues of a Hermitian compression block by Householder
     tridiagonalization and implicit QL.
 
-    The block is read at 2p + FIXED_GUARD_BITS bits, not rounded to p first
-    (level_q_matrix assembles it at p + 20 bits), and converted once to
-    integers over a shared power of two, that many bits below its largest
-    entry; its Hermiticity is checked and its Hermitian part taken on those
-    integers.  Householder reflections reduce them, exactly Hermitian, to a
-    real tridiagonal matrix, whose eigenvalues mpmath's implicit QL finds at
-    2p + 52 bits; each is then rounded once to p = precision_bits.  The QL
-    (EISPACK's imtql2) deflates from the top with a shift from the leading
-    2x2 block, so, as LAPACK's dsteqr does, the tridiagonal is reversed
-    when |d_0| > |d_(n-1)|: a graded one is then started at its small end,
-    and the off-centre disc's at N=24 takes 34 iterations instead of 91.
-    Reversal is a permutation similarity and leaves the spectrum unchanged.
-    Eigenvalues are reported sorted descending in log domain, trusted_count
-    marks how many exceed the relative floor s_1 * 10^(-p/3), and
-    eigen_solve names the path taken.  Whether the block is diagonal is
-    decided once, from exact zeros in the input: a block whose off-diagonal
-    entries are all zero skips the integer conversion, its Hermiticity
-    defect is read from the imaginary parts of its diagonal, and its sorted
-    diagonal, each input entry rounded once to p, is the spectrum.  Any
-    other block is reduced, even when its off-diagonal integers vanish.
-    matrix_residual is the larger of the relative Hermiticity defect and
+    The block is its lower triangle rows[j][k], k <= j, with a real
+    diagonal (the layout level_q_matrix returns); a ValueError is raised
+    when row j does not hold j + 1 entries or a diagonal entry is not real.
+    The triangle is read at 2p + FIXED_GUARD_BITS bits, not rounded to p
+    first (level_q_matrix assembles it at p + 20 bits), converted once to
+    integers over a shared power of two and mirrored into the upper
+    triangle, exactly Hermitian.  Householder reflections reduce them to a
+    real tridiagonal matrix, whose eigenvalues mpmath's implicit QL finds
+    at 2p + 52 bits; each is then rounded once to p = precision_bits.  The
+    QL (EISPACK's imtql2) deflates from the top with a shift from the
+    leading 2x2 block, so, as LAPACK's dsteqr does, the tridiagonal is
+    reversed when |d_0| > |d_(n-1)|: a graded one is then started at its
+    small end, and the off-centre disc's at N=24 takes 34 iterations
+    instead of 91.  Reversal is a permutation similarity and leaves the
+    spectrum unchanged.  Eigenvalues are reported sorted descending in log
+    domain, trusted_count marks how many exceed the relative floor
+    s_1 * 10^(-p/3), and eigen_solve names the path taken.  A block that is
+    exactly zero below its diagonal skips the integer conversion: its
+    sorted diagonal, each entry rounded once to p, is the spectrum, and
+    matrix_residual is 0.  Any other block is reduced, even when its
+    off-diagonal integers vanish, and matrix_residual is
     sqrt(|sum |a_ij|^2 - sum s_n^2|) / trace, which a unitary similarity
     keeps at zero.  Raises NonConvergenceError when the QL does not
     converge.
     """
     p = precision_bits
-    if hasattr(matrix, "rows"):
-        n = matrix.rows
-        if matrix.cols != n:
-            raise ValueError("matrix must be square")
-        rows = [[matrix[i, j] for j in range(n)] for i in range(n)]
-    else:
-        n = len(matrix)
-        if any(len(row) != n for row in matrix):
-            raise ValueError("matrix must be square")
-        rows = matrix
+    if any(len(row) != j + 1 for j, row in enumerate(rows)):
+        raise ValueError("rows must be a lower triangle: row j holds j + 1 entries")
+    if any(mp.im(row[-1]) for row in rows):
+        raise ValueError("the diagonal of a Hermitian matrix must be real")
     if spec is None:
-        spec = LandauBasisSpec(0, 2.0, n - 1)
+        spec = LandauBasisSpec(0, 2.0, len(rows) - 1)
     bits = 2 * p + FIXED_GUARD_BITS
     with mp.workprec(p):
-        tol = mp.mpf(10) ** (-(p / mp.mpf(2)))
-        if not any(rows[i][j] for i in range(n) for j in range(n) if j != i):
-            with mp.workprec(bits):
-                diag = [mp.mpc(rows[i][i]) for i in range(n)]
-                defect = _diagonal_defect(diag, tol)
-            eigs = [+z.real for z in diag]  # each rounded once to p
-            return _sorted_spectrum(spec, eigs, float(defect), p, "diagonal")
-        re, im, e, defect = _fixed_hermitian(rows, n, bits, tol)
-        residual = float(defect)
+        if not any(x for row in rows for x in row[:-1]):
+            eigs = [+mp.re(row[-1]) for row in rows]  # each rounded once to p
+            return _sorted_spectrum(spec, eigs, 0.0, p, "diagonal")
+        re, im, e = _fixed_columns(rows, bits)
         fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
         diag, sub2 = _householder_tridiagonal(re, im, bits)
         # the QL runs 20 bits past the integers, so every bit they hold enters
@@ -370,9 +332,8 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
                 if not str(err).startswith("tridiag_eigen: no convergence"):
                     raise
                 raise NonConvergenceError(str(err)) from err
-            if trace > 0:
-                gap = mp.ldexp(fro2, 2 * e) - mp.fsum(x * x for x in d)
-                residual = max(residual, float(mp.sqrt(abs(gap)) / trace))
+            gap = mp.ldexp(fro2, 2 * e) - mp.fsum(x * x for x in d)
+            residual = float(mp.sqrt(abs(gap)) / trace) if trace > 0 else 0.0
         eigs = [+x for x in d]  # each rounded once to p
         return _sorted_spectrum(spec, eigs, residual, p, "householder-ql")
 
@@ -380,8 +341,8 @@ def spectrum(matrix, precision_bits: int, spec: Optional[LandauBasisSpec] = None
 def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
                       precision_bits: int = 256) -> ToeplitzSpectrum:
     """Assemble the level-q compression of v and diagonalize it."""
-    T = level_q_matrix(v, q, b0, N, precision_bits)
-    return spectrum(T, precision_bits, spec=LandauBasisSpec(q, float(b0), N))
+    rows = level_q_matrix(v, q, b0, N, precision_bits)
+    return spectrum(rows, precision_bits, spec=LandauBasisSpec(q, float(b0), N))
 
 
 # ------------------------------------------------------------- radial oracle

@@ -314,6 +314,20 @@ def test_toeplitz_oracle_rejects_offcenter(tmp_path, capsys):
     assert "radial" in err
 
 
+def test_toeplitz_oracle_rejects_before_the_solve(tmp_path, capsys, monkeypatch):
+    # a non-radial --oracle run is a config error found before any solve
+    def unused(*args):
+        raise AssertionError("toeplitz_spectrum ran before the oracle check")
+
+    monkeypatch.setattr(cli, "toeplitz_spectrum", unused)
+    cfg = write_config(tmp_path / "toep.json", {
+        "weight": OFFCENTER_WEIGHT, "q": 0, "N": 48, "precision_bits": 256,
+    })
+    code, out, err = run_cli(["toeplitz", "--config", cfg, "--oracle"], capsys)
+    assert code == 2
+    assert "oracle requires centered radial weight" in err
+
+
 def test_toeplitz_reports_eigen_solve(tmp_path, capsys):
     cfg = write_config(tmp_path / "toep.json", {
         "weight": OFFCENTER_WEIGHT, "q": 0, "N": 12, "precision_bits": 64,

@@ -30,6 +30,17 @@ UNIT_DISC = Weight(Disc(0j, 1.0), Constant(1.0))
 SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
 
 
+def _full(rows):
+    """The mp.matrix of the Hermitian block whose lower triangle is rows,
+    for the mp.eighe references."""
+    n = len(rows)
+    a = mp.matrix(n, n)
+    for j, row in enumerate(rows):
+        for k, x in enumerate(row):
+            a[j, k], a[k, j] = x, mp.conj(x)
+    return a
+
+
 def on_boundary_path(fn, *args):
     """fn(*args) with centred discs sent down the dense boundary moment path,
     as every other support is, instead of the diagonal radial one."""
@@ -74,29 +85,26 @@ def test_lll_disc_diagonal_closed_form():
             r2 = mp.mpf(r) ** 2
             for j in range(11):
                 exact = g(j + 1, r2) / mp.factorial(j)
-                assert abs(T[j, j] - exact) / exact < mp.mpf(10) ** -30
-            for j in range(11):
-                for k in range(11):
-                    if j != k:
-                        assert T[j, k] == 0
+                assert abs(T[j][j] - exact) / exact < mp.mpf(10) ** -30
+                assert all(x == 0 for x in T[j][:j])
 
 
 def test_lll_t00_value():
     T = level_q_matrix(UNIT_DISC, 0, 2.0, 0, 128)
     with mp.workprec(160):
         exact = 1 - mp.exp(-1)
-        assert abs(T[0, 0] - exact) / exact < mp.mpf(10) ** -35
+        assert abs(T[0][0] - exact) / exact < mp.mpf(10) ** -35
 
 
 def test_lll_generic_path_matches_radial():
     Tg = on_boundary_path(level_q_matrix, UNIT_DISC, 0, 2.0, 8, 128)
     Tr = level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128)
     with mp.workprec(160):
-        diag_rel = max(abs(Tg[j, j] - Tr[j, j]) / abs(Tr[j, j]) for j in range(9))
+        diag_rel = max(abs(Tg[j][j] - Tr[j][j]) / abs(Tr[j][j]) for j in range(9))
         assert diag_rel < mp.mpf(10) ** -30
         # dense-path off-diagonals are rounding dust at the working floor
-        maxdiag = max(abs(Tr[j, j]) for j in range(9))
-        off = max(abs(Tg[j, k]) for j in range(9) for k in range(9) if j != k)
+        maxdiag = max(abs(Tr[j][j]) for j in range(9))
+        off = max(abs(Tg[j][k]) for j in range(9) for k in range(j))
         assert off < mp.mpf(10) ** -35 * maxdiag
 
 
@@ -105,8 +113,8 @@ def test_lll_diagonal_bounded_by_ess_sup():
     T = level_q_matrix(w, 0, 2.0, 8, 128)
     with mp.workprec(128):
         for j in range(9):
-            assert mp.re(T[j, j]) <= mp.mpf("0.75") * (1 + mp.mpf(10) ** -30)
-            assert mp.re(T[j, j]) > 0
+            assert mp.re(T[j][j]) <= mp.mpf("0.75") * (1 + mp.mpf(10) ** -30)
+            assert mp.re(T[j][j]) > 0
 
 
 # ------------------------------------------------------------ level-q matrix
@@ -146,10 +154,9 @@ def test_radial_assembly_is_the_dense_loop_on_the_diagonal(v, q, monkeypatch):
     monkeypatch.setattr(landau, "mixed_moments", as_dense)
     D = level_q_matrix(v, q, 2.0, N, 128)
     for j in range(N + 1):
-        assert T[j, j] == D[j, j] and mp.im(T[j, j]) == 0
-        for k in range(N + 1):
-            if k != j:
-                assert T[j, k] == 0 and D[j, k] == 0
+        assert T[j][j] == D[j][j] and mp.im(T[j][j]) == 0
+        for k in range(j):
+            assert T[j][k] == 0 and D[j][k] == 0
 
 
 def test_level_q1_disc_diagonal_closed_form():
@@ -160,11 +167,8 @@ def test_level_q1_disc_diagonal_closed_form():
             r2 = mp.mpf(r) ** 2
             for n in range(9):
                 exact = q1_diag(n, r2)
-                assert abs(T[n, n] - exact) / exact < mp.mpf(10) ** -25
-            for j in range(9):
-                for k in range(9):
-                    if j != k:
-                        assert T[j, k] == 0
+                assert abs(T[n][n] - exact) / exact < mp.mpf(10) ** -25
+                assert all(x == 0 for x in T[n][:n])
 
 
 def test_level_q1_unit_disc_tie():
@@ -173,8 +177,8 @@ def test_level_q1_unit_disc_tie():
     with mp.workprec(160):
         exact = 1 - 2 * mp.exp(-1)
         for n in range(3):
-            assert abs(T[n, n] - exact) / exact < mp.mpf(10) ** -30
-        assert abs(T[3, 3] - exact) / exact > mp.mpf("0.01")
+            assert abs(T[n][n] - exact) / exact < mp.mpf(10) ** -30
+        assert abs(T[3][3] - exact) / exact > mp.mpf("0.01")
 
 
 def test_level_q1_generic_path_matches_closed_form():
@@ -182,7 +186,7 @@ def test_level_q1_generic_path_matches_closed_form():
     with mp.workprec(160):
         for n in range(7):
             exact = q1_diag(n, mp.mpf(1))
-            assert abs(T[n, n] - exact) / exact < mp.mpf(10) ** -25
+            assert abs(T[n][n] - exact) / exact < mp.mpf(10) ** -25
 
 
 def test_level_q2_closed_form_and_hermiticity():
@@ -190,21 +194,42 @@ def test_level_q2_closed_form_and_hermiticity():
     with mp.workprec(160):
         # creation applied twice to z^0 gives conj(z)^2, so T00 = gamma(3,1)/2!
         exact = g(3, 1) / 2
-        assert abs(T[0, 0] - exact) / exact < mp.mpf(10) ** -25
-    v = Weight(Disc(0.3 + 0j, 0.8), Constant(1.0))
-    D = level_q_matrix(v, 2, 2.0, 5, 128)
-    with mp.workprec(256):  # above assembly precision, so conj is exact
-        amax = max(abs(D[j, k]) for j in range(6) for k in range(6))
-        for j in range(6):
-            for k in range(6):
-                assert D[j, k] == mp.conj(D[k, j])
-            assert abs(mp.im(D[j, j])) <= mp.mpf(10) ** -35 * amax
+        assert abs(T[0][0] - exact) / exact < mp.mpf(10) ** -25
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("support", [Disc(0j, 1.0), Disc(0.3 + 0j, 0.8)], ids=["radial", "dense"])
+def test_level_q_matrix_is_a_lower_triangle(support, q):
+    # row j holds entries k <= j and ends in a real mpf diagonal; the
+    # radial block is exactly zero below it, the dense one is not
+    N = 5
+    T = level_q_matrix(Weight(support, Constant(1.0)), q, 2.0, N, 128)
+    assert isinstance(T, list) and len(T) == N + 1
+    for j, row in enumerate(T):
+        assert isinstance(row, list) and len(row) == j + 1
+        assert type(row[j]) is mp.mpf and row[j] > 0
+    below = [x for row in T for x in row[:-1]]
+    assert all(x == 0 for x in below) == (support.center == 0)
+
+
+def test_leading_block_is_the_prefix():
+    # the leading m x m block of an assembly is rows[:m], and its spectrum
+    # matches mp.eighe of that block on every trusted eigenvalue
+    p = 128
+    T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 16, p)
+    for m in (9, 13):
+        sp = spectrum(T[:m], p)
+        assert len(sp.eigs) == m and sp.eigen_solve == "householder-ql"
+        with mp.workprec(p + 128):
+            ref = sorted(mp.eighe(_full(T[:m]), eigvals_only=True), reverse=True)
+            for got, want in zip(sp.eigenvalues()[:sp.trusted_count], ref):
+                assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
 
 
 # ----------------------------------------------------------------- spectrum
 
 def test_spectrum_diagonal_exact():
-    m = mp.matrix([[3, 0, 0], [0, 1, 0], [0, 0, 2]])
+    m = [[3], [0, 1], [0, 0, 2]]
     sp = spectrum(m, 128)
     with mp.workprec(128):
         assert sp.log_eigs == (mp.log(3), mp.log(2), mp.log(1))
@@ -213,7 +238,7 @@ def test_spectrum_diagonal_exact():
 
 
 def test_spectrum_2x2_complex_closed_form():
-    m = [[mp.mpf(2), mp.mpc(0, 1)], [mp.mpc(0, -1), mp.mpf(1)]]
+    m = [[mp.mpf(2)], [mp.mpc(0, -1), mp.mpf(1)]]
     sp = spectrum(m, 128)
     with mp.workprec(128):
         lam = ((3 + mp.sqrt(5)) / 2, (3 - mp.sqrt(5)) / 2)
@@ -232,37 +257,34 @@ def test_eigenvalues_keep_the_run_precision():
 
 
 def test_spectrum_rejects_bad_input():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        spectrum([[1.0, 0.5], [0.0, 1.0]], 64)
-    with pytest.raises(ValueError, match="square"):
-        spectrum([[1.0, 0.5]], 64)
+    # row j of the lower triangle holds j + 1 entries: a square block, a
+    # ragged row and an upper triangle are all rejected
+    for bad in ([[1.0, 0.5], [0.5, 1.0]], [[1.0], [0.5]], [[1.0, 0.5], [1.0]]):
+        with pytest.raises(ValueError, match="lower triangle"):
+            spectrum(bad, 64)
+
+
+def test_spectrum_rejects_a_non_real_diagonal():
+    # exactly real, not real within a tolerance, on the dense and the
+    # diagonal path alike
+    for bad in ([[mp.mpf(1)], [0.5, mp.mpc(1, 1e-40)]], [[mp.mpf(1)], [0, mp.mpc(1, 1e-3)]],
+                [[1j]]):
+        with pytest.raises(ValueError, match="diagonal .* must be real"):
+            spectrum(bad, 64)
 
 
 def test_diagonal_block_skips_the_integer_conversion(monkeypatch):
-    # exactly zero off the diagonal: the defect is 2 max|Im a_ii| / max|a_ii|,
-    # read without _fixed_hermitian, and a non-real diagonal still raises
+    # exactly zero below the diagonal: the eigenvalues are read without
+    # _fixed_columns, and a lower triangle leaves no residual to report
     def unused(*args):
-        raise AssertionError("a diagonal block reached _fixed_hermitian")
+        raise AssertionError("a diagonal block reached _fixed_columns")
 
-    monkeypatch.setattr(landau, "_fixed_hermitian", unused)
-    with pytest.raises(ValueError, match="not Hermitian"):
-        spectrum([[mp.mpf(1), 0], [0, mp.mpc(1, 1e-3)]], 64)
-    sp = spectrum(mp.matrix([[2, 0], [0, mp.mpc(1, 1e-40)]]), 64)
+    monkeypatch.setattr(landau, "_fixed_columns", unused)
+    sp = spectrum([[2], [0, mp.mpc(1, 0)]], 64)
     assert sp.eigen_solve == "diagonal"
-    assert sp.matrix_residual == pytest.approx(1e-40, rel=1e-12)
+    assert sp.matrix_residual == 0.0
     with mp.workprec(64):
         assert sp.eigenvalues() == (2, 1)
-
-
-def test_diagonal_defect_matches_the_integer_one():
-    rows = [[mp.mpc(3, 2e-35), 0, 0], [0, mp.mpf(1), 0], [0, 0, mp.mpc(2, -5e-35)]]
-    with mp.workprec(64):
-        _, _, _, fixed = landau._fixed_hermitian(rows, 3, 160, mp.mpf(10) ** -20)
-        direct = landau._diagonal_defect([mp.mpc(rows[i][i]) for i in range(3)], mp.mpf(10) ** -20)
-        # the integers hold each entry to about 2^-158 of the largest
-        assert abs(direct - fixed) <= mp.mpf(2) ** -150
-    assert spectrum(rows, 64).matrix_residual == pytest.approx(float(direct), rel=1e-15)
-    assert float(direct) == pytest.approx(1e-34 / 3, rel=1e-12)
 
 
 def test_spectrum_trusted_floor():
@@ -365,7 +387,7 @@ def test_spectrum_matches_exact_oracle(n, prec):
         lams = [mp.gammainc(k, 0, 1, regularized=True) for k in range(1, n + 1)]
     a = _dense_with_spectrum(lams, 20 + n, prec + 128)
     with mp.workprec(prec):
-        a = [[+x for x in row] for row in a]
+        a = [[+x for x in row[:j]] + [+row[j].real] for j, row in enumerate(a)]
     sp = spectrum(a, prec)
     assert sp.eigen_solve == "householder-ql"
     with mp.workprec(prec + 128):
@@ -390,7 +412,7 @@ def test_spectrum_diagonal_beyond_fixed_range():
     # input's eigenvalues are read from the input, not from its integers, so
     # it comes back exactly
     tiny = mp.mpf(2) ** -400
-    sp = spectrum(mp.matrix([[1, 0], [0, tiny]]), 64)
+    sp = spectrum([[1], [0, tiny]], 64)
     with mp.workprec(64):
         assert sp.log_eigs == (mp.log(1), mp.log(tiny))
     assert sp.eigen_solve == "diagonal"
@@ -401,7 +423,7 @@ def test_spectrum_decides_diagonal_from_exact_zeros():
     # off-diagonal entries below the fixed-point step vanish as integers, but
     # they are not exact zeros, so the block is reduced, not read as diagonal
     tiny = mp.mpf(2) ** -400
-    sp = spectrum(mp.matrix([[1, tiny], [tiny, mp.mpf(1) / 2]]), 64)
+    sp = spectrum([[1], [tiny, mp.mpf(1) / 2]], 64)
     assert sp.eigen_solve == "householder-ql"
     with mp.workprec(64):
         assert sp.eigenvalues() == (1, mp.mpf(1) / 2)
@@ -466,20 +488,18 @@ def test_ql_starts_at_the_small_end(monkeypatch):
 
 
 def _graded_tridiagonal(n, prec, ascending):
-    """A Hermitian tridiagonal block with diagonal 2^(-3k) and complex
-    sub-diagonal entries a quarter of their neighbours' geometric mean,
-    listed small end first when ascending."""
+    """The lower triangle of a Hermitian tridiagonal block with diagonal
+    2^(-3k) and complex sub-diagonal entries a quarter of their neighbours'
+    geometric mean, listed small end first when ascending."""
     with mp.workprec(prec):
         diag = [mp.mpf(2) ** (-3 * k) for k in range(n)]
         sub = [mp.sqrt(diag[k] * diag[k + 1]) / 4 * mp.expj(k + 1) for k in range(n - 1)]
         if ascending:
             diag.reverse()
             sub = [mp.conj(z) for z in reversed(sub)]
-        a = [[mp.mpc(0)] * n for _ in range(n)]
-        for k in range(n):
-            a[k][k] = mp.mpc(diag[k])
+        a = [[mp.mpc(0)] * k + [diag[k]] for k in range(n)]
         for k in range(n - 1):
-            a[k + 1][k], a[k][k + 1] = sub[k], mp.conj(sub[k])
+            a[k + 1][k] = sub[k]
         return a
 
 
@@ -498,7 +518,7 @@ def test_ql_keeps_an_upward_graded_order(monkeypatch):
     assert (d_down, e_down) == (d_up, e_up)
     assert up.eigs == down.eigs
     with mp.workprec(p + 128):
-        ref = sorted(mp.eighe(mp.matrix(_graded_tridiagonal(n, p, True)), eigvals_only=True),
+        ref = sorted(mp.eighe(_full(_graded_tridiagonal(n, p, True)), eigvals_only=True),
                      reverse=True)
         for got, want in zip(up.eigenvalues(), ref):
             assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
@@ -516,21 +536,16 @@ DENSE_SUPPORTS = {
     for q in (0, 1, 2) for name, support in DENSE_SUPPORTS.items()
 ])
 def test_dense_spectrum_within_two_ulp(support, q):
-    # every trusted eigenvalue within 2^(1-p) relative of the same symmetrized
-    # block solved by mp.eighe at p + 128 bits; three quarters of the centred
+    # every trusted eigenvalue within 2^(1-p) relative of the same block
+    # solved by mp.eighe at p + 128 bits; three quarters of the centred
     # square's block is rounding noise, and at q = 0 all 25 of its eigenvalues
     # are trusted down to s_25/s_1 = 5.9e-37
     p = 128
     T = level_q_matrix(Weight(support, Constant(1.0)), q, 2.0, 24, p)
     sp = spectrum(T, p)
     assert sp.eigen_solve == "householder-ql"
-    n = T.rows
     with mp.workprec(p + 128):
-        a = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                a[i, j] = (T[i, j] + mp.conj(T[j, i])) / 2
-        ref = sorted(mp.eighe(a, eigvals_only=True), reverse=True)
+        ref = sorted(mp.eighe(_full(T), eigvals_only=True), reverse=True)
         for got, want in zip(sp.eigenvalues()[:sp.trusted_count], ref):
             assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
     assert sp.matrix_residual <= 1e-30
@@ -677,14 +692,13 @@ def test_general_b0_assembly_against_direct_normalization():
     sp_int = toeplitz_spectrum(v, 0, b0, 8, 128)
     G = mixed_moments(v, "gaussian", maxdeg=8, precision_bits=128, b0=b0)
     with mp.workprec(148):
-        T = mp.matrix(9, 9)
+        T = [[G.raw_entry(j, k) * mp.e ** (
+                (mp.mpf(j + k + 2) / 2) * mp.log(mp.mpf(b0) / 2)
+                - mp.log(mp.pi)
+                - (mp.loggamma(j + 1) + mp.loggamma(k + 1)) / 2
+              ) for k in range(j + 1)] for j in range(9)]
         for j in range(9):
-            for k in range(9):
-                T[j, k] = G.raw_entry(j, k) * mp.e ** (
-                    (mp.mpf(j + k + 2) / 2) * mp.log(mp.mpf(b0) / 2)
-                    - mp.log(mp.pi)
-                    - (mp.loggamma(j + 1) + mp.loggamma(k + 1)) / 2
-                )
+            T[j][j] = mp.re(T[j][j])
     sp_dir = spectrum(T, 128)
     with mp.workprec(128):
         nt = min(sp_int.trusted_count, sp_dir.trusted_count)
@@ -827,11 +841,6 @@ def test_theorem_predictions_rejects_bad_capacity():
 def test_spectrum_properties_random_discs(r, a):
     v = Weight(Disc(complex(a, 0), r), Constant(1.0))
     T = level_q_matrix(v, 0, 2.0, 6, 96)
-    with mp.workprec(96):
-        amax = max(abs(T[j, k]) for j in range(7) for k in range(7))
-        for j in range(7):
-            for k in range(7):
-                assert abs(T[j, k] - mp.conj(T[k, j])) <= mp.mpf(10) ** -48 * amax
     sp = spectrum(T, 96)
     eigs = sp.eigenvalues()[: sp.trusted_count]
     assert sp.trusted_count >= 1
