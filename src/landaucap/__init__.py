@@ -16,10 +16,8 @@ Three quantity families that share one n-th root limit:
 from .chebyshev import CapacityEstimate, capacity_estimate
 from .errors import DegenerateMomentError, NonConvergenceError
 from .landau import (
-    AsymptoticsReport,
     LandauBasisSpec,
     ToeplitzSpectrum,
-    lemma1_sequences,
     level_q_matrix,
     radial_oracle,
     spectrum,
@@ -60,7 +58,6 @@ from .weight import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticsReport",
     "Annulus",
     "CapacityEstimate",
     "CheckResult",
@@ -85,7 +82,6 @@ __all__ = [
     "capacity_estimate",
     "capacity_known",
     "contains",
-    "lemma1_sequences",
     "level_q_matrix",
     "mixed_moments",
     "monic_orthogonalize",

@@ -214,13 +214,11 @@ def cmd_predict(cfg: dict, precision: int, fmt: str, output: Optional[str]) -> i
         t1, t3 = preds["theorem1"], preds["theorem3"]
         add("nth_root_limsup", t1["limsup"])
         add("nth_root_liminf", t1["liminf"])
-        if "extrapolated" in t1:
-            add("nth_root_extrapolated", t1["extrapolated"])
+        add("nth_root_extrapolated", t1["extrapolated"])
         add("level_limit", preds["theorem2"]["limit"], FLOAT_DIGITS)
         add("squared_limsup", t3["limsup"])
         add("squared_liminf", t3["liminf"])
-        if "extrapolated" in t3:
-            add("squared_extrapolated", t3["extrapolated"])
+        add("squared_extrapolated", t3["extrapolated"])
         la = preds["log_asymptote"]
         add("log_asymptote_nlogn_coefficient", la["nlogn_coefficient"])
         add("log_asymptote_linear_coefficient", la["linear_coefficient"], FLOAT_DIGITS)

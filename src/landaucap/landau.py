@@ -10,16 +10,15 @@ by Householder reflections on fixed-point Python integers at 2p + 32 bits
 QL at 2p + 52 bits, each eigenvalue rounded once to p bits.  The s_n decay
 super-geometrically, so the tridiagonal is steeply graded; the QL deflates
 from the top, and it is handed the tridiagonal small end first, which takes
-fewer iterations.  The resulting eigenvalues s_n feed the n-th-root
-sequences that the minimal-norm and capacity machinery is asymptotically
-equal to.
+fewer iterations.  radial_oracle gives the eigenvalues of a centred radial
+weight by 1d quadrature, and theorem_predictions the n-th-root limits that
+the minimal norms and the capacity predict for them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from mpmath import mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
@@ -27,7 +26,6 @@ from mpmath.matrices.eigen_symmetric import tridiag_eigen
 from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_cholesky, to_fixed
 from .chebyshev import CapacityEstimate
 from .errors import NonConvergenceError
-from .orthopoly import monic_orthogonalize
 from .region import region_key
 from .weight import (
     Constant,
@@ -41,16 +39,13 @@ from .weight import (
 __all__ = [
     "LandauBasisSpec",
     "ToeplitzSpectrum",
-    "AsymptoticsReport",
     "level_q_matrix",
     "spectrum",
     "toeplitz_spectrum",
     "radial_oracle",
-    "lemma1_sequences",
     "theorem_predictions",
 ]
 
-TRUST_MSG = "raise precision to extend the trusted spectral tail"
 ORACLE_MSG = "oracle requires centered radial weight"
 
 @dataclass(frozen=True)
@@ -70,11 +65,9 @@ class LandauBasisSpec:
 
 @dataclass
 class ToeplitzSpectrum:
-    spec: LandauBasisSpec
     log_eigs: tuple         # log s_n descending, mpf (-inf for nonpositive noise)
     matrix_residual: float  # Frobenius-norm gap / trace; 0 on the diagonal path
     trusted_count: int      # eigenvalues above s_1 * 10^(-p/3)
-    precision_bits: int     # p, the working precision of the run
     eigen_solve: str        # "diagonal", or "householder-ql" for a dense block
     eigs: tuple             # s_n descending, each rounded once to p (0 for nonpositive noise)
 
@@ -85,8 +78,8 @@ class ToeplitzSpectrum:
         return self.eigs
 
 
-def _sorted_spectrum(spec: LandauBasisSpec, eigs, residual: float,
-                     precision_bits: int, eigen_solve: str) -> ToeplitzSpectrum:
+def _sorted_spectrum(eigs, residual: float, precision_bits: int,
+                     eigen_solve: str) -> ToeplitzSpectrum:
     """Sort eigenvalues descending, count those above s_1 * 10^(-p/3) and
     take logs, all at the caller's working precision."""
     eigs = sorted(eigs, reverse=True)
@@ -98,16 +91,7 @@ def _sorted_spectrum(spec: LandauBasisSpec, eigs, residual: float,
     log_eigs = tuple(mp.log(e) if e > 0 else mp.ninf for e in eigs)
     with mp.workprec(precision_bits):
         values = tuple(+e if e > 0 else mp.zero for e in eigs)
-    return ToeplitzSpectrum(spec, log_eigs, residual, trusted, precision_bits, eigen_solve, values)
-
-
-@dataclass
-class AsymptoticsReport:
-    n_values: tuple
-    lhs_sequence: tuple     # (n! s_{n+1})^(1/n), mpf
-    rhs_sequence: tuple     # (b0/2) M_n^(1/n), mpf
-    ratio_sequence: tuple
-    trusted_n_max: Optional[int] = None
+    return ToeplitzSpectrum(log_eigs, residual, trusted, eigen_solve, values)
 
 
 # ------------------------------------------------------------ matrix assembly
@@ -273,7 +257,7 @@ def _householder_tridiagonal(re, im, bits: int):
     return diag, sub2
 
 
-def spectrum(rows, precision_bits: int, spec: Optional[LandauBasisSpec] = None) -> ToeplitzSpectrum:
+def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
     """Eigenvalues of a Hermitian compression block by Householder
     tridiagonalization and implicit QL.
 
@@ -307,13 +291,11 @@ def spectrum(rows, precision_bits: int, spec: Optional[LandauBasisSpec] = None) 
         raise ValueError("rows must be a lower triangle: row j holds j + 1 entries")
     if any(mp.im(row[-1]) for row in rows):
         raise ValueError("the diagonal of a Hermitian matrix must be real")
-    if spec is None:
-        spec = LandauBasisSpec(0, 2.0, len(rows) - 1)
     bits = 2 * p + FIXED_GUARD_BITS
     with mp.workprec(p):
         if not any(x for row in rows for x in row[:-1]):
             eigs = [+mp.re(row[-1]) for row in rows]  # each rounded once to p
-            return _sorted_spectrum(spec, eigs, 0.0, p, "diagonal")
+            return _sorted_spectrum(eigs, 0.0, p, "diagonal")
         re, im, e = _fixed_columns(rows, bits)
         fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
         diag, sub2 = _householder_tridiagonal(re, im, bits)
@@ -335,14 +317,14 @@ def spectrum(rows, precision_bits: int, spec: Optional[LandauBasisSpec] = None) 
             gap = mp.ldexp(fro2, 2 * e) - mp.fsum(x * x for x in d)
             residual = float(mp.sqrt(abs(gap)) / trace) if trace > 0 else 0.0
         eigs = [+x for x in d]  # each rounded once to p
-        return _sorted_spectrum(spec, eigs, residual, p, "householder-ql")
+        return _sorted_spectrum(eigs, residual, p, "householder-ql")
 
 
 def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
                       precision_bits: int = 256) -> ToeplitzSpectrum:
     """Assemble the level-q compression of v and diagonalize it."""
     rows = level_q_matrix(v, q, b0, N, precision_bits)
-    return spectrum(rows, precision_bits, spec=LandauBasisSpec(q, float(b0), N))
+    return spectrum(rows, precision_bits)
 
 
 # ------------------------------------------------------------- radial oracle
@@ -383,41 +365,10 @@ def radial_oracle(v: Weight, b0: float, N: int, precision_bits: int,
             norm = mp.e ** (mp.loggamma(pdeg + 1) - mp.loggamma(pdeg + alpha + 1))
             f = lambda t: t ** alpha * mp.laguerre(pdeg, alpha, t) ** 2 * mp.e ** (-t) * dens(t)
             vals.append(norm * mp.quad(f, [lo2, hi2]))
-        return _sorted_spectrum(LandauBasisSpec(q, float(b0), N), vals, 0.0, precision_bits,
-                                "diagonal")
+        return _sorted_spectrum(vals, 0.0, precision_bits, "diagonal")
 
 
-# ------------------------------------------------------- asymptotic sequences
-
-def lemma1_sequences(v: Weight, b0: float = 2.0, N: int = 48,
-                     precision_bits: int = 256) -> AsymptoticsReport:
-    """The two sides of (n! s_{n+1})^(1/n) = (b0/2) M_n^(1/n) (1 + o(1)).
-
-    lhs comes from the ground-level spectrum of v, rhs from the monic
-    minimal norms of the plain moments of the same v; the sequences stop at
-    the largest n with trusted s_{n+1}.
-    """
-    if N < 4:
-        raise ValueError("need N >= 4")
-    sp = toeplitz_spectrum(v, 0, b0, N, precision_bits)
-    if sp.trusted_count < 5:
-        raise NonConvergenceError(TRUST_MSG)
-    n_max = sp.trusted_count - 1
-    plain = mixed_moments(v, "plain", maxdeg=n_max, precision_bits=precision_bits)
-    basis = monic_orthogonalize(plain)
-    with mp.workprec(precision_bits):
-        half_b0 = mp.mpf(b0) / 2
-        ns, lhs, rhs, ratio = [], [], [], []
-        for n in range(1, n_max + 1):
-            left = mp.exp((mp.loggamma(n + 1) + sp.log_eigs[n]) / n)
-            right = half_b0 * mp.exp(basis.log_norms[n] / n)
-            ns.append(n)
-            lhs.append(left)
-            rhs.append(right)
-            ratio.append(left / right)
-    return AsymptoticsReport(tuple(ns), tuple(lhs), tuple(rhs), tuple(ratio),
-                             trusted_n_max=n_max)
-
+# --------------------------------------------------------------- predictions
 
 def theorem_predictions(v_or_w: Weight, q: int, b0: float, rho, cap) -> dict:
     """Predicted n-th-root limits for the three perturbed eigenvalue families.
@@ -442,11 +393,9 @@ def theorem_predictions(v_or_w: Weight, q: int, b0: float, rho, cap) -> dict:
     if not cp > 0:
         raise ValueError("capacity must be positive")
     half_b0 = mp.mpf(b0) / 2
-    t1 = {"limsup": half_b0 * rho.rho_plus_hat, "liminf": half_b0 * rho.rho_minus_hat}
-    t3 = {"limsup": t1["limsup"] ** 2, "liminf": t1["liminf"] ** 2}
-    if rho.extrapolated is not None:
-        t1["extrapolated"] = half_b0 * rho.extrapolated
-        t3["extrapolated"] = t1["extrapolated"] ** 2
+    t1 = {"limsup": half_b0 * rho.rho_plus_hat, "liminf": half_b0 * rho.rho_minus_hat,
+          "extrapolated": half_b0 * rho.extrapolated}
+    t3 = {key: val ** 2 for key, val in t1.items()}
     return {
         "theorem1": t1,
         "theorem2": {"limit": half_b0 * cp ** 2},

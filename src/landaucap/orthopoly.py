@@ -37,7 +37,7 @@ class RhoEstimate:
     sequence: list      # M_n^{1/n} for n in [n_min, N]
     rho_plus_hat: object
     rho_minus_hat: object
-    extrapolated: Optional[object]
+    extrapolated: object
     window: tuple
     weight_key: Optional[str] = None  # provenance of the underlying moments
 

@@ -25,7 +25,6 @@ __all__ = [
     "affine",
     "capacity_known",
     "region_from_config",
-    "region_to_config",
     "region_key",
 ]
 
@@ -277,7 +276,10 @@ def region_key(region: Region) -> str:
 
 
 def _real(x) -> float:
-    """A config number as float; a non-number, NaN or infinity is a ValueError."""
+    """A config number as float; a non-number, a boolean, NaN or infinity is
+    a ValueError."""
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
     try:
         val = float(x)
     except TypeError as e:
@@ -315,20 +317,3 @@ def region_from_config(rec: dict) -> Region:
     except KeyError as e:
         raise ValueError(f"region record missing key {e}") from e
     raise ValueError(f"unknown region shape {shape!r}")
-
-
-def region_to_config(region: Region) -> dict:
-    if isinstance(region, Disc):
-        return {"shape": "disc", "center": [region.center.real, region.center.imag], "radius": region.radius}
-    if isinstance(region, Annulus):
-        return {
-            "shape": "annulus",
-            "center": [region.center.real, region.center.imag],
-            "inner": region.inner,
-            "outer": region.outer,
-        }
-    if isinstance(region, Polygon):
-        return {"shape": "polygon", "vertices": [[v.real, v.imag] for v in region.vertices]}
-    if isinstance(region, UnionRegion):
-        return {"shape": "union", "parts": [region_to_config(p) for p in region.parts]}
-    raise TypeError(f"not a region: {region!r}")

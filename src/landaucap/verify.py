@@ -22,8 +22,6 @@ from mpmath import mp
 
 from .chebyshev import capacity_estimate
 from .landau import (
-    LandauBasisSpec,
-    lemma1_sequences,
     level_q_matrix,
     radial_oracle,
     spectrum,
@@ -133,10 +131,15 @@ def minimal_norm_closed_form_checks() -> List[CheckResult]:
 # ------------------------------------------------------ ground level (q = 0)
 
 def ground_level_ratio_checks() -> List[CheckResult]:
-    """(n! s_(n+1))^(1/n) against (b0/2) M_n^(1/n) on the unit disc."""
+    """(n! s_(n+1))^(1/n) against (b0/2) M_n^(1/n) on the unit disc.
+
+    Both sides come from one ground-level spectrum and one plain table up to
+    the last degree n whose s_(n+1) is trusted.
+    """
     t0 = time.perf_counter()
     out: List[CheckResult] = []
-    sp = toeplitz_spectrum(_UNIT_DISC, 0, 2.0, 48, 256)
+    b0 = 2.0
+    sp = toeplitz_spectrum(_UNIT_DISC, 0, b0, 48, 256)
     with mp.workprec(256):
         worst = mp.mpf(0)
         for n in range(sp.trusted_count):
@@ -145,14 +148,18 @@ def ground_level_ratio_checks() -> List[CheckResult]:
     out.append(CheckResult("ground spectrum matches gamma(n+1,1)/n! (oracle)",
                            worst <= mp.mpf(10) ** -8, f"worst rel dev {_num(worst, 4)}", "<= 1e-8"))
 
-    rep = lemma1_sequences(_UNIT_DISC, 2.0, 48, 256)
+    plain = mixed_moments(_UNIT_DISC, "plain", maxdeg=sp.trusted_count - 1, precision_bits=256)
+    basis = monic_orthogonalize(plain)
     with mp.workprec(256):
-        ratio_30 = rep.ratio_sequence[29]
+        half_b0 = mp.mpf(b0) / 2
+        ratio = {n: mp.exp((mp.loggamma(n + 1) + sp.log_eigs[n]) / n)
+                 / (half_b0 * mp.exp(basis.log_norms[n] / n)) for n in range(20, 41)}
+        ratio_30 = ratio[30]
         dev_30 = abs(ratio_30 - 1)
         out.append(CheckResult("two-sided ratio at n = 30", dev_30 <= mp.mpf("0.15"),
                                f"ratio {_num(ratio_30, 8)} (|1 - ratio| = {_num(dev_30, 4)})",
                                "|ratio - 1| <= 0.15"))
-        devs = [abs(rep.ratio_sequence[n - 1] - 1) for n in range(20, 41)]
+        devs = [abs(ratio[n] - 1) for n in range(20, 41)]
         worst_jump = max(b - a for a, b in zip(devs, devs[1:]))
         out.append(CheckResult("|ratio - 1| nonincreasing over n in [20, 40]",
                                worst_jump <= mp.mpf(10) ** -3,
@@ -210,7 +217,7 @@ def level_one_checks() -> List[CheckResult]:
                            f"worst diag rel dev {_num(worst, 4)}, max |offdiag| {_num(offmax, 4)}",
                            "diag <= 1e-8, offdiag exactly 0"))
 
-    sp = spectrum(T, 256, LandauBasisSpec(1, 2.0, 48))
+    sp = spectrum(T, 256)
     orc = radial_oracle(_UNIT_DISC, 2.0, 48, 256, q=1)
     with mp.workprec(256):
         nt = min(sp.trusted_count, orc.trusted_count)

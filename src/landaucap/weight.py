@@ -36,7 +36,6 @@ from .region import (
     bounding_radius,
     region_from_config,
     region_key,
-    region_to_config,
     _orient,
     _real,
     _strictly_inside,
@@ -51,7 +50,6 @@ __all__ = [
     "mixed_moments",
     "weight_key",
     "weight_from_config",
-    "weight_to_config",
     "emission_digits",
 ]
 
@@ -123,7 +121,8 @@ class Weight:
         if not isinstance(d, (Constant, Power, Chord)):
             raise ValueError("density must be Constant, Power or Chord")
         if isinstance(d, Constant) and not d.c > 0:
-            raise ValueError("weight is degenerate (zero mass)")
+            raise ValueError("weight is degenerate: density constant must be positive, "
+                             f"got {d.c!r}")
         if isinstance(d, Chord) and self.support != Disc(0j, d.R):
             raise ValueError("a Chord density needs the support Disc(0, R)")
 
@@ -337,8 +336,6 @@ def _pieces(part: Region, degree: int, prec: int, k: int):
 
 @dataclass
 class MomentTable:
-    kind: str              # "plain" | "gaussian"
-    b0: float
     maxdeg: int
     precision_bits: int
     scale_radius: object   # mpf; monomials are (z / scale_radius)^a
@@ -605,8 +602,6 @@ def mixed_moments(
             rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0)
             path = "boundary"
     return MomentTable(
-        kind=kind,
-        b0=float(b0),
         maxdeg=maxdeg,
         precision_bits=prec,
         scale_radius=R0,
@@ -652,14 +647,3 @@ def ball_reduction_weight(R: float = 1.0) -> Weight:
     applies."""
     chord = Chord(float(R))
     return Weight(Disc(0j, chord.R), chord)
-
-
-def weight_to_config(w: Weight) -> dict:
-    d = w.density
-    if isinstance(d, Chord):
-        return {"support": "auto", "density": {"kind": "ball3d_reduction", "R": d.R}}
-    if isinstance(d, Power):
-        dens = {"kind": "radial", "profile": f"power:{d.k}"}
-    else:
-        dens = {"kind": "constant", "c": d.c}
-    return {"support": region_to_config(w.support), "density": dens}

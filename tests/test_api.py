@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a deletion leaves no stale export."""
+"""Every exported name resolves, so a deletion leaves no stale export, and
+the README's library example runs."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,10 @@ def test_star_import():
     namespace = {}
     exec("from landaucap import *", namespace)
     assert set(landaucap.__all__) <= set(namespace)
+
+
+def test_readme_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -600,9 +600,14 @@ def test_integral_float_precision_runs_and_fractional_exits_2(tmp_path, capsys):
     ("toeplitz", {"weight": {"support": {"shape": "disc", "center": [math.inf, 0], "radius": 1.0},
                              "density": {"kind": "constant"}}}),
     ("toeplitz", {"weight": UNIT_DISC_WEIGHT, "b0": math.inf}),
+    ("capacity", {"region": {"shape": "disc", "center": [True, False], "radius": True}}),
+    ("orthopoly", {"weight": {"support": UNIT_DISC_WEIGHT["support"],
+                              "density": {"kind": "constant", "c": True}}}),
+    ("toeplitz", {"weight": {"density": {"kind": "ball3d_reduction", "R": True}}}),
 ])
 def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, payload):
-    # JSON readers accept NaN and Infinity; they must stop at the config
+    # JSON readers accept NaN and Infinity, and true is not the number 1;
+    # they must stop at the config
     cfg = write_config(tmp_path / "nonfinite.json", {"N": 12, "precision_bits": 64, **payload})
     out_path = tmp_path / "out.csv"
     code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)

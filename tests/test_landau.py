@@ -15,7 +15,6 @@ from landaucap.errors import DegenerateMomentError, NonConvergenceError
 from landaucap.landau import (
     LandauBasisSpec,
     _creation_pow,
-    lemma1_sequences,
     level_q_matrix,
     radial_oracle,
     spectrum,
@@ -253,7 +252,6 @@ def test_eigenvalues_keep_the_run_precision():
     with mp.workprec(128):
         exact = 1 - mp.exp(-1)
         assert abs(eigs[0] - exact) / exact < mp.mpf(10) ** -30
-    assert sp.precision_bits == 128
 
 
 def test_spectrum_rejects_bad_input():
@@ -300,31 +298,11 @@ def test_spectrum_trusted_floor():
     assert all(a >= b for a, b in zip(trusted, trusted[1:]))
 
 
-def test_level_one_check_records_level_one(monkeypatch):
-    # the verify check solves a q = 1 block; its spectrum must say so
-    from landaucap import verify
-
-    class Stop(Exception):
-        pass
-
-    specs = []
-
-    def recording(*args, **kwargs):
-        specs.append(spectrum(*args, **kwargs).spec)
-        raise Stop
-
-    monkeypatch.setattr(verify, "spectrum", recording)
-    with pytest.raises(Stop):
-        verify.level_one_checks()
-    assert specs == [LandauBasisSpec(1, 2.0, 48)]
-
-
-def test_spectrum_determinism_and_spec_field():
+def test_spectrum_determinism():
     v = Weight(Disc(0.5 + 0.2j, 0.8), Constant(1.0))
     s1 = toeplitz_spectrum(v, 1, 2.0, 7, 128)
     s2 = toeplitz_spectrum(v, 1, 2.0, 7, 128)
     assert s1.log_eigs == s2.log_eigs
-    assert s1.spec == LandauBasisSpec(1, 2.0, 7)
 
 
 def test_offcenter_continuity_at_small_shift():
@@ -652,7 +630,6 @@ def test_level_q_oracle_closed_form_q1():
         exact = sorted(vals, reverse=True)
         for a, b in zip(orc.eigenvalues(), exact):
             assert abs(a - b) / b < mp.mpf(10) ** -30
-    assert orc.spec.q == 1
 
 
 def test_level_q_oracle_matches_matrix():
@@ -732,44 +709,63 @@ def test_general_b0_ball_chord_matches_oracle():
             assert abs(a - b) / b < mp.mpf(10) ** -70
 
 
-# ------------------------------------------------------- asymptotic reports
+# ------------------------------------------------------- ratio sequences
+
+def _lemma1_sides(v, N, prec):
+    """(n! s_(n+1))^(1/n), (b0/2) M_n^(1/n) and their ratio at b0 = 2, for n
+    from 1 to the last n whose s_(n+1) is trusted."""
+    sp = toeplitz_spectrum(v, 0, 2.0, N, prec)
+    ns = range(1, sp.trusted_count)
+    basis = monic_orthogonalize(mixed_moments(v, "plain", maxdeg=ns[-1], precision_bits=prec))
+    with mp.workprec(prec):
+        lhs = [mp.exp((mp.loggamma(n + 1) + sp.log_eigs[n]) / n) for n in ns]
+        rhs = [mp.exp(basis.log_norms[n] / n) for n in ns]
+        return lhs, rhs, [a / b for a, b in zip(lhs, rhs)]
+
 
 def test_lemma1_first_entry_closed_forms():
-    rep = lemma1_sequences(UNIT_DISC, 2.0, 12, 128)
+    lhs, rhs, ratio = _lemma1_sides(UNIT_DISC, 12, 128)
     with mp.workprec(160):
         s2 = 1 - 2 * mp.exp(-1)
         m1 = mp.pi / 2
-        assert abs(rep.lhs_sequence[0] - s2) / s2 < mp.mpf(10) ** -30
-        assert abs(rep.rhs_sequence[0] - m1) / m1 < mp.mpf(10) ** -30
-        assert abs(rep.ratio_sequence[0] - s2 / m1) / (s2 / m1) < mp.mpf(10) ** -25
-    assert rep.n_values[0] == 1
-    assert all(r > 0 for r in rep.ratio_sequence)
+        assert abs(lhs[0] - s2) / s2 < mp.mpf(10) ** -30
+        assert abs(rhs[0] - m1) / m1 < mp.mpf(10) ** -30
+        assert abs(ratio[0] - s2 / m1) / (s2 / m1) < mp.mpf(10) ** -25
+    assert all(r > 0 for r in ratio)
 
 
 def test_lemma1_disc_window_and_trend():
-    rep = lemma1_sequences(UNIT_DISC, 2.0, 40, 256)
-    assert rep.trusted_n_max == 40
+    _, _, ratio = _lemma1_sides(UNIT_DISC, 40, 256)
+    assert len(ratio) == 40
     with mp.workprec(256):
         # independent closed-form oracle: ratio_n = (gamma(n+1,1) (n+1)/pi)^(1/n)
         for n in (10, 20, 30):
             oracle = (g(n + 1, 1) * (n + 1) / mp.pi) ** (mp.mpf(1) / n)
-            got = rep.ratio_sequence[n - 1]
+            got = ratio[n - 1]
             assert abs(got - oracle) / oracle < mp.mpf(10) ** -10
-        r30 = rep.ratio_sequence[29]
+        r30 = ratio[29]
         assert mp.mpf("0.85") < r30 < mp.mpf("1.15")
         # |ratio - 1| decreasing over the last third of trusted n
-        tail = rep.ratio_sequence[-(len(rep.ratio_sequence) // 3):]
+        tail = ratio[-(len(ratio) // 3):]
         gaps = [abs(r - 1) for r in tail]
         for a, b in zip(gaps, gaps[1:]):
             assert b <= a + mp.mpf(10) ** -3
 
 
-def test_lemma1_validation_and_trust_error():
-    with pytest.raises(ValueError, match="need N >= 4"):
-        lemma1_sequences(UNIT_DISC, 2.0, 3, 128)
-    tiny = Weight(Disc(0j, 0.05), Constant(1.0))
-    with pytest.raises(NonConvergenceError, match="raise precision to extend the trusted spectral tail"):
-        lemma1_sequences(tiny, 2.0, 8, 32)
+def test_ground_level_ratio_check_solves_one_spectrum(monkeypatch):
+    # the ratio is read off the check's own spectrum, not a second solve
+    from landaucap import verify
+
+    calls = []
+    solve = landau.spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(landau, "spectrum", counting)
+    assert all(r.passed for r in verify.ground_level_ratio_checks())
+    assert len(calls) == 1
 
 
 def test_theorem_predictions_disc():

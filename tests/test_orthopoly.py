@@ -250,14 +250,14 @@ def test_rho_envelope_vs_capacity_bounds():
 def test_degenerate_moment_matrix_message():
     one = mp.mpf(1)
     rank_deficient = MomentTable(
-        kind="plain", b0=2.0, maxdeg=1, precision_bits=128, scale_radius=one,
+        maxdeg=1, precision_bits=128, scale_radius=one,
         rows=[[one], [mp.mpc(1), one]], path="boundary", weight_key="synthetic",
         design_degree=2,
     )
     with pytest.raises(DegenerateMomentError, match="degree 1"):
         monic_orthogonalize(rank_deficient)
     zero_diag = MomentTable(
-        kind="plain", b0=2.0, maxdeg=1, precision_bits=128, scale_radius=one,
+        maxdeg=1, precision_bits=128, scale_radius=one,
         rows=[[one], [mp.mpf(0), mp.mpf(0)]], path="radial", weight_key="synthetic",
         design_degree=2,
     )

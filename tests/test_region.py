@@ -13,7 +13,6 @@ from landaucap.region import (
     capacity_known,
     contains,
     region_from_config,
-    region_to_config,
 )
 from landaucap.weight import _build_rule
 
@@ -204,11 +203,18 @@ def test_capacity_known_regular_polygons():
 
 # ------------------------------------------------------------------- config
 
-def test_config_round_trip():
-    for region in SAMPLE_REGIONS:
-        rec = region_to_config(region)
-        back = region_from_config(rec)
-        assert back == region
+def test_config_parses_every_shape():
+    disc = {"shape": "disc", "center": [-2, 0], "radius": 0.5}
+    recs = [
+        {"shape": "disc", "center": [0, 0], "radius": 1},
+        {"shape": "disc", "center": [1, 0.5], "radius": 1.5},
+        {"shape": "annulus", "center": [0, 0], "inner": 0.5, "outer": 1},
+        {"shape": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]},
+        {"shape": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]},
+        {"shape": "union", "parts": [disc, dict(disc, center=[2, 0])]},
+    ]
+    for rec, region in zip(recs, SAMPLE_REGIONS, strict=True):
+        assert region_from_config(rec) == region
 
 
 def test_config_rejects_malformed():
