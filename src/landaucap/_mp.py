@@ -1,6 +1,7 @@
 """Extended-precision building blocks: Gauss-Legendre and tanh-sinh node
-caches, the log pivots of a Hermitian Cholesky read from a stored lower
-triangle, and exact fixed-point dot products, all on top of mpmath."""
+caches, the exact blocks of a Hermitian matrix and the log pivots of its
+Cholesky, both read from a stored lower triangle, and exact fixed-point
+dot products, all on top of mpmath."""
 
 from __future__ import annotations
 
@@ -113,6 +114,39 @@ def map_rule(nodes, weights, lo, hi):
     return [mid + half * x for x in nodes], [half * w for w in weights]
 
 
+def hermitian_blocks(rows):
+    """The connected blocks of the Hermitian matrix whose lower triangle is
+    rows: two indices share a block when a chain of entries that are not
+    exactly zero links them. Each block is a sorted index list; the blocks
+    come in the order of their least index. An exact zero decides, with no
+    tolerance, so the matrix is the direct sum of its blocks. Once the
+    indices before n form one block, one entry of row n that is not zero
+    joins n to it, so a dense matrix is read one entry per row."""
+    root = list(range(len(rows)))  # a block's root is its least index
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    count = 0  # blocks among the indices before n
+    for n, row in enumerate(rows):
+        if not any(row[:-1]):
+            count += 1
+        elif count == 1:
+            root[n] = 0
+        else:
+            links = {find(k) for k, x in enumerate(row[:-1]) if x} | {n}
+            top = min(links)
+            for r in links:
+                root[r] = top
+            count += 2 - len(links)
+    blocks = {}
+    for i in range(len(rows)):
+        blocks.setdefault(find(i), []).append(i)
+    return list(blocks.values())
+
+
 def hermitian_cholesky(rows, prec: int):
     """Log pivots log d_n of the Hermitian matrix G whose lower triangle is
     rows[n][k], k <= n (the layout of MomentTable.rows): G = L L^H with
@@ -121,15 +155,25 @@ def hermitian_cholesky(rows, prec: int):
 
     Each entry takes one mp.fdot of g_nk and -L_nj conj(L_kj), j < k: the
     products are exact and the sum is rounded once to prec; L_nk is that
-    sum over L_kk and d_n its real part when k = n. Row n needs every
-    earlier row, so the factor is kept until the last pivot and dropped.
-    Raises DegenerateMomentError on a non-positive pivot.
+    sum over L_kk and d_n its real part when k = n. L is exactly zero
+    between the blocks of hermitian_blocks, so each block is factored on
+    its own, row n over the indices of its block up to n, and the pivots
+    come out in the order of n; the terms left out are exact zeros, so
+    every pivot is the one the whole matrix gives. A table with exact
+    residue classes (MomentTable.stride) splits into one block per class,
+    a radial one into its diagonal. Row n needs every earlier row of its
+    block, so the factor is kept until the last pivot and dropped.
+    Raises DegenerateMomentError on a non-positive pivot, at the least
+    such degree.
     """
+    block_of = {i: block for block in hermitian_blocks(rows) for i in block}
     L, logs = [], []
     with mp.workprec(prec):
         for n, row in enumerate(rows):
-            Ln, neg = [], []        # L_nj and -L_nj for j < k
-            for k in range(n + 1):
+            Ln, neg = [], []        # L_nj and -L_nj for j < k in n's block
+            for k in block_of[n]:
+                if k > n:
+                    break
                 prev = L[k] if k < n else Ln
                 s = mp.fdot([(row[k], mp.one)] + list(zip(neg, prev)), conjugate=True)
                 if k == n:
@@ -140,7 +184,7 @@ def hermitian_cholesky(rows, prec: int):
                     logs.append(mp.log(d))
                     Ln.append(mp.sqrt(d))
                 else:
-                    Ln.append(s / L[k][k])
+                    Ln.append(s / L[k][-1])
                     neg.append(-Ln[-1])
             L.append(Ln)
     return logs

@@ -50,15 +50,16 @@ def _require(cfg: dict, key: str):
 
 
 def _number(cfg: dict, key: str, default, kind=int):
-    """cfg[key] read as int or float. A non-number, a boolean, NaN, an
-    infinity, or a non-integral value for an int field (24.0 is integral)
-    is a ConfigError."""
+    """cfg[key] read as int or float. A non-number (a string too), a
+    boolean, NaN, an infinity, or a non-integral value for an int field
+    (24.0 is integral) is a ConfigError."""
     val = cfg.get(key, default)
-    if isinstance(val, bool) or (kind is int and isinstance(val, float) and not val.is_integer()):
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or (kind is int and isinstance(val, float) and not val.is_integer())):
         raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, got {val!r}")
     try:
         num = kind(val)
-    except (TypeError, ValueError, OverflowError) as e:
+    except (ValueError, OverflowError) as e:
         raise ConfigError(f"{key} must be a number, got {val!r}") from e
     if not math.isfinite(num):
         raise ConfigError(f"{key} must be finite, got {val!r}")

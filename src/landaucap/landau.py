@@ -4,10 +4,12 @@ The compression of multiplication by a compactly supported weight v onto the
 q-th Landau level is represented by its top-left (N+1)x(N+1) block in the
 normalized level basis, kept from assembly to eigen-solve as its lower
 triangle with a real diagonal, the moment table's own layout.  It is
-assembled from Gaussian mixed moments, reduced to a real tridiagonal matrix
-by Householder reflections on fixed-point Python integers at 2p + 32 bits
-(p the working precision), and the tridiagonal solved by mpmath's implicit
-QL at 2p + 52 bits, each eigenvalue rounded once to p bits.  The s_n decay
+assembled from Gaussian mixed moments and split into the blocks its exact
+zeros leave, one per residue class of a rotation-symmetric support.  Each
+block is reduced to a real tridiagonal matrix by Householder reflections
+on fixed-point Python integers at 2p + 32 bits (p the working precision),
+and the tridiagonal solved by mpmath's implicit QL at 2p + 52 bits, each
+eigenvalue rounded once to p bits.  The s_n decay
 super-geometrically, so the tridiagonal is steeply graded; the QL deflates
 from the top, and it is handed the tridiagonal small end first, which takes
 fewer iterations.  radial_oracle gives the eigenvalues of a centred radial
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from mpmath import mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_cholesky, to_fixed
+from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_blocks, hermitian_cholesky, to_fixed
 from .chebyshev import CapacityEstimate
 from .errors import NonConvergenceError
 from .region import region_key
@@ -132,9 +134,11 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     through log-gamma in log domain.
 
     Every monomial of the level-q image of z^j has m - l = j - q, so entry
-    (j, k) combines moments with a - b = j - k. A radial table is zero off
-    its diagonal, so on one only the entries k = j are assembled and the
-    rest are exactly 0.
+    (j, k) combines moments with a - b = j - k. The table's moments are
+    exact zeros unless a = b (mod table.stride), so only the entries with
+    k = j (mod stride) are assembled and the rest are exactly 0: one
+    residue class each on a support with rotation order 2 or 4, the
+    diagonal alone on a radial table, whose stride exceeds N + q.
 
     The block is Hermitian and returned as its lower triangle, rows[j][k]
     for k <= j, the layout spectrum reads: entry (j, k), k >= j, is formed
@@ -158,7 +162,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
         log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
         half_lg = [mp.loggamma(n + 1) / 2 for n in range(N + 1)]
         for j in range(N + 1):
-            for k in ([j] if table.path == "radial" else range(j, N + 1)):
+            for k in range(j, N + 1, table.stride):
                 acc = mp.mpc(0)
                 for (m1, l1), c1 in polys[j].items():
                     for (m2, l2), c2 in polys[k].items():
@@ -257,34 +261,66 @@ def _householder_tridiagonal(re, im, bits: int):
     return diag, sub2
 
 
+def _reduce_and_solve(rows, bits: int):
+    """Eigenvalues of one connected block at bits + 20 by Householder
+    reduction on integers and implicit QL, with the block's Frobenius gap
+    sum |a_ij|^2 - sum s_n^2 and its trace."""
+    re, im, e = _fixed_columns(rows, bits)
+    fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
+    diag, sub2 = _householder_tridiagonal(re, im, bits)
+    # the QL runs 20 bits past the integers, so every bit they hold enters
+    with mp.workprec(bits + 20):
+        d = [from_fixed(x, None, e, mp.prec) for x in diag]
+        sub = [mp.ldexp(mp.sqrt(s), e) for s in sub2]
+        trace = mp.fsum(d)
+        if abs(d[0]) > abs(d[-1]):  # start a graded QL at its small end
+            d.reverse()
+            sub.reverse()
+        sub.append(mp.mpf(0))
+        try:
+            tridiag_eigen(mp, d, sub)
+        except RuntimeError as err:
+            if not str(err).startswith("tridiag_eigen: no convergence"):
+                raise
+            raise NonConvergenceError(str(err)) from err
+        gap = mp.ldexp(fro2, 2 * e) - mp.fsum(x * x for x in d)
+    return d, gap, trace
+
+
 def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
     """Eigenvalues of a Hermitian compression block by Householder
-    tridiagonalization and implicit QL.
+    tridiagonalization and implicit QL, one exact block at a time.
 
     The block is its lower triangle rows[j][k], k <= j, with a real
     diagonal (the layout level_q_matrix returns); a ValueError is raised
     when row j does not hold j + 1 entries or a diagonal entry is not real.
-    The triangle is read at 2p + FIXED_GUARD_BITS bits, not rounded to p
-    first (level_q_matrix assembles it at p + 20 bits), converted once to
-    integers over a shared power of two and mirrored into the upper
-    triangle, exactly Hermitian.  Householder reflections reduce them to a
-    real tridiagonal matrix, whose eigenvalues mpmath's implicit QL finds
-    at 2p + 52 bits; each is then rounded once to p = precision_bits.  The
-    QL (EISPACK's imtql2) deflates from the top with a shift from the
-    leading 2x2 block, so, as LAPACK's dsteqr does, the tridiagonal is
-    reversed when |d_0| > |d_(n-1)|: a graded one is then started at its
-    small end, and the off-centre disc's at N=24 takes 34 iterations
-    instead of 91.  Reversal is a permutation similarity and leaves the
-    spectrum unchanged.  Eigenvalues are reported sorted descending in log
-    domain, trusted_count marks how many exceed the relative floor
-    s_1 * 10^(-p/3), and eigen_solve names the path taken.  A block that is
-    exactly zero below its diagonal skips the integer conversion: its
-    sorted diagonal, each entry rounded once to p, is the spectrum, and
-    matrix_residual is 0.  Any other block is reduced, even when its
-    off-diagonal integers vanish, and matrix_residual is
-    sqrt(|sum |a_ij|^2 - sum s_n^2|) / trace, which a unitary similarity
-    keeps at zero.  Raises NonConvergenceError when the QL does not
-    converge.
+    The block is the direct sum of the connected blocks of its entries
+    that are not exactly zero (_mp.hermitian_blocks, no tolerance), and
+    each is solved on its own: one per residue class on a support with
+    rotation order 2 or 4 (MomentTable.stride), one per index on a radial
+    weight.  A single index is its own eigenvalue, its diagonal entry
+    rounded once to p = precision_bits, read without integers.  Every
+    other block, even one whose off-diagonal integers vanish, is read at
+    2p + FIXED_GUARD_BITS bits, not rounded to p first (level_q_matrix
+    assembles at p + 20 bits), converted once to integers over its own
+    power of two and mirrored into the upper triangle, exactly Hermitian.
+    Householder reflections reduce them to a real tridiagonal matrix, whose
+    eigenvalues mpmath's implicit QL finds at 2p + 52 bits; each is then
+    rounded once to p.  The QL (EISPACK's imtql2) deflates from the top
+    with a shift from the leading 2x2 block, so, as LAPACK's dsteqr does,
+    the tridiagonal is reversed when |d_0| > |d_(n-1)|: a graded one is
+    then started at its small end, and the off-centre disc's at N=24 takes
+    34 iterations instead of 91.  Reversal is a permutation similarity and
+    leaves the spectrum unchanged.  A matrix of one block takes this path
+    alone.
+
+    The merged eigenvalues are reported sorted descending in log domain,
+    trusted_count marks how many exceed the relative floor
+    s_1 * 10^(-p/3), and eigen_solve is "diagonal" when every block is a
+    single index, else "householder-ql".  matrix_residual is
+    sqrt(sum over blocks of |sum |a_ij|^2 - sum s_n^2|) / trace, which a
+    unitary similarity of each block keeps at zero, and 0 on the diagonal
+    path.  Raises NonConvergenceError when the QL does not converge.
     """
     p = precision_bits
     if any(len(row) != j + 1 for j, row in enumerate(rows)):
@@ -292,31 +328,24 @@ def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
     if any(mp.im(row[-1]) for row in rows):
         raise ValueError("the diagonal of a Hermitian matrix must be real")
     bits = 2 * p + FIXED_GUARD_BITS
+    eigs, gaps, traces = [], [], []
     with mp.workprec(p):
-        if not any(x for row in rows for x in row[:-1]):
-            eigs = [+mp.re(row[-1]) for row in rows]  # each rounded once to p
+        for block in hermitian_blocks(rows):
+            if len(block) == 1:
+                x = mp.re(rows[block[0]][-1])
+                eigs.append(+x)  # rounded once to p
+                traces.append(x)
+                continue
+            d, gap, trace = _reduce_and_solve(
+                [[rows[i][j] for j in block[:t + 1]] for t, i in enumerate(block)], bits)
+            eigs += [+x for x in d]  # each rounded once to p
+            gaps.append(abs(gap))
+            traces.append(trace)
+        if not gaps:
             return _sorted_spectrum(eigs, 0.0, p, "diagonal")
-        re, im, e = _fixed_columns(rows, bits)
-        fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
-        diag, sub2 = _householder_tridiagonal(re, im, bits)
-        # the QL runs 20 bits past the integers, so every bit they hold enters
         with mp.workprec(bits + 20):
-            d = [from_fixed(x, None, e, mp.prec) for x in diag]
-            sub = [mp.ldexp(mp.sqrt(s), e) for s in sub2]
-            trace = mp.fsum(d)
-            if abs(d[0]) > abs(d[-1]):  # start a graded QL at its small end
-                d.reverse()
-                sub.reverse()
-            sub.append(mp.mpf(0))
-            try:
-                tridiag_eigen(mp, d, sub)
-            except RuntimeError as err:
-                if not str(err).startswith("tridiag_eigen: no convergence"):
-                    raise
-                raise NonConvergenceError(str(err)) from err
-            gap = mp.ldexp(fro2, 2 * e) - mp.fsum(x * x for x in d)
-            residual = float(mp.sqrt(abs(gap)) / trace) if trace > 0 else 0.0
-        eigs = [+x for x in d]  # each rounded once to p
+            trace = mp.fsum(traces)
+            residual = float(mp.sqrt(mp.fsum(gaps)) / trace) if trace > 0 else 0.0
         return _sorted_spectrum(eigs, residual, p, "householder-ql")
 
 

@@ -276,14 +276,14 @@ def region_key(region: Region) -> str:
 
 
 def _real(x) -> float:
-    """A config number as float; a non-number, a boolean, NaN or infinity is
-    a ValueError."""
-    if isinstance(x, bool):
+    """A config number as float; a non-number (a string too), a boolean, NaN
+    or infinity is a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"expected a number, got {x!r}")
     try:
         val = float(x)
-    except TypeError as e:
-        raise ValueError(f"expected a number, got {x!r}") from e
+    except OverflowError as e:
+        raise ValueError(f"expected a finite number, got {x!r}") from e
     if not math.isfinite(val):
         raise ValueError(f"expected a finite number, got {x!r}")
     return val

@@ -343,9 +343,11 @@ class MomentTable:
     path: str              # "radial" | "boundary", see mixed_moments
     weight_key: str
     design_degree: int
+    stride: int = 1        # rows[a][b] is an exact 0 unless a = b (mod stride)
 
     def entry(self, a: int, b: int):
-        """Scaled moment for monomials (z/R0)^a conj(z/R0)^b."""
+        """Scaled moment for monomials (z/R0)^a conj(z/R0)^b; an exact 0
+        off the residue classes of the stride."""
         if max(a, b) > self.maxdeg:
             raise IndexError("degree beyond table")
         if b <= a:
@@ -377,6 +379,40 @@ def _power(density) -> int:
 
 def _radial_applicable(w: Weight) -> bool:
     return isinstance(w.support, (Disc, Annulus)) and w.support.center == 0
+
+
+def _part_keys(support: Region, image) -> set:
+    """The support's parts under the map image, each as an exact key: a
+    polygon's counterclockwise vertex cycle started at its least vertex, a
+    disc's or annulus's centre and radii."""
+    keys = set()
+    for part in support.parts if isinstance(support, UnionRegion) else (support,):
+        if isinstance(part, Polygon):
+            vs = [image(v) for v in part.vertices]
+            i = vs.index(min(vs, key=lambda z: (z.real, z.imag)))
+            keys.add((Polygon, tuple(vs[i:] + vs[:i])))
+        elif isinstance(part, Disc):
+            keys.add((Disc, image(part.center), part.radius))
+        else:
+            keys.add((Annulus, image(part.center), part.inner, part.outer))
+    return keys
+
+
+def _rotation_order(support: Region) -> int:
+    """The order m of the rotations z -> exp(2 pi i / m) z about 0 that map
+    the support onto itself: 4 when z -> iz does, else 2 when z -> -z does,
+    else 1.
+
+    Both maps take binary floats to binary floats exactly, so the support
+    is compared with its image part by part with no tolerance. Every
+    density c |z|^k is rotation invariant, so mu_ab = 0 unless
+    a = b (mod m)."""
+    parts = _part_keys(support, lambda z: z)
+    if _part_keys(support, lambda z: complex(-z.imag, z.real)) == parts:
+        return 4
+    if _part_keys(support, lambda z: -z) == parts:
+        return 2
+    return 1
 
 
 def _radial_interval(support):
@@ -471,7 +507,7 @@ def _boundary_guard(w, kind, b0) -> int:
     return math.ceil(b0 * bounding_radius(w.support) ** 2 / 2 / math.log(2))
 
 
-def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0):
+def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, stride=1):
     """Scaled table rows[a][b] = sum_i x_i u_i^a conj(y_ib), u = z / R0, as
     exact fixed-point integer sums carrying guard = _boundary_guard more
     bits, rounded once per entry to prec, with x_i = v(z_i) R0 dz_i / 2i
@@ -488,7 +524,9 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0):
     S_s(0) = 1 / (s+1): it sums x conj(u^(b+1)) and divides by
     (2b + 2 + k) / 2 inside the rounding of each entry. Each complex entry
     takes three real dot products, with x_r + x_i formed once per a and
-    y_r - y_i once per b."""
+    y_r - y_i once per b. Only entries with a = b (mod stride) are summed;
+    the others, zero on a support that the rotation by 2 pi / stride maps
+    onto itself, are stored as exact zeros."""
     R0 = mp.mpf(bounding_radius(w.support))
     k = _power(w.density)
     gaussian = kind == "gaussian"
@@ -528,6 +566,9 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0):
     for a, (pr, pi) in enumerate(xs):
         row = []
         for b, (qr, qi) in enumerate(ys[:a + 1]):
+            if (a - b) % stride:
+                row.append(mp.zero)
+                continue
             A, B = dot(pr, qr), dot(pi, qi)
             im = dot(sums[a], diffs[b]) - A + B if b < a else None
             row.append(from_fixed(A + B, im, e, prec, 1 if gaussian else 2 * b + 2 + k))
@@ -565,6 +606,13 @@ def mixed_moments(
       edge on a line through the origin is split there instead, and a
       circle through the origin raises NonConvergenceError.
 
+    MomentTable.stride records the exact residue classes: mu_ab is an exact
+    0 unless a = b (mod stride). It is maxdeg + 1 on the radial path. On the
+    boundary path it is the support's rotation order m in (4, 2, 1)
+    (_rotation_order, an exact test), and only the entries with
+    a = b (mod m) are summed, each with the same arithmetic as in a whole
+    table; on the rotated unit square that is a quarter of them.
+
     On both paths the node values, evaluated at _mp.fixed_bits (32 guard
     bits and the bit length of the node count past precision_bits, plus
     b0 rmax^2 / 2 / ln 2 on Gaussian boundary tables and
@@ -592,14 +640,15 @@ def mixed_moments(
     with mp.workprec(prec):
         if _radial_applicable(w):
             rows, R0, degree_used = _radial_table(w, kind, maxdeg, prec, b0)
-            path = "radial"
+            path, stride = "radial", maxdeg + 1
         else:
             k = _power(w.density)
             degree_used = 2 * maxdeg + 1 + k
             if kind == "gaussian":
                 degree_used += _gaussian_excess(b0, bounding_radius(w.support), prec)
             rule = _build_rule(w.support, degree_used, prec + _boundary_guard(w, kind, b0), k)
-            rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0)
+            stride = _rotation_order(w.support)
+            rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0, stride)
             path = "boundary"
     return MomentTable(
         maxdeg=maxdeg,
@@ -609,6 +658,7 @@ def mixed_moments(
         path=path,
         weight_key=weight_key(w),
         design_degree=degree_used,
+        stride=stride,
     )
 
 

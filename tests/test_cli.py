@@ -616,6 +616,28 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, payload):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("capacity", {"region": {"shape": "disc", "center": ["0", "0"], "radius": "1.5"},
+                  "precision_bits": "64"}),
+    ("capacity", {"region": {"shape": "disc", "center": [0, 0], "radius": "1.5"}}),
+    ("capacity", {"region": {"shape": "disc", "center": [0, 0], "radius": 1.5},
+                  "precision_bits": "64"}),
+    ("orthopoly", {"weight": UNIT_DISC_WEIGHT, "N": "12"}),
+    ("toeplitz", {"weight": UNIT_DISC_WEIGHT, "N": 4, "b0": "2"}),
+    ("toeplitz", {"weight": {"support": UNIT_DISC_WEIGHT["support"],
+                             "density": {"kind": "constant", "c": "1"}}, "N": 4}),
+])
+def test_string_config_numbers_exit_2(tmp_path, capsys, command, payload):
+    # int("12") and float("1.5") parse strings; a config number must be a
+    # JSON number, as a boolean must not be one
+    cfg = write_config(tmp_path / "strings.json", payload)
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 2
+    assert "invalid config" in err
+    assert not out_path.exists()
+
+
 def test_odd_power_on_a_circle_through_the_origin_exits_3(tmp_path, capsys):
     # |z| is not smooth on a circle through 0, so no boundary rule resolves it
     cfg = write_config(tmp_path / "p1.json", {

@@ -226,3 +226,22 @@ def test_config_rejects_malformed():
         region_from_config({"shape": "disc", "center": [0], "radius": 1.0})
     with pytest.raises(ValueError):
         region_from_config({"radius": 1.0})
+
+
+@pytest.mark.parametrize("rec", [
+    {"shape": "disc", "center": [0, 0], "radius": "1.5"},
+    {"shape": "disc", "center": ["0", "0"], "radius": 1.5},
+    {"shape": "annulus", "center": [0, 0], "inner": 0.5, "outer": "1"},
+    {"shape": "polygon", "vertices": [[0, 0], [1, 0], ["1", 1]]},
+    {"shape": "disc", "center": [0, 0], "radius": None},
+])
+def test_config_rejects_numbers_given_as_strings(rec):
+    # float("1.5") parses a string; a config number must be a JSON number
+    with pytest.raises(ValueError, match="expected a number"):
+        region_from_config(rec)
+
+
+def test_config_rejects_an_integer_too_large_for_a_float():
+    # JSON integers are unbounded; float() of this one overflows
+    with pytest.raises(ValueError, match="expected a finite number"):
+        region_from_config({"shape": "disc", "center": [0, 0], "radius": 10 ** 400})

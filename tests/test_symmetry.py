@@ -1,0 +1,211 @@
+"""Exact rotation-symmetry classes of moment tables, Cholesky and spectrum.
+
+A support that z -> exp(2 pi i / m) z maps onto itself has mu_ab = 0
+unless a = b (mod m). The table records m as its stride and stores the
+other entries as exact zeros; the Cholesky and the eigen-solve split on
+those zeros. Splitting must not move a bit: with the symmetry helper
+forced to 1, the whole table is computed, factored and solved as one
+block, and the results are compared bit for bit.
+"""
+
+import importlib.util
+import json
+import math
+import random
+import sys
+from pathlib import Path
+
+import pytest
+from mpmath import mp
+
+import landaucap.weight as weight_module
+from landaucap._mp import hermitian_blocks, hermitian_cholesky
+from landaucap.errors import DegenerateMomentError
+from landaucap.landau import level_q_matrix, spectrum, toeplitz_spectrum
+from landaucap.orthopoly import monic_orthogonalize
+from landaucap.region import Disc, Polygon, UnionRegion, region_from_config
+from landaucap.weight import Constant, Power, Weight, mixed_moments
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def square_support(seed):
+    """The benchmark's rotated unit square for seed, read back from JSON as
+    the command line reads it."""
+    cfg = json.loads(json.dumps(load_workloads().square_config(seed)))
+    return region_from_config(cfg["weight"]["support"])
+
+
+CENTRED_SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
+RECTANGLE = Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.5j, -1 + 0.5j))
+SYMMETRIC = {"rotated-square-seed1": (square_support(1), 4), "rectangle-2x1": (RECTANGLE, 2)}
+
+
+# ---------------------------------------------------------------- detection
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_benchmark_squares_are_exactly_four_fold(seed):
+    assert weight_module._rotation_order(square_support(seed)) == 4
+
+
+@pytest.mark.parametrize("support, m", [
+    (CENTRED_SQUARE, 4),
+    (RECTANGLE, 2),
+    # a vertex one ulp off breaks every rotation
+    (Polygon((-0.5 - 0.5j, 0.5 - 0.5j, complex(math.nextafter(0.5, 1), 0.5), -0.5 + 0.5j)), 1),
+    (UnionRegion((Disc(1 + 0j, 0.1), Disc(-1 + 0j, 0.1))), 2),
+    (UnionRegion((Disc(0.5 + 0j, 0.1), Disc(0.5j, 0.1), Disc(-0.5 + 0j, 0.1), Disc(-0.5j, 0.1))),
+     4),
+    (UnionRegion((Disc(0.5 + 0j, 0.1), Disc(0.5j, 0.1), Disc(-0.5 + 0j, 0.1))), 1),
+    (Disc(0.7 + 0j, 1.0), 1),
+    (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), 1),
+])
+def test_rotation_order_is_exact(support, m):
+    assert weight_module._rotation_order(support) == m
+
+
+@pytest.mark.parametrize("kind", ["plain", "gaussian"])
+def test_entries_off_class_are_exact_zeros(kind):
+    table = mixed_moments(Weight(square_support(1), Power(2)), kind, 9, 128)
+    assert table.path == "boundary" and table.stride == 4
+    for a in range(10):
+        for b in range(10):
+            if (a - b) % 4:
+                assert table.entry(a, b) == 0 and not table.entry(a, b), (a, b)
+            else:
+                assert table.entry(a, b), (a, b)
+
+
+def test_radial_stride_exceeds_the_table():
+    table = mixed_moments(Weight(Disc(0j, 1.0), Constant(1.0)), "plain", 6, 64)
+    assert table.path == "radial" and table.stride == 7
+
+
+# -------------------------------------------------- bit identity of the split
+
+def whole_table(monkeypatch):
+    """Make every support look asymmetric, so tables are computed whole."""
+    monkeypatch.setattr(weight_module, "_rotation_order", lambda support: 1)
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_class_split_log_pivots_are_bit_identical(name, monkeypatch):
+    support, m = SYMMETRIC[name]
+    w = Weight(support, Constant(1.0))
+    split = monic_orthogonalize(mixed_moments(w, "plain", 24, 128))
+    assert split.source.stride == m
+    whole_table(monkeypatch)
+    whole = monic_orthogonalize(mixed_moments(w, "plain", 24, 128))
+    assert whole.source.stride == 1
+    # the whole table's off-class entries are rounding noise, not zeros, so
+    # its Cholesky runs as one block
+    assert len(hermitian_blocks(whole.source.rows)) == 1
+    assert split.log_norms == whole.log_norms
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_class_split_spectrum_is_bit_identical(name, q, monkeypatch):
+    support, m = SYMMETRIC[name]
+    w = Weight(support, Constant(1.0))
+    split = toeplitz_spectrum(w, q, 2.0, 24, 128)
+    whole_table(monkeypatch)
+    whole = toeplitz_spectrum(w, q, 2.0, 24, 128)
+    assert split.eigs == whole.eigs
+    assert split.log_eigs == whole.log_eigs
+    assert split.trusted_count == whole.trusted_count
+    assert split.eigen_solve == whole.eigen_solve == "householder-ql"
+    assert split.matrix_residual <= 1e-30
+
+
+def test_level_q_block_splits_into_the_classes():
+    T = level_q_matrix(Weight(RECTANGLE, Constant(1.0)), 1, 2.0, 8, 64)
+    assert hermitian_blocks(T) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
+    for j, row in enumerate(T):
+        for k, x in enumerate(row):
+            assert bool(x) == ((j - k) % 2 == 0), (j, k)
+
+
+# --------------------------------------------------------- block primitives
+
+def test_hermitian_blocks_follow_chains_of_nonzeros():
+    one = mp.mpf(1)
+    rows = [[one], [0, one], [0, 0, one], [0, mp.mpc(0, 1), 0, one], [0, 0, 0, 1e-300, one]]
+    assert hermitian_blocks(rows) == [[0], [1, 3, 4], [2]]
+
+
+def _components(pattern):
+    """Connected components by search over every entry, the reference for
+    hermitian_blocks."""
+    n, seen, out = len(pattern), set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        block, todo = [], [start]
+        seen.add(start)
+        while todo:
+            i = todo.pop()
+            block.append(i)
+            for j in range(n):
+                if j not in seen and pattern[max(i, j)][min(i, j)] and i != j:
+                    seen.add(j)
+                    todo.append(j)
+        out.append(sorted(block))
+    return out
+
+
+def test_hermitian_blocks_match_a_search_on_random_patterns():
+    # dense prefixes take the one-entry-per-row path, the rest the full scan
+    rng = random.Random(19)
+    for _ in range(2000):
+        n, density = rng.randint(1, 10), rng.random()
+        rows = [[int(rng.random() < density) for _ in range(j)] + [1] for j in range(n)]
+        assert hermitian_blocks(rows) == _components(rows), rows
+
+
+def test_blocked_cholesky_names_the_least_failing_degree():
+    # block {0, 2} fails at degree 2 and block {1, 3} at degree 3; rows
+    # are taken in order, so the error names 2
+    one = mp.mpf(1)
+    rows = [[one], [0, one], [one, 0, one], [0, one, 0, one]]
+    with pytest.raises(DegenerateMomentError, match="degree 2;"):
+        hermitian_cholesky(rows, 64)
+    rows[2][0] = mp.mpf(0.5)
+    with pytest.raises(DegenerateMomentError, match="degree 3;"):
+        hermitian_cholesky(rows, 64)
+
+
+def test_spectrum_of_a_direct_sum_matches_eighe():
+    # a 3x3, a 2x2 and a singleton block interleaved: the singleton is read
+    # from the input, the others reduced, and the merged spectrum sorted
+    p = 128
+    with mp.workprec(p):
+        rows = [[mp.mpf(3)],
+                [0, mp.mpf(2)],
+                [mp.mpc(0.25, 0.5), 0, mp.mpf(1)],
+                [0, 0, 0, mp.mpf(7) / 3],
+                [mp.mpc(0, 0.125), 0, mp.mpf(0.5), 0, mp.mpf(0.75)],
+                [0, mp.mpc(0.5, -0.25), 0, 0, 0, mp.mpf(5)]]
+    assert hermitian_blocks(rows) == [[0, 2, 4], [1, 5], [3]]
+    sp = spectrum(rows, p)
+    assert sp.eigen_solve == "householder-ql"
+    with mp.workprec(p):
+        assert mp.mpf(7) / 3 in sp.eigs
+    assert sp.matrix_residual <= 1e-35
+    with mp.workprec(p + 128):
+        full = mp.matrix(6, 6)
+        for j, row in enumerate(rows):
+            for k, x in enumerate(row):
+                full[j, k] = x
+                full[k, j] = mp.conj(x)
+        ref = sorted(mp.eighe(full, eigvals_only=True), reverse=True)
+        for got, want in zip(sp.eigenvalues(), ref):
+            assert abs(got - want) <= mp.mpf(2) ** (1 - p) * abs(want)
