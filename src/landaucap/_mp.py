@@ -1,7 +1,7 @@
-"""Extended-precision building blocks: Gauss-Legendre and tanh-sinh node
-caches, the exact blocks of a Hermitian matrix and the log pivots of its
-Cholesky, both read from a stored lower triangle, and exact fixed-point
-dot products, all on top of mpmath."""
+"""Extended-precision building blocks: the Gauss-Legendre node cache, the
+exact blocks of a Hermitian matrix and the log pivots of its Cholesky, both
+read from a stored lower triangle, and exact fixed-point dot products, all
+on top of mpmath."""
 
 from __future__ import annotations
 
@@ -71,47 +71,6 @@ def _legendre_pair(n: int, x: int, bits: int):
     for k in range(2, n + 1):
         pm, p = p, ((2 * k - 1) * (x * p >> bits) - (k - 1) * pm) // k
     return p, pm
-
-
-@lru_cache(maxsize=16)
-def tanh_sinh(prec: int):
-    """Tanh-sinh nodes/weights on [-1, 1]; robust to endpoint singularities.
-
-    x = tanh(pi/2 sinh(kh)). Step h = 2^-m gives roughly exp(-pi^2/h) error
-    for strip-analytic integrands, so m is picked from the precision; the
-    sum is truncated once 1 - |x| drops below 2^-(prec+20).
-
-    Only k >= 0 is computed and the rule mirrored, so it is exactly
-    antisymmetric. With t = kh, u = pi/2 sinh(t) and E = exp(-2u), each node
-    takes two exponentials: x = (1 - E) / (1 + E) and
-    w = h pi (e^t + e^-t) E / (1 + E)^2, which is h pi/2 cosh(t) / cosh(u)^2.
-    """
-    if prec <= 150:
-        m = 5
-    elif prec <= 300:
-        m = 6
-    else:
-        m = 7
-    with mp.workprec(prec + 30):
-        h = mp.mpf(2) ** (-m)
-        u_cut = mp.log(2) * (prec + 24) / 2
-        kmax = int(mp.ceil(mp.asinh(2 * u_cut / mp.pi) / h)) + 1
-        half = []
-        for k in range(kmax + 1):
-            et = mp.exp(k * h)
-            eti = 1 / et
-            E = mp.exp(-mp.pi / 2 * (et - eti))
-            x = (1 - E) / (1 + E)
-            w = h * mp.pi * (et + eti) * E / (1 + E) ** 2
-            half.append((x, w))
-        return tuple((-x, w) for x, w in half[:0:-1]) + tuple(half)
-
-
-def map_rule(nodes, weights, lo, hi):
-    """Affine image of a [-1, 1] rule onto [lo, hi]."""
-    half = (hi - lo) / 2
-    mid = (hi + lo) / 2
-    return [mid + half * x for x in nodes], [half * w for w in weights]
 
 
 def hermitian_blocks(rows):

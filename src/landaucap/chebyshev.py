@@ -59,9 +59,10 @@ def _polygon_breakpoints(vs: tuple, level: int) -> np.ndarray:
 
     Vertices turning by more than _CORNER_TURN are corners; each stretch
     between two corners gets panels in proportion to its length, graded
-    towards both ends. A polygon without corners (a dilation, a hull of
-    discs) is resampled uniformly in arclength plus turning, so its
-    rounded corners get as many panels as its straight stretches.
+    towards both ends. A polygon without corners, every vertex turning by
+    less than _CORNER_TURN (a finely sampled smooth curve), is resampled
+    uniformly in arclength plus turning, so its bends get as many panels
+    as its straight stretches.
     """
     ring = np.array(vs + (vs[0],))
     edges = np.diff(ring)

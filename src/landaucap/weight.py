@@ -8,13 +8,14 @@ plain (g = 1) and Gaussian (g = exp(-b0 |z|^2 / 2)). Tables are computed
 at a stated bit precision and stored with monomials prescaled by the
 bounding radius, which keeps the Gram entries of order of the total mass.
 
-A table takes one of two paths (mixed_moments): 1d radial integrals on a
-disc or annulus centred at 0, and for a Constant or Power anywhere else a
-contour integral over the boundary (Green's theorem). Both evaluate their
-node values once in mpf, sum them as exact fixed-point integers and round
-each entry once. The boundary path's incomplete-gamma factors S_s are
-integer rows too (_s_column); a plain table has S_s(0) = 1 / (s + 1),
-so it divides each entry by b + 1 + k/2 inside that rounding instead.
+A table takes one of two paths (mixed_moments): closed-form 1d radial
+integrals on a disc or annulus centred at 0, and for a Constant or Power
+anywhere else a contour integral over the boundary (Green's theorem).
+Both work on exact fixed-point integers and round each entry once. The
+incomplete-gamma factors S_s of both paths are integer rows (_s_column),
+as are the Chord's Beta-Kummer sums (_chord_column); a plain boundary
+table has S_s(0) = 1 / (s + 1), so it divides each entry by b + 1 + k/2
+inside that rounding instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 from mpmath import mp
 
-from ._mp import dot, fixed_bits, from_fixed, gauss_legendre, map_rule, tanh_sinh, to_fixed
+from ._mp import dot, fixed_bits, from_fixed, gauss_legendre, to_fixed
 from .errors import DegenerateMomentError, NonConvergenceError
 from .region import (
     Annulus,
@@ -342,7 +343,7 @@ class MomentTable:
     rows: list             # rows[a][b], b <= a
     path: str              # "radial" | "boundary", see mixed_moments
     weight_key: str
-    design_degree: int
+    design_degree: int     # of the boundary rule; -1 on the radial path, which has none
     stride: int = 1        # rows[a][b] is an exact 0 unless a = b (mod stride)
 
     def entry(self, a: int, b: int):
@@ -421,61 +422,56 @@ def _radial_interval(support):
     return mp.mpf(support.inner), mp.mpf(support.outer)
 
 
-def _radial_rule(w, kind, maxdeg, prec, b0):
-    """The [-1, 1] rule (xs, ws) of a radial table and its design degree:
-    Gauss-Legendre exact for the polynomial moments of a Constant or Power
-    (plus the Gaussian excess), tanh-sinh (degree -1) for the Chord's
-    square-root endpoint."""
-    d = w.density
-    if isinstance(d, Chord):
-        pairs = tanh_sinh(prec)
-        return [x for x, _ in pairs], [wt for _, wt in pairs], -1
-    need = 2 * maxdeg + 1 + _power(d)
-    if kind == "gaussian":
-        need += _gaussian_excess(b0, float(_radial_interval(w.support)[1]), prec)
-    xs, ws = gauss_legendre(math.ceil((need + 1) / 2), prec)
-    return xs, ws, need
-
-
 def _radial_table(w, kind, maxdeg, prec, b0):
-    """Diagonal rows[a][a] = sum_i d_i (r_i / R0)^(2a), d_i = 2 pi w_i r_i v(r_i)
-    [exp(-b0 r_i^2 / 2)], as exact fixed-point integer sums rounded once
-    per entry to prec.
+    """Diagonal rows[a][a] = mu_aa / hi^(2a) in closed form, hi = R0 the
+    outer radius, with x = beta hi^2, beta = b0/2 (Gaussian) or 0 (plain):
 
-    Node values carry guard more bits, b0 (hi^2 - lo^2) / 2 / ln 2 for a
-    Gaussian table (0 for a plain one): the largest value sets the shared
-    step, and the Gaussian factor of the nodes that dominate the top rows
-    can lie that far below it. Each row's products are shifted back so that
-    the largest keeps the same bit count, so the falling powers lose no
-    relative precision."""
+    - c |z|^k: pi c hi^(2+k) S_(a+k/2)(x), less
+      pi c lo^(2+k) (lo/hi)^(2a) S_(a+k/2)(beta lo^2) on an annulus;
+    - Chord: 2 pi R^3 J_a(x), J_a as in _chord_column.
+
+    The S and J columns are integers at the scale 2^G (_s_column,
+    _chord_column), the prefactors and (lo/hi)^(2a) too; each entry is an
+    exact integer combination rounded once to prec. E = exp(-x) 2^G is
+    good to one unit, so a column is known to exp(x) 2^-G of itself: G
+    carries x / ln 2 guard bits past fixed_bits(prec, 2 maxdeg + k + 2).
+    On an annulus the subtraction cancels: the outer term exceeds the
+    entry by up to int_0^hi / int_lo^hi <= exp(x) hi^2 / (hi^2 - lo^2), so
+    G carries x / ln 2 and log2(hi^2 / (hi^2 - lo^2)) bits more."""
     lo, hi = _radial_interval(w.support)
     d = w.density
-    gaussian = kind == "gaussian"
-    xs, ws, need = _radial_rule(w, kind, maxdeg, prec, b0)
-    guard = math.ceil(b0 * float(hi * hi - lo * lo) / 2 / math.log(2)) if gaussian else 0
-    F = fixed_bits(prec + guard, len(xs))
-    R0 = mp.mpf(bounding_radius(w.support))
-    with mp.workprec(F):
-        rho, rw = map_rule(xs, ws, lo, hi)
-        two_pi = 2 * mp.pi
-        b0m = mp.mpf(b0)
-        data = [two_pi * wt * r * d.value(r) * (mp.exp(-b0m * r * r / 2) if gaussian else 1)
-                for r, wt in zip(rho, rw)]
-        ratio = [(r / R0) ** 2 for r in rho]
-    (data,), e_d = to_fixed([data], F)
-    (ratio,), e_r = to_fixed([ratio], F)
+    k = _power(d)
+    beta = b0 / 2 if kind == "gaussian" else 0
+    x = beta * float(hi) ** 2
+    guard = math.ceil(x / math.log(2))
+    if lo > 0:
+        guard += math.ceil(x / math.log(2) + math.log2(float(hi * hi / (hi * hi - lo * lo))))
+    G = fixed_bits(prec + guard, 2 * maxdeg + k + 2)
+    with mp.workprec(G):
+        if isinstance(d, Chord):
+            pre = [2 * mp.pi * hi ** 3]
+            cols = [_chord_column(beta * hi * hi, maxdeg, G)]
+        else:
+            c = mp.pi * d.value(1)  # v(1) = c
+            pre = [c * hi ** (2 + k)]
+            cols = [_s_column(beta * hi * hi, maxdeg, k, G)]
+            if lo > 0:
+                pre.append(-c * lo ** (2 + k))
+                cols.append(_s_column(beta * lo * lo, maxdeg, k, G))
+                Q = int(mp.ldexp((lo / hi) ** 2, G))
+        (P,), e = to_fixed([pre], G)
     rows = []
+    Qa = 1 << G  # (lo/hi)^(2a) 2^G
     for a in range(maxdeg + 1):
-        s = from_fixed(sum(data), None, e_d, prec)
+        total = P[0] * cols[0][a] << G
+        if lo > 0:
+            total += P[1] * cols[1][a] * Qa
+            Qa = Qa * Q >> G
+        s = from_fixed(total, None, e - 2 * G, prec)
         if not s > 0:
             raise DegenerateMomentError(DEGENERATE_MSG)
         rows.append([mp.mpf(0)] * a + [s])
-        if a < maxdeg:
-            data = [x * y for x, y in zip(data, ratio)]
-            shift = max(max(data).bit_length() - F, 0)
-            data = [x >> shift for x in data]
-            e_d += e_r + shift
-    return rows, R0, need
+    return rows, hi
 
 
 def _s_column(x, maxdeg: int, k: int, G: int):
@@ -496,6 +492,31 @@ def _s_column(x, maxdeg: int, k: int, G: int):
     for b in range(maxdeg, 0, -1):
         col.append(2 * (E + (X * col[-1] >> G)) // (2 * b + k))
     return col[::-1]
+
+
+def _chord_column(x, maxdeg: int, G: int):
+    """[J_a(x) 2^G for a = 0..maxdeg] as integers, J_a(x) =
+    int_0^1 t^a sqrt(1 - t) exp(-x t) dt, from X = x 2^G and
+    E = exp(-x) 2^G: the positive series
+    exp(-x) sum_j x^j / j! B(a+1, j+3/2), whose term j+1 is term j times
+    x (2j+3) / ((j+1)(2a+2j+5)), from B(a+1, 3/2) = B(a, 3/2) 2a / (2a+3)
+    and B(1, 3/2) = 2/3. No step cancels and each truncation costs one
+    unit."""
+    X = int(mp.ldexp(x, G))
+    E = int(mp.ldexp(mp.exp(-x), G))
+    col = []
+    B = (2 << G) // 3
+    for a in range(maxdeg + 1):
+        if a:
+            B = B * 2 * a // (2 * a + 3)
+        term = total = B
+        j = 0
+        while term:
+            term = term * X * (2 * j + 3) // ((j + 1) * (2 * a + 2 * j + 5) << G)
+            total += term
+            j += 1
+        col.append(total * E >> G)
+    return col
 
 
 def _boundary_guard(w, kind, b0) -> int:
@@ -588,8 +609,9 @@ def mixed_moments(
 
     - "radial": a disc or annulus centred at 0, with any density; 1d radial
       integrals mu_aa = 2 pi int r^(2a+1) v(r) g(r) dr, exactly zero off the
-      diagonal, by Gauss-Legendre exact for a Constant or Power (plus the
-      Gaussian excess) and by tanh-sinh for the Chord's square-root edge.
+      diagonal, in closed form (_radial_table): incomplete-gamma factors
+      S_(a+k/2) for a Constant or Power and a Beta-Kummer series for the
+      Chord. No rule is built, so design_degree is -1.
     - "boundary": a density v = c |z|^k (a Constant, k = 0, or a Power) on
       any other support. For b <= a, with
       beta = b0/2 (Gaussian) or 0 (plain) and
@@ -613,19 +635,20 @@ def mixed_moments(
     a = b (mod m) are summed, each with the same arithmetic as in a whole
     table; on the rotated unit square that is a quarter of them.
 
-    On both paths the node values, evaluated at _mp.fixed_bits (32 guard
-    bits and the bit length of the node count past precision_bits, plus
-    b0 rmax^2 / 2 / ln 2 on Gaussian boundary tables and
-    b0 (hi^2 - lo^2) / 2 / ln 2 on Gaussian radial ones), become
-    fixed-point integers; the sums are exact and each entry is rounded
-    once. A Gaussian boundary table builds its S_(b+k/2) rows on integers
-    from one exp per node (_s_column); a plain one sums
-    v z^a conj(z)^(b+1) and divides by b + 1 + k/2 in that rounding.
-    Against the same rule summed in mpc (mpf) at 128 more bits, with S_s
-    from mpmath's incomplete gamma, every boundary entry lies within 4
-    units of 2^-precision_bits sqrt(G_aa G_bb), at most 0.96 on the tested
-    supports, and every radial entry within 2 units of 2^-precision_bits
-    of itself.
+    On the boundary path the node values, evaluated at _mp.fixed_bits (32
+    guard bits and the bit length of the node count past precision_bits,
+    plus b0 rmax^2 / 2 / ln 2 on Gaussian tables), become fixed-point
+    integers; the sums are exact and each entry is rounded once. A
+    Gaussian boundary table builds its S_(b+k/2) rows on integers from one
+    exp per node (_s_column); a plain one sums v z^a conj(z)^(b+1) and
+    divides by b + 1 + k/2 in that rounding. The radial path combines
+    integer columns with the guard bits of _radial_table and rounds each
+    entry once. Against the same rule summed in mpc (mpf) at 128 more bits,
+    with S_s from mpmath's incomplete gamma, every boundary entry lies
+    within 4 units of 2^-precision_bits sqrt(G_aa G_bb), at most 0.96 on
+    the tested supports; against mpmath's incomplete gamma and Kummer
+    closed forms at 128 more bits, every radial entry lies within 2 units
+    of 2^-precision_bits of itself.
 
     The radial path rejects a nonpositive diagonal entry. A boundary table
     is checked where it is used: by the Cholesky of monic_orthogonalize when
@@ -639,8 +662,8 @@ def mixed_moments(
 
     with mp.workprec(prec):
         if _radial_applicable(w):
-            rows, R0, degree_used = _radial_table(w, kind, maxdeg, prec, b0)
-            path, stride = "radial", maxdeg + 1
+            rows, R0 = _radial_table(w, kind, maxdeg, prec, b0)
+            path, stride, degree_used = "radial", maxdeg + 1, -1
         else:
             k = _power(w.density)
             degree_used = 2 * maxdeg + 1 + k
@@ -685,7 +708,11 @@ def weight_from_config(rec: dict) -> Weight:
         if prof == "chi":
             return Weight(support, Constant(1.0))
         if isinstance(prof, str) and prof.startswith("power:"):
-            return Weight(support, Power(int(prof.split(":", 1)[1])))
+            digits = prof[len("power:"):]
+            # int() would also take signs, spaces, underscores and non-ASCII digits
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError(f"power profile needs k as ASCII digits, got {prof!r}")
+            return Weight(support, Power(int(digits)))
         raise ValueError(f"unknown radial profile {prof!r}")
     raise ValueError(f"unknown density kind {kind!r}")
 

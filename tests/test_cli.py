@@ -650,3 +650,34 @@ def test_odd_power_on_a_circle_through_the_origin_exits_3(tmp_path, capsys):
     assert code == 3
     assert "odd power" in err
     assert not out_path.exists()
+
+
+POWER_PROFILE_SUPPORT = {"shape": "disc", "center": [0.5, 0], "radius": 1.0}
+
+
+@pytest.mark.parametrize("profile", ["power: 1_0", "power:٢", "power:+2", "power: 2"])
+def test_power_profile_needs_ascii_digits_exit_2(tmp_path, capsys, profile):
+    # int() takes underscores, signs, spaces and non-ASCII digits; k must not
+    cfg = write_config(tmp_path / "power.json", {
+        "weight": {"support": POWER_PROFILE_SUPPORT,
+                   "density": {"kind": "radial", "profile": profile}},
+        "N": 12, "precision_bits": 64,
+    })
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(["predict", "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 2
+    assert "invalid config" in err
+    assert not out_path.exists()
+
+
+def test_power_profile_in_ascii_digits_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path / "power.json", {
+        "weight": {"support": POWER_PROFILE_SUPPORT,
+                   "density": {"kind": "radial", "profile": "power:3"}},
+        "N": 12, "precision_bits": 64,
+    })
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(["predict", "--config", cfg, "--format", "json",
+                              "--output", str(out_path)], capsys)
+    assert code == 0, err
+    assert "radial:power:3:3|" in out_path.read_text()

@@ -698,7 +698,7 @@ def test_general_b0_radial_closed_form():
 
 
 def test_general_b0_ball_chord_matches_oracle():
-    # level 1 at b0 = 3 on the ball chord: the tanh-sinh table built at b0
+    # level 1 at b0 = 3 on the ball chord: the closed-form table built at b0
     # against the Laguerre quadrature of the oracle, to the working precision
     w = ball_reduction_weight(1.0)
     sp = toeplitz_spectrum(w, 1, 3.0, 16, 256)

@@ -16,7 +16,7 @@ from mpmath import mp
 import landaucap.weight as weight_module
 from landaucap.errors import DegenerateMomentError, NonConvergenceError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius
-from landaucap._mp import _legendre_node, fixed_bits, gauss_legendre, map_rule, tanh_sinh
+from landaucap._mp import _legendre_node, fixed_bits, gauss_legendre
 from landaucap.weight import (
     Chord,
     Constant,
@@ -175,35 +175,6 @@ def test_union_quadrature_rejects_overlap():
                   (wide, tall), (Annulus(0j, 0.5, 1.0), Disc(0j, 0.6))):
         with pytest.raises(ValueError, match="pairwise disjoint"):
             mass(UnionRegion(parts), 64)
-
-
-TS_PRECS = [64, 128, 256, 512]
-
-
-@pytest.mark.parametrize("prec", TS_PRECS)
-def test_tanh_sinh_is_exactly_antisymmetric(prec):
-    tanh_sinh.cache_clear()
-    pairs = tanh_sinh(prec)
-    assert len(pairs) % 2 == 1 and pairs[len(pairs) // 2][0] == 0
-    for (x, w), (y, v) in zip(pairs, pairs[::-1]):
-        assert x == mp.fneg(y, exact=True) and w == v
-
-
-@pytest.mark.parametrize("prec", TS_PRECS)
-def test_tanh_sinh_matches_the_tanh_cosh_formulas(prec):
-    # reference: x = tanh(u), w = h pi/2 cosh(t) / cosh(u)^2, u = pi/2 sinh(t),
-    # at 60 bits past the precision
-    pairs = tanh_sinh(prec)
-    m = 5 if prec <= 150 else 6 if prec <= 300 else 7
-    kmax = len(pairs) // 2
-    with mp.workprec(prec + 60):
-        h = mp.mpf(2) ** -m
-        tol = mp.mpf(2) ** -(prec + 20)
-        for (x, w), k in zip(pairs, range(-kmax, kmax + 1)):
-            t = k * h
-            u = mp.pi / 2 * mp.sinh(t)
-            assert abs(x - mp.tanh(u)) <= tol, k
-            assert abs(w - h * mp.pi / 2 * mp.cosh(t) / mp.cosh(u) ** 2) <= tol, k
 
 
 # ------------------------------------------------------ plain moment oracles
@@ -688,16 +659,16 @@ def test_odd_power_on_a_circle_through_the_origin_raises():
             mixed_moments(Weight(support, POWER1), "plain", 2, 64)
 
 
-# --------------------------------------------- radial kernel vs the mpf sum
+# ------------------------------------- radial kernel vs mpmath closed forms
 #
-# Radial tables are exact fixed-point integer sums rounded once per entry.
-# The reference sums the same rule in mpf at prec + 128 bits, so any
-# difference is rounding in the kernel. Units are 2^-prec of the entry.
+# Radial tables are closed forms on fixed-point integers rounded once per
+# entry. The reference evaluates the same integrals with mpmath at
+# prec + 128 bits: the incomplete gamma for c |z|^k and Beta times Kummer's
+# 1F1 for the Chord. Units are 2^-prec of the entry.
 
 UNIT_DISC, DISC6, DISC10 = (Weight(Disc(0j, R), Constant(1.0)) for R in (1.0, 6.0, 10.0))
 POWER2_ANNULUS = Weight(Annulus(0j, 0.5, 2.0), Power(2))
 BALL = ball_reduction_weight(1.0)
-# (kind, b0, prec, maxdeg): the parity of maxdeg sets that of the node count
 FULL_GRID = [("plain", 2.0, 128, 48), ("plain", 2.0, 256, 49), ("gaussian", 2.0, 128, 49),
              ("gaussian", 2.0, 256, 48), ("gaussian", 3.0, 128, 48), ("gaussian", 3.0, 256, 49)]
 RADIAL_CASES = [(w, *case) for w in (UNIT_DISC, DISC6, DISC10, POWER2_ANNULUS, BALL)
@@ -709,30 +680,71 @@ def _case_id(case):
     return f"{weight_key(w)}-{kind}-{b0}-{prec}-{maxdeg}"
 
 
-def _radial_reference(w, kind, maxdeg, prec, b0):
-    xs, ws, _ = weight_module._radial_rule(w, kind, maxdeg, prec, b0)
+def _radial_reference(w, kind, maxdeg, b0):
+    """mu_aa / hi^(2a) for a = 0..maxdeg, hi the outer radius: with
+    beta = b0/2 (Gaussian) or 0 (plain) and s = a + k/2, pi c times
+    gamma(s+1, beta lo^2, beta hi^2) / beta^(s+1) (for beta = 0,
+    (hi^(2s+2) - lo^(2s+2)) / (s+1)) for c |z|^k, and
+    2 pi R^(2a+3) B(a+1, 3/2) 1F1(a+1; a+5/2; -beta R^2) for the Chord."""
     lo, hi = weight_module._radial_interval(w.support)
-    R0 = mp.mpf(bounding_radius(w.support))
-    rho, rw = map_rule(xs, ws, lo, hi)
-    g = (lambda r: mp.exp(-mp.mpf(b0) * r * r / 2)) if kind == "gaussian" else (lambda r: 1)
-    data = [2 * mp.pi * wt * r * w.density.value(r) * g(r) for r, wt in zip(rho, rw)]
-    ratio = [(r / R0) ** 2 for r in rho]
+    beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.zero
+    d = w.density
     sums = []
-    for _ in range(maxdeg + 1):
-        sums.append(mp.fsum(data))
-        data = [x * q for x, q in zip(data, ratio)]
+    for a in range(maxdeg + 1):
+        if isinstance(d, Chord):
+            half = mp.mpf(3) / 2
+            mu = (2 * mp.pi * hi ** (2 * a + 3) * mp.beta(a + 1, half)
+                  * mp.hyp1f1(a + 1, a + 1 + half, -beta * hi * hi))
+        else:
+            s = a + mp.mpf(weight_module._power(d)) / 2
+            if beta:
+                integral = mp.gammainc(s + 1, beta * lo * lo, beta * hi * hi) / beta ** (s + 1)
+            else:
+                integral = (hi ** (2 * s + 2) - lo ** (2 * s + 2)) / (s + 1)
+            mu = mp.pi * d.value(1) * integral
+        sums.append(mu / hi ** (2 * a))
     return sums
+
+
+def _assert_radial_within_two_units(w, kind, b0, prec, maxdeg):
+    tab = mixed_moments(w, kind, maxdeg, precision_bits=prec, b0=b0)
+    assert tab.path == "radial"
+    with mp.workprec(prec + 128):
+        ref = _radial_reference(w, kind, maxdeg, b0)
+        for a in range(maxdeg + 1):
+            assert all(tab.entry(a, b) == 0 for b in range(a))
+            assert abs(tab.entry(a, a) - ref[a]) <= 2 * mp.mpf(2) ** -prec * ref[a], a
 
 
 @pytest.mark.parametrize("w,kind,b0,prec,maxdeg", RADIAL_CASES, ids=map(_case_id, RADIAL_CASES))
 def test_radial_kernel_matches_mpf_sum(w, kind, b0, prec, maxdeg):
-    tab = mixed_moments(w, kind, maxdeg, precision_bits=prec, b0=b0)
-    assert tab.path == "radial"
-    with mp.workprec(prec + 128):
-        ref = _radial_reference(w, kind, maxdeg, prec, b0)
-        for a in range(maxdeg + 1):
-            assert all(tab.entry(a, b) == 0 for b in range(a))
-            assert abs(tab.entry(a, a) - ref[a]) <= 2 * mp.mpf(2) ** -prec * ref[a], a
+    _assert_radial_within_two_units(w, kind, b0, prec, maxdeg)
+
+
+# exp(-b0 r^2 / 2) peaks far inside the support, where a quadrature step
+# set by the precision alone under-resolves it (on the radius-10 ball, by
+# up to 2.5e12 units). On a wide annulus the outer incomplete gamma, known to
+# exp(x) 2^-G of itself (x = b0 hi^2 / 2), exceeds the entry by up to
+# exp(x) hi^2 / (hi^2 - lo^2): the guard bits must cover both factors
+WIDE_CASES = [(ball_reduction_weight(10.0), 24), (Weight(Annulus(0j, 9.0, 10.0), Constant(1.0)), 12),
+              (Weight(Annulus(0j, 5.0, 6.0), Power(1)), 12)]
+
+
+@pytest.mark.parametrize("w,maxdeg", WIDE_CASES, ids=[weight_key(w) for w, _ in WIDE_CASES])
+def test_radial_wide_gaussian_supports(w, maxdeg):
+    _assert_radial_within_two_units(w, "gaussian", 2.0, 128, maxdeg)
+
+
+def test_radial_tables_build_no_rule(monkeypatch):
+    def no_rule(*args):
+        raise AssertionError("a radial table built a quadrature rule")
+
+    monkeypatch.setattr(weight_module, "gauss_legendre", no_rule)
+    for w in (UNIT_DISC, Weight(Annulus(0j, 0.5, 2.0), Power(3)), BALL):
+        for kind in ("plain", "gaussian"):
+            tab = mixed_moments(w, kind, 12, 128, b0=3.0)
+            assert tab.path == "radial" and tab.design_degree == -1
+            assert all(tab.entry(a, a) > 0 for a in range(13))
 
 
 GAUSSIAN_DISC_CASES = [c for c in RADIAL_CASES
