@@ -130,8 +130,9 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     eta^(a+b+2) times those of v at b0, so the table G of v is built at b0
     itself and eta is folded into the powers (R0 eta)^(a+b) that unscale it
     and into the prefactor.  At q = 0 this is the ground level,
-    T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!); the factorials enter
-    through log-gamma in log domain.
+    T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!). The normalisation is
+    f_j f_k with one f_j = exp(-(log(pi q! 2/b0) + log j!) / 2) per index,
+    the factorials entering through log-gamma.
 
     Every monomial of the level-q image of z^j has m - l = j - q, so entry
     (j, k) combines moments with a - b = j - k. The table's moments are
@@ -160,7 +161,8 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
         unscale = [R0_eta ** n for n in range(2 * (N + q) + 1)]
     with mp.workprec(precision_bits + 20):
         log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
-        half_lg = [mp.loggamma(n + 1) / 2 for n in range(N + 1)]
+        # entry (j, k) is normalised by f_j f_k
+        f = [mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2) for n in range(N + 1)]
         for j in range(N + 1):
             for k in range(j, N + 1, table.stride):
                 acc = mp.mpc(0)
@@ -168,7 +170,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
                     for (m2, l2), c2 in polys[k].items():
                         a, b = m1 + l2, l1 + m2
                         acc += (c1 * c2) * (table.entry(a, b) * unscale[a + b])
-                val = acc * mp.e ** (-(log_pi_q + half_lg[j] + half_lg[k]))
+                val = acc * (f[j] * f[k])
                 rows[k][j] = val.real if k == j else mp.conj(val)
     return rows
 

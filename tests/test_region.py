@@ -49,15 +49,16 @@ def boundary_distance(region, z):
     raise TypeError
 
 
-def rule_size(region, degree):
-    """Node count of the boundary rule: degree + 2 per circle, degree // 2 + 1 per edge."""
+def rule_size(region, maxdeg):
+    """Node count of the plain boundary rule for bidegree maxdeg: maxdeg + 2
+    per circle, maxdeg + 1 per edge (Gauss-Legendre of degree 2 maxdeg + 1)."""
     if isinstance(region, Disc):
-        return degree + 2
+        return maxdeg + 2
     if isinstance(region, Annulus):
-        return 2 * (degree + 2)
+        return 2 * (maxdeg + 2)
     if isinstance(region, Polygon):
-        return len(region.vertices) * (degree // 2 + 1)
-    return sum(rule_size(p, degree) for p in region.parts)
+        return len(region.vertices) * (maxdeg + 1)
+    return sum(rule_size(p, maxdeg) for p in region.parts)
 
 
 # ---------------------------------------------------------------- contains

@@ -434,13 +434,38 @@ def _assert_kernel_matches_reference(w, rule, kind, maxdeg, prec, b0=2.0):
     _assert_within_units(rows, ref, maxdeg, prec)
 
 
-def _boundary_rule(w, kind, maxdeg, prec, extra=0):
-    """The boundary rule mixed_moments builds, extra degrees past design."""
+def _boundary_rule(w, kind, maxdeg, prec):
+    """The boundary rule mixed_moments builds."""
+    return weight_module._build_rule(w.support, maxdeg, prec, weight_module._power(w.density), kind)
+
+
+def _degree_rule(w, kind, maxdeg, prec, extra):
+    """A reference rule sized by one total degree
+    D = 2 maxdeg + 1 + k + extra, plus the Gaussian excess, for every piece:
+    D + 2 trapezoid nodes on each circle (with the odd-power nodes on top),
+    D // 2 + 1 Gauss-Legendre nodes on each edge, at the guarded precision
+    of _build_rule."""
     k = weight_module._power(w.density)
     degree = 2 * maxdeg + 1 + k + extra
     if kind == "gaussian":
         degree += _gaussian_excess(2.0, bounding_radius(w.support), prec)
-    return weight_module._build_rule(w.support, degree, prec, k)
+    prec += weight_module._boundary_guard(w.support, kind, 2.0)
+    nodes, steps = [], []
+    for part in w.support.parts if isinstance(w.support, UnionRegion) else (w.support,):
+        if isinstance(part, Polygon):
+            pieces = [weight_module._edges(part.vertices, degree, prec, k)[:2]]
+        else:
+            lo, hi = weight_module._radial_interval(part)
+            pieces = []
+            for r, sign in [(hi, 1)] + ([(lo, -1)] if lo > 0 else []):
+                T = degree + 2
+                if k % 2 and part.center != 0:
+                    T += weight_module._odd_power_nodes(abs(math.log(abs(part.center) / r)), prec)
+                pieces.append(weight_module._circle(part.center, r, T, prec, sign))
+        for ns, ds in pieces:
+            nodes += ns
+            steps += ds
+    return weight_module._Rule(nodes, steps)
 
 
 SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
@@ -484,13 +509,74 @@ def test_s_column_matches_incomplete_gamma(x, k, prec):
 
 
 def test_boundary_table_resolves_gaussian():
-    # the trapezoid rule at design degree against 40 more degrees at +128 bits
+    # the table's rule against one of 40 more total degrees at +128 bits
     w = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
     tab = mixed_moments(w, "gaussian", 24, precision_bits=128)
-    rule = _boundary_rule(w, "gaussian", 24, 256, extra=40)
+    rule = _degree_rule(w, "gaussian", 24, 256, extra=40)
     with mp.workprec(256):
         ref, _ = weight_module._gram_table(w, rule, "gaussian", 24, 256, 2.0)
     _assert_within_units(tab.rows, ref, 24, 128)
+
+
+# the benchmark's off-centre disc at seed 1: centre 0.7 exp(i theta)
+SEED1_CENTER = 0.465012067751137 + 0.5232244039088887j
+DISC_07 = Disc(0.7 + 0j, 1.0)
+
+
+@pytest.mark.parametrize("support,density,kind,maxdeg,prec,nodes", [
+    (Disc(SEED1_CENTER, 1.0), Constant(1.0), "gaussian", 24, 128, 60),
+    (DISC_07, Constant(1.0), "gaussian", 48, 256, 105),
+    (Disc(3 + 0j, 1.0), Constant(1.0), "gaussian", 48, 256, 135),
+    (Disc(6 + 0j, 1.0), Constant(1.0), "gaussian", 24, 128, 112),
+    (Annulus(0.3j, 0.4, 1.0), Constant(1.0), "gaussian", 24, 128, 103),
+    (UnionRegion((Disc(-1.2 + 0j, 1.0), Disc(1.2 + 0.3j, 0.8))), Constant(1.0),
+     "gaussian", 24, 128, 130),
+    (DISC_07, Constant(1.0), "plain", 48, 256, 50),
+    (DISC_07, POWER1, "plain", 24, 128, 276),
+    (DISC_07, POWER1, "gaussian", 24, 128, 320),
+    (DISC_07, POWER2, "plain", 24, 128, 27),
+    (DISC_07, POWER2, "gaussian", 24, 128, 61),
+    (DISC_07, Power(3), "plain", 24, 128, 277),
+    (DISC_07, Power(3), "gaussian", 24, 128, 321),
+])
+def test_circle_rules_sized_per_circle_match_a_longer_rule(support, density, kind, maxdeg, prec,
+                                                           nodes):
+    # each circle's own frequency span and Gaussian tail against one rule of
+    # 40 more total degrees on every circle, at 64 more bits: within 1 unit
+    w = Weight(support, density)
+    assert len(_boundary_rule(w, kind, maxdeg, prec).nodes) == nodes
+    tab = boundary_table(w, kind, maxdeg, prec)
+    rule = _degree_rule(w, kind, maxdeg, prec + 64, extra=40)
+    with mp.workprec(prec + 64):
+        ref, _ = weight_module._gram_table(w, rule, kind, maxdeg, prec + 64, 2.0)
+    _assert_within_units(tab.rows, ref, maxdeg, prec, units=1)
+
+
+def test_offcenter_workload_disc_rule_size():
+    # frequency span 24 + 2 and a Gaussian tail of 34 nodes (beta r |c| = 0.7
+    # to 128 + 5 + 10 bits); one total degree for every piece takes 161
+    w = Weight(Disc(SEED1_CENTER, 1.0), Constant(1.0))
+    rule = _boundary_rule(w, "gaussian", 24, 128)
+    assert len(rule.nodes) == 60 and rule.design_degree == 58
+    assert mixed_moments(w, "gaussian", 24, 128).design_degree == 58
+    # a circle centred at 0 needs no Gaussian tail
+    centred = Weight(Disc(0j, 1.0), Constant(1.0))
+    assert len(_boundary_rule(centred, "gaussian", 24, 128).nodes) == 26
+
+
+@pytest.mark.parametrize("support", [SIDE3_SQUARE, L_SHAPE, Polygon((0j, 2 + 0j, 0.5 + 1.5j))])
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("kind", ["plain", "gaussian"])
+def test_polygon_edges_keep_the_total_degree_count(support, k, kind):
+    maxdeg, prec = 12, 128
+    excess = _gaussian_excess(2.0, bounding_radius(support), prec) if kind == "gaussian" else 0
+    n = (2 * maxdeg + 1 + k + excess) // 2 + 1
+    rule = _boundary_rule(Weight(support, Power(k)), kind, maxdeg, prec)
+    assert len(rule.nodes) == len(support.vertices) * n
+    assert rule.design_degree == 2 * n - 1
+    # the table records the edges' design degree
+    tab = mixed_moments(Weight(support, Power(k)), kind, maxdeg, prec)
+    assert tab.design_degree == 2 * n - 1
 
 
 def test_boundary_table_far_from_origin():
