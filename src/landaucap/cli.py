@@ -31,12 +31,16 @@ from .landau import radial_oracle, theorem_predictions, toeplitz_spectrum
 from .orthopoly import monic_orthogonalize, rho_estimates
 from .region import capacity_known, region_from_config
 from .verify import SUITE_NAMES, run_suite
-from .weight import emission_digits, mixed_moments, weight_from_config
+from .weight import mixed_moments, weight_from_config
 
 ALLOWED_PRECISIONS = (64, 128, 256, 512)
 COMMANDS = ("capacity", "orthopoly", "toeplitz", "verify", "predict")
 # capacities are float64; 17 significant digits round-trip a double
 FLOAT_DIGITS = 17
+
+
+def emission_digits(prec: int) -> int:
+    return math.ceil(prec * 0.3)
 
 
 class ConfigError(ValueError):

@@ -32,6 +32,7 @@ from .region import region_key
 from .weight import (
     Constant,
     Weight,
+    _boundary_guard,
     _radial_applicable,
     _radial_interval,
     mixed_moments,
@@ -146,20 +147,27 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     and its conjugate stored at rows[k][j], and the diagonal keeps its
     real part, an mpf.  The leading m x m block is the prefix rows[:m].
 
+    The creation coefficients have both signs, so moments cancel in an
+    entry: the table carries g = _boundary_guard(support, b0/2) bits past
+    precision_bits, as its kernel does. On a centred disc the cancellation
+    in entry j peaks near j = b0 R0^2 / 2, so g needs no term in N; it grows
+    with q, and g covers q <= 2 on the tested supports, not q = 6 on Disc(0, 3).
+
     A boundary table is checked by hermitian_cholesky on its stored lower
-    triangle, its log pivots unused: a non-positive pivot at the working
-    precision raises DegenerateMomentError naming the degree.
+    triangle at precision_bits, its log pivots unused: a non-positive pivot
+    raises DegenerateMomentError naming the degree.
     """
     LandauBasisSpec(q, float(b0), N)  # validate the triple
-    table = mixed_moments(v, "gaussian", maxdeg=N + q, precision_bits=precision_bits, b0=b0)
+    prec = precision_bits + _boundary_guard(v.support, b0 / 2)
+    table = mixed_moments(v, "gaussian", maxdeg=N + q, precision_bits=prec, b0=b0)
     if table.path != "radial":
-        hermitian_cholesky(table.rows, table.precision_bits)
+        hermitian_cholesky(table.rows, precision_bits)
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     rows = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
-    with mp.workprec(precision_bits + 10):
+    with mp.workprec(prec + 10):
         R0_eta = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
         unscale = [R0_eta ** n for n in range(2 * (N + q) + 1)]
-    with mp.workprec(precision_bits + 20):
+    with mp.workprec(prec + 20):
         log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
         # entry (j, k) is normalised by f_j f_k
         f = [mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2) for n in range(N + 1)]

@@ -51,7 +51,6 @@ __all__ = [
     "mixed_moments",
     "weight_key",
     "weight_from_config",
-    "emission_digits",
 ]
 
 DEGENERATE_MSG = "moment table numerically degenerate; increase precision"
@@ -64,10 +63,6 @@ ODD_POWER_MSG = ("an odd power |z|^k is not smooth where the boundary passes thr
 _MAX_ODD_POWER_NODES = 1 << 14
 # bits past a rule's precision to which a circle resolves its Gaussian tail
 _TAIL_MARGIN = 10
-
-
-def emission_digits(prec: int) -> int:
-    return math.ceil(prec * 0.3)
 
 
 # ------------------------------------------------------------------ densities
@@ -163,10 +158,21 @@ def _odd_power_nodes(log_decay: float, prec: int) -> int:
     return count
 
 
-def _edges(vs, degree, prec, k=0):
-    """Gauss-Legendre on every edge of a counterclockwise ring, n = degree // 2 + 1
-    nodes each: exact for polynomials in (z, conj z) of degree <= 2n - 1,
-    the design degree returned with the nodes and steps.
+def _edges(vs, maxdeg, prec, k, beta):
+    """Gauss-Legendre on every edge of a counterclockwise ring for the table
+    of bidegree maxdeg of v = c |z|^k, Gaussian exp(-beta |z|^2) unless
+    beta = 0: n nodes each, exact in (z, conj z) to the design degree
+    2n - 1, returned with the nodes and steps.
+
+    The integrand z^a conj(z)^(b+1) |z|^k dz of an even k has degree
+    <= 2 maxdeg + 1 + k. On a piece z = m + h t, t in [-1, 1], the Gaussian
+    is a constant times exp(-2 beta Re(conj(m) h) t - beta |h|^2 t^2), whose
+    Chebyshev coefficients fall like (beta |Re(conj(m) h)|)^j / j! and, at
+    degrees 2j, like (beta |h|^2 / 4)^j / j! (Trefethen, "Is Gauss
+    quadrature better than Clenshaw-Curtis?", SIAM Rev. 50, 2008). The
+    piece's excess degree is the _gaussian_tail of the first plus twice
+    that of the second, to 2^-(prec + _TAIL_MARGIN); the ring takes the
+    largest.
 
     For odd k, |z|^k is polynomial along an edge whose line passes through
     the origin once the edge is split there. On any other edge it is analytic
@@ -186,7 +192,11 @@ def _edges(vs, degree, prec, k=0):
             pieces += [(a, 0j, False), (0j, b, False)]
         else:
             pieces.append((a, b, False))
-    n = degree // 2 + 1
+    bits = prec + _TAIL_MARGIN
+    excess = max(2 * _gaussian_tail(beta * abs(b - a) ** 2 / 16, bits)
+                 + _gaussian_tail(beta * abs(((a + b).conjugate() * (b - a)).real) / 4, bits)
+                 for a, b, _ in pieces)
+    n = (2 * maxdeg + 1 + k + excess) // 2 + 1
     nodes, steps = [], []
     with mp.workprec(prec + 10):
         for a, b, analytic in pieces:
@@ -206,25 +216,25 @@ def _circle_size(center, radius, maxdeg: int, prec: int, k: int, beta: float) ->
     T = maxdeg + 2 + k/2 nodes integrate a whole table exactly. The
     Gaussian adds the factor exp(-2 beta t r |c| cos(theta - arg c)), whose
     coefficients I_m(2 beta t r |c|) fall like (beta r |c|)^m / m! for
-    t <= 1: the circle gets _gaussian_tail more nodes, none when centred at
-    0 (Trefethen and Weideman, "The exponentially convergent trapezoidal
-    rule", SIAM Rev. 56, 2014). For odd k, |z|^k has Fourier coefficients falling like q^j,
+    t <= 1: the circle gets _gaussian_tail more nodes, to
+    2^-(prec + _TAIL_MARGIN), none when centred at 0 (Trefethen and
+    Weideman, "The exponentially convergent trapezoidal rule", SIAM Rev. 56,
+    2014). For odd k, |z|^k has Fourier coefficients falling like q^j,
     q = min(|center|, radius) / max(|center|, radius), so the rule gets
     half of k rounded up and _odd_power_nodes more; a circle through the
     origin has q = 1."""
     T = maxdeg + 2 + (k + 1) // 2
-    if beta > 0 and center != 0:
-        T += _gaussian_tail(beta * radius * abs(center), prec + _TAIL_MARGIN)
+    T += _gaussian_tail(beta * radius * abs(center), prec + _TAIL_MARGIN)
     if k % 2 and center != 0:
         T += _odd_power_nodes(abs(math.log(abs(center) / radius)), prec)
     return T
 
 
 def _gaussian_tail(x: float, bits: int) -> int:
-    """The least M with x^M / M! <= 2^-bits."""
+    """The least M with x^M / M! <= 2^-bits; 0 when x = 0."""
     target = -bits * math.log(2)
     M = 0
-    while M * math.log(x) - math.lgamma(M + 1) > target:
+    while x > 0 and M * math.log(x) - math.lgamma(M + 1) > target:
         M += 1
     return M
 
@@ -335,41 +345,35 @@ def _disjoint(a: Region, b: Region) -> bool:
     return True
 
 
-def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0,
-                kind: str = "plain", b0: float = 2.0) -> _Rule:
+def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0, beta: float = 0) -> _Rule:
     """A rule on the positively oriented boundary of the support for the
-    table of bidegree maxdeg of v = c |z|^k at prec bits, kind and b0 as in
-    mixed_moments; its nodes carry _boundary_guard more bits.
-
-    Each piece is sized on its own (_pieces); the rule's design degree is
-    the largest of theirs."""
+    table of bidegree maxdeg of v = c |z|^k, Gaussian exp(-beta |z|^2)
+    unless beta = 0, at prec bits; its nodes carry _boundary_guard more
+    bits. Each piece is sized on its own (_pieces); the rule's design
+    degree is the largest of theirs."""
     parts = support.parts if isinstance(support, UnionRegion) else (support,)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not _disjoint(parts[i], parts[j]):
                 raise ValueError(UNION_MSG)
-    gaussian = kind == "gaussian"
-    # polygon edges: total degree 2 maxdeg + 1 + k, and the Gaussian excess
-    degree = 2 * maxdeg + 1 + k
-    if gaussian:
-        degree += _gaussian_excess(b0, bounding_radius(support), prec)
-    prec += _boundary_guard(support, kind, b0)
+    prec += _boundary_guard(support, beta)
     nodes, steps, design = [], [], -1
     for p in parts:
-        for ns, ds, d in _pieces(p, maxdeg, degree, prec, k, b0 / 2 if gaussian else 0):
+        for ns, ds, d in _pieces(p, maxdeg, prec, k, beta):
             nodes.extend(ns)
             steps.extend(ds)
             design = max(design, d)
     return _Rule(nodes, steps, design)
 
 
-def _pieces(part: Region, maxdeg: int, degree: int, prec: int, k: int, beta: float):
+def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float):
     """(nodes, steps, design degree) pieces of one part's boundary rule:
-    Gauss-Legendre of the given total degree on a polygon's edges (_edges),
-    on each circle the trapezoid rule of its own _circle_size, whose design
-    degree is T - 2 (an annulus's inner circle reversed)."""
+    Gauss-Legendre on a polygon's edges (_edges), on each circle the
+    trapezoid rule of its own _circle_size, whose design degree is T - 2
+    (an annulus's inner circle reversed); both size the Gaussian's tail by
+    _gaussian_tail."""
     if isinstance(part, Polygon):
-        return [_edges(part.vertices, degree, prec, k)]
+        return [_edges(part.vertices, maxdeg, prec, k, beta)]
     if not isinstance(part, (Disc, Annulus)):
         raise TypeError(f"not a region: {part!r}")
     lo, hi = _radial_interval(part)
@@ -410,19 +414,6 @@ class MomentTable:
         """Unscaled moment mu_ab."""
         with mp.workprec(self.precision_bits + 10):
             return self.entry(a, b) * self.scale_radius ** (a + b)
-
-
-def _gaussian_excess(b0: float, rmax: float, prec: int) -> int:
-    """Extra design degrees of a polygon edge's rule resolving
-    exp(-b0 |z|^2/2) on |z| <= rmax: the smallest K with
-    (b0 rmax^2/2)^(K+1)/(K+1)! below the emission floor."""
-    x = float(b0) * float(rmax) ** 2 / 2.0
-    target = -(emission_digits(prec) + 10) * math.log(10.0)
-    lx = math.log(x) if x > 0 else -700.0
-    K = 1
-    while (K + 1) * lx - math.lgamma(K + 2) > target:
-        K += 1
-    return max(30, 2 * K)
 
 
 def _power(density) -> int:
@@ -474,9 +465,9 @@ def _radial_interval(support):
     return mp.mpf(support.inner), mp.mpf(support.outer)
 
 
-def _radial_table(w, kind, maxdeg, prec, b0):
+def _radial_table(w, maxdeg, prec, beta):
     """Diagonal rows[a][a] = mu_aa / hi^(2a) in closed form, hi = R0 the
-    outer radius, with x = beta hi^2, beta = b0/2 (Gaussian) or 0 (plain):
+    outer radius, with x = beta hi^2 (beta as in mixed_moments):
 
     - c |z|^k: pi c hi^(2+k) S_(a+k/2)(x), less
       pi c lo^(2+k) (lo/hi)^(2a) S_(a+k/2)(beta lo^2) on an annulus;
@@ -493,7 +484,6 @@ def _radial_table(w, kind, maxdeg, prec, b0):
     lo, hi = _radial_interval(w.support)
     d = w.density
     k = _power(d)
-    beta = b0 / 2 if kind == "gaussian" else 0
     x = beta * float(hi) ** 2
     guard = math.ceil(x / math.log(2))
     if lo > 0:
@@ -571,16 +561,14 @@ def _chord_column(x, maxdeg: int, G: int):
     return col
 
 
-def _boundary_guard(support, kind, b0) -> int:
+def _boundary_guard(support, beta) -> int:
     """Bits a Gaussian boundary sum can lose: its terms lack the factor
-    exp(-b0 |z|^2 / 2) of the moments, so they cancel up to b0 rmax^2 / 2
-    nats, rmax the bounding radius. A plain sum loses none."""
-    if kind != "gaussian":
-        return 0
-    return math.ceil(b0 * bounding_radius(support) ** 2 / 2 / math.log(2))
+    exp(-beta |z|^2) of the moments, so they cancel up to beta rmax^2 nats,
+    rmax the bounding radius. A plain sum (beta = 0) loses none."""
+    return math.ceil(beta * bounding_radius(support) ** 2 / math.log(2))
 
 
-def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, stride=1):
+def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     """Scaled table rows[a][b] = sum_i x_i u_i^a conj(y_ib), u = z / R0, as
     exact fixed-point integer sums carrying guard = _boundary_guard more
     bits, rounded once per entry to prec, with x_i = v(z_i) R0 dz_i / 2i
@@ -602,8 +590,8 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, stride=1):
     onto itself, are stored as exact zeros."""
     R0 = mp.mpf(bounding_radius(w.support))
     k = _power(w.density)
-    gaussian = kind == "gaussian"
-    guard = _boundary_guard(w.support, kind, b0)
+    gaussian = beta != 0
+    guard = _boundary_guard(w.support, beta)
     F = fixed_bits(prec + guard, len(rule.nodes))
     with mp.workprec(F):
         zs = [mp.mpc(z) for z in rule.nodes]
@@ -612,7 +600,6 @@ def _gram_table(w, rule: _Rule, kind, maxdeg, prec, b0, stride=1):
         us = [z / R0 for z in zs]
         if gaussian:
             G = F + (2 * maxdeg + k + 2).bit_length() + 1
-            beta = mp.mpf(b0) / 2
             srows = list(zip(*(_s_column(beta * (z.real ** 2 + z.imag ** 2), maxdeg, k, G)
                                for z in zs)))
     (xr, xi), e_x = to_fixed([[mp.re(x) for x in x0], [mp.im(x) for x in x0]], F)
@@ -670,14 +657,12 @@ def mixed_moments(
       S_s(x) = int_0^1 t^s exp(-x t) dt,
       mu_ab = (1/2i) contour-integral of v z^a conj(z)^(b+1) S_(b+k/2)(beta |z|^2) dz
       (Green's theorem: (s+1) S_s + x S_s' = exp(-x) for real s). Each
-      piece of the boundary sizes its own rule (_build_rule). A polygon
-      edge gets D//2 + 1 Gauss-Legendre nodes for the total degree
-      D = 2 maxdeg + 1 + k, plus the Gaussian excess. A circle
-      |z - c| = r gets maxdeg + 2 + k/2 trapezoid nodes, its integrand's
-      frequency span, and on a Gaussian table the nodes that resolve the
-      tail (beta r |c|)^m / m! to 2^-(precision_bits + guard + 10), none
-      when c = 0 (_circle_size; an annulus's inner circle reversed). A
-      union joins its parts' rules, so an edge two parts share cancels.
+      piece of the boundary sizes its own rule (_build_rule): Gauss-Legendre
+      for the degree 2 maxdeg + 1 + k on a polygon's edges (_edges), the
+      trapezoid rule of the frequency span maxdeg + 2 + k/2 on a circle
+      (_circle_size; an annulus's inner circle reversed), and on every piece
+      _gaussian_tail resolves the Gaussian to 2^-(precision_bits + guard + 10).
+      A union joins its parts' rules, so an edge two parts share cancels.
       Plain tables with even k are exact. For odd k, |z|^k is not a
       polynomial: a circle or an edge gets the further nodes that resolve
       it to 2^-precision_bits at a rate set by its distance from the
@@ -694,7 +679,7 @@ def mixed_moments(
 
     On the boundary path the node values, evaluated at _mp.fixed_bits (32
     guard bits and the bit length of the node count past precision_bits,
-    plus b0 rmax^2 / 2 / ln 2 on Gaussian tables), become fixed-point
+    plus _boundary_guard, beta rmax^2 / ln 2), become fixed-point
     integers; the sums are exact and each entry is rounded once. A
     Gaussian boundary table builds its S_(b+k/2) rows on integers from one
     exp per node (_s_column); a plain one sums v z^a conj(z)^(b+1) and
@@ -704,8 +689,8 @@ def mixed_moments(
     with S_s from mpmath's incomplete gamma, every boundary entry lies
     within 4 units of 2^-precision_bits sqrt(G_aa G_bb), at most 0.96 on
     the tested supports. Against a rule of 40 more total degrees on every
-    circle at 64 more bits, every tested circle table lies within 1 unit
-    (0.69 to 0.96). Against mpmath's incomplete gamma and Kummer closed
+    piece at 64 more bits, every tested circle and polygon table lies
+    within 1 unit (0.69 to 0.99). Against mpmath's incomplete gamma and Kummer closed
     forms at 128 more bits, every radial entry lies within 2 units of
     2^-precision_bits of itself.
 
@@ -718,16 +703,17 @@ def mixed_moments(
     if maxdeg < 0:
         raise ValueError("maxdeg must be >= 0")
     prec = precision_bits
+    beta = b0 / 2 if kind == "gaussian" else 0
 
     with mp.workprec(prec):
         if _radial_applicable(w):
-            rows, R0 = _radial_table(w, kind, maxdeg, prec, b0)
+            rows, R0 = _radial_table(w, maxdeg, prec, beta)
             path, stride, degree_used = "radial", maxdeg + 1, -1
         else:
-            rule = _build_rule(w.support, maxdeg, prec, _power(w.density), kind, b0)
+            rule = _build_rule(w.support, maxdeg, prec, _power(w.density), beta)
             degree_used = rule.design_degree
             stride = _rotation_order(w.support)
-            rows, R0 = _gram_table(w, rule, kind, maxdeg, prec, b0, stride)
+            rows, R0 = _gram_table(w, rule, maxdeg, prec, beta, stride)
             path = "boundary"
     return MomentTable(
         maxdeg=maxdeg,

@@ -681,3 +681,8 @@ def test_power_profile_in_ascii_digits_runs(tmp_path, capsys):
                               "--output", str(out_path)], capsys)
     assert code == 0, err
     assert "radial:power:3:3|" in out_path.read_text()
+
+
+def test_emission_digits():
+    assert cli.emission_digits(128) == 39
+    assert cli.emission_digits(256) == 77

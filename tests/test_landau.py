@@ -545,6 +545,29 @@ def test_matrix_residual_sees_a_wrong_reduction(monkeypatch):
     assert spectrum(T, 128).matrix_residual >= 1e-12
 
 
+WIDE_LEVEL_CASES = [
+    pytest.param(Weight(Disc(0j, 3.0), Constant(1.0)), q, id=f"disc3-q{q}") for q in (0, 1, 2)
+] + [
+    pytest.param(Weight(Polygon((-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j)), Constant(1.0)), q,
+                 id=f"side4-square-q{q}") for q in (0, 1, 2)
+] + [pytest.param(ball_reduction_weight(10.0), 1, id="ball10-q1")]
+
+
+@pytest.mark.parametrize("v, q", WIDE_LEVEL_CASES)
+def test_wide_support_level_q_within_two_units(v, q):
+    # beta R0^2 = 9, 8 and 100: the creation coefficients' moments cancel,
+    # which a table rounded to p bits turned into up to 233 units; the table
+    # carries the kernel's guard bits, so every trusted s_n lies within
+    # 2^(1-p) of itself of a 512-bit run
+    p = 128
+    lo = toeplitz_spectrum(v, q, 2.0, 24, p)
+    hi = toeplitz_spectrum(v, q, 2.0, 24, 512)
+    assert lo.trusted_count == 25
+    with mp.workprec(600):
+        for n, (got, want) in enumerate(zip(lo.eigenvalues(), hi.eigenvalues()), start=1):
+            assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want, n
+
+
 def test_spectrum_keeps_the_input_precision():
     # level_q_matrix assembles at p + 20 bits; the small eigenvalues of the
     # off-centre block are ill-conditioned against rounding it to p, which

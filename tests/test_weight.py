@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import landaucap.weight as weight_module
-from landaucap.errors import DegenerateMomentError, NonConvergenceError
+from landaucap.errors import NonConvergenceError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius
 from landaucap._mp import _legendre_node, fixed_bits, gauss_legendre
 from landaucap.weight import (
@@ -25,11 +25,9 @@ from landaucap.weight import (
     UNION_MSG,
     Weight,
     ball_reduction_weight,
-    emission_digits,
     mixed_moments,
     weight_from_config,
     weight_key,
-    _gaussian_excess,
 )
 
 L_SHAPE = Polygon((0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 2j))
@@ -318,10 +316,11 @@ def test_gaussian_general_b0_quad_oracle():
             assert abs(tab.raw_entry(a, a) - exact) / exact < mp.mpf(10) ** -30
 
 
-def test_gaussian_excess_floor_and_growth():
-    assert _gaussian_excess(2.0, 1.0, 128) >= 30
-    assert _gaussian_excess(2.0, 3.0, 128) > _gaussian_excess(2.0, 1.0, 128)
-    assert _gaussian_excess(2.0, 1.0, 256) > _gaussian_excess(2.0, 1.0, 128)
+def test_gaussian_tail_of_zero_is_empty():
+    # a circle centred at 0 and an edge with Re(conj(m) h) = 0 add no tail
+    for bits in (74, 138, 266):
+        assert weight_module._gaussian_tail(0.0, bits) == 0
+    assert weight_module._gaussian_tail(0.7, 143) == 34
 
 
 # -------------------------------------------------------- table structure
@@ -397,9 +396,9 @@ def _s_reference(s, x):
     return mp.gammainc(s + 1, 0, x) / x ** (s + 1) if x else 1 / (s + 1)
 
 
-def _reference_table(w, rule, kind, maxdeg, b0):
+def _reference_table(w, rule, beta, maxdeg):
     R0 = mp.mpf(bounding_radius(w.support))
-    beta = mp.mpf(b0) / 2 if kind == "gaussian" else mp.mpf(0)
+    beta = mp.mpf(beta)
     half_k = mp.mpf(weight_module._power(w.density)) / 2
     zs = [mp.mpc(z) for z in rule.nodes]
     us = [z / R0 for z in zs]
@@ -426,34 +425,53 @@ def _assert_within_units(rows, ref, maxdeg, prec, units=4):
                 assert abs(rows[a][b] - ref[a][b]) <= bound * scale, (a, b)
 
 
-def _assert_kernel_matches_reference(w, rule, kind, maxdeg, prec, b0=2.0):
+def _assert_kernel_matches_reference(w, rule, beta, maxdeg, prec):
     with mp.workprec(prec):
-        rows, _ = weight_module._gram_table(w, rule, kind, maxdeg, prec, b0)
+        rows, _ = weight_module._gram_table(w, rule, maxdeg, prec, beta)
     with mp.workprec(prec + 128):
-        ref = _reference_table(w, rule, kind, maxdeg, b0)
+        ref = _reference_table(w, rule, beta, maxdeg)
     _assert_within_units(rows, ref, maxdeg, prec)
 
 
-def _boundary_rule(w, kind, maxdeg, prec):
+# beta = b0/2 of each table kind at b0 = 2
+BETA = {"plain": 0, "gaussian": 1.0}
+
+
+def _boundary_rule(w, beta, maxdeg, prec):
     """The boundary rule mixed_moments builds."""
-    return weight_module._build_rule(w.support, maxdeg, prec, weight_module._power(w.density), kind)
+    return weight_module._build_rule(w.support, maxdeg, prec, weight_module._power(w.density), beta)
 
 
-def _degree_rule(w, kind, maxdeg, prec, extra):
+def _support_excess(support, beta, prec):
+    """The Gaussian excess degree that once sized every piece from the whole
+    support: the least K with (beta rmax^2)^(K+1) / (K+1)! below
+    10^-(ceil(0.3 prec) + 10), rmax the bounding radius, doubled and at
+    least 30; even, and 0 on a plain table."""
+    if not beta:
+        return 0
+    lx = math.log(beta * bounding_radius(support) ** 2)
+    target = -(math.ceil(prec * 0.3) + 10) * math.log(10.0)
+    K = 1
+    while (K + 1) * lx - math.lgamma(K + 2) > target:
+        K += 1
+    return max(30, 2 * K)
+
+
+def _degree_rule(w, beta, maxdeg, prec, extra):
     """A reference rule sized by one total degree
-    D = 2 maxdeg + 1 + k + extra, plus the Gaussian excess, for every piece:
+    D = 2 maxdeg + 1 + k + extra, plus _support_excess, for every piece:
     D + 2 trapezoid nodes on each circle (with the odd-power nodes on top),
-    D // 2 + 1 Gauss-Legendre nodes on each edge, at the guarded precision
-    of _build_rule."""
+    D // 2 + 1 Gauss-Legendre nodes on each edge (with the odd-power nodes
+    on top), at the guarded precision of _build_rule. extra is even."""
     k = weight_module._power(w.density)
+    extra += _support_excess(w.support, beta, prec)
     degree = 2 * maxdeg + 1 + k + extra
-    if kind == "gaussian":
-        degree += _gaussian_excess(2.0, bounding_radius(w.support), prec)
-    prec += weight_module._boundary_guard(w.support, kind, 2.0)
+    prec += weight_module._boundary_guard(w.support, beta)
     nodes, steps = [], []
     for part in w.support.parts if isinstance(w.support, UnionRegion) else (w.support,):
         if isinstance(part, Polygon):
-            pieces = [weight_module._edges(part.vertices, degree, prec, k)[:2]]
+            # a plain ring of bidegree maxdeg + extra / 2 has total degree D
+            pieces = [weight_module._edges(part.vertices, maxdeg + extra // 2, prec, k, 0)[:2]]
         else:
             lo, hi = weight_module._radial_interval(part)
             pieces = []
@@ -485,7 +503,8 @@ SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
 ])
 def test_boundary_kernel_matches_mpc_sum(support, density, kind, maxdeg, prec):
     w = Weight(support, density)
-    _assert_kernel_matches_reference(w, _boundary_rule(w, kind, maxdeg, prec), kind, maxdeg, prec)
+    beta = BETA[kind]
+    _assert_kernel_matches_reference(w, _boundary_rule(w, beta, maxdeg, prec), beta, maxdeg, prec)
 
 
 @pytest.mark.parametrize("prec", [128, 256])
@@ -512,9 +531,9 @@ def test_boundary_table_resolves_gaussian():
     # the table's rule against one of 40 more total degrees at +128 bits
     w = Weight(Disc(0.7 + 0j, 1.0), Constant(1.0))
     tab = mixed_moments(w, "gaussian", 24, precision_bits=128)
-    rule = _degree_rule(w, "gaussian", 24, 256, extra=40)
+    rule = _degree_rule(w, 1.0, 24, 256, extra=40)
     with mp.workprec(256):
-        ref, _ = weight_module._gram_table(w, rule, "gaussian", 24, 256, 2.0)
+        ref, _ = weight_module._gram_table(w, rule, 24, 256, 1.0)
     _assert_within_units(tab.rows, ref, 24, 128)
 
 
@@ -543,12 +562,18 @@ def test_circle_rules_sized_per_circle_match_a_longer_rule(support, density, kin
                                                            nodes):
     # each circle's own frequency span and Gaussian tail against one rule of
     # 40 more total degrees on every circle, at 64 more bits: within 1 unit
-    w = Weight(support, density)
-    assert len(_boundary_rule(w, kind, maxdeg, prec).nodes) == nodes
+    _assert_matches_a_longer_rule(Weight(support, density), kind, maxdeg, prec, nodes)
+
+
+def _assert_matches_a_longer_rule(w, kind, maxdeg, prec, nodes):
+    # the table's rule has the pinned node count, and its table lies within
+    # 1 unit of the one of _degree_rule with 40 more degrees at 64 more bits
+    beta = BETA[kind]
+    assert len(_boundary_rule(w, beta, maxdeg, prec).nodes) == nodes
     tab = boundary_table(w, kind, maxdeg, prec)
-    rule = _degree_rule(w, kind, maxdeg, prec + 64, extra=40)
+    rule = _degree_rule(w, beta, maxdeg, prec + 64, extra=40)
     with mp.workprec(prec + 64):
-        ref, _ = weight_module._gram_table(w, rule, kind, maxdeg, prec + 64, 2.0)
+        ref, _ = weight_module._gram_table(w, rule, maxdeg, prec + 64, beta)
     _assert_within_units(tab.rows, ref, maxdeg, prec, units=1)
 
 
@@ -556,27 +581,79 @@ def test_offcenter_workload_disc_rule_size():
     # frequency span 24 + 2 and a Gaussian tail of 34 nodes (beta r |c| = 0.7
     # to 128 + 5 + 10 bits); one total degree for every piece takes 161
     w = Weight(Disc(SEED1_CENTER, 1.0), Constant(1.0))
-    rule = _boundary_rule(w, "gaussian", 24, 128)
+    rule = _boundary_rule(w, 1.0, 24, 128)
     assert len(rule.nodes) == 60 and rule.design_degree == 58
     assert mixed_moments(w, "gaussian", 24, 128).design_degree == 58
     # a circle centred at 0 needs no Gaussian tail
     centred = Weight(Disc(0j, 1.0), Constant(1.0))
-    assert len(_boundary_rule(centred, "gaussian", 24, 128).nodes) == 26
+    assert len(_boundary_rule(centred, 1.0, 24, 128).nodes) == 26
 
 
 @pytest.mark.parametrize("support", [SIDE3_SQUARE, L_SHAPE, Polygon((0j, 2 + 0j, 0.5 + 1.5j))])
 @pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("kind", ["plain", "gaussian"])
+@pytest.mark.parametrize("kind", ["plain"])
 def test_polygon_edges_keep_the_total_degree_count(support, k, kind):
     maxdeg, prec = 12, 128
-    excess = _gaussian_excess(2.0, bounding_radius(support), prec) if kind == "gaussian" else 0
-    n = (2 * maxdeg + 1 + k + excess) // 2 + 1
-    rule = _boundary_rule(Weight(support, Power(k)), kind, maxdeg, prec)
+    n = (2 * maxdeg + 1 + k) // 2 + 1
+    rule = _boundary_rule(Weight(support, Power(k)), BETA[kind], maxdeg, prec)
     assert len(rule.nodes) == len(support.vertices) * n
     assert rule.design_degree == 2 * n - 1
     # the table records the edges' design degree
     tab = mixed_moments(Weight(support, Power(k)), kind, maxdeg, prec)
     assert tab.design_degree == 2 * n - 1
+
+
+UNIT_SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
+CORNER_SQUARE = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
+_H = math.sqrt(3) / 2
+CORNER_TRIANGLE = Polygon((0j, 1 + 0j, 0.5 + _H * 1j))
+CENTRED_TRIANGLE = Polygon(tuple(v - (1.5 + _H * 1j) / 3 for v in CORNER_TRIANGLE.vertices))
+POLYGON_CASES = [
+    # (support, density, N=24 at 128 bits, N=48 at 256 bits): node counts
+    (UNIT_SQUARE, Constant(1.0), 180, 336),
+    (CORNER_SQUARE, Constant(1.0), 236, 428),
+    (CENTRED_TRIANGLE, Constant(1.0), 141, 261),
+    (CORNER_TRIANGLE, Constant(1.0), 174, 318),
+    (Polygon((-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j)), Constant(1.0), 256, 440),
+    (Polygon((3 + 3j, 4 + 3j, 4 + 4j, 3 + 4j)), Constant(1.0), 312, 512),
+    (UnionRegion((CORNER_SQUARE, Polygon((1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j)))), Constant(1.0),
+     496, 888),
+    (UNIT_SQUARE, POWER2, 184, 340),
+    (CORNER_SQUARE, POWER1, 296, None),
+]
+
+
+@pytest.mark.parametrize("support,density,maxdeg,prec,nodes", [
+    pytest.param(support, density, maxdeg, prec, nodes,
+                 id=f"{weight_key(Weight(support, density))}-N{maxdeg}")
+    for support, density, *counts in POLYGON_CASES
+    for (maxdeg, prec), nodes in zip([(24, 128), (48, 256)], counts) if nodes
+])
+def test_polygon_rules_sized_per_edge_match_a_longer_rule(support, density, maxdeg, prec, nodes):
+    # each edge's own Gaussian tail, the ring's largest, against one rule of
+    # the old support-wide excess and 40 more total degrees on every edge, at
+    # 64 more bits: within 1 unit, on fewer nodes
+    _assert_matches_a_longer_rule(Weight(support, density), "gaussian", maxdeg, prec, nodes)
+
+
+@pytest.mark.parametrize("support,k,rules", [
+    (L_SHAPE, 0, 1),
+    # the two edges through the origin need no odd-power nodes, the third does
+    (Polygon((0j, 2 + 0j, 0.5 + 1.5j)), 1, 2),
+    (Polygon((0.3 + 0.1j, 1.3 + 0.1j, 1.3 + 1.1j, 0.3 + 1.1j)), 3, 1),
+])
+def test_a_ring_computes_at_most_two_gauss_legendre_rules(support, k, rules, monkeypatch):
+    # edges of different lengths and distances share the ring's largest
+    # Gaussian excess, so the lru-cached rule is computed once or twice
+    calls = set()
+
+    def recording(n, prec):
+        calls.add((n, prec))
+        return gauss_legendre(n, prec)
+
+    monkeypatch.setattr(weight_module, "gauss_legendre", recording)
+    weight_module._build_rule(support, 12, 128, k, 1.0)
+    assert len(calls) == rules
 
 
 def test_boundary_table_far_from_origin():
@@ -613,7 +690,7 @@ def test_overlapping_union_table_rejected():
 def test_flat_kernel_gaussian_side3_square():
     # an odd power: node values follow |z| along the edges
     w = Weight(SIDE3_SQUARE, POWER1)
-    _assert_kernel_matches_reference(w, _boundary_rule(w, "gaussian", 12, 128), "gaussian", 12, 128)
+    _assert_kernel_matches_reference(w, _boundary_rule(w, 1.0, 12, 128), 1.0, 12, 128)
 
 
 def test_flat_kernel_signed_node_values():
@@ -623,7 +700,7 @@ def test_flat_kernel_signed_node_values():
         nodes = [mp.mpc(0.3, 0.1), mp.mpc(-0.5, 0.4), mp.mpc(0.2, -0.7), mp.mpc(-0.1, -0.2)]
         steps = [mp.mpc(1, -0.25), mp.mpc(-0.5, 0.5), mp.mpc(2, 0), mp.mpc(-1.25, -3)]
     rule = weight_module._Rule(nodes, steps)
-    _assert_kernel_matches_reference(w, rule, "plain", 3, 128)
+    _assert_kernel_matches_reference(w, rule, 0, 3, 128)
 
 
 # -------------------------------------------------------------- table paths
@@ -939,7 +1016,3 @@ def test_weight_config_rejects_malformed():
         with pytest.raises(ValueError):
             weight_from_config(rec)
 
-
-def test_emission_digits():
-    assert emission_digits(128) == 39
-    assert emission_digits(256) == 77
