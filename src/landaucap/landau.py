@@ -8,13 +8,14 @@ assembled from Gaussian mixed moments and split into the blocks its exact
 zeros leave, one per residue class of a rotation-symmetric support.  Each
 block is reduced to a real tridiagonal matrix by Householder reflections
 on fixed-point Python integers at 2p + 32 bits (p the working precision),
-and the tridiagonal solved by mpmath's implicit QL at 2p + 52 bits, each
-eigenvalue rounded once to p bits.  The s_n decay
-super-geometrically, so the tridiagonal is steeply graded; the QL deflates
-from the top, and it is handed the tridiagonal small end first, which takes
-fewer iterations.  radial_oracle gives the eigenvalues of a centred radial
-weight by 1d quadrature, and theorem_predictions the n-th-root limits that
-the minimal norms and the capacity predict for them.
+and the tridiagonal solved by an implicit QL on the same integers, carried
+as many bits further down as the tridiagonal's diagonal spans, each
+eigenvalue rounded once to p bits.  The s_n decay super-geometrically, so
+the tridiagonal is steeply graded; the QL deflates from the top, and it is
+handed the tridiagonal small end first, which takes fewer iterations.
+radial_oracle gives the eigenvalues of a centred radial weight by 1d
+quadrature, and theorem_predictions the n-th-root limits that the minimal
+norms and the capacity predict for them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp
-from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
 from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_blocks, hermitian_cholesky, to_fixed
 from .chebyshev import CapacityEstimate
@@ -271,30 +271,110 @@ def _householder_tridiagonal(re, im, bits: int):
     return diag, sub2
 
 
-def _reduce_and_solve(rows, bits: int):
-    """Eigenvalues of one connected block at bits + 20 by Householder
-    reduction on integers and implicit QL, with the block's Frobenius gap
-    sum |a_ij|^2 - sum s_n^2 and its trace."""
+# Iterations the implicit QL allows one eigenvalue, as EISPACK's imtql1 does
+_QL_ITERATIONS = 30
+
+
+def _tridiagonal_ql(diag, sub2, bits: int, p: int):
+    """Eigenvalues of the real symmetric tridiagonal matrix with integer
+    diagonal diag and squared sub-diagonal sub2, both on the grid of the
+    Householder reduction that carries bits fraction bits, by the implicit
+    QL of Martin & Wilkinson (Numer. Math. 12, 1968; EISPACK's imtql1) on
+    integers.  Returns (eigs, guard): eigs[i] 2^-guard on diag's scale.
+
+    Values are held guard bits below the grid, guard the span
+    max - min of the diagonal's bit lengths, and the ratios c, s of each
+    rotation and the shift's g at 2^(bits + guard).  The span is how far
+    the small end lies below the large one; with too few guard bits
+    f = s e underflows there and the iteration stalls.  On 43 blocks at 128
+    and 256 bits the least guard that converged in about n sweeps was at
+    most 0.46 span (the corner square at N=40 and 128 bits: 104 of 229), so
+    the full span leaves more than half spare.  The sub-diagonal enters as
+    isqrt of sub2, rounded down.  e_m deflates where |e_m| is at most one
+    unit of the grid, inside the reduction's own error, or at most
+    2^-(p+40) (|d_m| + |d_(m+1)|).
+    Each sweep takes its shift from the leading 2x2 block and its
+    rotations run from the deflation point up to l; a rotation whose f and
+    g both vanish splits the matrix there instead (imtql1's recovery from
+    underflow).  Raises NonConvergenceError when one eigenvalue takes more
+    than _QL_ITERATIONS sweeps.
+    """
+    n = len(diag)
+    lengths = [abs(x).bit_length() for x in diag]
+    guard = max(lengths) - min(lengths)
+    frac = bits + guard
+    one = 1 << frac
+    one2 = one * one
+    unit = 1 << guard
+    rel = p + 40
+    d = [x << guard for x in diag]
+    e = [math.isqrt(s << 2 * guard) for s in sub2] + [0]
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m + 1 < n:
+                em = abs(e[m])
+                if em <= unit or em << rel <= abs(d[m]) + abs(d[m + 1]):
+                    break
+                m += 1
+            if m == l:
+                break
+            if sweeps == _QL_ITERATIONS:
+                raise NonConvergenceError(
+                    f"implicit QL: no convergence to an eigenvalue after {sweeps} iterations")
+            sweeps += 1
+            pv = d[l]
+            g = ((d[l + 1] - pv) << frac) // (2 * e[l])
+            r = math.isqrt(g * g + one2)
+            g = d[m] - pv + (e[l] << frac) // (g - r if g < 0 else g + r)
+            s, c, pv = one, one, 0
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i] >> frac
+                b = c * e[i] >> frac
+                if abs(f) > abs(g):
+                    c = (g << frac) // f
+                    r = math.isqrt(c * c + one2)
+                    e[i + 1] = f * r >> frac
+                    s = one2 // r
+                    c = c * s >> frac
+                elif g:
+                    s = (f << frac) // g
+                    r = math.isqrt(s * s + one2)
+                    e[i + 1] = g * r >> frac
+                    c = one2 // r
+                    s = s * c >> frac
+                else:
+                    d[i + 1] -= pv
+                    e[i + 1] = 0
+                    break
+                g = d[i + 1] - pv
+                r = ((d[i] - g) * s + 2 * c * b) >> frac
+                pv = s * r >> frac
+                d[i + 1] = g + pv
+                g = (c * r >> frac) - b
+            else:
+                d[l] -= pv
+                e[l] = g
+            e[m] = 0
+    return d, guard
+
+
+def _reduce_and_solve(rows, bits: int, p: int):
+    """Eigenvalues of one connected block, each rounded once to p, by
+    Householder reduction and implicit QL on integers, with the block's
+    Frobenius gap sum |a_ij|^2 - sum s_n^2 and its trace at bits + 20."""
     re, im, e = _fixed_columns(rows, bits)
     fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
     diag, sub2 = _householder_tridiagonal(re, im, bits)
-    # the QL runs 20 bits past the integers, so every bit they hold enters
-    with mp.workprec(bits + 20):
-        d = [from_fixed(x, None, e, mp.prec) for x in diag]
-        sub = [mp.ldexp(mp.sqrt(s), e) for s in sub2]
-        trace = mp.fsum(d)
-        if abs(d[0]) > abs(d[-1]):  # start a graded QL at its small end
-            d.reverse()
-            sub.reverse()
-        sub.append(mp.mpf(0))
-        try:
-            tridiag_eigen(mp, d, sub)
-        except RuntimeError as err:
-            if not str(err).startswith("tridiag_eigen: no convergence"):
-                raise
-            raise NonConvergenceError(str(err)) from err
-        gap = mp.ldexp(fro2, 2 * e) - mp.fsum(x * x for x in d)
-    return d, gap, trace
+    if abs(diag[0]) > abs(diag[-1]):  # start a graded QL at its small end
+        diag.reverse()
+        sub2.reverse()
+    eigs, guard = _tridiagonal_ql(diag, sub2, bits, p)
+    gap = (fro2 << 2 * guard) - dot(eigs, eigs)
+    return ([from_fixed(x, None, e - guard, p) for x in eigs],
+            from_fixed(gap, None, 2 * (e - guard), bits + 20),
+            from_fixed(sum(diag), None, e, bits + 20))
 
 
 def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
@@ -315,14 +395,14 @@ def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
     assembles at p + 20 bits), converted once to integers over its own
     power of two and mirrored into the upper triangle, exactly Hermitian.
     Householder reflections reduce them to a real tridiagonal matrix, whose
-    eigenvalues mpmath's implicit QL finds at 2p + 52 bits; each is then
-    rounded once to p.  The QL (EISPACK's imtql2) deflates from the top
-    with a shift from the leading 2x2 block, so, as LAPACK's dsteqr does,
-    the tridiagonal is reversed when |d_0| > |d_(n-1)|: a graded one is
-    then started at its small end, and the off-centre disc's at N=24 takes
-    34 iterations instead of 91.  Reversal is a permutation similarity and
-    leaves the spectrum unchanged.  A matrix of one block takes this path
-    alone.
+    eigenvalues an implicit QL on integers finds (_tridiagonal_ql); each is
+    then rounded once to p.  The QL (EISPACK's imtql1) deflates from the
+    top with a shift from the leading 2x2 block, so, as LAPACK's dsteqr
+    does, the tridiagonal is reversed when |d_0| > |d_(n-1)|: a graded one
+    is then started at its small end, and the off-centre disc's at N=24
+    takes 28 iterations instead of 72.  Reversal is a permutation
+    similarity and leaves the spectrum unchanged.  A matrix of one block
+    takes this path alone.
 
     The merged eigenvalues are reported sorted descending in log domain,
     trusted_count marks how many exceed the relative floor
@@ -330,7 +410,8 @@ def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
     single index, else "householder-ql".  matrix_residual is
     sqrt(sum over blocks of |sum |a_ij|^2 - sum s_n^2|) / trace, which a
     unitary similarity of each block keeps at zero, and 0 on the diagonal
-    path.  Raises NonConvergenceError when the QL does not converge.
+    path.  Raises NonConvergenceError when the QL takes more than
+    _QL_ITERATIONS sweeps for one eigenvalue.
     """
     p = precision_bits
     if any(len(row) != j + 1 for j, row in enumerate(rows)):
@@ -347,8 +428,8 @@ def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
                 traces.append(x)
                 continue
             d, gap, trace = _reduce_and_solve(
-                [[rows[i][j] for j in block[:t + 1]] for t, i in enumerate(block)], bits)
-            eigs += [+x for x in d]  # each rounded once to p
+                [[rows[i][j] for j in block[:t + 1]] for t, i in enumerate(block)], bits, p)
+            eigs += d
             gaps.append(abs(gap))
             traces.append(trace)
         if not gaps:

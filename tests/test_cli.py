@@ -346,10 +346,8 @@ def test_toeplitz_reports_eigen_solve(tmp_path, capsys):
 
 
 def test_toeplitz_ql_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):
-    def stuck(ctx, d, e):
-        raise RuntimeError("tridiag_eigen: no convergence to an eigenvalue after 2 iterations")
-
-    monkeypatch.setattr(landau, "tridiag_eigen", stuck)
+    # no QL sweep allowed: the first eigenvalue that has not deflated fails
+    monkeypatch.setattr(landau, "_QL_ITERATIONS", 0)
     cfg = write_config(tmp_path / "toep.json", {
         "weight": OFFCENTER_WEIGHT, "q": 0, "N": 12, "precision_bits": 128,
     })
