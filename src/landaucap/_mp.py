@@ -1,7 +1,8 @@
 """Extended-precision building blocks: the Gauss-Legendre node cache, the
 exact blocks of a Hermitian matrix and the log pivots of its Cholesky, both
-read from a stored lower triangle, and exact fixed-point dot products, all
-on top of mpmath."""
+read from a stored lower triangle, and exact fixed-point dot products.  The
+kernels run on Python integers and mpmath's raw libmp tuples, with libmp's
+rounding; mpf and mpc objects are read and made only at their edges."""
 
 from __future__ import annotations
 
@@ -112,41 +113,76 @@ def hermitian_cholesky(rows, prec: int):
     d_n = L_nn^2, so d_n is the squared distance of basis vector n from the
     span of those before it.
 
-    Each entry takes one mp.fdot of g_nk and -L_nj conj(L_kj), j < k: the
-    products are exact and the sum is rounded once to prec; L_nk is that
-    sum over L_kk and d_n its real part when k = n. L is exactly zero
-    between the blocks of hermitian_blocks, so each block is factored on
-    its own, row n over the indices of its block up to n, and the pivots
-    come out in the order of n; the terms left out are exact zeros, so
-    every pivot is the one the whole matrix gives. A table with exact
-    residue classes (MomentTable.stride) splits into one block per class,
-    a radial one into its diagonal. Row n needs every earlier row of its
-    block, so the factor is kept until the last pivot and dropped.
-    Raises DegenerateMomentError on a non-positive pivot, at the least
-    such degree.
+    Each entry is g_nk - sum_j L_nj conj(L_kj), j < k, summed exactly on
+    integers and rounded once to prec: a finished row of L keeps its
+    entries left of the diagonal as integer mantissas over one exponent,
+    the least of theirs and 0, the row in progress likewise, and the
+    products of two rows take three integer dot products, as the Gram
+    kernel of the moment table does. L_nk is that sum over L_kk
+    (libmp.mpf_div) and d_n its real part when k = n, L_nn = sqrt(d_n)
+    (libmp.mpf_sqrt), all rounded to nearest at prec. This is mp.fdot's
+    arithmetic bit for bit, except where fdot's mpf_sum drops a term whose
+    top lies more than 2 prec bits below the running sum's last bit, or
+    drops the running sum for a term whose last bit lies more than 2 prec
+    bits above the sum's top: the integer sum keeps both. No tested table
+    reaches that case.
+
+    L is exactly zero between the blocks of hermitian_blocks, so each
+    block is factored on its own, row n over the indices of its block up
+    to n, and the pivots come out in the order of n; the terms left out
+    are exact zeros, so every pivot is the one the whole matrix gives. A
+    table with exact residue classes (MomentTable.stride) splits into one
+    block per class, a radial one into its diagonal. Row n needs every
+    earlier row of its block, so the factor is kept until the last pivot
+    and dropped. Raises DegenerateMomentError on a non-positive pivot, at
+    the least such degree.
     """
+    rnd = libmp.round_nearest
     block_of = {i: block for block in hermitian_blocks(rows) for i in block}
-    L, logs = [], []
-    with mp.workprec(prec):
-        for n, row in enumerate(rows):
-            Ln, neg = [], []        # L_nj and -L_nj for j < k in n's block
-            for k in block_of[n]:
-                if k > n:
-                    break
-                prev = L[k] if k < n else Ln
-                s = mp.fdot([(row[k], mp.one)] + list(zip(neg, prev)), conjugate=True)
-                if k == n:
-                    d = mp.re(s)
-                    if not d > 0:
-                        raise DegenerateMomentError(
-                            f"non-positive pivot at degree {n}; raise precision or lower N")
-                    logs.append(mp.log(d))
-                    Ln.append(mp.sqrt(d))
-                else:
-                    Ln.append(s / L[k][-1])
-                    neg.append(-Ln[-1])
-            L.append(Ln)
+    L, logs = [], []  # L[k] = (re, im, re - im, e, L_kk): L_kj = (re_j + i im_j) 2^e
+    for n, row in enumerate(rows):
+        ar, ai, ab, e = [], [], [], 0  # L_nj = (ar_j + i ai_j) 2^e so far, ab = ar + ai
+        for k in block_of[n]:
+            if k > n:
+                break
+            gr, gi = raw_parts(row[k])
+            if k == n:
+                d = _round_difference(gr, dot(ar, ar) + dot(ai, ai), 2 * e, prec)
+                if d[0] or not d[1]:
+                    raise DegenerateMomentError(
+                        f"non-positive pivot at degree {n}; raise precision or lower N")
+                logs.append(mp.make_mpf(libmp.mpf_log(d, prec, rnd)))
+                L.append((ar, ai, [x - y for x, y in zip(ar, ai)], e,
+                          libmp.mpf_sqrt(d, prec, rnd)))
+                break
+            cr, ci, cd, ek, lkk = L[k]
+            A, B = dot(ar, cr), dot(ai, ci)
+            sr = _round_difference(gr, A + B, e + ek, prec)
+            si = _round_difference(gi, dot(ab, cd) - A + B, e + ek, prec)
+            xr, xi = libmp.mpf_div(sr, lkk, prec, rnd), libmp.mpf_div(si, lkk, prec, rnd)
+            lo = min([e] + [x[2] for x in (xr, xi) if x[1]])
+            if lo < e:
+                ar, ai, ab = ([x << e - lo for x in xs] for xs in (ar, ai, ab))
+                e = lo
+            r, i = libmp.to_fixed(xr, -e), libmp.to_fixed(xi, -e)
+            ar.append(r)
+            ai.append(i)
+            ab.append(r + i)
     return logs
+
+
+def raw_parts(z):
+    """The real and imaginary parts of z (an mpf, an mpc or a Python number)
+    as raw mpf tuples, unrounded."""
+    z = mp.convert(z)
+    return z._mpc_ if hasattr(z, "_mpc_") else (z._mpf_, libmp.fzero)
+
+
+def _round_difference(g, m: int, e: int, prec: int):
+    """g - m 2^e, g a raw mpf, summed exactly and rounded once to prec."""
+    lo = min(g[2], e) if g[1] else e
+    return libmp.from_man_exp(libmp.to_fixed(g, -lo) - (m << e - lo), lo, prec,
+                              libmp.round_nearest)
 
 
 # Fraction bits a fixed-point computation carries past the precision it
@@ -162,15 +198,15 @@ def fixed_bits(prec: int, count: int) -> int:
 
 
 def to_fixed(parts, bits: int):
-    """Lists of mpf as integers over one shared power of two.
+    """Lists of raw mpf tuples as integers over one shared power of two.
 
     Returns (ints, e) with parts[j][i] ~ ints[j][i] * 2^e, rounded down:
     the largest magnitude keeps `bits` bits, the others the same absolute
     step 2^e.
     """
-    top = max((v._mpf_[2] + v._mpf_[3] for part in parts for v in part if v), default=0)
+    top = max((x[2] + x[3] for part in parts for x in part if x[1]), default=0)
     e = top - bits
-    return [[libmp.to_fixed(v._mpf_, -e) for v in part] for part in parts], e
+    return [[libmp.to_fixed(x, -e) for x in part] for part in parts], e
 
 
 def from_fixed(re: int, im, e: int, prec: int, den: int = 1):

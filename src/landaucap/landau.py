@@ -23,9 +23,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
+from mpmath import libmp, mp
 
-from ._mp import FIXED_GUARD_BITS, dot, from_fixed, hermitian_blocks, hermitian_cholesky, to_fixed
+from ._mp import (
+    FIXED_GUARD_BITS,
+    dot,
+    from_fixed,
+    hermitian_blocks,
+    hermitian_cholesky,
+    raw_parts,
+    to_fixed,
+)
 from .chebyshev import CapacityEstimate
 from .errors import NonConvergenceError
 from .region import region_key
@@ -153,6 +161,13 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     in entry j peaks near j = b0 R0^2 / 2, so g needs no term in N; it grows
     with q, and g covers q <= 2 on the tested supports, not q = 6 on Disc(0, 3).
 
+    The sums run on raw libmp tuples, each operation rounded to nearest at
+    P = prec + 20 bits as mpc arithmetic at P rounds it: a moment (a, b),
+    b >= a, is conjugated and multiplied by (R0 eta)^(a+b) once, each term
+    scales it by c1 c2 (mpf_mul_int) and is added (mpf_add) in the order of
+    the two polynomials' monomials, an mpf moment to the real part alone,
+    and the sum is multiplied by f_j f_k.
+
     A boundary table is checked by hermitian_cholesky on its stored lower
     triangle at precision_bits, its log pivots unused: a non-positive pivot
     raises DegenerateMomentError naming the degree.
@@ -166,20 +181,40 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     rows = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
     with mp.workprec(prec + 10):
         R0_eta = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
-        unscale = [R0_eta ** n for n in range(2 * (N + q) + 1)]
-    with mp.workprec(prec + 20):
+        unscale = [(R0_eta ** n)._mpf_ for n in range(2 * (N + q) + 1)]
+    P, rnd = prec + 20, libmp.round_nearest
+    with mp.workprec(P):
         log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
         # entry (j, k) is normalised by f_j f_k
-        f = [mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2) for n in range(N + 1)]
-        for j in range(N + 1):
-            for k in range(j, N + 1, table.stride):
-                acc = mp.mpc(0)
-                for (m1, l1), c1 in polys[j].items():
-                    for (m2, l2), c2 in polys[k].items():
-                        a, b = m1 + l2, l1 + m2
-                        acc += (c1 * c2) * (table.entry(a, b) * unscale[a + b])
-                val = acc * (f[j] * f[k])
-                rows[k][j] = val.real if k == j else mp.conj(val)
+        f = [mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2)._mpf_ for n in range(N + 1)]
+    # entry (j, k), k >= j, reads moments (a, b) with b - a = k - j >= 0,
+    # conj(rows[b][a]); an mpf moment has no imaginary part (None)
+    scaled = {}
+    for b in range(N + q + 1):
+        for a in range(b % table.stride, b + 1, table.stride):
+            g = table.rows[b][a]
+            if hasattr(g, "_mpc_"):
+                g = libmp.mpc_conjugate(g._mpc_, P, rnd)
+                scaled[a, b] = (libmp.mpf_mul(g[0], unscale[a + b], P, rnd),
+                                libmp.mpf_mul(g[1], unscale[a + b], P, rnd))
+            else:
+                scaled[a, b] = (libmp.mpf_mul(g._mpf_, unscale[a + b], P, rnd), None)
+    for j in range(N + 1):
+        for k in range(j, N + 1, table.stride):
+            re = im = libmp.fzero
+            for (m1, l1), c1 in polys[j].items():
+                for (m2, l2), c2 in polys[k].items():
+                    tr, ti = scaled[m1 + l2, l1 + m2]
+                    re = libmp.mpf_add(re, libmp.mpf_mul_int(tr, c1 * c2, P, rnd), P, rnd)
+                    if ti is not None:
+                        im = libmp.mpf_add(im, libmp.mpf_mul_int(ti, c1 * c2, P, rnd), P, rnd)
+            fjk = libmp.mpf_mul(f[j], f[k], P, rnd)
+            re = libmp.mpf_mul(re, fjk, P, rnd)
+            if k == j:
+                rows[j][j] = mp.make_mpf(re)
+            else:
+                im = libmp.mpf_mul(im, fjk, P, rnd)
+                rows[k][j] = mp.make_mpc((re, libmp.mpf_neg(im, P, rnd)))
     return rows
 
 
@@ -189,16 +224,19 @@ def _fixed_columns(rows, bits: int):
     """Integer columns (re, im) of the Hermitian matrix whose lower triangle
     is rows, over one power of two 2^e.
 
-    The triangle is read at bits precision, converted once with to_fixed
-    (its largest entry keeping bits bits) and doubled onto half that step,
-    a guard bit for the reduction's own roundings.  Column j holds a_kj
-    for every k, conjugates mirrored above the diagonal.
+    The raw parts of each entry are read directly, a part wider than bits
+    rounded to bits (libmp.mpf_pos, to nearest), as mp.mpc at bits would
+    round it; level_q_matrix's entries are wider when its table's guard
+    exceeds p + 12.  They are converted once with to_fixed (the largest
+    keeping bits bits) and doubled onto half that step, a guard bit for
+    the reduction's own roundings.  Column j holds a_kj for every k,
+    conjugates mirrored above the diagonal.
     """
     parts = []
-    with mp.workprec(bits):
-        for row in rows:
-            row = [mp.mpc(z) for z in row]
-            parts += [[z.real for z in row], [z.imag for z in row]]
+    for row in rows:
+        for part in zip(*map(raw_parts, row)):
+            parts.append([libmp.mpf_pos(x, bits, libmp.round_nearest) if x[3] > bits else x
+                          for x in part])
     ints, e = to_fixed(parts, bits)
     lre = [[2 * x for x in part] for part in ints[0::2]]
     lim = [[2 * y for y in part] for part in ints[1::2]]

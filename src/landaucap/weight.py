@@ -501,7 +501,7 @@ def _radial_table(w, maxdeg, prec, beta):
                 pre.append(-c * lo ** (2 + k))
                 cols.append(_s_column(beta * lo * lo, maxdeg, k, G))
                 Q = int(mp.ldexp((lo / hi) ** 2, G))
-        (P,), e = to_fixed([pre], G)
+        (P,), e = to_fixed([[x._mpf_ for x in pre]], G)
     rows = []
     Qa = 1 << G  # (lo/hi)^(2a) 2^G
     for a in range(maxdeg + 1):
@@ -595,15 +595,18 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     F = fixed_bits(prec + guard, len(rule.nodes))
     with mp.workprec(F):
         zs = [mp.mpc(z) for z in rule.nodes]
-        x0 = [mp.mpc(0, -w.density.value(abs(z)) * R0 / 2) * dz
-              for z, dz in zip(zs, rule.steps)]
+        if isinstance(w.density, Constant):  # one value, and no |z| per node
+            vs = [w.density.value(0)] * len(zs)
+        else:
+            vs = [w.density.value(abs(z)) for z in zs]
+        x0 = [mp.mpc(0, -v * R0 / 2) * dz for v, dz in zip(vs, rule.steps)]
         us = [z / R0 for z in zs]
         if gaussian:
             G = F + (2 * maxdeg + k + 2).bit_length() + 1
             srows = list(zip(*(_s_column(beta * (z.real ** 2 + z.imag ** 2), maxdeg, k, G)
                                for z in zs)))
-    (xr, xi), e_x = to_fixed([[mp.re(x) for x in x0], [mp.im(x) for x in x0]], F)
-    (ur, ui), e_u = to_fixed([[u.real for u in us], [u.imag for u in us]], F)
+    (xr, xi), e_x = to_fixed(list(zip(*(x._mpc_ for x in x0))), F)
+    (ur, ui), e_u = to_fixed(list(zip(*(u._mpc_ for u in us))), F)
 
     def times_u(p):
         pr, pi = p

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from landaucap._mp import FIXED_GUARD_BITS
+from landaucap._mp import FIXED_GUARD_BITS, raw_parts, to_fixed
 from landaucap.chebyshev import CapacityEstimate, capacity_estimate
 from landaucap import landau, weight as weight_module
 from landaucap.errors import DegenerateMomentError, NonConvergenceError
@@ -212,6 +212,99 @@ def test_level_q_matrix_is_a_lower_triangle(support, q):
         assert type(row[j]) is mp.mpf and row[j] > 0
     below = [x for row in T for x in row[:-1]]
     assert all(x == 0 for x in below) == (support.center == 0)
+
+
+
+def _mpc_level_q_rows(table, q, b0, N):
+    """The mpc assembly level_q_matrix replaced, kept as its bit-level
+    reference: every term of entry (j, k), k >= j, read through
+    MomentTable.entry and summed in mpc at the table's precision + 20."""
+    prec = table.precision_bits
+    polys = [_creation_pow(j, q) for j in range(N + 1)]
+    rows = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
+    with mp.workprec(prec + 10):
+        R0_eta = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
+        unscale = [R0_eta ** n for n in range(2 * (N + q) + 1)]
+    with mp.workprec(prec + 20):
+        log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
+        f = [mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2) for n in range(N + 1)]
+        for j in range(N + 1):
+            for k in range(j, N + 1, table.stride):
+                acc = mp.mpc(0)
+                for (m1, l1), c1 in polys[j].items():
+                    for (m2, l2), c2 in polys[k].items():
+                        a, b = m1 + l2, l1 + m2
+                        acc += (c1 * c2) * (table.entry(a, b) * unscale[a + b])
+                val = acc * (f[j] * f[k])
+                rows[k][j] = val.real if k == j else mp.conj(val)
+    return rows
+
+
+def _mpc_fixed_columns(rows, bits):
+    """The mpc read _fixed_columns replaced: mp.mpc(z) at bits rounds each
+    part to bits, then the same to_fixed conversion and mirroring."""
+    parts = []
+    with mp.workprec(bits):
+        for row in rows:
+            row = [mp.mpc(z) for z in row]
+            parts += [[z.real._mpf_ for z in row], [z.imag._mpf_ for z in row]]
+    ints, e = to_fixed(parts, bits)
+    lre = [[2 * x for x in part] for part in ints[0::2]]
+    lim = [[2 * y for y in part] for part in ints[1::2]]
+    n = len(rows)
+    re = [lre[j][:j] + [lre[k][j] for k in range(j, n)] for j in range(n)]
+    im = [[-y for y in lim[j][:j]] + [lim[k][j] for k in range(j, n)] for j in range(n)]
+    return re, im, e - 1
+
+
+def _raw(x):
+    return type(x), x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
+
+
+RECTANGLE = Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.5j, -1 + 0.5j))
+SIDE20_SQUARE = Polygon((-10 - 10j, 10 - 10j, 10 + 10j, -10 + 10j))
+
+
+@pytest.mark.parametrize("v, q, N, p, solve", [
+    pytest.param(Weight(support, Constant(1.0)), q, 12, 128, None, id=f"{name}-q{q}")
+    for name, support in (("disc-stride1", Disc(0.7 + 0j, 1.0)),
+                          ("rectangle-stride2", RECTANGLE), ("square-stride4", SQUARE))
+    for q in (0, 1, 2)
+] + [
+    pytest.param(ball_reduction_weight(1.0), 1, 48, 256, None, id="ball-q1-radial"),
+    pytest.param(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 24, 128, "narrow",
+                 id="workload-disc"),
+    # guard 289 > p + 12: entries carry 373 bits, wider than 2p + 32 = 160
+    pytest.param(Weight(SIDE20_SQUARE, Constant(1.0)), 0, 6, 64, "wide", id="side20-square-p64"),
+])
+def test_level_q_matrix_is_bit_identical_to_the_mpc_loop(v, q, N, p, solve, monkeypatch):
+    # the raw-tuple assembly makes the mpc loop's calls in its order: the
+    # same types and raw parts from the same table. Where solve names how
+    # the entries compare with the 2p + 32 bits spectrum reads them at, the
+    # integer columns and the spectrum are also those of the mpc read
+    tables = []
+
+    def recording(*args, **kwargs):
+        tables.append(mixed_moments(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(landau, "mixed_moments", recording)
+    rows = level_q_matrix(v, q, 2.0, N, p)
+    ref = _mpc_level_q_rows(tables[0], q, 2.0, N)
+    assert [list(map(_raw, row)) for row in rows] == [list(map(_raw, row)) for row in ref]
+    if solve is None:
+        return
+    bits = 2 * p + FIXED_GUARD_BITS
+    wide = max(x[3] for row in rows for z in row for x in raw_parts(z)) > bits
+    assert wide == (solve == "wide")
+    assert landau._fixed_columns(rows, bits) == _mpc_fixed_columns(ref, bits)
+    got = spectrum(rows, p)
+    monkeypatch.setattr(landau, "_fixed_columns", _mpc_fixed_columns)
+    want = spectrum(ref, p)
+    assert got.eigen_solve == want.eigen_solve == "householder-ql"
+    assert [x._mpf_ for x in got.eigs] == [x._mpf_ for x in want.eigs]
+    assert [x._mpf_ for x in got.log_eigs] == [x._mpf_ for x in want.log_eigs]
+    assert got.matrix_residual == want.matrix_residual
 
 
 def test_leading_block_is_the_prefix():

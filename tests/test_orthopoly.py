@@ -10,14 +10,15 @@ import math
 import pytest
 from mpmath import mp
 
-from landaucap._mp import hermitian_cholesky
+from landaucap._mp import hermitian_blocks, hermitian_cholesky
 from landaucap.errors import DegenerateMomentError
-from landaucap.region import Annulus, Disc, Polygon, capacity_known
+from landaucap.region import Annulus, Disc, Polygon, UnionRegion, capacity_known
 from landaucap.weight import (
     Constant,
     MomentTable,
     Power,
     Weight,
+    _boundary_guard,
     mixed_moments,
 )
 from landaucap.orthopoly import monic_orthogonalize, rho_estimates
@@ -166,6 +167,35 @@ def _mpc_cholesky_log_pivots(rows, prec):
         return logs
 
 
+def _fdot_cholesky_log_pivots(rows, prec):
+    """The mp.fdot kernel hermitian_cholesky replaced, kept as its bit-level
+    reference: per block of hermitian_blocks, each entry is one fdot of g_nk
+    and the products -L_nj conj(L_kj), exact, with the sum rounded once to
+    prec; L_nk is that sum over L_kk, and d_n its real part."""
+    block_of = {i: block for block in hermitian_blocks(rows) for i in block}
+    L, logs = [], []
+    with mp.workprec(prec):
+        for n, row in enumerate(rows):
+            Ln, neg = [], []
+            for k in block_of[n]:
+                if k > n:
+                    break
+                prev = L[k] if k < n else Ln
+                s = mp.fdot([(row[k], mp.one)] + list(zip(neg, prev)), conjugate=True)
+                if k == n:
+                    d = mp.re(s)
+                    if not d > 0:
+                        raise DegenerateMomentError(
+                            f"non-positive pivot at degree {n}; raise precision or lower N")
+                    logs.append(mp.log(d))
+                    Ln.append(mp.sqrt(d))
+                else:
+                    Ln.append(s / L[k][-1])
+                    neg.append(-Ln[-1])
+            L.append(Ln)
+    return logs
+
+
 CENTRED_SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
 TRIANGLE = Polygon((0j, 1 + 0j, complex(0.5, math.sqrt(3) / 2)))
 
@@ -190,6 +220,78 @@ def test_cholesky_log_pivots_match_the_mpc_loop(support, density, kind):
         worst = max(abs(a - b) for a, b in zip(got, ref))
         worst_loop = max(abs(a - b) for a, b in zip(loop, ref))
     assert worst <= 2 * worst_loop
+
+
+RECTANGLE = Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.5j, -1 + 0.5j))
+OFFCENTRE_ANNULUS = Annulus(0.5 + 0j, 0.3, 1.0)
+TWO_DISCS = UnionRegion((Disc(-0.6 + 0j, 0.5), Disc(0.6 + 0.2j, 0.4)))
+TINY_DISC = Disc(1 + 0j, 0.01)
+
+
+def _plain(support, N, p, density=Constant(1.0)):
+    return lambda: mixed_moments(Weight(support, density), "plain", N, p).rows
+
+
+def _gaussian(support, N, p):
+    """The table level_q_matrix checks at p: built at p + _boundary_guard."""
+    return lambda: mixed_moments(Weight(support, Constant(1.0)), "gaussian", N,
+                                 p + _boundary_guard(support, 1.0)).rows
+
+
+def _int_zero_rows():
+    # one block {0, 1, 2} whose entry (2, 0) is a Python int 0
+    return [[mp.mpf(2)], [mp.mpc(1, 0.5), mp.mpf(3)], [0, mp.mpc(0.25, -0.5), mp.mpf(4)]]
+
+
+def _real_rows():
+    # Hilbert, all mpf: fdot returns an mpf for every entry
+    with mp.workprec(160):
+        return [[mp.mpf(1) / (i + j + 1) for j in range(i + 1)] for i in range(12)]
+
+
+def _blocked_rows(first):
+    # test_symmetry's blocks {0, 2} and {1, 3}, failing at degree 2 or 3
+    one = mp.mpf(1)
+    return [[one], [0, one], [first, 0, one], [0, one, 0, one]]
+
+
+@pytest.mark.parametrize("build, p, fails", [
+    pytest.param(_gaussian(Disc(0.7 + 0j, 1.0), 24, 128), 128, False, id="workload-disc-gaussian"),
+    pytest.param(_plain(Disc(0.7 + 0j, 1.0), 48, 256), 256, False, id="offcentre-disc-N48-p256"),
+    pytest.param(_plain(CENTRED_SQUARE, 24, 128), 128, False, id="centred-square-stride4"),
+    pytest.param(_gaussian(CENTRED_SQUARE, 24, 128), 128, False, id="centred-square-gaussian"),
+    pytest.param(_plain(RECTANGLE, 24, 128), 128, False, id="rectangle-stride2"),
+    pytest.param(_plain(TRIANGLE, 24, 128), 128, False, id="vertex-triangle"),
+    pytest.param(_plain(UNIT_SQUARE, 24, 128), 128, False, id="unit-square"),
+    pytest.param(_plain(Disc(0.7 + 0j, 1.0), 24, 128, Power(1)), 128, False, id="power1"),
+    pytest.param(_plain(Disc(0.7 + 0j, 1.0), 24, 128, Power(2)), 128, False, id="power2"),
+] + [
+    pytest.param(_plain(support, 16, p), p, False, id=f"{name}-p{p}")
+    for name, support in (("offcentre-annulus", OFFCENTRE_ANNULUS), ("two-discs", TWO_DISCS))
+    for p in (64, 128, 512)
+] + [
+    pytest.param(_int_zero_rows, 64, False, id="int-zeros"),
+    pytest.param(_real_rows, 128, False, id="all-real"),
+    pytest.param(_plain(TINY_DISC, 6, 64), 64, True, id="tiny-disc-plain-fails"),
+    pytest.param(_gaussian(TINY_DISC, 6, 64), 64, True, id="tiny-disc-gaussian-fails"),
+    pytest.param(lambda: _blocked_rows(mp.mpf(1)), 64, True, id="blocked-fails-at-2"),
+    pytest.param(lambda: _blocked_rows(mp.mpf(0.5)), 64, True, id="blocked-fails-at-3"),
+])
+def test_cholesky_is_bit_identical_to_the_fdot_loop(build, p, fails):
+    # the integer kernel keeps fdot's roundings: the same raw log pivots, or
+    # the same non-positive pivot named. It would differ only where fdot's
+    # mpf_sum drops a term more than 2p bits below its running sum, which
+    # none of these tables reaches
+    def outcome(factor):
+        try:
+            return [x._mpf_ for x in factor(table, p)]
+        except DegenerateMomentError as err:
+            return str(err)
+
+    table = build()
+    got = outcome(hermitian_cholesky)
+    assert got == outcome(_fdot_cholesky_log_pivots)
+    assert isinstance(got, str) == fails
 
 
 def test_square_table_is_factored_once(monkeypatch):
