@@ -209,6 +209,12 @@ def to_fixed(parts, bits: int):
     return [[libmp.to_fixed(x, -e) for x in part] for part in parts], e
 
 
+def exact_fixed(parts):
+    """(ints, e) with parts[j][i] = ints[j][i] * 2^e exactly, e the least exponent."""
+    e = min((x[2] for part in parts for x in part if x[1]), default=0)
+    return [[libmp.to_fixed(x, -e) for x in part] for part in parts], e
+
+
 def from_fixed(re: int, im, e: int, prec: int, den: int = 1):
     """(re + i im) * 2^e / den rounded once to prec bits: an mpf when im is
     None, else an mpc."""

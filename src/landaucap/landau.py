@@ -28,6 +28,7 @@ from mpmath import libmp, mp
 from ._mp import (
     FIXED_GUARD_BITS,
     dot,
+    exact_fixed,
     from_fixed,
     hermitian_blocks,
     hermitian_cholesky,
@@ -151,22 +152,28 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     diagonal alone on a radial table, whose stride exceeds N + q.
 
     The block is Hermitian and returned as its lower triangle, rows[j][k]
-    for k <= j, the layout spectrum reads: entry (j, k), k >= j, is formed
-    and its conjugate stored at rows[k][j], and the diagonal keeps its
-    real part, an mpf.  The leading m x m block is the prefix rows[:m].
+    for k <= j, the layout spectrum reads, with an mpf diagonal; the
+    leading m x m block is the prefix rows[:m].
+
+    A monomial pair of entry (k, j) reads the stored moment rows[b][a],
+    (b, a) = (l1 + m2, m1 + l2), scaled by r^(a+b) = r^(2(l1+l2)) r^(j-q)
+    r^(k-q), r = R0 eta: the entry is F_j F_k S_jk, F_j = f_j r^(j-q) and
+    S_jk = sum c1 c2 r^(2(l1+l2)) rows[b][a].  The moments, and the r^(2l)
+    (l <= 2q) rounded to P = prec + 20 bits, are read as integers over
+    their least exponent, exactly, so S_jk is one exact integer sum; times
+    the mantissa of F_j F_k (each F_j and the product rounded at P) it is
+    rounded once per part to the 2 precision_bits + FIXED_GUARD_BITS bits
+    spectrum reads.  F_j needs P bits only: a diagonal scaling D T D of a
+    positive definite T moves each eigenvalue by at most about twice D's
+    relative error (Ostrowski, "A quantitative formulation of Sylvester's
+    law of inertia", PNAS 45, 1959).
 
     The creation coefficients have both signs, so moments cancel in an
     entry: the table carries g = _boundary_guard(support, b0/2) bits past
-    precision_bits, as its kernel does. On a centred disc the cancellation
-    in entry j peaks near j = b0 R0^2 / 2, so g needs no term in N; it grows
-    with q, and g covers q <= 2 on the tested supports, not q = 6 on Disc(0, 3).
-
-    The sums run on raw libmp tuples, each operation rounded to nearest at
-    P = prec + 20 bits as mpc arithmetic at P rounds it: a moment (a, b),
-    b >= a, is conjugated and multiplied by (R0 eta)^(a+b) once, each term
-    scales it by c1 c2 (mpf_mul_int) and is added (mpf_add) in the order of
-    the two polynomials' monomials, an mpf moment to the real part alone,
-    and the sum is multiplied by f_j f_k.
+    precision_bits, as its kernel does.  On a centred disc the cancellation
+    in entry j peaks near j = b0 R0^2 / 2, so g needs no term in N; at N=24
+    and 128 bits every trusted s_n of Disc(0, 3) and Disc(0, 1.4) lies
+    within 0.92 units of 2^-128 s_n of a 512-bit run up to q = 12.
 
     A boundary table is checked by hermitian_cholesky on its stored lower
     triangle at precision_bits, its log pivots unused: a non-positive pivot
@@ -179,42 +186,27 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
         hermitian_cholesky(table.rows, precision_bits)
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     rows = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
-    with mp.workprec(prec + 10):
-        R0_eta = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
-        unscale = [(R0_eta ** n)._mpf_ for n in range(2 * (N + q) + 1)]
-    P, rnd = prec + 20, libmp.round_nearest
+    P, out = prec + 20, 2 * precision_bits + FIXED_GUARD_BITS
     with mp.workprec(P):
+        r = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
         log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
-        # entry (j, k) is normalised by f_j f_k
-        f = [mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2)._mpf_ for n in range(N + 1)]
-    # entry (j, k), k >= j, reads moments (a, b) with b - a = k - j >= 0,
-    # conj(rows[b][a]); an mpf moment has no imaginary part (None)
-    scaled = {}
-    for b in range(N + q + 1):
-        for a in range(b % table.stride, b + 1, table.stride):
-            g = table.rows[b][a]
-            if hasattr(g, "_mpc_"):
-                g = libmp.mpc_conjugate(g._mpc_, P, rnd)
-                scaled[a, b] = (libmp.mpf_mul(g[0], unscale[a + b], P, rnd),
-                                libmp.mpf_mul(g[1], unscale[a + b], P, rnd))
-            else:
-                scaled[a, b] = (libmp.mpf_mul(g._mpf_, unscale[a + b], P, rnd), None)
+        F = [(mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2) * r ** (n - q))._mpf_
+             for n in range(N + 1)]
+        (r2,), e_r = exact_fixed([[(r ** (2 * l))._mpf_ for l in range(2 * q + 1)]])
+    cells = [(b, a) for b in range(N + q + 1) for a in range(b % table.stride, b + 1, table.stride)]
+    ints, lo = exact_fixed(list(zip(*(raw_parts(table.rows[b][a]) for b, a in cells))))
+    moments = dict(zip(cells, zip(*ints)))
     for j in range(N + 1):
         for k in range(j, N + 1, table.stride):
-            re = im = libmp.fzero
+            re = im = 0
             for (m1, l1), c1 in polys[j].items():
                 for (m2, l2), c2 in polys[k].items():
-                    tr, ti = scaled[m1 + l2, l1 + m2]
-                    re = libmp.mpf_add(re, libmp.mpf_mul_int(tr, c1 * c2, P, rnd), P, rnd)
-                    if ti is not None:
-                        im = libmp.mpf_add(im, libmp.mpf_mul_int(ti, c1 * c2, P, rnd), P, rnd)
-            fjk = libmp.mpf_mul(f[j], f[k], P, rnd)
-            re = libmp.mpf_mul(re, fjk, P, rnd)
-            if k == j:
-                rows[j][j] = mp.make_mpf(re)
-            else:
-                im = libmp.mpf_mul(im, fjk, P, rnd)
-                rows[k][j] = mp.make_mpc((re, libmp.mpf_neg(im, P, rnd)))
+                    gr, gi = moments[l1 + m2, m1 + l2]
+                    c = c1 * c2 * r2[l1 + l2]
+                    re += c * gr
+                    im += c * gi
+            _, man, exp, _ = libmp.mpf_mul(F[j], F[k], P, libmp.round_nearest)  # F_j F_k > 0
+            rows[k][j] = from_fixed(re * man, im * man if k > j else None, exp + e_r + lo, out)
     return rows
 
 
@@ -224,20 +216,13 @@ def _fixed_columns(rows, bits: int):
     """Integer columns (re, im) of the Hermitian matrix whose lower triangle
     is rows, over one power of two 2^e.
 
-    The raw parts of each entry are read directly, a part wider than bits
-    rounded to bits (libmp.mpf_pos, to nearest), as mp.mpc at bits would
-    round it; level_q_matrix's entries are wider when its table's guard
-    exceeds p + 12.  They are converted once with to_fixed (the largest
-    keeping bits bits) and doubled onto half that step, a guard bit for
-    the reduction's own roundings.  Column j holds a_kj for every k,
-    conjugates mirrored above the diagonal.
+    The raw parts of each entry are converted once with to_fixed (the
+    largest keeping bits bits; level_q_matrix rounds no entry wider) and
+    doubled onto half that step, a guard bit for the reduction's own
+    roundings.  Column j holds a_kj for every k, conjugates mirrored above
+    the diagonal.
     """
-    parts = []
-    for row in rows:
-        for part in zip(*map(raw_parts, row)):
-            parts.append([libmp.mpf_pos(x, bits, libmp.round_nearest) if x[3] > bits else x
-                          for x in part])
-    ints, e = to_fixed(parts, bits)
+    ints, e = to_fixed([part for row in rows for part in zip(*map(raw_parts, row))], bits)
     lre = [[2 * x for x in part] for part in ints[0::2]]
     lim = [[2 * y for y in part] for part in ints[1::2]]
     n = len(rows)
@@ -429,9 +414,9 @@ def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
     weight.  A single index is its own eigenvalue, its diagonal entry
     rounded once to p = precision_bits, read without integers.  Every
     other block, even one whose off-diagonal integers vanish, is read at
-    2p + FIXED_GUARD_BITS bits, not rounded to p first (level_q_matrix
-    assembles at p + 20 bits), converted once to integers over its own
-    power of two and mirrored into the upper triangle, exactly Hermitian.
+    2p + FIXED_GUARD_BITS bits, the width level_q_matrix rounds its
+    entries to, not rounded to p first, converted once to integers over its
+    own power of two and mirrored into the upper triangle, exactly Hermitian.
     Householder reflections reduce them to a real tridiagonal matrix, whose
     eigenvalues an implicit QL on integers finds (_tridiagonal_ql); each is
     then rounded once to p.  The QL (EISPACK's imtql1) deflates from the

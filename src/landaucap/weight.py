@@ -11,11 +11,12 @@ bounding radius, which keeps the Gram entries of order of the total mass.
 A table takes one of two paths (mixed_moments): closed-form 1d radial
 integrals on a disc or annulus centred at 0, and for a Constant or Power
 anywhere else a contour integral over the boundary (Green's theorem).
-Both work on exact fixed-point integers and round each entry once. The
-incomplete-gamma factors S_s of both paths are integer rows (_s_column),
-as are the Chord's Beta-Kummer sums (_chord_column); a plain boundary
-table has S_s(0) = 1 / (s + 1), so it divides each entry by b + 1 + k/2
-inside that rounding instead.
+Both work on exact fixed-point integers and round each entry once, at the
+width of its own sums, not at the stated precision. The incomplete-gamma
+factors S_s of both paths are integer rows (_s_column), as are the Chord's
+Beta-Kummer sums (_chord_column); a plain boundary table has
+S_s(0) = 1 / (s + 1), so it divides each entry by b + 1 + k/2 inside that
+rounding instead.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from mpmath import mp
+from mpmath import libmp, mp
 
-from ._mp import dot, fixed_bits, from_fixed, gauss_legendre, to_fixed
+from ._mp import dot, fixed_bits, from_fixed, gauss_legendre, raw_parts, to_fixed
 from .errors import DegenerateMomentError, NonConvergenceError
 from .region import (
     Annulus,
@@ -408,12 +409,16 @@ class MomentTable:
             raise IndexError("degree beyond table")
         if b <= a:
             return self.rows[a][b]
-        return mp.conj(self.rows[b][a])
+        z = self.rows[b][a]
+        if hasattr(z, "_mpc_"):  # the exact conjugate
+            z = mp.make_mpc((z._mpc_[0], libmp.mpf_neg(z._mpc_[1])))
+        return z
 
     def raw_entry(self, a: int, b: int):
-        """Unscaled moment mu_ab."""
-        with mp.workprec(self.precision_bits + 10):
-            return self.entry(a, b) * self.scale_radius ** (a + b)
+        """Unscaled moment mu_ab, at the entry's width plus 10 bits."""
+        z = self.entry(a, b)
+        with mp.workprec(max([self.precision_bits] + [x[3] for x in raw_parts(z)]) + 10):
+            return z * self.scale_radius ** (a + b)
 
 
 def _power(density) -> int:
@@ -475,7 +480,7 @@ def _radial_table(w, maxdeg, prec, beta):
 
     The S and J columns are integers at the scale 2^G (_s_column,
     _chord_column), the prefactors and (lo/hi)^(2a) too; each entry is an
-    exact integer combination rounded once to prec. E = exp(-x) 2^G is
+    exact integer combination rounded once to G bits. E = exp(-x) 2^G is
     good to one unit, so a column is known to exp(x) 2^-G of itself: G
     carries x / ln 2 guard bits past fixed_bits(prec, 2 maxdeg + k + 2).
     On an annulus the subtraction cancels: the outer term exceeds the
@@ -509,7 +514,7 @@ def _radial_table(w, maxdeg, prec, beta):
         if lo > 0:
             total += P[1] * cols[1][a] * Qa
             Qa = Qa * Q >> G
-        s = from_fixed(total, None, e - 2 * G, prec)
+        s = from_fixed(total, None, e - 2 * G, G)
         if not s > 0:
             raise DegenerateMomentError(DEGENERATE_MSG)
         rows.append([mp.mpf(0)] * a + [s])
@@ -571,9 +576,9 @@ def _boundary_guard(support, beta) -> int:
 def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     """Scaled table rows[a][b] = sum_i x_i u_i^a conj(y_ib), u = z / R0, as
     exact fixed-point integer sums carrying guard = _boundary_guard more
-    bits, rounded once per entry to prec, with x_i = v(z_i) R0 dz_i / 2i
-    and y_ib = S_(b+k/2)(beta |z_i|^2) u_i^(b+1): the contour form of the
-    moments of v = c |z|^k (see mixed_moments).
+    bits, rounded once per entry to F bits (below), with
+    x_i = v(z_i) R0 dz_i / 2i and y_ib = S_(b+k/2)(beta |z_i|^2) u_i^(b+1):
+    the contour form of the moments of v = c |z|^k (see mixed_moments).
 
     The node values are evaluated at F = fixed_bits(prec + guard, nodes)
     and converted once; from there on the kernel is integer-only. A
@@ -583,9 +588,9 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     S_s keeps at least F - guard + 1 bits of itself, more than the sum
     keeps past the cancellation the guard covers. A plain table has
     S_s(0) = 1 / (s+1): it sums x conj(u^(b+1)) and divides by
-    (2b + 2 + k) / 2 inside the rounding of each entry. Each complex entry
-    takes three real dot products, with x_r + x_i formed once per a and
-    y_r - y_i once per b. Only entries with a = b (mod stride) are summed;
+    (2b + 2 + k) / 2 inside the rounding of each entry to F. Each complex
+    entry takes three real dot products, with x_r + x_i formed once per a
+    and y_r - y_i once per b. Only entries with a = b (mod stride) are summed;
     the others, zero on a support that the rotation by 2 pi / stride maps
     onto itself, are stored as exact zeros."""
     R0 = mp.mpf(bounding_radius(w.support))
@@ -634,7 +639,7 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
                 continue
             A, B = dot(pr, qr), dot(pi, qi)
             im = dot(sums[a], diffs[b]) - A + B if b < a else None
-            row.append(from_fixed(A + B, im, e, prec, 1 if gaussian else 2 * b + 2 + k))
+            row.append(from_fixed(A + B, im, e, F, 1 if gaussian else 2 * b + 2 + k))
         rows.append(row)
     return rows, R0
 
@@ -683,12 +688,14 @@ def mixed_moments(
     On the boundary path the node values, evaluated at _mp.fixed_bits (32
     guard bits and the bit length of the node count past precision_bits,
     plus _boundary_guard, beta rmax^2 / ln 2), become fixed-point
-    integers; the sums are exact and each entry is rounded once. A
-    Gaussian boundary table builds its S_(b+k/2) rows on integers from one
-    exp per node (_s_column); a plain one sums v z^a conj(z)^(b+1) and
-    divides by b + 1 + k/2 in that rounding. The radial path combines
-    integer columns with the guard bits of _radial_table and rounds each
-    entry once. Against the same rule summed in mpc (mpf) at 128 more bits,
+    integers; the sums are exact and each entry is rounded once, to that
+    same width. A Gaussian boundary table builds its S_(b+k/2) rows on
+    integers from one exp per node (_s_column); a plain one sums
+    v z^a conj(z)^(b+1) and divides by b + 1 + k/2 in that rounding. The
+    radial path combines integer columns with the guard bits of
+    _radial_table and rounds each entry once, to its width G; the
+    Cholesky and the level-q assembly read those bits exactly.
+    Against the same rule summed in mpc (mpf) at 128 more bits,
     with S_s from mpmath's incomplete gamma, every boundary entry lies
     within 4 units of 2^-precision_bits sqrt(G_aa G_bb), at most 0.96 on
     the tested supports. Against a rule of 40 more total degrees on every

@@ -294,6 +294,24 @@ def test_cholesky_is_bit_identical_to_the_fdot_loop(build, p, fails):
     assert isinstance(got, str) == fails
 
 
+@pytest.mark.parametrize("support, band", [
+    pytest.param(UNIT_SQUARE, mp.mpf("1e-17"), id="unit-square"),
+    pytest.param(Disc(0.7 + 0j, 1.0), mp.mpf("1e-25"), id="offcenter-disc"),
+])
+def test_minimal_norms_keep_the_table_width(support, band):
+    # each plain entry is rounded once at its fixed-point width, not to p,
+    # and the Cholesky sums it exactly: at N=24 and 128 bits the worst
+    # |log M_n| lies 9.3e-19 (square) and 7.3e-27 (disc) from a 512-bit run,
+    # against 9.1e-15 and 9.4e-23 with the table rounded to p; each band is
+    # more than 10 times the first error
+    w = Weight(support, Constant(1.0))
+    lo = monic_orthogonalize(mixed_moments(w, "plain", 24, precision_bits=128)).log_norms
+    hi = monic_orthogonalize(mixed_moments(w, "plain", 24, precision_bits=512)).log_norms
+    with mp.workprec(600):
+        for n, (a, b) in enumerate(zip(lo, hi)):
+            assert abs(a - b) <= band, n
+
+
 def test_square_table_is_factored_once(monkeypatch):
     # the Cholesky of monic_orthogonalize is the plain table's only check
     from landaucap import _mp

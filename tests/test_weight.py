@@ -267,7 +267,9 @@ def test_plain_lshape_and_union_mass():
 def test_scaled_entries_match_raw():
     w = Weight(Disc(0j, 2.0), Constant(1.0))
     tab = mixed_moments(w, "plain", 6, precision_bits=128)
-    with mp.workprec(140):
+    # entries carry their fixed-point width, 164 bits here, so the product
+    # is formed at more than that
+    with mp.workprec(200):
         for a in range(7):
             assert abs(tab.entry(a, a) * tab.scale_radius ** (2 * a) - tab.raw_entry(a, a)) == 0
 
@@ -328,7 +330,9 @@ def test_gaussian_tail_of_zero_is_empty():
 def test_hermitian_mirror_exact():
     w = Weight(Disc(0.4 - 0.3j, 1.0), Constant(1.0))
     tab = mixed_moments(w, "plain", 6, precision_bits=128)
-    with mp.workprec(140):
+    # entry(a, b), b > a, is the exact conjugate; mp.conj rounds to the
+    # context, so it runs above the entries' fixed-point width
+    with mp.workprec(200):
         for a in range(7):
             for b in range(7):
                 assert tab.entry(a, b) == mp.conj(tab.entry(b, a))
