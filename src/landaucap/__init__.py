@@ -17,6 +17,7 @@ from .chebyshev import CapacityEstimate, capacity_estimate
 from .errors import DegenerateMomentError, NonConvergenceError
 from .landau import (
     LandauBasisSpec,
+    LevelBlock,
     ToeplitzSpectrum,
     level_q_matrix,
     radial_oracle,
@@ -66,6 +67,7 @@ __all__ = [
     "DegenerateMomentError",
     "Disc",
     "LandauBasisSpec",
+    "LevelBlock",
     "MomentTable",
     "MonicOrthoBasis",
     "NonConvergenceError",

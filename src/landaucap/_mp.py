@@ -1,8 +1,9 @@
 """Extended-precision building blocks: the Gauss-Legendre node cache, the
-exact blocks of a Hermitian matrix and the log pivots of its Cholesky, both
-read from a stored lower triangle, and exact fixed-point dot products.  The
-kernels run on Python integers and mpmath's raw libmp tuples, with libmp's
-rounding; mpf and mpc objects are read and made only at their edges."""
+log pivots of the Cholesky of a Hermitian matrix, read from its stored
+lower triangle one residue class at a time, and exact fixed-point dot
+products and roundings.  The kernels run on Python integers and mpmath's
+raw libmp tuples, with libmp's rounding; mpf and mpc objects are read and
+made only at their edges."""
 
 from __future__ import annotations
 
@@ -74,40 +75,7 @@ def _legendre_pair(n: int, x: int, bits: int):
     return p, pm
 
 
-def hermitian_blocks(rows):
-    """The connected blocks of the Hermitian matrix whose lower triangle is
-    rows: two indices share a block when a chain of entries that are not
-    exactly zero links them. Each block is a sorted index list; the blocks
-    come in the order of their least index. An exact zero decides, with no
-    tolerance, so the matrix is the direct sum of its blocks. Once the
-    indices before n form one block, one entry of row n that is not zero
-    joins n to it, so a dense matrix is read one entry per row."""
-    root = list(range(len(rows)))  # a block's root is its least index
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    count = 0  # blocks among the indices before n
-    for n, row in enumerate(rows):
-        if not any(row[:-1]):
-            count += 1
-        elif count == 1:
-            root[n] = 0
-        else:
-            links = {find(k) for k, x in enumerate(row[:-1]) if x} | {n}
-            top = min(links)
-            for r in links:
-                root[r] = top
-            count += 2 - len(links)
-    blocks = {}
-    for i in range(len(rows)):
-        blocks.setdefault(find(i), []).append(i)
-    return list(blocks.values())
-
-
-def hermitian_cholesky(rows, prec: int):
+def hermitian_cholesky(rows, prec: int, stride: int):
     """Log pivots log d_n of the Hermitian matrix G whose lower triangle is
     rows[n][k], k <= n (the layout of MomentTable.rows): G = L L^H with
     d_n = L_nn^2, so d_n is the squared distance of basis vector n from the
@@ -127,24 +95,21 @@ def hermitian_cholesky(rows, prec: int):
     bits above the sum's top: the integer sum keeps both. No tested table
     reaches that case.
 
-    L is exactly zero between the blocks of hermitian_blocks, so each
-    block is factored on its own, row n over the indices of its block up
-    to n, and the pivots come out in the order of n; the terms left out
-    are exact zeros, so every pivot is the one the whole matrix gives. A
-    table with exact residue classes (MomentTable.stride) splits into one
-    block per class, a radial one into its diagonal. Row n needs every
-    earlier row of its block, so the factor is kept until the last pivot
-    and dropped. Raises DegenerateMomentError on a non-positive pivot, at
-    the least such degree.
+    rows[n][k] is an exact zero unless n = k (mod stride), the table's
+    residue classes (MomentTable.stride), so L is exactly zero between the
+    classes and each is factored on its own, row n over the indices
+    k = n (mod stride) up to n; the pivots come out in the order of n, and
+    the terms left out are exact zeros, so every pivot is the one the whole
+    matrix gives. A radial table, whose stride exceeds its degree, is read
+    on its diagonal alone. Row n needs every earlier row of its class, so
+    the factor is kept until the last pivot and dropped. Raises
+    DegenerateMomentError on a non-positive pivot, at the least such degree.
     """
     rnd = libmp.round_nearest
-    block_of = {i: block for block in hermitian_blocks(rows) for i in block}
     L, logs = [], []  # L[k] = (re, im, re - im, e, L_kk): L_kj = (re_j + i im_j) 2^e
     for n, row in enumerate(rows):
         ar, ai, ab, e = [], [], [], 0  # L_nj = (ar_j + i ai_j) 2^e so far, ab = ar + ai
-        for k in block_of[n]:
-            if k > n:
-                break
+        for k in range(n % stride, n + 1, stride):
             gr, gi = raw_parts(row[k])
             if k == n:
                 d = _round_difference(gr, dot(ar, ar) + dot(ai, ai), 2 * e, prec)
@@ -213,6 +178,17 @@ def exact_fixed(parts):
     """(ints, e) with parts[j][i] = ints[j][i] * 2^e exactly, e the least exponent."""
     e = min((x[2] for part in parts for x in part if x[1]), default=0)
     return [[libmp.to_fixed(x, -e) for x in part] for part in parts], e
+
+
+def round_shift(m: int, s: int) -> int:
+    """m 2^-s rounded to the nearest integer, ties to even, as libmp's
+    round_nearest rounds; exact when s <= 0."""
+    if s <= 0:
+        return m << -s
+    q = m >> s
+    r = m - (q << s)
+    half = 1 << s - 1
+    return q + (r > half or (r == half and q & 1))
 
 
 def from_fixed(re: int, im, e: int, prec: int, den: int = 1):

@@ -2,20 +2,20 @@
 
 The compression of multiplication by a compactly supported weight v onto the
 q-th Landau level is represented by its top-left (N+1)x(N+1) block in the
-normalized level basis, kept from assembly to eigen-solve as its lower
-triangle with a real diagonal, the moment table's own layout.  It is
-assembled from Gaussian mixed moments and split into the blocks its exact
-zeros leave, one per residue class of a rotation-symmetric support.  Each
-block is reduced to a real tridiagonal matrix by Householder reflections
-on fixed-point Python integers at 2p + 32 bits (p the working precision),
-and the tridiagonal solved by an implicit QL on the same integers, carried
-as many bits further down as the tridiagonal's diagonal spans, each
-eigenvalue rounded once to p bits.  The s_n decay super-geometrically, so
-the tridiagonal is steeply graded; the QL deflates from the top, and it is
-handed the tridiagonal small end first, which takes fewer iterations.
-radial_oracle gives the eigenvalues of a centred radial weight by 1d
-quadrature, and theorem_predictions the n-th-root limits that the minimal
-norms and the capacity predict for them.
+normalized level basis.  It is assembled from Gaussian mixed moments, as
+exact integers, into a LevelBlock: one integer lower triangle per residue
+class of the moment table's stride, each rounded once onto its own power of
+two at 2p + 32 bits (p the working precision), the one format spectrum
+reads.  A class of one index is its own eigenvalue.  Every other class is
+reduced to a real tridiagonal matrix by Householder reflections on those
+integers, and the tridiagonal solved by an implicit QL on the same
+integers, carried as many bits further down as the tridiagonal's diagonal
+spans, each eigenvalue rounded once to p bits.  The s_n decay
+super-geometrically, so the tridiagonal is steeply graded; the QL deflates
+from the top, and it is handed the tridiagonal small end first, which
+takes fewer iterations.  radial_oracle gives the eigenvalues of a centred
+radial weight by 1d quadrature, and theorem_predictions the n-th-root
+limits that the minimal norms and the capacity predict for them.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from ._mp import (
     dot,
     exact_fixed,
     from_fixed,
-    hermitian_blocks,
     hermitian_cholesky,
     raw_parts,
-    to_fixed,
+    round_shift,
 )
 from .chebyshev import CapacityEstimate
 from .errors import NonConvergenceError
@@ -50,6 +49,7 @@ from .weight import (
 
 __all__ = [
     "LandauBasisSpec",
+    "LevelBlock",
     "ToeplitzSpectrum",
     "level_q_matrix",
     "spectrum",
@@ -88,6 +88,19 @@ class ToeplitzSpectrum:
         entries collapse to 0), not read back from log_eigs, whose rounding
         would cost log2|log s_n| bits."""
         return self.eigs
+
+
+@dataclass(frozen=True)
+class LevelBlock:
+    """A Hermitian block as the direct sum of its residue classes.
+
+    Class c holds the indices c, c + stride, ... <= N and is stored as
+    (re, im, e): row t of its lower triangle is re[t] (t + 1 real parts)
+    and im[t] (the t imaginary parts left of the diagonal), every entry
+    (re + i im) 2^e.  The diagonal is real by construction.
+    """
+    stride: int
+    classes: tuple
 
 
 def _sorted_spectrum(eigs, residual: float, precision_bits: int,
@@ -151,9 +164,9 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     residue class each on a support with rotation order 2 or 4, the
     diagonal alone on a radial table, whose stride exceeds N + q.
 
-    The block is Hermitian and returned as its lower triangle, rows[j][k]
-    for k <= j, the layout spectrum reads, with an mpf diagonal; the
-    leading m x m block is the prefix rows[:m].
+    The block is returned as a LevelBlock, one integer lower triangle per
+    residue class of table.stride, the one format spectrum reads; the
+    leading m x m block keeps of each class the rows of its indices below m.
 
     A monomial pair of entry (k, j) reads the stored moment rows[b][a],
     (b, a) = (l1 + m2, m1 + l2), scaled by r^(a+b) = r^(2(l1+l2)) r^(j-q)
@@ -162,8 +175,13 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     (l <= 2q) rounded to P = prec + 20 bits, are read as integers over
     their least exponent, exactly, so S_jk is one exact integer sum; times
     the mantissa of F_j F_k (each F_j and the product rounded at P) it is
-    rounded once per part to the 2 precision_bits + FIXED_GUARD_BITS bits
-    spectrum reads.  F_j needs P bits only: a diagonal scaling D T D of a
+    rounded once, to nearest, onto its class's grid 2^(top - out), top the
+    top bit of the class's largest part and out = 2 precision_bits +
+    FIXED_GUARD_BITS, the bits spectrum reads.  Each class has its own
+    grid: a radial block's diagonal falls by hundreds of bits, and one
+    grid for the whole block rounded its small entries away (38 of the 65
+    eigenvalues of the unit disc at N=64 and 64 bits, 25 of them to 0).
+    F_j needs P bits only: a diagonal scaling D T D of a
     positive definite T moves each eigenvalue by at most about twice D's
     relative error (Ostrowski, "A quantitative formulation of Sylvester's
     law of inertia", PNAS 45, 1959).
@@ -183,9 +201,8 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     prec = precision_bits + _boundary_guard(v.support, b0 / 2)
     table = mixed_moments(v, "gaussian", maxdeg=N + q, precision_bits=prec, b0=b0)
     if table.path != "radial":
-        hermitian_cholesky(table.rows, precision_bits)
+        hermitian_cholesky(table.rows, precision_bits, table.stride)
     polys = [_creation_pow(j, q) for j in range(N + 1)]
-    rows = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
     P, out = prec + 20, 2 * precision_bits + FIXED_GUARD_BITS
     with mp.workprec(P):
         r = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
@@ -196,39 +213,46 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     cells = [(b, a) for b in range(N + q + 1) for a in range(b % table.stride, b + 1, table.stride)]
     ints, lo = exact_fixed(list(zip(*(raw_parts(table.rows[b][a]) for b, a in cells))))
     moments = dict(zip(cells, zip(*ints)))
-    for j in range(N + 1):
-        for k in range(j, N + 1, table.stride):
-            re = im = 0
-            for (m1, l1), c1 in polys[j].items():
-                for (m2, l2), c2 in polys[k].items():
-                    gr, gi = moments[l1 + m2, m1 + l2]
-                    c = c1 * c2 * r2[l1 + l2]
-                    re += c * gr
-                    im += c * gi
-            _, man, exp, _ = libmp.mpf_mul(F[j], F[k], P, libmp.round_nearest)  # F_j F_k > 0
-            rows[k][j] = from_fixed(re * man, im * man if k > j else None, exp + e_r + lo, out)
-    return rows
+    classes = []
+    for c in range(min(table.stride, N + 1)):
+        exact = []  # exact[t][s] = (re, im, x): entry (k, j) of the class is (re + i im) 2^x
+        for k in range(c, N + 1, table.stride):
+            row = []
+            for j in range(c, k + 1, table.stride):
+                re = im = 0
+                for (m1, l1), c1 in polys[j].items():
+                    for (m2, l2), c2 in polys[k].items():
+                        gr, gi = moments[l1 + m2, m1 + l2]
+                        w = c1 * c2 * r2[l1 + l2]
+                        re += w * gr
+                        im += w * gi
+                _, man, exp, _ = libmp.mpf_mul(F[j], F[k], P, libmp.round_nearest)  # F_j F_k > 0
+                row.append((re * man, im * man if j < k else 0, exp + e_r + lo))
+            exact.append(row)
+        e = max(max(abs(x), abs(y)).bit_length() + z for row in exact for x, y, z in row) - out
+        classes.append(([[round_shift(x, e - z) for x, _, z in row] for row in exact],
+                        [[round_shift(y, e - z) for _, y, z in row[:-1]] for row in exact], e))
+    return LevelBlock(table.stride, tuple(classes))
 
 
 # -------------------------------------------------------------- eigenvalues
 
-def _fixed_columns(rows, bits: int):
+def _class_columns(re, im, e: int, bits: int):
     """Integer columns (re, im) of the Hermitian matrix whose lower triangle
-    is rows, over one power of two 2^e.
+    is one class of a LevelBlock, over one power of two.
 
-    The raw parts of each entry are converted once with to_fixed (the
-    largest keeping bits bits; level_q_matrix rounds no entry wider) and
-    doubled onto half that step, a guard bit for the reduction's own
-    roundings.  Column j holds a_kj for every k, conjugates mirrored above
-    the diagonal.
+    The class is shifted up exactly until its widest part holds bits bits
+    (level_q_matrix builds it that wide), never rounded, and one bit
+    further, a guard bit for the reduction's own roundings.  Column j holds
+    a_kj for every k, conjugates mirrored above the diagonal.
     """
-    ints, e = to_fixed([part for row in rows for part in zip(*map(raw_parts, row))], bits)
-    lre = [[2 * x for x in part] for part in ints[0::2]]
-    lim = [[2 * y for y in part] for part in ints[1::2]]
-    n = len(rows)
-    re = [lre[j][:j] + [lre[k][j] for k in range(j, n)] for j in range(n)]
-    im = [[-y for y in lim[j][:j]] + [lim[k][j] for k in range(j, n)] for j in range(n)]
-    return re, im, e - 1
+    width = max(abs(x).bit_length() for part in (re, im) for row in part for x in row)
+    s = max(0, bits - width) + 1
+    n = len(re)
+    cre = [[x << s for x in re[j]] + [re[k][j] << s for k in range(j + 1, n)] for j in range(n)]
+    cim = [[-y << s for y in im[j]] + [0] + [im[k][j] << s for k in range(j + 1, n)]
+           for j in range(n)]
+    return cre, cim, e - s
 
 
 def _householder_tridiagonal(re, im, bits: int):
@@ -383,11 +407,11 @@ def _tridiagonal_ql(diag, sub2, bits: int, p: int):
     return d, guard
 
 
-def _reduce_and_solve(rows, bits: int, p: int):
-    """Eigenvalues of one connected block, each rounded once to p, by
-    Householder reduction and implicit QL on integers, with the block's
+def _reduce_and_solve(re, im, e: int, bits: int, p: int):
+    """Eigenvalues of one class of a LevelBlock, each rounded once to p, by
+    Householder reduction and implicit QL on integers, with the class's
     Frobenius gap sum |a_ij|^2 - sum s_n^2 and its trace at bits + 20."""
-    re, im, e = _fixed_columns(rows, bits)
+    re, im, e = _class_columns(re, im, e, bits)
     fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
     diag, sub2 = _householder_tridiagonal(re, im, bits)
     if abs(diag[0]) > abs(diag[-1]):  # start a graded QL at its small end
@@ -400,58 +424,45 @@ def _reduce_and_solve(rows, bits: int, p: int):
             from_fixed(sum(diag), None, e, bits + 20))
 
 
-def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
+def spectrum(block: LevelBlock, precision_bits: int) -> ToeplitzSpectrum:
     """Eigenvalues of a Hermitian compression block by Householder
-    tridiagonalization and implicit QL, one exact block at a time.
+    tridiagonalization and implicit QL, one residue class at a time.
 
-    The block is its lower triangle rows[j][k], k <= j, with a real
-    diagonal (the layout level_q_matrix returns); a ValueError is raised
-    when row j does not hold j + 1 entries or a diagonal entry is not real.
-    The block is the direct sum of the connected blocks of its entries
-    that are not exactly zero (_mp.hermitian_blocks, no tolerance), and
-    each is solved on its own: one per residue class on a support with
-    rotation order 2 or 4 (MomentTable.stride), one per index on a radial
-    weight.  A single index is its own eigenvalue, its diagonal entry
-    rounded once to p = precision_bits, read without integers.  Every
-    other block, even one whose off-diagonal integers vanish, is read at
-    2p + FIXED_GUARD_BITS bits, the width level_q_matrix rounds its
-    entries to, not rounded to p first, converted once to integers over its
-    own power of two and mirrored into the upper triangle, exactly Hermitian.
-    Householder reflections reduce them to a real tridiagonal matrix, whose
-    eigenvalues an implicit QL on integers finds (_tridiagonal_ql); each is
-    then rounded once to p.  The QL (EISPACK's imtql1) deflates from the
-    top with a shift from the leading 2x2 block, so, as LAPACK's dsteqr
-    does, the tridiagonal is reversed when |d_0| > |d_(n-1)|: a graded one
-    is then started at its small end, and the off-centre disc's at N=24
-    takes 28 iterations instead of 72.  Reversal is a permutation
-    similarity and leaves the spectrum unchanged.  A matrix of one block
-    takes this path alone.
+    The block is a LevelBlock, the direct sum of its classes, and each is
+    solved on its own: one per residue class on a support with rotation
+    order 2 or 4 (MomentTable.stride), one per index on a radial weight.
+    A class of one index is its own eigenvalue, its integer rounded once to
+    p = precision_bits.  Every other class, even one whose off-diagonal
+    integers vanish, is mirrored into integer columns at 2p +
+    FIXED_GUARD_BITS bits, exactly Hermitian; a class built at a lower p is
+    shifted up exactly.  Householder reflections reduce the columns to a
+    real tridiagonal matrix, whose eigenvalues an implicit QL on integers
+    finds (_tridiagonal_ql); each is then rounded once to p.  The QL
+    (EISPACK's imtql1) deflates from the top with a shift from the leading
+    2x2 block, so, as LAPACK's dsteqr does, the tridiagonal is reversed
+    when |d_0| > |d_(n-1)|: a graded one is then started at its small end,
+    and the off-centre disc's at N=24 takes 28 iterations instead of 72.
+    Reversal is a permutation similarity and leaves the spectrum unchanged.
 
     The merged eigenvalues are reported sorted descending in log domain,
     trusted_count marks how many exceed the relative floor
-    s_1 * 10^(-p/3), and eigen_solve is "diagonal" when every block is a
-    single index, else "householder-ql".  matrix_residual is
-    sqrt(sum over blocks of |sum |a_ij|^2 - sum s_n^2|) / trace, which a
-    unitary similarity of each block keeps at zero, and 0 on the diagonal
+    s_1 * 10^(-p/3), and eigen_solve is "diagonal" when every class holds
+    one index, else "householder-ql".  matrix_residual is
+    sqrt(sum over classes of |sum |a_ij|^2 - sum s_n^2|) / trace, which a
+    unitary similarity of each class keeps at zero, and 0 on the diagonal
     path.  Raises NonConvergenceError when the QL takes more than
     _QL_ITERATIONS sweeps for one eigenvalue.
     """
     p = precision_bits
-    if any(len(row) != j + 1 for j, row in enumerate(rows)):
-        raise ValueError("rows must be a lower triangle: row j holds j + 1 entries")
-    if any(mp.im(row[-1]) for row in rows):
-        raise ValueError("the diagonal of a Hermitian matrix must be real")
     bits = 2 * p + FIXED_GUARD_BITS
     eigs, gaps, traces = [], [], []
     with mp.workprec(p):
-        for block in hermitian_blocks(rows):
-            if len(block) == 1:
-                x = mp.re(rows[block[0]][-1])
-                eigs.append(+x)  # rounded once to p
-                traces.append(x)
+        for re, im, e in block.classes:
+            if len(re) == 1:
+                eigs.append(from_fixed(re[0][0], None, e, p))
+                traces.append(from_fixed(re[0][0], None, e, bits + 20))
                 continue
-            d, gap, trace = _reduce_and_solve(
-                [[rows[i][j] for j in block[:t + 1]] for t, i in enumerate(block)], bits, p)
+            d, gap, trace = _reduce_and_solve(re, im, e, bits, p)
             eigs += d
             gaps.append(abs(gap))
             traces.append(trace)
@@ -466,8 +477,7 @@ def spectrum(rows, precision_bits: int) -> ToeplitzSpectrum:
 def toeplitz_spectrum(v: Weight, q: int = 0, b0: float = 2.0, N: int = 48,
                       precision_bits: int = 256) -> ToeplitzSpectrum:
     """Assemble the level-q compression of v and diagonalize it."""
-    rows = level_q_matrix(v, q, b0, N, precision_bits)
-    return spectrum(rows, precision_bits)
+    return spectrum(level_q_matrix(v, q, b0, N, precision_bits), precision_bits)
 
 
 # ------------------------------------------------------------- radial oracle

@@ -45,16 +45,16 @@ class RhoEstimate:
 def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
     """The squared norms M_n of the monic orthogonal polynomials.
 
-    hermitian_cholesky reads the table's stored lower triangle (rows) and
-    returns the log pivots, the log squared norms of the monomials (z/R0)^a
-    the table is prescaled to; log M_n += 2n log R0 takes them back to the
-    plain z basis. The Cholesky is also the table's validity check: a
+    hermitian_cholesky reads the table's stored lower triangle (rows) one
+    residue class of its stride at a time and returns the log pivots, the
+    log squared norms of the monomials (z/R0)^a the table is prescaled to;
+    log M_n += 2n log R0 takes them back to the plain z basis. The Cholesky is also the table's validity check: a
     nonpositive pivot, on a diagonal table too, raises its
     DegenerateMomentError.
     """
     N = moments.maxdeg
     prec = moments.precision_bits
-    log_pivots = hermitian_cholesky(moments.rows, prec)
+    log_pivots = hermitian_cholesky(moments.rows, prec, moments.stride)
     with mp.workprec(prec):
         logR0 = mp.log(moments.scale_radius)
         log_norms = [lp + 2 * n * logR0 for n, lp in enumerate(log_pivots)]

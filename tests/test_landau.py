@@ -9,15 +9,16 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from landaucap._mp import FIXED_GUARD_BITS, raw_parts
+from landaucap._mp import FIXED_GUARD_BITS
 from landaucap.chebyshev import CapacityEstimate, capacity_estimate
 from landaucap import landau, weight as weight_module
 from landaucap.errors import DegenerateMomentError, NonConvergenceError
 from landaucap.landau import (
     LandauBasisSpec,
+    LevelBlock,
     _creation_pow,
     level_q_matrix,
     radial_oracle,
@@ -36,10 +37,25 @@ from landaucap.weight import (
     weight_from_config,
     weight_key,
 )
-from test_symmetry import load_workloads
+from test_symmetry import level_block, load_workloads
 
 UNIT_DISC = Weight(Disc(0j, 1.0), Constant(1.0))
 SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
+
+
+def _rows(block):
+    """The lower triangle of a LevelBlock as exact mp numbers: an mpf on the
+    diagonal, an mpc within a class and 0 between classes."""
+    n = sum(len(re) for re, _, _ in block.classes)
+    rows = [[0] * j + [None] for j in range(n)]
+    for c, (re, im, e) in enumerate(block.classes):
+        idx = range(c, n, block.stride)
+        for t, k in enumerate(idx):
+            rows[k][k] = mp.make_mpf(libmp.from_man_exp(re[t][t], e))
+            for s, j in enumerate(idx[:t]):
+                rows[k][j] = mp.make_mpc((libmp.from_man_exp(re[t][s], e),
+                                          libmp.from_man_exp(im[t][s], e)))
+    return rows
 
 
 def _full(rows):
@@ -93,7 +109,7 @@ def test_lll_disc_diagonal_closed_form():
     with mp.workprec(160):
         for r in (0.5, 1.0, 2.0):
             v = Weight(Disc(0j, r), Constant(1.0))
-            T = level_q_matrix(v, 0, 2.0, 10, 128)
+            T = _rows(level_q_matrix(v, 0, 2.0, 10, 128))
             r2 = mp.mpf(r) ** 2
             for j in range(11):
                 exact = g(j + 1, r2) / mp.factorial(j)
@@ -102,15 +118,15 @@ def test_lll_disc_diagonal_closed_form():
 
 
 def test_lll_t00_value():
-    T = level_q_matrix(UNIT_DISC, 0, 2.0, 0, 128)
+    T = _rows(level_q_matrix(UNIT_DISC, 0, 2.0, 0, 128))
     with mp.workprec(160):
         exact = 1 - mp.exp(-1)
         assert abs(T[0][0] - exact) / exact < mp.mpf(10) ** -35
 
 
 def test_lll_generic_path_matches_radial():
-    Tg = on_boundary_path(level_q_matrix, UNIT_DISC, 0, 2.0, 8, 128)
-    Tr = level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128)
+    Tg = _rows(on_boundary_path(level_q_matrix, UNIT_DISC, 0, 2.0, 8, 128))
+    Tr = _rows(level_q_matrix(UNIT_DISC, 0, 2.0, 8, 128))
     with mp.workprec(160):
         diag_rel = max(abs(Tg[j][j] - Tr[j][j]) / abs(Tr[j][j]) for j in range(9))
         assert diag_rel < mp.mpf(10) ** -30
@@ -122,7 +138,7 @@ def test_lll_generic_path_matches_radial():
 
 def test_lll_diagonal_bounded_by_ess_sup():
     w = Weight(SQUARE, Constant(0.75))
-    T = level_q_matrix(w, 0, 2.0, 8, 128)
+    T = _rows(level_q_matrix(w, 0, 2.0, 8, 128))
     with mp.workprec(128):
         for j in range(9):
             assert mp.re(T[j][j]) <= mp.mpf("0.75") * (1 + mp.mpf(10) ** -30)
@@ -153,7 +169,10 @@ RADIAL_WEIGHTS = [UNIT_DISC, Weight(Annulus(0j, 0.5, 2.0), Power(2)), ball_reduc
 @pytest.mark.parametrize("v", RADIAL_WEIGHTS, ids=weight_key)
 def test_radial_assembly_is_the_dense_loop_on_the_diagonal(v, q, monkeypatch):
     # a radial table assembles only k = j; the dense loop over the same
-    # table, told its stride is 1, must give the same block bit for bit
+    # table, told its stride is 1, assembles the same exact sums and exact
+    # zeros off the diagonal. It rounds them onto one grid for the whole
+    # block, not one per index, so the two diagonals differ by at most half
+    # a unit of each grid, and the eigenvalues agree bit for bit
     N = 6
     T = level_q_matrix(v, q, 2.0, N, 128)
 
@@ -165,17 +184,21 @@ def test_radial_assembly_is_the_dense_loop_on_the_diagonal(v, q, monkeypatch):
 
     monkeypatch.setattr(landau, "mixed_moments", as_dense)
     D = level_q_matrix(v, q, 2.0, N, 128)
-    for j in range(N + 1):
-        assert T[j][j] == D[j][j] and mp.im(T[j][j]) == 0
-        for k in range(j):
-            assert T[j][k] == 0 and D[j][k] == 0
+    assert all(len(re) == 1 for re, _, _ in T.classes) and len(D.classes) == 1
+    (re, im, e), = D.classes
+    assert not any(x for row in re for x in row[:-1]) and not any(y for row in im for y in row)
+    with mp.workprec(600):
+        for j, (t_re, _, t_e) in enumerate(T.classes):
+            gap = abs(mp.ldexp(t_re[0][0], t_e) - mp.ldexp(re[j][j], e))
+            assert gap <= mp.ldexp(1, e - 1) + mp.ldexp(1, t_e - 1)
+    assert spectrum(T, 128).eigs == spectrum(D, 128).eigs
 
 
 def test_level_q1_disc_diagonal_closed_form():
     with mp.workprec(160):
         for r in (1.0, 1.3):
             v = Weight(Disc(0j, r), Constant(1.0))
-            T = level_q_matrix(v, 1, 2.0, 8, 128)
+            T = _rows(level_q_matrix(v, 1, 2.0, 8, 128))
             r2 = mp.mpf(r) ** 2
             for n in range(9):
                 exact = q1_diag(n, r2)
@@ -185,7 +208,7 @@ def test_level_q1_disc_diagonal_closed_form():
 
 def test_level_q1_unit_disc_tie():
     # the first three level-1 diagonal entries coincide at radius 1
-    T = level_q_matrix(UNIT_DISC, 1, 2.0, 4, 128)
+    T = _rows(level_q_matrix(UNIT_DISC, 1, 2.0, 4, 128))
     with mp.workprec(160):
         exact = 1 - 2 * mp.exp(-1)
         for n in range(3):
@@ -194,7 +217,7 @@ def test_level_q1_unit_disc_tie():
 
 
 def test_level_q1_generic_path_matches_closed_form():
-    T = on_boundary_path(level_q_matrix, UNIT_DISC, 1, 2.0, 6, 128)
+    T = _rows(on_boundary_path(level_q_matrix, UNIT_DISC, 1, 2.0, 6, 128))
     with mp.workprec(160):
         for n in range(7):
             exact = q1_diag(n, mp.mpf(1))
@@ -202,7 +225,7 @@ def test_level_q1_generic_path_matches_closed_form():
 
 
 def test_level_q2_closed_form_and_hermiticity():
-    T = level_q_matrix(UNIT_DISC, 2, 2.0, 4, 128)
+    T = _rows(level_q_matrix(UNIT_DISC, 2, 2.0, 4, 128))
     with mp.workprec(160):
         # creation applied twice to z^0 gives conj(z)^2, so T00 = gamma(3,1)/2!
         exact = g(3, 1) / 2
@@ -212,17 +235,24 @@ def test_level_q2_closed_form_and_hermiticity():
 @pytest.mark.parametrize("q", [0, 1, 2])
 @pytest.mark.parametrize("support", [Disc(0j, 1.0), Disc(0.3 + 0j, 0.8)], ids=["radial", "dense"])
 def test_level_q_matrix_is_a_lower_triangle(support, q):
-    # row j holds entries k <= j and ends in a real mpf diagonal; the
-    # radial block is exactly zero below it, the dense one is not
+    # one integer lower triangle per residue class: row t holds t + 1 real
+    # parts and t imaginary ones, and its diagonal is positive; the radial
+    # block is one class per index, the dense one a single class whose
+    # entries below the diagonal are not zero
     N = 5
     T = level_q_matrix(Weight(support, Constant(1.0)), q, 2.0, N, 128)
-    assert isinstance(T, list) and len(T) == N + 1
-    for j, row in enumerate(T):
-        assert isinstance(row, list) and len(row) == j + 1
-        assert type(row[j]) is mp.mpf and row[j] > 0
-    below = [x for row in T for x in row[:-1]]
-    assert all(x == 0 for x in below) == (support.center == 0)
-
+    assert isinstance(T, LevelBlock)
+    assert sum(len(re) for re, _, _ in T.classes) == N + 1
+    for c, (re, im, e) in enumerate(T.classes):
+        assert len(re) == len(range(c, N + 1, T.stride)) and isinstance(e, int)
+        for t, (xs, ys) in enumerate(zip(re, im)):
+            assert len(xs) == t + 1 and len(ys) == t and xs[t] > 0
+            assert all(type(x) is int for x in xs + ys)
+    if support.center == 0:
+        assert all(len(re) == 1 for re, _, _ in T.classes)
+    else:
+        (re, im, _), = T.classes
+        assert all(any(xs[:-1]) or any(ys) for xs, ys in zip(re[1:], im[1:]))
 
 
 def _mpc_level_q_rows(table, q, b0, N):
@@ -280,7 +310,11 @@ def test_level_q_matrix_matches_the_mpc_loop_within_its_roundings(v, q, N, p, mo
     #   F_j F_k lies within 2^(10 - P) of itself, times |T_kj|;
     # - each r^(2l) rounded to P bits, 2^-P times the sum of the terms'
     #   moduli, times f_j f_k (the moments are read exactly);
-    # - the result rounded once at out bits, 2^-out |T_kj|.
+    # - the result rounded once to nearest onto its class's grid 2^e, half a
+    #   unit 2^(e - 1). The mpc-valued assembly this replaced rounded each
+    #   part at out bits, 2^-out |T_kj|, and spectrum then floored it onto
+    #   the same class grid, up to one more unit 2^e: what spectrum reads
+    #   is now closer to the exact block.
     # No part of the block is wider than out, the bits spectrum reads.
     tables = []
 
@@ -289,30 +323,36 @@ def test_level_q_matrix_matches_the_mpc_loop_within_its_roundings(v, q, N, p, mo
         return tables[-1]
 
     monkeypatch.setattr(landau, "mixed_moments", recording)
-    rows = level_q_matrix(v, q, 2.0, N, p)
+    block = level_q_matrix(v, q, 2.0, N, p)
+    rows = _rows(block)
     ref, sizes = _mpc_level_q_rows(tables[0], q, 2.0, N)
     P, out = tables[0].precision_bits + 20, 2 * p + FIXED_GUARD_BITS
-    assert max(x[3] for row in rows for z in row for x in raw_parts(z)) <= out
+    assert all(abs(x) <= 1 << out for re, im, _ in block.classes for part in (re, im)
+               for row in part for x in row)
     with mp.workprec(P + 256):
         for k, (row, want_row, size_row) in enumerate(zip(rows, ref, sizes)):
-            assert type(row[k]) is mp.mpf
+            half_unit = mp.ldexp(1, block.classes[k % block.stride][2] - 1)
             for got, want, size in zip(row, want_row, size_row):
-                band = ((mp.mpf(2) ** (10 - P) + mp.mpf(2) ** -out) * abs(want)
-                        + mp.mpf(2) ** -P * size)
+                band = (mp.mpf(2) ** (10 - P) * abs(want) + mp.mpf(2) ** -P * size
+                        + half_unit)
                 assert abs(mp.re(got) - mp.re(want)) <= band
                 assert abs(mp.im(got) - mp.im(want)) <= band
 
 
 def test_leading_block_is_the_prefix():
-    # the leading m x m block of an assembly is rows[:m], and its spectrum
-    # matches mp.eighe of that block on every trusted eigenvalue
+    # the leading m x m block of an assembly keeps of each class the rows of
+    # its indices below m, and its spectrum matches mp.eighe of that block
+    # on every trusted eigenvalue
     p = 128
     T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 16, p)
     for m in (9, 13):
-        sp = spectrum(T[:m], p)
+        lead = LevelBlock(T.stride, tuple(
+            (re[:len(range(c, m, T.stride))], im[:len(range(c, m, T.stride))], e)
+            for c, (re, im, e) in enumerate(T.classes[:m])))
+        sp = spectrum(lead, p)
         assert len(sp.eigs) == m and sp.eigen_solve == "householder-ql"
         with mp.workprec(p + 128):
-            ref = sorted(mp.eighe(_full(T[:m]), eigvals_only=True), reverse=True)
+            ref = sorted(mp.eighe(_full(_rows(lead)), eigvals_only=True), reverse=True)
             for got, want in zip(sp.eigenvalues()[:sp.trusted_count], ref):
                 assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
 
@@ -320,8 +360,8 @@ def test_leading_block_is_the_prefix():
 # ----------------------------------------------------------------- spectrum
 
 def test_spectrum_diagonal_exact():
-    m = [[3], [0, 1], [0, 0, 2]]
-    sp = spectrum(m, 128)
+    # a stride past N leaves one index per class, each its own eigenvalue
+    sp = spectrum(level_block([[3], [0, 1], [0, 0, 2]], 3, 128), 128)
     with mp.workprec(128):
         assert sp.log_eigs == (mp.log(3), mp.log(2), mp.log(1))
     assert sp.trusted_count == 3
@@ -329,8 +369,7 @@ def test_spectrum_diagonal_exact():
 
 
 def test_spectrum_2x2_complex_closed_form():
-    m = [[mp.mpf(2)], [mp.mpc(0, -1), mp.mpf(1)]]
-    sp = spectrum(m, 128)
+    sp = spectrum(level_block([[mp.mpf(2)], [mp.mpc(0, -1), mp.mpf(1)]], 1, 128), 128)
     with mp.workprec(128):
         lam = ((3 + mp.sqrt(5)) / 2, (3 - mp.sqrt(5)) / 2)
         for got, want in zip(sp.eigenvalues(), lam):
@@ -346,35 +385,21 @@ def test_eigenvalues_keep_the_run_precision():
         assert abs(eigs[0] - exact) / exact < mp.mpf(10) ** -30
 
 
-def test_spectrum_rejects_bad_input():
-    # row j of the lower triangle holds j + 1 entries: a square block, a
-    # ragged row and an upper triangle are all rejected
-    for bad in ([[1.0, 0.5], [0.5, 1.0]], [[1.0], [0.5]], [[1.0, 0.5], [1.0]]):
-        with pytest.raises(ValueError, match="lower triangle"):
-            spectrum(bad, 64)
-
-
-def test_spectrum_rejects_a_non_real_diagonal():
-    # exactly real, not real within a tolerance, on the dense and the
-    # diagonal path alike
-    for bad in ([[mp.mpf(1)], [0.5, mp.mpc(1, 1e-40)]], [[mp.mpf(1)], [0, mp.mpc(1, 1e-3)]],
-                [[1j]]):
-        with pytest.raises(ValueError, match="diagonal .* must be real"):
-            spectrum(bad, 64)
-
-
 def test_diagonal_block_skips_the_integer_conversion(monkeypatch):
-    # exactly zero below the diagonal: the eigenvalues are read without
-    # _fixed_columns, and a lower triangle leaves no residual to report
+    # a radial block is one class per index: its eigenvalues are its
+    # diagonal, each rounded once to p, and it never reaches the Householder
+    # reduction; a direct sum of single indices leaves no residual to report
     def unused(*args):
-        raise AssertionError("a diagonal block reached _fixed_columns")
+        raise AssertionError("a diagonal block reached _householder_tridiagonal")
 
-    monkeypatch.setattr(landau, "_fixed_columns", unused)
-    sp = spectrum([[2], [0, mp.mpc(1, 0)]], 64)
+    monkeypatch.setattr(landau, "_householder_tridiagonal", unused)
+    T = level_q_matrix(UNIT_DISC, 1, 2.0, 12, 64)
+    sp = spectrum(T, 64)
     assert sp.eigen_solve == "diagonal"
     assert sp.matrix_residual == 0.0
     with mp.workprec(64):
-        assert sp.eigenvalues() == (2, 1)
+        assert sp.eigenvalues() == tuple(sorted((+mp.ldexp(re[0][0], e) for re, _, e in T.classes),
+                                                reverse=True))
 
 
 def test_spectrum_trusted_floor():
@@ -451,14 +476,12 @@ def _dense_with_spectrum(lams, seed, prec):
 @pytest.mark.parametrize("n, prec", [(13, 128), (13, 64), (25, 128)])
 def test_spectrum_matches_exact_oracle(n, prec):
     # a dense matrix with known eigenvalues gamma(k, 1)/(k-1)!, built 128 bits
-    # past the run and rounded once to it: every eigenvalue must land within
-    # a few units of 2^-p s_1
+    # past the run and rounded once onto the grid of a level block: every
+    # eigenvalue must land within a few units of 2^-p s_1
     with mp.workprec(prec + 128):
         lams = [mp.gammainc(k, 0, 1, regularized=True) for k in range(1, n + 1)]
     a = _dense_with_spectrum(lams, 20 + n, prec + 128)
-    with mp.workprec(prec):
-        a = [[+x for x in row[:j]] + [+row[j].real] for j, row in enumerate(a)]
-    sp = spectrum(a, prec)
+    sp = spectrum(level_block([row[:j + 1] for j, row in enumerate(a)], 1, prec), prec)
     assert sp.eigen_solve == "householder-ql"
     with mp.workprec(prec + 128):
         bound = 4 * mp.mpf(2) ** -prec * lams[0]
@@ -466,11 +489,13 @@ def test_spectrum_matches_exact_oracle(n, prec):
             assert abs(got - want) <= bound
 
 
-def test_centred_disc_spectrum_within_two_units():
+@pytest.mark.parametrize("N, p", [(48, 256), (64, 64), (96, 64)])
+def test_centred_disc_spectrum_within_two_units(N, p):
     # q = 0 on the unit disc: s_n = gamma(n, 1)/(n-1)! exactly, and every
-    # eigenvalue must lie within 2^(1-p) relative of it
-    p = 256
-    sp = toeplitz_spectrum(UNIT_DISC, 0, 2.0, 48, p)
+    # eigenvalue must lie within 2^(1-p) relative of it. Each index is its
+    # own class on its own grid: at N = 64 and 64 bits one grid for the
+    # whole diagonal rounded 38 of the 65 eigenvalues away from this
+    sp = toeplitz_spectrum(UNIT_DISC, 0, 2.0, N, p)
     with mp.workprec(p + 64):
         for n, got in enumerate(sp.eigenvalues(), start=1):
             exact = mp.gammainc(n, 0, 1, regularized=True)
@@ -478,25 +503,14 @@ def test_centred_disc_spectrum_within_two_units():
 
 
 def test_spectrum_diagonal_beyond_fixed_range():
-    # 2^-400 lies below the fixed-point step of a 64-bit solve; a diagonal
-    # input's eigenvalues are read from the input, not from its integers, so
-    # it comes back exactly
+    # 2^-400 lies far below 2^-p of the other index; each class has its own
+    # grid, so with a stride past N it comes back exactly
     tiny = mp.mpf(2) ** -400
-    sp = spectrum([[1], [0, tiny]], 64)
+    sp = spectrum(level_block([[1], [0, tiny]], 2, 64), 64)
     with mp.workprec(64):
         assert sp.log_eigs == (mp.log(1), mp.log(tiny))
     assert sp.eigen_solve == "diagonal"
     assert sp.matrix_residual == 0.0
-
-
-def test_spectrum_decides_diagonal_from_exact_zeros():
-    # off-diagonal entries below the fixed-point step vanish as integers, but
-    # they are not exact zeros, so the block is reduced, not read as diagonal
-    tiny = mp.mpf(2) ** -400
-    sp = spectrum([[1], [tiny, mp.mpf(1) / 2]], 64)
-    assert sp.eigen_solve == "householder-ql"
-    with mp.workprec(64):
-        assert sp.eigenvalues() == (1, mp.mpf(1) / 2)
 
 
 def test_tiny_offcenter_disc_level_q_raises_with_the_degree():
@@ -568,8 +582,8 @@ def test_ql_keeps_an_upward_graded_order(monkeypatch):
     # bits, each within 2^(1-p) relative of mp.eighe
     p, n = 128, 16
     calls = _record_ql_input(monkeypatch)
-    up = spectrum(_graded_tridiagonal(n, p, True), p)
-    down = spectrum(_graded_tridiagonal(n, p, False), p)
+    up = spectrum(level_block(_graded_tridiagonal(n, p, True), 1, p), p)
+    down = spectrum(level_block(_graded_tridiagonal(n, p, False), 1, p), p)
     (d_up, e_up), (d_down, e_down) = calls
     # the diagonal 2^(-3k) is exact on the integer grid, small end first
     assert d_up[0] > 0 and d_up[-1] == d_up[0] << 3 * (n - 1)
@@ -593,9 +607,9 @@ QL_BLOCKS = {
 def _ql_input(name, q, N, p):
     """The integer tridiagonal the QL receives for the ground-field block of
     QL_BLOCKS[name], with its grid exponent and fraction bits."""
-    T = level_q_matrix(Weight(QL_BLOCKS[name], Constant(1.0)), q, 2.0, N, p)
+    (re, im, e), = level_q_matrix(Weight(QL_BLOCKS[name], Constant(1.0)), q, 2.0, N, p).classes
     bits = 2 * p + FIXED_GUARD_BITS
-    re, im, e = landau._fixed_columns(T, bits)
+    re, im, e = landau._class_columns(re, im, e, bits)
     diag, sub2 = landau._householder_tridiagonal(re, im, bits)
     if abs(diag[0]) > abs(diag[-1]):
         diag.reverse()
@@ -665,7 +679,7 @@ def test_dense_spectrum_within_two_ulp(support, q):
     sp = spectrum(T, p)
     assert sp.eigen_solve == "householder-ql"
     with mp.workprec(p + 128):
-        ref = sorted(mp.eighe(_full(T), eigvals_only=True), reverse=True)
+        ref = sorted(mp.eighe(_full(_rows(T)), eigvals_only=True), reverse=True)
         for got, want in zip(sp.eigenvalues()[:sp.trusted_count], ref):
             assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
     assert sp.matrix_residual <= 1e-30
@@ -735,13 +749,15 @@ def test_workload_disc_tail_against_a_512_bit_run(seed):
 
 
 def test_spectrum_keeps_the_input_precision():
-    # level_q_matrix rounds each entry once at 2p + 32 bits, the width
-    # spectrum reads; the small eigenvalues of the off-centre block are
+    # level_q_matrix rounds each entry once onto a grid of 2p + 32 bits, the
+    # width spectrum reads; the small eigenvalues of the off-centre block are
     # ill-conditioned against rounding it to p, which moved s_25 by 2.2e-23
-    # relative
+    # relative. Read at a higher p, the block is shifted up exactly, the same
+    # integers as the block rounded onto the wider grid
     T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 24, 128)
     lo = spectrum(T, 128)
     hi = spectrum(T, 256)
+    assert hi.eigs == spectrum(level_block(_rows(T), T.stride, 256), 256).eigs
     assert lo.trusted_count == 25
     with mp.workprec(300):
         for a, b in zip(lo.log_eigs[:lo.trusted_count], hi.log_eigs):
@@ -866,7 +882,7 @@ def test_general_b0_assembly_against_direct_normalization():
               ) for k in range(j + 1)] for j in range(9)]
         for j in range(9):
             T[j][j] = mp.re(T[j][j])
-    sp_dir = spectrum(T, 128)
+    sp_dir = spectrum(level_block(T, 1, 128), 128)
     with mp.workprec(128):
         nt = min(sp_int.trusted_count, sp_dir.trusted_count)
         assert nt > 5

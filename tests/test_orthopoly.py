@@ -10,7 +10,7 @@ import math
 import pytest
 from mpmath import mp
 
-from landaucap._mp import hermitian_blocks, hermitian_cholesky
+from landaucap._mp import hermitian_cholesky
 from landaucap.errors import DegenerateMomentError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion, capacity_known
 from landaucap.weight import (
@@ -167,19 +167,16 @@ def _mpc_cholesky_log_pivots(rows, prec):
         return logs
 
 
-def _fdot_cholesky_log_pivots(rows, prec):
+def _fdot_cholesky_log_pivots(rows, prec, stride):
     """The mp.fdot kernel hermitian_cholesky replaced, kept as its bit-level
-    reference: per block of hermitian_blocks, each entry is one fdot of g_nk
+    reference: per residue class of stride, each entry is one fdot of g_nk
     and the products -L_nj conj(L_kj), exact, with the sum rounded once to
     prec; L_nk is that sum over L_kk, and d_n its real part."""
-    block_of = {i: block for block in hermitian_blocks(rows) for i in block}
     L, logs = [], []
     with mp.workprec(prec):
         for n, row in enumerate(rows):
             Ln, neg = [], []
-            for k in block_of[n]:
-                if k > n:
-                    break
+            for k in range(n % stride, n + 1, stride):
                 prev = L[k] if k < n else Ln
                 s = mp.fdot([(row[k], mp.one)] + list(zip(neg, prev)), conjugate=True)
                 if k == n:
@@ -211,8 +208,9 @@ def test_cholesky_log_pivots_match_the_mpc_loop(support, density, kind):
     # against the mpc loop at p + 128 bits on the same table, the log pivots
     # err by at most twice the loop's own worst error at p
     N, p = 24, 128
-    rows = mixed_moments(Weight(support, density), kind, N, p).rows
-    got = hermitian_cholesky(rows, p)
+    table = mixed_moments(Weight(support, density), kind, N, p)
+    rows = table.rows
+    got = hermitian_cholesky(rows, p, table.stride)
     ref = _mpc_cholesky_log_pivots(rows, p + 128)
     loop = _mpc_cholesky_log_pivots(rows, p)
     assert len(got) == N + 1
@@ -228,31 +226,35 @@ TWO_DISCS = UnionRegion((Disc(-0.6 + 0j, 0.5), Disc(0.6 + 0.2j, 0.4)))
 TINY_DISC = Disc(1 + 0j, 0.01)
 
 
+def _rows_and_stride(table):
+    return table.rows, table.stride
+
+
 def _plain(support, N, p, density=Constant(1.0)):
-    return lambda: mixed_moments(Weight(support, density), "plain", N, p).rows
+    return lambda: _rows_and_stride(mixed_moments(Weight(support, density), "plain", N, p))
 
 
 def _gaussian(support, N, p):
     """The table level_q_matrix checks at p: built at p + _boundary_guard."""
-    return lambda: mixed_moments(Weight(support, Constant(1.0)), "gaussian", N,
-                                 p + _boundary_guard(support, 1.0)).rows
+    return lambda: _rows_and_stride(mixed_moments(Weight(support, Constant(1.0)), "gaussian", N,
+                                                  p + _boundary_guard(support, 1.0)))
 
 
 def _int_zero_rows():
-    # one block {0, 1, 2} whose entry (2, 0) is a Python int 0
-    return [[mp.mpf(2)], [mp.mpc(1, 0.5), mp.mpf(3)], [0, mp.mpc(0.25, -0.5), mp.mpf(4)]]
+    # one class {0, 1, 2} whose entry (2, 0) is a Python int 0
+    return [[mp.mpf(2)], [mp.mpc(1, 0.5), mp.mpf(3)], [0, mp.mpc(0.25, -0.5), mp.mpf(4)]], 1
 
 
 def _real_rows():
     # Hilbert, all mpf: fdot returns an mpf for every entry
     with mp.workprec(160):
-        return [[mp.mpf(1) / (i + j + 1) for j in range(i + 1)] for i in range(12)]
+        return [[mp.mpf(1) / (i + j + 1) for j in range(i + 1)] for i in range(12)], 1
 
 
 def _blocked_rows(first):
-    # test_symmetry's blocks {0, 2} and {1, 3}, failing at degree 2 or 3
+    # test_symmetry's classes {0, 2} and {1, 3} of stride 2, failing at degree 2 or 3
     one = mp.mpf(1)
-    return [[one], [0, one], [first, 0, one], [0, one, 0, one]]
+    return [[one], [0, one], [first, 0, one], [0, one, 0, one]], 2
 
 
 @pytest.mark.parametrize("build, p, fails", [
@@ -284,11 +286,11 @@ def test_cholesky_is_bit_identical_to_the_fdot_loop(build, p, fails):
     # none of these tables reaches
     def outcome(factor):
         try:
-            return [x._mpf_ for x in factor(table, p)]
+            return [x._mpf_ for x in factor(rows, p, stride)]
         except DegenerateMomentError as err:
             return str(err)
 
-    table = build()
+    rows, stride = build()
     got = outcome(hermitian_cholesky)
     assert got == outcome(_fdot_cholesky_log_pivots)
     assert isinstance(got, str) == fails
@@ -318,9 +320,9 @@ def test_square_table_is_factored_once(monkeypatch):
 
     sizes = []
 
-    def counting(g, prec):
+    def counting(g, prec, stride):
         sizes.append(len(g))
-        return _mp.hermitian_cholesky(g, prec)
+        return _mp.hermitian_cholesky(g, prec, stride)
 
     for mod in ("landaucap.weight", "landaucap.orthopoly"):
         monkeypatch.setattr(f"{mod}.hermitian_cholesky", counting, raising=False)

@@ -2,8 +2,8 @@
 
 A support that z -> exp(2 pi i / m) z maps onto itself has mu_ab = 0
 unless a = b (mod m). The table records m as its stride and stores the
-other entries as exact zeros; the Cholesky and the eigen-solve split on
-those zeros. Splitting must not move a bit: with the symmetry helper
+other entries as exact zeros; the Cholesky and the eigen-solve split into
+its residue classes. Splitting must not move a bit: with the symmetry helper
 forced to 1, the whole table is computed, factored and solved as one
 block, and the results are compared bit for bit.
 """
@@ -11,7 +11,6 @@ block, and the results are compared bit for bit.
 import importlib.util
 import json
 import math
-import random
 import sys
 from pathlib import Path
 
@@ -19,9 +18,9 @@ import pytest
 from mpmath import mp
 
 import landaucap.weight as weight_module
-from landaucap._mp import hermitian_blocks, hermitian_cholesky
+from landaucap._mp import FIXED_GUARD_BITS, hermitian_cholesky, raw_parts, round_shift
 from landaucap.errors import DegenerateMomentError
-from landaucap.landau import level_q_matrix, spectrum, toeplitz_spectrum
+from landaucap.landau import LevelBlock, level_q_matrix, spectrum, toeplitz_spectrum
 from landaucap.orthopoly import monic_orthogonalize
 from landaucap.region import Disc, Polygon, UnionRegion, region_from_config
 from landaucap.weight import Constant, Power, Weight, mixed_moments
@@ -42,6 +41,28 @@ def square_support(seed):
     the command line reads it."""
     cfg = json.loads(json.dumps(load_workloads().square_config(seed)))
     return region_from_config(cfg["weight"]["support"])
+
+
+def level_block(rows, stride, p):
+    """The LevelBlock of the Hermitian matrix whose lower triangle is rows
+    (mp or Python numbers, diagonal imaginary parts ignored), as
+    level_q_matrix rounds its own: each residue class of stride rounded
+    once to nearest onto its grid 2^(top - out), top the top bit of its
+    largest part and out = 2p + FIXED_GUARD_BITS."""
+    out = 2 * p + FIXED_GUARD_BITS
+
+    def on_grid(x, e):
+        sign, man, exp, _ = x
+        return round_shift(-man if sign else man, e - exp)
+
+    classes = []
+    for c in range(min(stride, len(rows))):
+        idx = range(c, len(rows), stride)
+        parts = [[raw_parts(rows[k][j]) for j in idx if j <= k] for k in idx]
+        e = max(x[2] + x[3] for row in parts for z in row for x in z if x[1]) - out
+        classes.append(([[on_grid(z[0], e) for z in row] for row in parts],
+                        [[on_grid(z[1], e) for z in row[:-1]] for row in parts], e))
+    return LevelBlock(stride, tuple(classes))
 
 
 CENTRED_SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
@@ -105,9 +126,10 @@ def test_class_split_log_pivots_are_bit_identical(name, monkeypatch):
     whole_table(monkeypatch)
     whole = monic_orthogonalize(mixed_moments(w, "plain", 24, 128))
     assert whole.source.stride == 1
-    # the whole table's off-class entries are rounding noise, not zeros, so
-    # its Cholesky runs as one block
-    assert len(hermitian_blocks(whole.source.rows)) == 1
+    # the whole table's off-class entries are rounding noise, not zeros, and
+    # its Cholesky reads them all
+    rows = whole.source.rows
+    assert any(rows[a][b] for a in range(25) for b in range(a) if (a - b) % m)
     assert split.log_norms == whole.log_norms
 
 
@@ -127,49 +149,17 @@ def test_class_split_spectrum_is_bit_identical(name, q, monkeypatch):
 
 
 def test_level_q_block_splits_into_the_classes():
+    # the rectangle's stride 2 gives the even and the odd indices, and no
+    # assembled entry of either class is zero
     T = level_q_matrix(Weight(RECTANGLE, Constant(1.0)), 1, 2.0, 8, 64)
-    assert hermitian_blocks(T) == [[0, 2, 4, 6, 8], [1, 3, 5, 7]]
-    for j, row in enumerate(T):
-        for k, x in enumerate(row):
-            assert bool(x) == ((j - k) % 2 == 0), (j, k)
+    assert T.stride == 2
+    assert [len(re) for re, _, _ in T.classes] == [5, 4]
+    for re, im, _ in T.classes:
+        assert all(x for row in re for x in row)
+        assert all(x or y for xs, ys in zip(re, im) for x, y in zip(xs, ys))
 
 
 # --------------------------------------------------------- block primitives
-
-def test_hermitian_blocks_follow_chains_of_nonzeros():
-    one = mp.mpf(1)
-    rows = [[one], [0, one], [0, 0, one], [0, mp.mpc(0, 1), 0, one], [0, 0, 0, 1e-300, one]]
-    assert hermitian_blocks(rows) == [[0], [1, 3, 4], [2]]
-
-
-def _components(pattern):
-    """Connected components by search over every entry, the reference for
-    hermitian_blocks."""
-    n, seen, out = len(pattern), set(), []
-    for start in range(n):
-        if start in seen:
-            continue
-        block, todo = [], [start]
-        seen.add(start)
-        while todo:
-            i = todo.pop()
-            block.append(i)
-            for j in range(n):
-                if j not in seen and pattern[max(i, j)][min(i, j)] and i != j:
-                    seen.add(j)
-                    todo.append(j)
-        out.append(sorted(block))
-    return out
-
-
-def test_hermitian_blocks_match_a_search_on_random_patterns():
-    # dense prefixes take the one-entry-per-row path, the rest the full scan
-    rng = random.Random(19)
-    for _ in range(2000):
-        n, density = rng.randint(1, 10), rng.random()
-        rows = [[int(rng.random() < density) for _ in range(j)] + [1] for j in range(n)]
-        assert hermitian_blocks(rows) == _components(rows), rows
-
 
 def test_blocked_cholesky_names_the_least_failing_degree():
     # block {0, 2} fails at degree 2 and block {1, 3} at degree 3; rows
@@ -177,15 +167,15 @@ def test_blocked_cholesky_names_the_least_failing_degree():
     one = mp.mpf(1)
     rows = [[one], [0, one], [one, 0, one], [0, one, 0, one]]
     with pytest.raises(DegenerateMomentError, match="degree 2;"):
-        hermitian_cholesky(rows, 64)
+        hermitian_cholesky(rows, 64, 2)
     rows[2][0] = mp.mpf(0.5)
     with pytest.raises(DegenerateMomentError, match="degree 3;"):
-        hermitian_cholesky(rows, 64)
+        hermitian_cholesky(rows, 64, 2)
 
 
 def test_spectrum_of_a_direct_sum_matches_eighe():
-    # a 3x3, a 2x2 and a singleton block interleaved: the singleton is read
-    # from the input, the others reduced, and the merged spectrum sorted
+    # two interleaved 3x3 classes of stride 2, each reduced on its own, and
+    # the merged spectrum sorted; index 3 couples to nothing in its class
     p = 128
     with mp.workprec(p):
         rows = [[mp.mpf(3)],
@@ -194,11 +184,10 @@ def test_spectrum_of_a_direct_sum_matches_eighe():
                 [0, 0, 0, mp.mpf(7) / 3],
                 [mp.mpc(0, 0.125), 0, mp.mpf(0.5), 0, mp.mpf(0.75)],
                 [0, mp.mpc(0.5, -0.25), 0, 0, 0, mp.mpf(5)]]
-    assert hermitian_blocks(rows) == [[0, 2, 4], [1, 5], [3]]
-    sp = spectrum(rows, p)
+    block = level_block(rows, 2, p)
+    assert [len(re) for re, _, _ in block.classes] == [3, 3]
+    sp = spectrum(block, p)
     assert sp.eigen_solve == "householder-ql"
-    with mp.workprec(p):
-        assert mp.mpf(7) / 3 in sp.eigs
     assert sp.matrix_residual <= 1e-35
     with mp.workprec(p + 128):
         full = mp.matrix(6, 6)
