@@ -450,11 +450,17 @@ def spectrum(block: LevelBlock, precision_bits: int) -> ToeplitzSpectrum:
     one index, else "householder-ql".  matrix_residual is
     sqrt(sum over classes of |sum |a_ij|^2 - sum s_n^2|) / trace, which a
     unitary similarity of each class keeps at zero, and 0 on the diagonal
-    path.  Raises NonConvergenceError when the QL takes more than
-    _QL_ITERATIONS sweeps for one eigenvalue.
+    path.  Raises ValueError when a class is not a lower triangle (row t
+    of t + 1 real parts and t imaginary ones), and NonConvergenceError
+    when the QL takes more than _QL_ITERATIONS sweeps for one eigenvalue.
     """
     p = precision_bits
     bits = 2 * p + FIXED_GUARD_BITS
+    for re, im, _ in block.classes:
+        if (len(re) != len(im) or not re
+                or any(len(x) != t + 1 or len(y) != t for t, (x, y) in enumerate(zip(re, im)))):
+            raise ValueError("each class of the block must be a lower triangle: "
+                             "row t holds t + 1 real parts and t imaginary ones")
     eigs, gaps, traces = [], [], []
     with mp.workprec(p):
         for re, im, e in block.classes:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import libmp, mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from landaucap._mp import FIXED_GUARD_BITS
+from landaucap._mp import FIXED_GUARD_BITS, round_shift
 from landaucap.chebyshev import CapacityEstimate, capacity_estimate
 from landaucap import landau, weight as weight_module
 from landaucap.errors import DegenerateMomentError, NonConvergenceError
@@ -385,6 +385,16 @@ def test_eigenvalues_keep_the_run_precision():
         assert abs(eigs[0] - exact) / exact < mp.mpf(10) ** -30
 
 
+def test_spectrum_rejects_bad_input():
+    # row t of a class holds t + 1 real parts and t imaginary ones: a square
+    # class, a ragged real row, an imaginary part on the diagonal, a missing
+    # imaginary row and an empty class are all rejected
+    for re, im in (([[1, 2], [2, 1]], [[], [0]]), ([[1], [2]], [[], [0]]),
+                   ([[1], [2, 1]], [[0], [0]]), ([[1], [2, 1]], [[]]), ([], [])):
+        with pytest.raises(ValueError, match="lower triangle"):
+            spectrum(LevelBlock(1, ((re, im, 0),)), 64)
+
+
 def test_diagonal_block_skips_the_integer_conversion(monkeypatch):
     # a radial block is one class per index: its eigenvalues are its
     # diagonal, each rounded once to p, and it never reaches the Householder
@@ -511,6 +521,35 @@ def test_spectrum_diagonal_beyond_fixed_range():
         assert sp.log_eigs == (mp.log(1), mp.log(tiny))
     assert sp.eigen_solve == "diagonal"
     assert sp.matrix_residual == 0.0
+
+
+def test_spectrum_decides_diagonal_from_exact_zeros():
+    # the exact zeros are those between the classes of the stride: an
+    # off-diagonal entry within a class that rounds to a zero integer on its
+    # grid is not one, so the class is reduced, not read as diagonal
+    tiny = mp.mpf(2) ** -400
+    rows = [[1], [tiny, mp.mpf(1) / 2]]
+    dense = level_block(rows, 1, 64)
+    (_, im, _), = dense.classes
+    assert dense.classes[0][0][1][0] == 0 and im[1] == [0]
+    sp = spectrum(dense, 64)
+    assert sp.eigen_solve == "householder-ql"
+    with mp.workprec(64):
+        assert sp.eigenvalues() == (1, mp.mpf(1) / 2)
+    # with stride 2 the entry lies between the classes and is dropped
+    assert spectrum(level_block(rows, 2, 64), 64).eigen_solve == "diagonal"
+
+
+def test_round_shift_rounds_to_nearest_even_as_libmp():
+    # m 2^-s to the nearest integer, ties to even, for either sign; exact
+    # when s <= 0
+    rng = random.Random(7)
+    for _ in range(3000):
+        m, s = rng.randrange(-(1 << 80), 1 << 80), rng.randint(-8, 90)
+        want = m << -s if s <= 0 else libmp.to_int(libmp.from_man_exp(m, -s), libmp.round_nearest)
+        assert round_shift(m, s) == want, (m, s)
+    for m, want in ((1, 0), (3, 2), (5, 2), (7, 4), (-1, 0), (-3, -2), (-5, -2), (-7, -4)):
+        assert round_shift(m, 1) == want, m
 
 
 def test_tiny_offcenter_disc_level_q_raises_with_the_degree():

@@ -11,6 +11,7 @@ block, and the results are compared bit for bit.
 import importlib.util
 import json
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -171,6 +172,20 @@ def test_blocked_cholesky_names_the_least_failing_degree():
     rows[2][0] = mp.mpf(0.5)
     with pytest.raises(DegenerateMomentError, match="degree 3;"):
         hermitian_cholesky(rows, 64, 2)
+
+
+def test_cholesky_by_class_matches_the_whole_on_exact_zeros():
+    # a random positive definite table, zeroed exactly between the classes
+    # of its stride: factored one class at a time or as one block, every
+    # log pivot agrees bit for bit
+    rng = random.Random(19)
+    for stride in (2, 3, 4):
+        with mp.workprec(160):
+            n = 13
+            rows = [[mp.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) / 4 * ((j - k) % stride == 0)
+                     for k in range(j)] + [mp.mpf(n)] for j in range(n)]
+        split = hermitian_cholesky(rows, 128, stride)
+        assert [x._mpf_ for x in split] == [x._mpf_ for x in hermitian_cholesky(rows, 128, 1)]
 
 
 def test_spectrum_of_a_direct_sum_matches_eighe():
