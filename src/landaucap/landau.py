@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from mpmath import libmp, mp
+from mpmath import mp
 
 from ._mp import (
     FIXED_GUARD_BITS,
@@ -152,10 +152,9 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     unitarily onto the one at 2: the moments of v(z / eta) at b0 = 2 are
     eta^(a+b+2) times those of v at b0, so the table G of v is built at b0
     itself and eta is folded into the powers (R0 eta)^(a+b) that unscale it
-    and into the prefactor.  At q = 0 this is the ground level,
-    T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!). The normalisation is
-    f_j f_k with one f_j = exp(-(log(pi q! 2/b0) + log j!) / 2) per index,
-    the factorials entering through log-gamma.
+    and into the prefactor.  The normalisation is a closed form,
+    ||z^j exp(-b0 |z|^2 / 4)||^2 = pi j! (2/b0)^(j+1), times q! on level q:
+    at q = 0, T_jk = G_jk / sqrt(pi^2 (2/b0)^(j+k+2) j! k!).
 
     Every monomial of the level-q image of z^j has m - l = j - q, so entry
     (j, k) combines moments with a - b = j - k. The table's moments are
@@ -170,28 +169,31 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
 
     A monomial pair of entry (k, j) reads the stored moment rows[b][a],
     (b, a) = (l1 + m2, m1 + l2), scaled by r^(a+b) = r^(2(l1+l2)) r^(j-q)
-    r^(k-q), r = R0 eta: the entry is F_j F_k S_jk, F_j = f_j r^(j-q) and
-    S_jk = sum c1 c2 r^(2(l1+l2)) rows[b][a].  The moments, and the r^(2l)
-    (l <= 2q) rounded to P = prec + 20 bits, are read as integers over
-    their least exponent, exactly, so S_jk is one exact integer sum; times
-    the mantissa of F_j F_k (each F_j and the product rounded at P) it is
-    rounded once, to nearest, onto its class's grid 2^(top - out), top the
-    top bit of the class's largest part and out = 2 precision_bits +
-    FIXED_GUARD_BITS, the bits spectrum reads.  Each class has its own
-    grid: a radial block's diagonal falls by hundreds of bits, and one
-    grid for the whole block rounded its small entries away (38 of the 65
-    eigenvalues of the unit disc at N=64 and 64 bits, 25 of them to 0).
-    F_j needs P bits only: a diagonal scaling D T D of a
-    positive definite T moves each eigenvalue by at most about twice D's
-    relative error (Ostrowski, "A quantitative formulation of Sylvester's
-    law of inertia", PNAS 45, 1959).
+    r^(k-q), r = R0 eta: the entry is F_j F_k S_jk with
+    F_j^2 = b0 (r^2)^(j-q) / (2 pi q! j!) and
+    S_jk = sum c1 c2 (r^2)^(l1+l2) rows[b][a].  R0 (bounding_radius) and
+    b0 are doubles, so r^2 = R0^2 b0 / 2 is an exact binary number, and
+    the (r^2)^l (l <= 2q) and the moments are read as integers over their
+    least exponent, exactly: S_jk is one exact integer sum.  Each F_j is
+    one square root, rounded once to P = prec + 20 bits, of its square
+    formed at P + 20; F_j F_k is the exact product of two mantissas, and
+    S_jk times it is rounded once, to nearest, onto its class's grid
+    2^(top - out), top the top bit of the class's largest part and
+    out = 2 precision_bits + FIXED_GUARD_BITS, the bits spectrum reads.
+    Each class has its own grid: a radial block's diagonal falls by
+    hundreds of bits, and one grid for the whole block rounded its small
+    entries away (38 of the 65 eigenvalues of the unit disc at N=64 and 64
+    bits, 25 of them to 0).  F_j needs P bits only: a diagonal scaling
+    D T D of a positive definite T moves each eigenvalue by at most about
+    twice D's relative error (Ostrowski, "A quantitative formulation of
+    Sylvester's law of inertia", PNAS 45, 1959).
 
     The creation coefficients have both signs, so moments cancel in an
     entry: the table carries g = _boundary_guard(support, b0/2) bits past
     precision_bits, as its kernel does.  On a centred disc the cancellation
     in entry j peaks near j = b0 R0^2 / 2, so g needs no term in N; at N=24
     and 128 bits every trusted s_n of Disc(0, 3) and Disc(0, 1.4) lies
-    within 0.92 units of 2^-128 s_n of a 512-bit run up to q = 12.
+    within 0.98 units of 2^-128 s_n of a 512-bit run up to q = 12.
 
     A boundary table is checked by hermitian_cholesky on its stored lower
     triangle at precision_bits, its log pivots unused: a non-positive pivot
@@ -204,12 +206,15 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
         hermitian_cholesky(table.rows, precision_bits, table.stride)
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     P, out = prec + 20, 2 * precision_bits + FIXED_GUARD_BITS
-    with mp.workprec(P):
-        r = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
-        log_pi_q = mp.log(mp.pi) + mp.loggamma(q + 1) - mp.log(mp.mpf(b0) / 2)
-        F = [(mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2) * r ** (n - q))._mpf_
+    with mp.workprec(P + 20):
+        (mr, er), (mb, eb) = mp.mpf(table.scale_radius).man_exp, mp.mpf(b0).man_exp
+        m, E = mr * mr * mb, 2 * er + eb - 1  # r^2 = R0^2 b0 / 2 = m 2^E exactly
+        norm = mp.mpf(b0) / (2 * mp.pi * math.factorial(q))
+        # F_n = man 2^exp, the square root of F_n^2 rounded once to P
+        F = [mp.sqrt(norm * mp.ldexp(m, E) ** (n - q) / math.factorial(n), prec=P).man_exp
              for n in range(N + 1)]
-        (r2,), e_r = exact_fixed([[(r ** (2 * l))._mpf_ for l in range(2 * q + 1)]])
+    e_r = min(0, 2 * q * E)
+    r2 = [m ** l << (l * E - e_r) for l in range(2 * q + 1)]  # (r^2)^l = r2[l] 2^e_r
     cells = [(b, a) for b in range(N + q + 1) for a in range(b % table.stride, b + 1, table.stride)]
     ints, lo = exact_fixed(list(zip(*(raw_parts(table.rows[b][a]) for b, a in cells))))
     moments = dict(zip(cells, zip(*ints)))
@@ -226,8 +231,9 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
                         w = c1 * c2 * r2[l1 + l2]
                         re += w * gr
                         im += w * gi
-                _, man, exp, _ = libmp.mpf_mul(F[j], F[k], P, libmp.round_nearest)  # F_j F_k > 0
-                row.append((re * man, im * man if j < k else 0, exp + e_r + lo))
+                (fj, ej), (fk, ek) = F[j], F[k]
+                f = fj * fk  # F_j F_k = f 2^(ej + ek), exactly
+                row.append((re * f, im * f if j < k else 0, ej + ek + e_r + lo))
             exact.append(row)
         e = max(max(abs(x), abs(y)).bit_length() + z for row in exact for x, y, z in row) - out
         classes.append(([[round_shift(x, e - z) for x, _, z in row] for row in exact],

@@ -258,13 +258,11 @@ def test_level_q_matrix_is_a_lower_triangle(support, q):
 def _mpc_level_q_rows(table, q, b0, N):
     """The mpc assembly level_q_matrix replaced, kept as its reference:
     every term of entry (j, k), k >= j, read through MomentTable.entry and
-    summed in mpc at the table's precision + 256. Returns the lower
-    triangle and, for each entry, f_j f_k times the sum of its terms'
-    moduli."""
+    summed in mpc at the table's precision + 256, normalised through
+    log-gamma. Returns the lower triangle."""
     prec = table.precision_bits + 256
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     rows = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
-    sizes = [[mp.mpf(0)] * (j + 1) for j in range(N + 1)]
     with mp.workprec(prec):
         R0_eta = table.scale_radius * mp.sqrt(mp.mpf(b0) / 2)
         unscale = [R0_eta ** n for n in range(2 * (N + q) + 1)]
@@ -272,50 +270,55 @@ def _mpc_level_q_rows(table, q, b0, N):
         f = [mp.exp(-(log_pi_q + mp.loggamma(n + 1)) / 2) for n in range(N + 1)]
         for j in range(N + 1):
             for k in range(j, N + 1, table.stride):
-                acc, size = mp.mpc(0), mp.mpf(0)
+                acc = mp.mpc(0)
                 for (m1, l1), c1 in polys[j].items():
                     for (m2, l2), c2 in polys[k].items():
                         a, b = m1 + l2, l1 + m2
-                        term = (c1 * c2) * (table.entry(a, b) * unscale[a + b])
-                        acc += term
-                        size += abs(term)
+                        acc += (c1 * c2) * (table.entry(a, b) * unscale[a + b])
                 val = acc * (f[j] * f[k])
                 rows[k][j] = val.real if k == j else mp.conj(val)
-                sizes[k][j] = size * f[j] * f[k]
-    return rows, sizes
+    return rows
 
 
 RECTANGLE = Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.5j, -1 + 0.5j))
 SIDE20_SQUARE = Polygon((-10 - 10j, 10 - 10j, 10 + 10j, -10 + 10j))
+ASSEMBLY_SUPPORTS = (("disc-stride1", Disc(0.7 + 0j, 1.0)), ("rectangle-stride2", RECTANGLE),
+                     ("square-stride4", SQUARE))
 
 
-@pytest.mark.parametrize("v, q, N, p", [
-    pytest.param(Weight(support, Constant(1.0)), q, 12, 128, id=f"{name}-q{q}")
-    for name, support in (("disc-stride1", Disc(0.7 + 0j, 1.0)),
-                          ("rectangle-stride2", RECTANGLE), ("square-stride4", SQUARE))
-    for q in (0, 1, 2)
+@pytest.mark.parametrize("v, q, N, p, b0", [
+    pytest.param(Weight(support, Constant(1.0)), q, 12, 128, 2.0, id=f"{name}-q{q}")
+    for name, support in ASSEMBLY_SUPPORTS for q in (0, 1, 2)
 ] + [
-    pytest.param(ball_reduction_weight(1.0), 1, 48, 256, id="ball-q1-radial"),
-    pytest.param(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 24, 128, id="workload-disc"),
+    pytest.param(ball_reduction_weight(1.0), 1, 48, 256, 2.0, id="ball-q1-radial"),
+    pytest.param(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 24, 128, 2.0, id="workload-disc"),
     # guard 289: the table's entries carry 685 bits, more than 2p + 32 = 160
-    pytest.param(Weight(SIDE20_SQUARE, Constant(1.0)), 0, 6, 64, id="side20-square-p64"),
+    pytest.param(Weight(SIDE20_SQUARE, Constant(1.0)), 0, 6, 64, 2.0, id="side20-square-p64"),
+] + [
+    # at b0 = 3, r^2 = 3 R0^2 / 2 is not a power of two and F_j not a power of r
+    pytest.param(Weight(support, Constant(1.0)), q, 12, 128, 3.0, id=f"{name}-q{q}-b3")
+    for name, support in ASSEMBLY_SUPPORTS for q in (0, 1, 2, 3)
+] + [
+    pytest.param(ball_reduction_weight(1.0), 1, 48, 256, 3.0, id="ball-q1-radial-b3"),
+    pytest.param(UNIT_DISC, 2, 12, 128, 3.0, id="unit-disc-q2-b3"),
 ])
-def test_level_q_matrix_matches_the_mpc_loop_within_its_roundings(v, q, N, p, monkeypatch):
+def test_level_q_matrix_matches_the_mpc_loop_within_its_roundings(v, q, N, p, b0, monkeypatch):
     # against the mpc loop on the same table at 256 more bits, every part of
-    # entry (k, j) lies within the three roundings of the assembly, P the
+    # entry (k, j) lies within the two roundings of the assembly, P the
     # table's precision + 20 and out = 2p + 32:
-    # - F_j F_k: each F_j = f_j r^(j - q) comes from exp of an argument of
-    #   modulus below 2^8 at N <= 48, which it holds to a few units of 2^-P
-    #   of itself, and from a power of r; with their product rounded at P,
-    #   F_j F_k lies within 2^(10 - P) of itself, times |T_kj|;
-    # - each r^(2l) rounded to P bits, 2^-P times the sum of the terms'
-    #   moduli, times f_j f_k (the moments are read exactly);
+    # - F_j F_k: each F_j is the square root of F_j^2 = b0 (r^2)^(j - q) /
+    #   (2 pi q! j!), formed at P + 20 bits and rounded once to P, and the
+    #   product of two mantissas is exact, so F_j F_k, and the entry with
+    #   it, lies within about one unit 2^-P of itself; the moments and the
+    #   (r^2)^l are read exactly, so the band allows 2^(3 - P) |T_kj|;
     # - the result rounded once to nearest onto its class's grid 2^e, half a
-    #   unit 2^(e - 1). The mpc-valued assembly this replaced rounded each
-    #   part at out bits, 2^-out |T_kj|, and spectrum then floored it onto
-    #   the same class grid, up to one more unit 2^e: what spectrum reads
-    #   is now closer to the exact block.
-    # No part of the block is wider than out, the bits spectrum reads.
+    #   unit 2^(e - 1).
+    # Past the half unit the cases read 1.1 to 1.9 units of 2^-P |T_kj|
+    # (the side-20 square 0); the log-gamma normalisation with P-rounded
+    # powers of r and a P-rounded F_j F_k that this replaced read 10.9 to
+    # 175 units at b0 = 2 and 20 to 1.0e4 at b0 = 3 (Disc(0.7, 1) at
+    # q = 3). No part of the block is wider than out, the bits spectrum
+    # reads.
     tables = []
 
     def recording(*args, **kwargs):
@@ -323,18 +326,17 @@ def test_level_q_matrix_matches_the_mpc_loop_within_its_roundings(v, q, N, p, mo
         return tables[-1]
 
     monkeypatch.setattr(landau, "mixed_moments", recording)
-    block = level_q_matrix(v, q, 2.0, N, p)
+    block = level_q_matrix(v, q, b0, N, p)
     rows = _rows(block)
-    ref, sizes = _mpc_level_q_rows(tables[0], q, 2.0, N)
+    ref = _mpc_level_q_rows(tables[0], q, b0, N)
     P, out = tables[0].precision_bits + 20, 2 * p + FIXED_GUARD_BITS
     assert all(abs(x) <= 1 << out for re, im, _ in block.classes for part in (re, im)
                for row in part for x in row)
     with mp.workprec(P + 256):
-        for k, (row, want_row, size_row) in enumerate(zip(rows, ref, sizes)):
+        for k, (row, want_row) in enumerate(zip(rows, ref)):
             half_unit = mp.ldexp(1, block.classes[k % block.stride][2] - 1)
-            for got, want, size in zip(row, want_row, size_row):
-                band = (mp.mpf(2) ** (10 - P) * abs(want) + mp.mpf(2) ** -P * size
-                        + half_unit)
+            for got, want in zip(row, want_row):
+                band = mp.mpf(2) ** (3 - P) * abs(want) + half_unit
                 assert abs(mp.re(got) - mp.re(want)) <= band
                 assert abs(mp.im(got) - mp.im(want)) <= band
 
@@ -771,11 +773,13 @@ def test_wide_support_level_q_within_two_units(v, q):
 
 @pytest.mark.parametrize("seed", [1, 7])
 def test_workload_disc_tail_against_a_512_bit_run(seed):
-    # q = 0, N = 24, 128 bits: the worst trusted s_n lies 8.6e8 (seed 1) and
-    # 6.6e7 (seed 7) units of 2^-128 s_n from a 512-bit run, against 8.7e12
-    # and 3.2e14 with the moments rounded to p + g and each level-q term at
-    # p + g + 20; the band, 1e10 units, is 12 times the first. The tail is
-    # ill-conditioned, so this is not the 2-unit band of the wide supports.
+    # q = 0, N = 24, 128 bits: the worst trusted s_n, s_25 on both seeds,
+    # lies 4.7e8 (seed 1) and 4.6e8 (seed 7) units of 2^-128 s_n from a
+    # 512-bit run, against 8.7e12 and 3.2e14 with the moments rounded to
+    # p + g and each level-q term at p + g + 20; the band, 1e10 units, is
+    # 21 times the first. The tail is ill-conditioned, so this is not the
+    # 2-unit band of the wide supports, and its last digits move with any
+    # rounding of the block.
     # The disc is read back from JSON, as the command line reads it
     config = json.loads(json.dumps(load_workloads().offcenter_config(seed)))
     v = weight_from_config(config["weight"])
