@@ -1,9 +1,10 @@
 """Extended-precision building blocks: the Gauss-Legendre node cache, the
 log pivots of the Cholesky of a Hermitian matrix, read from its stored
-lower triangle one residue class at a time, and exact fixed-point dot
-products and roundings.  The kernels run on Python integers and mpmath's
-raw libmp tuples, with libmp's rounding; mpf and mpc objects are read and
-made only at their edges."""
+lower triangle one residue class at a time, in real arithmetic when the
+matrix is real, and exact fixed-point dot products and roundings.  The
+kernels run on Python integers and mpmath's raw libmp tuples, with
+libmp's rounding; mpf and mpc objects are read and made only at their
+edges."""
 
 from __future__ import annotations
 
@@ -104,11 +105,19 @@ def hermitian_cholesky(rows, prec: int, stride: int):
     on its diagonal alone. Row n needs every earlier row of its class, so
     the factor is kept until the last pivot and dropped. Raises
     DegenerateMomentError on a non-positive pivot, at the least such degree.
+
+    A table with no mpc entry (a mirror or radial table, MomentTable.turn)
+    is real: L is real, and each entry takes one integer dot product, the
+    complex arithmetic less its imaginary terms. Its pivots are bit for bit
+    those of the complex arithmetic on the same entries as mpc with zero
+    imaginary parts.
     """
     rnd = libmp.round_nearest
+    real = not any(hasattr(x, "_mpc_") for row in rows for x in row)
     L, logs = [], []  # L[k] = (re, im, re - im, e, L_kk): L_kj = (re_j + i im_j) 2^e
     for n, row in enumerate(rows):
-        ar, ai, ab, e = [], [], [], 0  # L_nj = (ar_j + i ai_j) 2^e so far, ab = ar + ai
+        # L_nj = (ar_j + i ai_j) 2^e so far, ab = ar + ai; ai and ab stay empty when real
+        ar, ai, ab, e = [], [], [], 0
         for k in range(n % stride, n + 1, stride):
             gr, gi = raw_parts(row[k])
             if k == n:
@@ -121,18 +130,24 @@ def hermitian_cholesky(rows, prec: int, stride: int):
                           libmp.mpf_sqrt(d, prec, rnd)))
                 break
             cr, ci, cd, ek, lkk = L[k]
-            A, B = dot(ar, cr), dot(ai, ci)
-            sr = _round_difference(gr, A + B, e + ek, prec)
-            si = _round_difference(gi, dot(ab, cd) - A + B, e + ek, prec)
-            xr, xi = libmp.mpf_div(sr, lkk, prec, rnd), libmp.mpf_div(si, lkk, prec, rnd)
-            lo = min([e] + [x[2] for x in (xr, xi) if x[1]])
+            A = dot(ar, cr)
+            if real:
+                xs = (libmp.mpf_div(_round_difference(gr, A, e + ek, prec), lkk, prec, rnd),)
+            else:
+                B = dot(ai, ci)
+                sr = _round_difference(gr, A + B, e + ek, prec)
+                si = _round_difference(gi, dot(ab, cd) - A + B, e + ek, prec)
+                xs = libmp.mpf_div(sr, lkk, prec, rnd), libmp.mpf_div(si, lkk, prec, rnd)
+            lo = min([e] + [x[2] for x in xs if x[1]])
             if lo < e:
-                ar, ai, ab = ([x << e - lo for x in xs] for xs in (ar, ai, ab))
+                ar, ai, ab = ([x << e - lo for x in ys] for ys in (ar, ai, ab))
                 e = lo
-            r, i = libmp.to_fixed(xr, -e), libmp.to_fixed(xi, -e)
+            r = libmp.to_fixed(xs[0], -e)
             ar.append(r)
-            ai.append(i)
-            ab.append(r + i)
+            if not real:
+                i = libmp.to_fixed(xs[1], -e)
+                ai.append(i)
+                ab.append(r + i)
     return logs
 
 

@@ -6,14 +6,15 @@ normalized level basis.  It is assembled from Gaussian mixed moments, as
 exact integers, into a LevelBlock: one integer lower triangle per residue
 class of the moment table's stride, each rounded once onto its own power of
 two at 2p + 32 bits (p the working precision), the one format spectrum
-reads.  A class of one index is its own eigenvalue.  Every other class is
-reduced to a real tridiagonal matrix by Householder reflections on those
-integers, and the tridiagonal solved by an implicit QL on the same
-integers, carried as many bits further down as the tridiagonal's diagonal
-spans, each eigenvalue rounded once to p bits.  The s_n decay
-super-geometrically, so the tridiagonal is steeply graded; the QL deflates
-from the top, and it is handed the tridiagonal small end first, which
-takes fewer iterations.  radial_oracle gives the eigenvalues of a centred
+reads; a real table (a support with a mirror line through 0, turned onto
+the real axis) gives real classes.  A class of one index is its own
+eigenvalue.  Every other class is reduced to a real tridiagonal matrix by
+Householder reflections on those integers, and the tridiagonal solved by
+an implicit QL on the same integers, carried as many bits further down as
+the tridiagonal's diagonal spans, each eigenvalue rounded once to p bits.
+The s_n decay super-geometrically, so the tridiagonal is steeply graded;
+the QL deflates from the top, and it is handed the tridiagonal small end
+first, which takes fewer iterations.  radial_oracle gives the eigenvalues of a centred
 radial weight by 1d quadrature, and theorem_predictions the n-th-root
 limits that the minimal norms and the capacity predict for them.
 """
@@ -97,7 +98,8 @@ class LevelBlock:
     Class c holds the indices c, c + stride, ... <= N and is stored as
     (re, im, e): row t of its lower triangle is re[t] (t + 1 real parts)
     and im[t] (the t imaginary parts left of the diagonal), every entry
-    (re + i im) 2^e.  The diagonal is real by construction.
+    (re + i im) 2^e.  The diagonal is real by construction.  A real class,
+    from a real moment table (MomentTable.turn), has im None.
     """
     stride: int
     classes: tuple
@@ -166,6 +168,10 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     The block is returned as a LevelBlock, one integer lower triangle per
     residue class of table.stride, the one format spectrum reads; the
     leading m x m block keeps of each class the rows of its indices below m.
+    A real table (a mirror-symmetric support turned onto the real axis, or a
+    radial one; MomentTable.turn) gives real classes (re, None, e): the
+    block of the turned weight, D T D^H with D = diag(w^j), which has the
+    same eigenvalues.
 
     A monomial pair of entry (k, j) reads the stored moment rows[b][a],
     (b, a) = (l1 + m2, m1 + l2), scaled by r^(a+b) = r^(2(l1+l2)) r^(j-q)
@@ -237,6 +243,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
             exact.append(row)
         e = max(max(abs(x), abs(y)).bit_length() + z for row in exact for x, y, z in row) - out
         classes.append(([[round_shift(x, e - z) for x, _, z in row] for row in exact],
+                        None if table.turn is not None else  # a real table's are exact 0
                         [[round_shift(y, e - z) for _, y, z in row[:-1]] for row in exact], e))
     return LevelBlock(table.stride, tuple(classes))
 
@@ -245,17 +252,20 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
 
 def _class_columns(re, im, e: int, bits: int):
     """Integer columns (re, im) of the Hermitian matrix whose lower triangle
-    is one class of a LevelBlock, over one power of two.
+    is one class of a LevelBlock, over one power of two; im is None for a
+    real class.
 
     The class is shifted up exactly until its widest part holds bits bits
     (level_q_matrix builds it that wide), never rounded, and one bit
     further, a guard bit for the reduction's own roundings.  Column j holds
     a_kj for every k, conjugates mirrored above the diagonal.
     """
-    width = max(abs(x).bit_length() for part in (re, im) for row in part for x in row)
+    width = max(abs(x).bit_length() for part in (re, im or []) for row in part for x in row)
     s = max(0, bits - width) + 1
     n = len(re)
     cre = [[x << s for x in re[j]] + [re[k][j] << s for k in range(j + 1, n)] for j in range(n)]
+    if im is None:
+        return cre, None, e - s
     cim = [[-y << s for y in im[j]] + [0] + [im[k][j] << s for k in range(j + 1, n)]
            for j in range(n)]
     return cre, cim, e - s
@@ -273,8 +283,10 @@ def _householder_tridiagonal(re, im, bits: int):
     B - u w^H - w u^H with p = B u, K = u^H p / 2 and w = p - K u, exactly
     Hermitian again.  The sub-diagonal alpha keeps only its modulus |x|: a
     diagonal unitary similarity takes the phases away.  The columns are
-    overwritten.
+    overwritten.  A real class (im None) is reduced by _real_householder.
     """
+    if im is None:
+        return _real_householder(re, bits)
     n = len(re)
     one = 1 << bits
     half = one >> 1
@@ -321,6 +333,46 @@ def _householder_tridiagonal(re, im, bits: int):
             ci[k + 1:j] = [-im[i][j] for i in range(k + 1, j)]
     if n:
         diag.append(re[n - 1][n - 1])
+    return diag, sub2
+
+
+def _real_householder(cols, bits: int):
+    """_householder_tridiagonal on real symmetric integer columns: the same
+    reflections with every imaginary term dropped, so on a class whose
+    imaginary parts are zero it gives the complex reduction's diagonal and
+    squared sub-diagonal bit for bit, with a quarter of its products."""
+    n = len(cols)
+    one = 1 << bits
+    half = one >> 1
+    diag, sub2 = [], []
+    for k in range(n - 1):
+        diag.append(cols[k][k])
+        x = cols[k][k + 1:]
+        s = dot(x, x)
+        sub2.append(s)
+        if not any(x[1:]):
+            continue
+        nx = math.isqrt(s << 2 * bits)
+        a0 = abs(x[0]) << bits
+        den = math.isqrt(nx * (nx + a0))
+        u = [((y << 2 * bits) + (den >> 1)) // den for y in x]
+        if a0:
+            num, div = (a0 + nx) << 2 * bits, a0 * den
+            u[0] = (x[0] * num + (div >> 1)) // div
+        else:
+            u[0] = one
+        rest = range(k + 1, n)
+        p = [(dot(cols[j][k + 1:], u) + half) >> bits for j in rest]
+        k2 = dot(u, p)
+        w = [y - ((k2 * v + one * one) >> 2 * bits + 1) for y, v in zip(p, u)]
+        for t, j in enumerate(rest):
+            a, c = w[t], u[t]
+            col = cols[j]
+            col[j:] = [z - ((a * y + c * g + half) >> bits)
+                       for z, y, g in zip(col[j:], u[t:], w[t:])]
+            col[k + 1:j] = [cols[i][j] for i in range(k + 1, j)]
+    if n:
+        diag.append(cols[n - 1][n - 1])
     return diag, sub2
 
 
@@ -418,7 +470,7 @@ def _reduce_and_solve(re, im, e: int, bits: int, p: int):
     Householder reduction and implicit QL on integers, with the class's
     Frobenius gap sum |a_ij|^2 - sum s_n^2 and its trace at bits + 20."""
     re, im, e = _class_columns(re, im, e, bits)
-    fro2 = sum(dot(cr, cr) + dot(ci, ci) for cr, ci in zip(re, im))
+    fro2 = sum(dot(c, c) for part in (re, im or []) for c in part)
     diag, sub2 = _householder_tridiagonal(re, im, bits)
     if abs(diag[0]) > abs(diag[-1]):  # start a graded QL at its small end
         diag.reverse()
@@ -443,12 +495,16 @@ def spectrum(block: LevelBlock, precision_bits: int) -> ToeplitzSpectrum:
     FIXED_GUARD_BITS bits, exactly Hermitian; a class built at a lower p is
     shifted up exactly.  Householder reflections reduce the columns to a
     real tridiagonal matrix, whose eigenvalues an implicit QL on integers
-    finds (_tridiagonal_ql); each is then rounded once to p.  The QL
-    (EISPACK's imtql1) deflates from the top with a shift from the leading
-    2x2 block, so, as LAPACK's dsteqr does, the tridiagonal is reversed
-    when |d_0| > |d_(n-1)|: a graded one is then started at its small end,
-    and the off-centre disc's at N=24 takes 28 iterations instead of 72.
-    Reversal is a permutation similarity and leaves the spectrum unchanged.
+    finds (_tridiagonal_ql); each is then rounded once to p.  A real class
+    (im None, from a mirror-symmetric or radial table) is reduced by the
+    same reflections less their imaginary terms (_real_householder); the
+    QL is shared.  The QL (EISPACK's imtql1) deflates from the top with a
+    shift from the leading 2x2 block, so, as LAPACK's dsteqr does, the
+    tridiagonal is reversed when |d_0| > |d_(n-1)|: a graded one is then
+    started at its small end.  The off-centre disc's real block at N=24
+    and 128 bits then takes 28 QL sweeps instead of 72, on Disc(0.7, 1)
+    and on the benchmark discs of seeds 1 and 7 alike.  Reversal is a
+    permutation similarity and leaves the spectrum unchanged.
 
     The merged eigenvalues are reported sorted descending in log domain,
     trusted_count marks how many exceed the relative floor
@@ -457,16 +513,19 @@ def spectrum(block: LevelBlock, precision_bits: int) -> ToeplitzSpectrum:
     sqrt(sum over classes of |sum |a_ij|^2 - sum s_n^2|) / trace, which a
     unitary similarity of each class keeps at zero, and 0 on the diagonal
     path.  Raises ValueError when a class is not a lower triangle (row t
-    of t + 1 real parts and t imaginary ones), and NonConvergenceError
-    when the QL takes more than _QL_ITERATIONS sweeps for one eigenvalue.
+    of t + 1 real parts and, unless im is None, t imaginary ones), and
+    NonConvergenceError when the QL takes more than _QL_ITERATIONS sweeps
+    for one eigenvalue.
     """
     p = precision_bits
     bits = 2 * p + FIXED_GUARD_BITS
     for re, im, _ in block.classes:
-        if (len(re) != len(im) or not re
-                or any(len(x) != t + 1 or len(y) != t for t, (x, y) in enumerate(zip(re, im)))):
+        if (not re or any(len(x) != t + 1 for t, x in enumerate(re))
+                or im is not None and (len(im) != len(re)
+                                       or any(len(y) != t for t, y in enumerate(im)))):
             raise ValueError("each class of the block must be a lower triangle: "
-                             "row t holds t + 1 real parts and t imaginary ones")
+                             "row t holds t + 1 real parts and, unless the class is "
+                             "real (im None), t imaginary ones")
     eigs, gaps, traces = [], [], []
     with mp.workprec(p):
         for re, im, e in block.classes:

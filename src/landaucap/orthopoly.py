@@ -48,9 +48,12 @@ def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
     hermitian_cholesky reads the table's stored lower triangle (rows) one
     residue class of its stride at a time and returns the log pivots, the
     log squared norms of the monomials (z/R0)^a the table is prescaled to;
-    log M_n += 2n log R0 takes them back to the plain z basis. The Cholesky is also the table's validity check: a
-    nonpositive pivot, on a diagonal table too, raises its
-    DegenerateMomentError.
+    log M_n += 2n log R0 takes them back to the plain z basis. A table
+    turned onto a mirror image (MomentTable.turn) holds the real moments
+    of the turned support, a diagonal unitary similarity of the support's
+    own with the same pivots, and is factored in real arithmetic. The
+    Cholesky is also the table's validity check: a nonpositive pivot, on a
+    diagonal table too, raises its DegenerateMomentError.
     """
     N = moments.maxdeg
     prec = moments.precision_bits

@@ -17,6 +17,11 @@ factors S_s of both paths are integer rows (_s_column), as are the Chord's
 Beta-Kummer sums (_chord_column); a plain boundary table has
 S_s(0) = 1 / (s + 1), so it divides each entry by b + 1 + k/2 inside that
 rounding instead.
+
+A support with an exact mirror line through 0 (_mirror) is turned onto its
+mirror image by z -> conj(z): its rule holds one node of each mirror pair,
+and its table, the moments of the turned support, is real by construction
+(MomentTable.turn); entry() gives back the moments of the support itself.
 """
 
 from __future__ import annotations
@@ -143,11 +148,18 @@ def weight_key(w: Weight) -> str:
 @dataclass
 class _Rule:
     """Nodes on a positively oriented boundary with their steps dz, and the
-    largest design degree of its pieces (-1 when none is stated)."""
+    largest design degree of its pieces (-1 when none is stated).
+
+    turn is None for a literal rule. Otherwise the rule lies on the support
+    turned by conj(w), w = turn / |turn| (_mirror), which z -> conj(z) maps
+    onto itself, and holds one node of each mirror pair: a node off the
+    real axis stands for itself and its conjugate, its step doubled, and
+    the rule integrates the real part of the boundary integrand."""
 
     nodes: list
     steps: list
     design_degree: int = -1
+    turn: object = None
 
 
 def _odd_power_nodes(log_decay: float, prec: int) -> int:
@@ -159,7 +171,7 @@ def _odd_power_nodes(log_decay: float, prec: int) -> int:
     return count
 
 
-def _edges(vs, maxdeg, prec, k, beta):
+def _edges(vs, maxdeg, prec, k, beta, seen=None):
     """Gauss-Legendre on every edge of a counterclockwise ring for the table
     of bidegree maxdeg of v = c |z|^k, Gaussian exp(-beta |z|^2) unless
     beta = 0: n nodes each, exact in (z, conj z) to the design degree
@@ -180,7 +192,14 @@ def _edges(vs, maxdeg, prec, k, beta):
     inside the Bernstein ellipse through the edge parameter t0 of the origin,
     so the error falls like rho(t0)^-2 per node. Those edges all get the
     largest count of _odd_power_nodes more, so the ring computes at most two
-    Gauss-Legendre rules; their design degree counts the larger."""
+    Gauss-Legendre rules; their design degree counts the larger.
+
+    seen, when given, holds the pieces of a mirror-symmetric boundary
+    already in the rule (_build_rule): a piece whose mirror image
+    (conj(b), conj(a)) is among them is left out, and every other piece
+    has its steps doubled, except that a piece that is its own image keeps
+    only its nodes x <= 0 (the rule is exactly antisymmetric), whose x = 0
+    lies on the real axis and is counted once."""
     pieces, extra = [], 0
     for a, b in zip(vs, vs[1:] + vs[:1]):
         if k % 2 and mp.fmul(a.real, b.imag, exact=True) != mp.fmul(a.imag, b.real, exact=True):
@@ -201,10 +220,20 @@ def _edges(vs, maxdeg, prec, k, beta):
     nodes, steps = [], []
     with mp.workprec(prec + 10):
         for a, b, analytic in pieces:
+            image = (b.conjugate(), a.conjugate())
+            if seen is not None and image in seen:
+                continue
             xs, ws = gauss_legendre(n + extra if analytic else n, prec)
             half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
+            ds = [half * w for w in ws]
+            if seen is not None:
+                seen.add((a, b))
+                own = image == (a, b)  # node x is the image of node -x
+                if own:
+                    xs, ds = xs[:(len(xs) + 1) // 2], ds[:(len(xs) + 1) // 2]
+                ds = [d if own and not x else 2 * d for x, d in zip(xs, ds)]
             nodes.extend(mid + half * x for x in xs)
-            steps.extend(half * w for w in ws)
+            steps.extend(ds)
     return nodes, steps, 2 * (n + extra) - 1
 
 
@@ -240,14 +269,31 @@ def _gaussian_tail(x: float, bits: int) -> int:
     return M
 
 
-def _circle(center, radius, T: int, prec: int, sign=1):
+def _circle(center, radius, T: int, prec: int, sign=1, seen=None):
     """The trapezoid rule with T nodes on a counterclockwise circle (sign -1
-    reverses it): exact for trigonometric polynomials of degree < T."""
+    reverses it): exact for trigonometric polynomials of degree < T.
+
+    seen, when given, holds the pieces of a mirror-symmetric boundary
+    already in the rule, as in _edges: a circle whose mirror image is among
+    them is left out, one centred elsewhere off the real axis has its steps
+    doubled, and one centred on the real axis keeps the nodes t = 0..T/2,
+    node t standing for itself and its image T - t, its step doubled
+    except on the axis (t = 0 and t = T/2)."""
+    key, image = (center, radius, sign), (center.conjugate(), radius, sign)
+    if seen is not None:
+        if image in seen:
+            return [], []
+        seen.add(key)
+    own = seen is not None and image == key  # node t is the image of node T - t
+    ts = range(T // 2 + 1) if own else range(T)
     with mp.workprec(prec + 10):
-        es = [mp.expjpi(mp.mpf(2 * t) / T) for t in range(T)]
+        es = [mp.expjpi(mp.mpf(2 * t) / T) for t in ts]
         r = mp.mpf(radius)
         step = mp.mpc(0, sign * 2 * mp.pi / T) * r
-        return [center + r * e for e in es], [step * e for e in es]
+        steps = [step * e for e in es]
+        if seen is not None:
+            steps = [d if own and 2 * t % T == 0 else 2 * d for t, d in zip(ts, steps)]
+        return [center + r * e for e in es], steps
 
 
 def _rep_point(region: Region) -> complex:
@@ -351,39 +397,62 @@ def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0, beta: float
     table of bidegree maxdeg of v = c |z|^k, Gaussian exp(-beta |z|^2)
     unless beta = 0, at prec bits; its nodes carry _boundary_guard more
     bits. Each piece is sized on its own (_pieces); the rule's design
-    degree is the largest of theirs."""
+    degree is the largest of theirs.
+
+    A support with an exact mirror line through 0 (_mirror) gets the
+    rule's turn: its pieces are built on the support turned by conj(w),
+    one of each mirror pair (_edges, _circle). A single disc or annulus
+    is turned onto the centre |c|, formed at the rule's working precision
+    from the double centre c; a polygon or union turns by 1 or -i, exactly.
+    Every density c |z|^k, and each piece's size, is the same on the turned
+    support."""
     parts = support.parts if isinstance(support, UnionRegion) else (support,)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not _disjoint(parts[i], parts[j]):
                 raise ValueError(UNION_MSG)
     prec += _boundary_guard(support, beta)
+    turn = _mirror(support)
+    seen = None if turn is None else set()
     nodes, steps, design = [], [], -1
     for p in parts:
-        for ns, ds, d in _pieces(p, maxdeg, prec, k, beta):
+        for ns, ds, d in _pieces(p, maxdeg, prec, k, beta, turn, seen):
             nodes.extend(ns)
             steps.extend(ds)
             design = max(design, d)
-    return _Rule(nodes, steps, design)
+    return _Rule(nodes, steps, design, turn)
 
 
-def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float):
+def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turn=None, seen=None):
     """(nodes, steps, design degree) pieces of one part's boundary rule:
     Gauss-Legendre on a polygon's edges (_edges), on each circle the
     trapezoid rule of its own _circle_size, whose design degree is T - 2
     (an annulus's inner circle reversed); both size the Gaussian's tail by
-    _gaussian_tail."""
+    _gaussian_tail. With a turn (_build_rule) the pieces lie on the part
+    turned by conj(w), and seen holds the mirror pieces already built."""
     if isinstance(part, Polygon):
-        return [_edges(part.vertices, maxdeg, prec, k, beta)]
+        vs = part.vertices if turn in (None, 1) else tuple(map(_times_minus_i, part.vertices))
+        return [_edges(vs, maxdeg, prec, k, beta, seen)]
     if not isinstance(part, (Disc, Annulus)):
         raise TypeError(f"not a region: {part!r}")
+    center = part.center
+    if turn == 1j:
+        center = _times_minus_i(center)
+    elif turn not in (None, 1):  # a single disc or annulus, turn = c: onto |c|
+        with mp.workprec(prec + 10):
+            center = abs(mp.mpc(center))
     lo, hi = _radial_interval(part)
     circles = [(hi, 1)] + ([(lo, -1)] if lo > 0 else [])
     out = []
     for r, sign in circles:
         T = _circle_size(part.center, float(r), maxdeg, prec, k, beta)
-        out.append((*_circle(part.center, r, T, prec, sign), T - 2))
+        out.append((*_circle(center, r, T, prec, sign, seen), T - 2))
     return out
+
+
+def _times_minus_i(z: complex) -> complex:
+    """-i z, exactly."""
+    return complex(z.imag, -z.real)
 
 
 # ------------------------------------------------------------- moment tables
@@ -401,18 +470,28 @@ class MomentTable:
     # path, which has no rule
     design_degree: int
     stride: int = 1        # rows[a][b] is an exact 0 unless a = b (mod stride)
+    # None: rows are the moments, complex. Otherwise rows are real, the
+    # moments of the support turned by conj(w), w = turn / |turn| (_mirror);
+    # 1 on the radial path
+    turn: object = None
 
     def entry(self, a: int, b: int):
         """Scaled moment for monomials (z/R0)^a conj(z/R0)^b; an exact 0
-        off the residue classes of the stride."""
+        off the residue classes of the stride. On a turned table it is
+        w^(a-b) rows[a][b], formed at the entry's width plus 10 bits."""
         if max(a, b) > self.maxdeg:
             raise IndexError("degree beyond table")
-        if b <= a:
-            return self.rows[a][b]
-        z = self.rows[b][a]
-        if hasattr(z, "_mpc_"):  # the exact conjugate
-            z = mp.make_mpc((z._mpc_[0], libmp.mpf_neg(z._mpc_[1])))
-        return z
+        if b > a:
+            z = self.entry(b, a)
+            if hasattr(z, "_mpc_"):  # the exact conjugate
+                z = mp.make_mpc((z._mpc_[0], libmp.mpf_neg(z._mpc_[1])))
+            return z
+        z = self.rows[a][b]
+        if self.turn in (None, 1) or a == b or not z:
+            return z
+        with mp.workprec(max(self.precision_bits, z._mpf_[3]) + 10 + self.maxdeg.bit_length()):
+            w = mp.mpc(self.turn)
+            return z * (w / abs(w)) ** (a - b)
 
     def raw_entry(self, a: int, b: int):
         """Unscaled moment mu_ab, at the entry's width plus 10 bits."""
@@ -432,19 +511,27 @@ def _radial_applicable(w: Weight) -> bool:
 
 def _part_keys(support: Region, image) -> set:
     """The support's parts under the map image, each as an exact key: a
-    polygon's counterclockwise vertex cycle started at its least vertex, a
+    polygon's vertex cycle started at its least vertex and read towards the
+    lesser of its two neighbours, since a reflection reverses the cycle; a
     disc's or annulus's centre and radii."""
     keys = set()
     for part in support.parts if isinstance(support, UnionRegion) else (support,):
         if isinstance(part, Polygon):
             vs = [image(v) for v in part.vertices]
-            i = vs.index(min(vs, key=lambda z: (z.real, z.imag)))
-            keys.add((Polygon, tuple(vs[i:] + vs[:i])))
+            i = vs.index(min(vs, key=_xy))
+            cycle = vs[i:] + vs[:i]
+            if _xy(cycle[-1]) < _xy(cycle[1]):
+                cycle = cycle[:1] + cycle[:0:-1]
+            keys.add((Polygon, tuple(cycle)))
         elif isinstance(part, Disc):
             keys.add((Disc, image(part.center), part.radius))
         else:
             keys.add((Annulus, image(part.center), part.inner, part.outer))
     return keys
+
+
+def _xy(z: complex):
+    return z.real, z.imag
 
 
 def _rotation_order(support: Region) -> int:
@@ -462,6 +549,31 @@ def _rotation_order(support: Region) -> int:
     if _part_keys(support, lambda z: -z) == parts:
         return 2
     return 1
+
+
+def _mirror(support: Region):
+    """The turn of an exact mirror line through 0, or None when none is
+    found: a number whose direction w = turn / |turn| is such that the
+    support turned by conj(w) is mapped onto itself by z -> conj(z).
+
+    A single disc or annulus has the line through 0 and its centre c and
+    returns c (1 when c = 0). A polygon or union returns 1 when
+    z -> conj(z) maps it onto itself and 1j when z -> -conj(z) does; both
+    maps take binary floats to binary floats exactly, so, as in
+    _rotation_order, the support is compared with its image with no
+    tolerance. The reflection z -> i conj(z) about the line y = x is not
+    tried. Rotation about 0 is a diagonal unitary on every Landau level
+    and keeps every density c |z|^k, so the turned support has the same
+    minimal norms and level-q eigenvalues, and its moments
+    mu_ab = conj(w)^(a-b) mu_ab(support) are real."""
+    if isinstance(support, (Disc, Annulus)):
+        return support.center or 1
+    parts = _part_keys(support, lambda z: z)
+    if _part_keys(support, lambda z: z.conjugate()) == parts:
+        return 1
+    if _part_keys(support, lambda z: complex(-z.real, z.imag)) == parts:
+        return 1j
+    return None
 
 
 def _radial_interval(support):
@@ -590,7 +702,9 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     S_s(0) = 1 / (s+1): it sums x conj(u^(b+1)) and divides by
     (2b + 2 + k) / 2 inside the rounding of each entry to F. Each complex
     entry takes three real dot products, with x_r + x_i formed once per a
-    and y_r - y_i once per b. Only entries with a = b (mod stride) are summed;
+    and y_r - y_i once per b. On a mirror rule (rule.turn set, _Rule) the
+    table is real: each entry is the real part x_r y_r + x_i y_i, two dot
+    products, and an mpf. Only entries with a = b (mod stride) are summed;
     the others, zero on a support that the rotation by 2 pi / stride maps
     onto itself, are stored as exact zeros."""
     R0 = mp.mpf(bounding_radius(w.support))
@@ -626,8 +740,10 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     if gaussian:
         ys = [([(s * p) >> G for s, p in zip(row, pr)], [(s * p) >> G for s, p in zip(row, pi)])
               for row, (pr, pi) in zip(srows, ys)]
-    sums = [[r + i for r, i in zip(pr, pi)] for pr, pi in xs]
-    diffs = [[r - i for r, i in zip(pr, pi)] for pr, pi in ys]
+    real = rule.turn is not None
+    if not real:
+        sums = [[r + i for r, i in zip(pr, pi)] for pr, pi in xs]
+        diffs = [[r - i for r, i in zip(pr, pi)] for pr, pi in ys]
     # a plain entry is 2 sum / (2b + 2 + k): the 2 goes into the exponent
     e = e_x + e_u if gaussian else e_x + e_u + 1
     rows = []
@@ -638,7 +754,7 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
                 row.append(mp.zero)
                 continue
             A, B = dot(pr, qr), dot(pi, qi)
-            im = dot(sums[a], diffs[b]) - A + B if b < a else None
+            im = dot(sums[a], diffs[b]) - A + B if b < a and not real else None
             row.append(from_fixed(A + B, im, e, F, 1 if gaussian else 2 * b + 2 + k))
         rows.append(row)
     return rows, R0
@@ -677,6 +793,17 @@ def mixed_moments(
       origin, an edge on a line through the origin is split there instead,
       and a circle through the origin raises NonConvergenceError.
       design_degree is the largest of the pieces'.
+
+    MomentTable.turn records the frame of the rows. A support with an exact
+    mirror line through 0 (_mirror; a disc or annulus off 0, or a polygon or
+    union that z -> conj(z) or z -> -conj(z) maps onto itself) is turned by
+    conj(w) onto its mirror image, and its rule holds one node of each
+    mirror pair (_build_rule): the rows are then the real moments of the
+    turned support, mpf entries, with half the nodes and two dot products
+    per entry. They have the same minimal norms and level-q eigenvalues,
+    and entry() returns the support's own w^(a-b) rows[a][b]. A radial
+    table is real with turn 1, and any other boundary table complex with
+    turn None.
 
     MomentTable.stride records the exact residue classes: mu_ab is an exact
     0 unless a = b (mod stride). It is maxdeg + 1 on the radial path. On the
@@ -718,10 +845,10 @@ def mixed_moments(
     with mp.workprec(prec):
         if _radial_applicable(w):
             rows, R0 = _radial_table(w, maxdeg, prec, beta)
-            path, stride, degree_used = "radial", maxdeg + 1, -1
+            path, stride, degree_used, turn = "radial", maxdeg + 1, -1, 1
         else:
             rule = _build_rule(w.support, maxdeg, prec, _power(w.density), beta)
-            degree_used = rule.design_degree
+            degree_used, turn = rule.design_degree, rule.turn
             stride = _rotation_order(w.support)
             rows, R0 = _gram_table(w, rule, maxdeg, prec, beta, stride)
             path = "boundary"
@@ -734,6 +861,7 @@ def mixed_moments(
         weight_key=weight_key(w),
         design_degree=degree_used,
         stride=stride,
+        turn=turn,
     )
 
 

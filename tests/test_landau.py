@@ -41,11 +41,14 @@ from test_symmetry import level_block, load_workloads
 
 UNIT_DISC = Weight(Disc(0j, 1.0), Constant(1.0))
 SQUARE = Polygon((-0.5 - 0.5j, 0.5 - 0.5j, 0.5 + 0.5j, -0.5 + 0.5j))
+# no reflection through 0 maps it onto itself, so its moments stay complex
+ASYMMETRIC_TRIANGLE = Polygon((0j, 1 + 0j, 0.3 + 0.8j))
 
 
 def _rows(block):
     """The lower triangle of a LevelBlock as exact mp numbers: an mpf on the
-    diagonal, an mpc within a class and 0 between classes."""
+    diagonal and within a real class, an mpc within a complex class, and 0
+    between classes."""
     n = sum(len(re) for re, _, _ in block.classes)
     rows = [[0] * j + [None] for j in range(n)]
     for c, (re, im, e) in enumerate(block.classes):
@@ -53,8 +56,9 @@ def _rows(block):
         for t, k in enumerate(idx):
             rows[k][k] = mp.make_mpf(libmp.from_man_exp(re[t][t], e))
             for s, j in enumerate(idx[:t]):
-                rows[k][j] = mp.make_mpc((libmp.from_man_exp(re[t][s], e),
-                                          libmp.from_man_exp(im[t][s], e)))
+                x = libmp.from_man_exp(re[t][s], e)
+                rows[k][j] = (mp.make_mpf(x) if im is None
+                              else mp.make_mpc((x, libmp.from_man_exp(im[t][s], e))))
     return rows
 
 
@@ -186,7 +190,9 @@ def test_radial_assembly_is_the_dense_loop_on_the_diagonal(v, q, monkeypatch):
     D = level_q_matrix(v, q, 2.0, N, 128)
     assert all(len(re) == 1 for re, _, _ in T.classes) and len(D.classes) == 1
     (re, im, e), = D.classes
-    assert not any(x for row in re for x in row[:-1]) and not any(y for row in im for y in row)
+    # a radial table is real, so both blocks are real
+    assert im is None and all(t_im is None for _, t_im, _ in T.classes)
+    assert not any(x for row in re for x in row[:-1])
     with mp.workprec(600):
         for j, (t_re, _, t_e) in enumerate(T.classes):
             gap = abs(mp.ldexp(t_re[0][0], t_e) - mp.ldexp(re[j][j], e))
@@ -233,25 +239,31 @@ def test_level_q2_closed_form_and_hermiticity():
 
 
 @pytest.mark.parametrize("q", [0, 1, 2])
-@pytest.mark.parametrize("support", [Disc(0j, 1.0), Disc(0.3 + 0j, 0.8)], ids=["radial", "dense"])
+@pytest.mark.parametrize("support", [Disc(0j, 1.0), Disc(0.3 + 0.4j, 0.8), ASYMMETRIC_TRIANGLE],
+                         ids=["radial", "dense", "complex"])
 def test_level_q_matrix_is_a_lower_triangle(support, q):
     # one integer lower triangle per residue class: row t holds t + 1 real
     # parts and t imaginary ones, and its diagonal is positive; the radial
     # block is one class per index, the dense one a single class whose
-    # entries below the diagonal are not zero
+    # entries below the diagonal are not zero. Both tables are real (the
+    # off-centre disc is turned onto the real axis), so neither block has
+    # imaginary parts; the asymmetric triangle's block has them
     N = 5
     T = level_q_matrix(Weight(support, Constant(1.0)), q, 2.0, N, 128)
     assert isinstance(T, LevelBlock)
     assert sum(len(re) for re, _, _ in T.classes) == N + 1
     for c, (re, im, e) in enumerate(T.classes):
         assert len(re) == len(range(c, N + 1, T.stride)) and isinstance(e, int)
-        for t, (xs, ys) in enumerate(zip(re, im)):
-            assert len(xs) == t + 1 and len(ys) == t and xs[t] > 0
-            assert all(type(x) is int for x in xs + ys)
-    if support.center == 0:
+        assert (im is None) == (support != ASYMMETRIC_TRIANGLE)
+        for t, xs in enumerate(re):
+            assert len(xs) == t + 1 and xs[t] > 0 and all(type(x) is int for x in xs)
+        for t, ys in enumerate(im or []):
+            assert len(ys) == t and all(type(y) is int for y in ys)
+    if isinstance(support, Disc) and support.center == 0:
         assert all(len(re) == 1 for re, _, _ in T.classes)
     else:
         (re, im, _), = T.classes
+        im = im or [[] for _ in re]
         assert all(any(xs[:-1]) or any(ys) for xs, ys in zip(re[1:], im[1:]))
 
 
@@ -330,7 +342,7 @@ def test_level_q_matrix_matches_the_mpc_loop_within_its_roundings(v, q, N, p, b0
     rows = _rows(block)
     ref = _mpc_level_q_rows(tables[0], q, b0, N)
     P, out = tables[0].precision_bits + 20, 2 * p + FIXED_GUARD_BITS
-    assert all(abs(x) <= 1 << out for re, im, _ in block.classes for part in (re, im)
+    assert all(abs(x) <= 1 << out for re, im, _ in block.classes for part in (re, im or [])
                for row in part for x in row)
     with mp.workprec(P + 256):
         for k, (row, want_row) in enumerate(zip(rows, ref)):
@@ -349,7 +361,7 @@ def test_leading_block_is_the_prefix():
     T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 16, p)
     for m in (9, 13):
         lead = LevelBlock(T.stride, tuple(
-            (re[:len(range(c, m, T.stride))], im[:len(range(c, m, T.stride))], e)
+            (re[:len(range(c, m, T.stride))], im and im[:len(range(c, m, T.stride))], e)
             for c, (re, im, e) in enumerate(T.classes[:m])))
         sp = spectrum(lead, p)
         assert len(sp.eigs) == m and sp.eigen_solve == "householder-ql"
@@ -388,13 +400,21 @@ def test_eigenvalues_keep_the_run_precision():
 
 
 def test_spectrum_rejects_bad_input():
-    # row t of a class holds t + 1 real parts and t imaginary ones: a square
-    # class, a ragged real row, an imaginary part on the diagonal, a missing
-    # imaginary row and an empty class are all rejected
+    # row t of a class holds t + 1 real parts and t imaginary ones, or no
+    # imaginary part at all (im None, a real class): a square class, a ragged
+    # real row, an imaginary part on the diagonal, a missing imaginary row and
+    # an empty class are all rejected, real or complex
     for re, im in (([[1, 2], [2, 1]], [[], [0]]), ([[1], [2]], [[], [0]]),
-                   ([[1], [2, 1]], [[0], [0]]), ([[1], [2, 1]], [[]]), ([], [])):
+                   ([[1], [2, 1]], [[0], [0]]), ([[1], [2, 1]], [[]]), ([], []),
+                   ([[1, 2], [2, 1]], None), ([[1], [2]], None), ([[1], [2, 1, 0]], None),
+                   ([], None), ([[1], [2, 1]], [])):
         with pytest.raises(ValueError, match="lower triangle"):
             spectrum(LevelBlock(1, ((re, im, 0),)), 64)
+    # the same 2x2 class, real and complex with a zero imaginary part, is
+    # accepted and solved alike
+    real = spectrum(LevelBlock(1, (([[1 << 80], [1 << 78, 1 << 79]], None, -80),)), 64)
+    zero = spectrum(LevelBlock(1, (([[1 << 80], [1 << 78, 1 << 79]], [[], [0]], -80),)), 64)
+    assert real.eigs == zero.eigs and real.eigen_solve == "householder-ql"
 
 
 def test_diagonal_block_skips_the_integer_conversion(monkeypatch):
@@ -591,7 +611,8 @@ def _record_ql_input(monkeypatch):
 def test_ql_starts_at_the_small_end(monkeypatch):
     # the off-centre disc's tridiagonal falls from 2^-1 to 2^-92 down its
     # diagonal; the QL deflates from the top, so it must receive the small
-    # end first (72 QL iterations top-down, 28 small end first)
+    # end first (72 QL sweeps top-down, 28 small end first, re-measured on
+    # its real block)
     calls = _record_ql_input(monkeypatch)
     T = level_q_matrix(Weight(Disc(0.7 + 0j, 1.0), Constant(1.0)), 0, 2.0, 24, 128)
     spectrum(T, 128)
@@ -774,12 +795,14 @@ def test_wide_support_level_q_within_two_units(v, q):
 @pytest.mark.parametrize("seed", [1, 7])
 def test_workload_disc_tail_against_a_512_bit_run(seed):
     # q = 0, N = 24, 128 bits: the worst trusted s_n, s_25 on both seeds,
-    # lies 4.7e8 (seed 1) and 4.6e8 (seed 7) units of 2^-128 s_n from a
+    # lies 1.0e9 (seed 1) and 8.6e8 (seed 7) units of 2^-128 s_n from a
     # 512-bit run, against 8.7e12 and 3.2e14 with the moments rounded to
     # p + g and each level-q term at p + g + 20; the band, 1e10 units, is
-    # 21 times the first. The tail is ill-conditioned, so this is not the
+    # 10 times the first. The tail is ill-conditioned, so this is not the
     # 2-unit band of the wide supports, and its last digits move with any
-    # rounding of the block.
+    # rounding of the block: on the literal complex path the same figure
+    # read 4.7e8 and 4.6e8, and 1.4e9 and 5.6e8 on Disc(0.7, 1) and
+    # Disc(0.7i, 1), which now share one turned block and read 8.6e8.
     # The disc is read back from JSON, as the command line reads it
     config = json.loads(json.dumps(load_workloads().offcenter_config(seed)))
     v = weight_from_config(config["weight"])

@@ -37,7 +37,8 @@ def test_every_traced_function_resolves():
 
 def test_build_rule_keeps_the_nodes_the_tracer_counts():
     counts = next(c for _, attr, _, c in load_spans().TRACED if attr == "_build_rule")
-    # a plain table of bidegree 4 on a circle: 4 + 2 trapezoid nodes
+    # a plain table of bidegree 4 on a circle: 4 + 2 trapezoid nodes, of
+    # which the disc's mirror rule keeps t = 0..3
     rule = _build_rule(Disc(0.7 + 0j, 1.0), maxdeg=4, prec=64)
     assert hasattr(rule, "nodes")
-    assert counts(rule) == {"nodes": len(rule.nodes)} == {"nodes": 6}
+    assert counts(rule) == {"nodes": len(rule.nodes)} == {"nodes": 4}

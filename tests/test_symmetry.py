@@ -1,4 +1,4 @@
-"""Exact rotation-symmetry classes of moment tables, Cholesky and spectrum.
+"""Exact rotation and mirror symmetry of moment tables, Cholesky and spectrum.
 
 A support that z -> exp(2 pi i / m) z maps onto itself has mu_ab = 0
 unless a = b (mod m). The table records m as its stride and stores the
@@ -6,8 +6,15 @@ other entries as exact zeros; the Cholesky and the eigen-solve split into
 its residue classes. Splitting must not move a bit: with the symmetry helper
 forced to 1, the whole table is computed, factored and solved as one
 block, and the results are compared bit for bit.
+
+A support with a mirror line through 0 is turned onto its mirror image by
+z -> conj(z); its table, Cholesky, level-q block and eigen-solve are real.
+The turn is exact, so supports that turn to the same one give the same
+bits, and the real arithmetic gives the complex one's bits on the same
+real input.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -16,14 +23,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from mpmath import mp
+from mpmath import libmp, mp
 
+import landaucap.landau as landau
 import landaucap.weight as weight_module
 from landaucap._mp import FIXED_GUARD_BITS, hermitian_cholesky, raw_parts, round_shift
 from landaucap.errors import DegenerateMomentError
 from landaucap.landau import LevelBlock, level_q_matrix, spectrum, toeplitz_spectrum
 from landaucap.orthopoly import monic_orthogonalize
-from landaucap.region import Disc, Polygon, UnionRegion, region_from_config
+from landaucap.region import Annulus, Disc, Polygon, UnionRegion, region_from_config
 from landaucap.weight import Constant, Power, Weight, mixed_moments
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -151,13 +159,13 @@ def test_class_split_spectrum_is_bit_identical(name, q, monkeypatch):
 
 def test_level_q_block_splits_into_the_classes():
     # the rectangle's stride 2 gives the even and the odd indices, and no
-    # assembled entry of either class is zero
+    # assembled entry of either class is zero; z -> conj(z) maps the
+    # rectangle onto itself, so both classes are real
     T = level_q_matrix(Weight(RECTANGLE, Constant(1.0)), 1, 2.0, 8, 64)
     assert T.stride == 2
     assert [len(re) for re, _, _ in T.classes] == [5, 4]
     for re, im, _ in T.classes:
-        assert all(x for row in re for x in row)
-        assert all(x or y for xs, ys in zip(re, im) for x, y in zip(xs, ys))
+        assert all(x for row in re for x in row) and im is None
 
 
 # --------------------------------------------------------- block primitives
@@ -213,3 +221,103 @@ def test_spectrum_of_a_direct_sum_matches_eighe():
         ref = sorted(mp.eighe(full, eigvals_only=True), reverse=True)
         for got, want in zip(sp.eigenvalues(), ref):
             assert abs(got - want) <= mp.mpf(2) ** (1 - p) * abs(want)
+
+
+# ------------------------------------------------------------------ mirrors
+
+# z -> -conj(z) maps it onto itself, z -> conj(z) does not
+HOUSE = Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.3j, 1j, -1 + 0.3j))
+CORNER_SQUARE = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
+TWO_DISCS = UnionRegion((Disc(-1.2 + 0j, 1.0), Disc(1.2 + 0.3j, 0.8)))
+
+
+@pytest.mark.parametrize("support, turn", [
+    (Disc(0.7 + 0j, 1.0), 0.7),
+    (Disc(-0.7j, 1.0), -0.7j),
+    (Annulus(0.3j, 0.4, 1.0), 0.3j),
+    # a reflection reverses the vertex cycle, which the exact test reads
+    # in both directions
+    (CENTRED_SQUARE, 1),
+    (RECTANGLE, 1),
+    (HOUSE, 1j),
+    (UnionRegion((Disc(0.5 + 0j, 0.1), Disc(0.5j, 0.1), Disc(-0.5j, 0.1))), 1),
+    (UnionRegion((Disc(0.5 + 0j, 0.1), Disc(0.5j, 0.1), Disc(-0.5 + 0j, 0.1))), 1j),
+    (UnionRegion((Disc(0.5 + 0.5j, 0.1), Disc(-0.5 + 0.5j, 0.1))), 1j),
+    # z -> i conj(z) alone is not tried
+    (CORNER_SQUARE, None),
+    (square_support(1), None),
+    (TWO_DISCS, None),
+    (Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.3j, complex(math.nextafter(0, 1), 1), -1 + 0.3j)),
+     None),
+])
+def test_mirror_is_exact(support, turn):
+    assert weight_module._mirror(support) == turn
+
+
+@pytest.mark.parametrize("q", [0, 1])
+def test_turned_discs_give_the_same_bits(q):
+    # Disc(+-0.7) and Disc(+-0.7i) all turn to Disc(0.7): the turned centre
+    # is |c| from the double c, so the four give one table, one block and
+    # one spectrum, bit for bit
+    runs = [toeplitz_spectrum(Weight(Disc(c, 1.0), Constant(1.0)), q, 2.0, 24, 128)
+            for c in (0.7 + 0j, -0.7 + 0j, 0.7j, -0.7j)]
+    for sp in runs:
+        assert [x._mpf_ for x in sp.eigs] == [x._mpf_ for x in runs[0].eigs]
+        assert sp.log_eigs == runs[0].log_eigs and sp.eigen_solve == "householder-ql"
+    norms = [monic_orthogonalize(mixed_moments(Weight(Disc(c, 1.0), Constant(1.0)), "plain",
+                                               24, 128)).log_norms
+             for c in (0.7 + 0j, -0.7 + 0j, 0.7j, -0.7j)]
+    assert all([x._mpf_ for x in n] == [x._mpf_ for x in norms[0]] for n in norms)
+
+
+# sha256 over the mpf tuples of the q = 0 and q = 1 spectra and of the plain
+# log norms at N = 24 and 128 bits, as computed before the mirror path
+# existed: a support with no exact mirror keeps its bits
+COMPLEX_PATH_DIGESTS = {"square-predict-seed1": (square_support(1), "0ab9dcf2af855aeb"),
+                        "two-discs": (TWO_DISCS, "2c0f3b9b4edee88e")}
+
+
+@pytest.mark.parametrize("name", COMPLEX_PATH_DIGESTS)
+def test_no_mirror_keeps_the_complex_path(name):
+    support, digest = COMPLEX_PATH_DIGESTS[name]
+    w = Weight(support, Constant(1.0))
+    table = mixed_moments(w, "gaussian", 24, 128)
+    assert table.turn is None and any(hasattr(x, "_mpc_") for row in table.rows for x in row)
+    assert all(im is not None for _, im, _ in level_q_matrix(w, 0, 2.0, 24, 128).classes)
+    h = hashlib.sha256()
+    for q in (0, 1):
+        h.update(repr([x._mpf_ for x in toeplitz_spectrum(w, q, 2.0, 24, 128).eigs]).encode())
+    h.update(repr([x._mpf_ for x in
+                   monic_orthogonalize(mixed_moments(w, "plain", 24, 128)).log_norms]).encode())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("support", [Disc(0.7 + 0j, 1.0), RECTANGLE, HOUSE])
+def test_real_cholesky_is_the_complex_one_bit_for_bit(support):
+    # the real table's entries as mpc with zero imaginary parts take the
+    # complex arithmetic; its log pivots are the real arithmetic's
+    table = mixed_moments(Weight(support, Constant(1.0)), "gaussian", 24, 128)
+    assert table.turn is not None
+    as_mpc = [[mp.make_mpc((raw_parts(x)[0], libmp.fzero)) for x in row] for row in table.rows]
+    real = hermitian_cholesky(table.rows, 128, table.stride)
+    assert [x._mpf_ for x in real] == [x._mpf_ for x in hermitian_cholesky(as_mpc, 128,
+                                                                           table.stride)]
+
+
+@pytest.mark.parametrize("support, q", [(Disc(0.7 + 0j, 1.0), 0), (Disc(0.7 + 0j, 1.0), 2),
+                                        (HOUSE, 1), (RECTANGLE, 0)])
+def test_real_householder_is_the_complex_one_bit_for_bit(support, q):
+    # a real class read with zero imaginary parts takes the complex
+    # reflections; they give the real reduction's diagonal and squared
+    # sub-diagonal exactly
+    p = 128
+    bits = 2 * p + FIXED_GUARD_BITS
+    for re, im, e in level_q_matrix(Weight(support, Constant(1.0)), q, 2.0, 24, p).classes:
+        assert im is None
+        zeros = [[0] * t for t in range(len(re))]
+        cre, cim, ce = landau._class_columns(re, None, e, bits)
+        assert cim is None
+        zre, zim, ze = landau._class_columns(re, zeros, e, bits)
+        assert (cre, ce) == (zre, ze) and not any(x for col in zim for x in col)
+        assert (landau._householder_tridiagonal(cre, None, bits)
+                == landau._householder_tridiagonal(zre, zim, bits))

@@ -414,9 +414,16 @@ def _reference_table(w, rule, beta, maxdeg):
     for a in range(maxdeg + 1):
         xa = [x * u ** a for x, u in zip(xs, us)]
         row = [mp.fsum(x * mp.conj(y) for x, y in zip(xa, ys[b])) for b in range(a + 1)]
-        row[a] = mp.re(row[a])
-        rows.append(row)
+        # a mirror rule's nodes stand for themselves and their conjugates
+        real = rule.turn is not None
+        rows.append([mp.re(x) for x in row] if real else row[:a] + [mp.re(row[a])])
     return rows
+
+
+def literal_rows(tab):
+    """The lower triangle of the moments mu_ab themselves, read through
+    MomentTable.entry: w^(a-b) rows[a][b] on a table turned by a mirror."""
+    return [[tab.entry(a, b) for b in range(a + 1)] for a in range(tab.maxdeg + 1)]
 
 
 def _assert_within_units(rows, ref, maxdeg, prec, units=4):
@@ -547,20 +554,23 @@ DISC_07 = Disc(0.7 + 0j, 1.0)
 
 
 @pytest.mark.parametrize("support,density,kind,maxdeg,prec,nodes", [
-    (Disc(SEED1_CENTER, 1.0), Constant(1.0), "gaussian", 24, 128, 60),
-    (DISC_07, Constant(1.0), "gaussian", 48, 256, 105),
-    (Disc(3 + 0j, 1.0), Constant(1.0), "gaussian", 48, 256, 135),
-    (Disc(6 + 0j, 1.0), Constant(1.0), "gaussian", 24, 128, 112),
-    (Annulus(0.3j, 0.4, 1.0), Constant(1.0), "gaussian", 24, 128, 103),
+    # every single disc and annulus is turned onto the real axis, and its
+    # rule keeps the nodes t = 0..T/2 of each circle's T; the union has no
+    # mirror line through 0 and keeps its whole rule
+    (Disc(SEED1_CENTER, 1.0), Constant(1.0), "gaussian", 24, 128, 31),
+    (DISC_07, Constant(1.0), "gaussian", 48, 256, 53),
+    (Disc(3 + 0j, 1.0), Constant(1.0), "gaussian", 48, 256, 68),
+    (Disc(6 + 0j, 1.0), Constant(1.0), "gaussian", 24, 128, 57),
+    (Annulus(0.3j, 0.4, 1.0), Constant(1.0), "gaussian", 24, 128, 53),
     (UnionRegion((Disc(-1.2 + 0j, 1.0), Disc(1.2 + 0.3j, 0.8))), Constant(1.0),
      "gaussian", 24, 128, 130),
-    (DISC_07, Constant(1.0), "plain", 48, 256, 50),
-    (DISC_07, POWER1, "plain", 24, 128, 276),
-    (DISC_07, POWER1, "gaussian", 24, 128, 320),
-    (DISC_07, POWER2, "plain", 24, 128, 27),
-    (DISC_07, POWER2, "gaussian", 24, 128, 61),
-    (DISC_07, Power(3), "plain", 24, 128, 277),
-    (DISC_07, Power(3), "gaussian", 24, 128, 321),
+    (DISC_07, Constant(1.0), "plain", 48, 256, 26),
+    (DISC_07, POWER1, "plain", 24, 128, 139),
+    (DISC_07, POWER1, "gaussian", 24, 128, 161),
+    (DISC_07, POWER2, "plain", 24, 128, 14),
+    (DISC_07, POWER2, "gaussian", 24, 128, 31),
+    (DISC_07, Power(3), "plain", 24, 128, 139),
+    (DISC_07, Power(3), "gaussian", 24, 128, 161),
 ])
 def test_circle_rules_sized_per_circle_match_a_longer_rule(support, density, kind, maxdeg, prec,
                                                            nodes):
@@ -578,19 +588,48 @@ def _assert_matches_a_longer_rule(w, kind, maxdeg, prec, nodes):
     rule = _degree_rule(w, beta, maxdeg, prec + 64, extra=40)
     with mp.workprec(prec + 64):
         ref, _ = weight_module._gram_table(w, rule, maxdeg, prec + 64, beta)
-    _assert_within_units(tab.rows, ref, maxdeg, prec, units=1)
+    _assert_within_units(literal_rows(tab), ref, maxdeg, prec, units=1)
+
+
+# z -> -conj(z) maps it onto itself, z -> conj(z) does not
+HOUSE = Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.3j, 1j, -1 + 0.3j))
+
+
+@pytest.mark.parametrize("support, turn", [
+    (Annulus(0.3j, 0.4, 1.0), 0.3j),
+    (HOUSE, 1j),
+    # the paired discs at +-0.6i: one rule with doubled steps stands for both
+    (UnionRegion((Disc(0.6j, 0.3), Disc(-0.6j, 0.3), Disc(0.8 + 0j, 0.2))), 1),
+    # mirrored only by z -> i conj(z), which is not tried: the whole rule
+    (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), None),
+])
+def test_half_rule_matches_the_literal_full_rule(support, turn, monkeypatch):
+    # the mirror rule, read through entry(), against the full rule on the
+    # support itself, as built with no mirror: within 1 unit
+    w = Weight(support, Constant(1.0))
+    half = boundary_table(w, "gaussian", 24, 128)
+    assert half.turn == turn
+    monkeypatch.setattr(weight_module, "_mirror", lambda support: None)
+    full = boundary_table(w, "gaussian", 24, 128)
+    assert full.turn is None
+    if turn is None:
+        assert half.rows == full.rows
+    _assert_within_units(literal_rows(half), full.rows, 24, 128, units=1)
 
 
 def test_offcenter_workload_disc_rule_size():
     # frequency span 24 + 2 and a Gaussian tail of 34 nodes (beta r |c| = 0.7
-    # to 128 + 5 + 10 bits); one total degree for every piece takes 161
+    # to 128 + 5 + 10 bits), T = 60; one total degree for every piece takes
+    # 161. The disc is turned onto the real axis and its rule keeps the
+    # nodes t = 0..30 of the 60
     w = Weight(Disc(SEED1_CENTER, 1.0), Constant(1.0))
     rule = _boundary_rule(w, 1.0, 24, 128)
-    assert len(rule.nodes) == 60 and rule.design_degree == 58
+    assert len(rule.nodes) == 31 and rule.design_degree == 58
+    assert rule.turn == SEED1_CENTER
     assert mixed_moments(w, "gaussian", 24, 128).design_degree == 58
-    # a circle centred at 0 needs no Gaussian tail
+    # a circle centred at 0 needs no Gaussian tail: T = 26, of which 14 are kept
     centred = Weight(Disc(0j, 1.0), Constant(1.0))
-    assert len(_boundary_rule(centred, 1.0, 24, 128).nodes) == 26
+    assert len(_boundary_rule(centred, 1.0, 24, 128).nodes) == 14
 
 
 @pytest.mark.parametrize("support", [SIDE3_SQUARE, L_SHAPE, Polygon((0j, 2 + 0j, 0.5 + 1.5j))])
@@ -600,7 +639,14 @@ def test_polygon_edges_keep_the_total_degree_count(support, k, kind):
     maxdeg, prec = 12, 128
     n = (2 * maxdeg + 1 + k) // 2 + 1
     rule = _boundary_rule(Weight(support, Power(k)), BETA[kind], maxdeg, prec)
-    assert len(rule.nodes) == len(support.vertices) * n
+    if rule.turn is None:
+        assert len(rule.nodes) == len(support.vertices) * n
+    else:
+        # z -> conj(z) maps the square onto itself: its lower edge stands for
+        # the upper one, and each upright edge, its own image, keeps its
+        # nodes x <= 0
+        assert support == SIDE3_SQUARE
+        assert len(rule.nodes) == n + 2 * ((n + 1) // 2)
     assert rule.design_degree == 2 * n - 1
     # the table records the edges' design degree
     tab = mixed_moments(Weight(support, Power(k)), kind, maxdeg, prec)
@@ -613,16 +659,19 @@ _H = math.sqrt(3) / 2
 CORNER_TRIANGLE = Polygon((0j, 1 + 0j, 0.5 + _H * 1j))
 CENTRED_TRIANGLE = Polygon(tuple(v - (1.5 + _H * 1j) / 3 for v in CORNER_TRIANGLE.vertices))
 POLYGON_CASES = [
-    # (support, density, N=24 at 128 bits, N=48 at 256 bits): node counts
-    (UNIT_SQUARE, Constant(1.0), 180, 336),
+    # (support, density, N=24 at 128 bits, N=48 at 256 bits): node counts.
+    # The centred squares (z -> conj(z)) and the centred triangle
+    # (z -> -conj(z)) have a mirror line through 0: their rules keep one
+    # edge of each mirror pair and half of each edge that is its own image
+    (UNIT_SQUARE, Constant(1.0), 91, 168),
     (CORNER_SQUARE, Constant(1.0), 236, 428),
-    (CENTRED_TRIANGLE, Constant(1.0), 141, 261),
+    (CENTRED_TRIANGLE, Constant(1.0), 71, 131),
     (CORNER_TRIANGLE, Constant(1.0), 174, 318),
-    (Polygon((-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j)), Constant(1.0), 256, 440),
+    (Polygon((-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j)), Constant(1.0), 128, 220),
     (Polygon((3 + 3j, 4 + 3j, 4 + 4j, 3 + 4j)), Constant(1.0), 312, 512),
     (UnionRegion((CORNER_SQUARE, Polygon((1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j)))), Constant(1.0),
      496, 888),
-    (UNIT_SQUARE, POWER2, 184, 340),
+    (UNIT_SQUARE, POWER2, 92, 171),
     (CORNER_SQUARE, POWER1, 296, None),
 ]
 
@@ -816,7 +865,7 @@ def test_power2_is_the_shifted_constant_table(kind):
     with mp.workprec(256):
         r2 = p2.scale_radius ** 2
         ref = [[r2 * c.entry(a + 1, b + 1) for b in range(a + 1)] for a in range(9)]
-    _assert_within_units(p2.rows, ref, 8, 128)
+    _assert_within_units(literal_rows(p2), ref, 8, 128)
 
 
 def test_odd_power_on_a_circle_through_the_origin_raises():
