@@ -76,7 +76,7 @@ def _legendre_pair(n: int, x: int, bits: int):
     return p, pm
 
 
-def hermitian_cholesky(rows, prec: int, stride: int):
+def hermitian_cholesky(rows, prec: int, stride: int, real: bool = False):
     """Log pivots log d_n of the Hermitian matrix G whose lower triangle is
     rows[n][k], k <= n (the layout of MomentTable.rows): G = L L^H with
     d_n = L_nn^2, so d_n is the squared distance of basis vector n from the
@@ -106,14 +106,14 @@ def hermitian_cholesky(rows, prec: int, stride: int):
     the factor is kept until the last pivot and dropped. Raises
     DegenerateMomentError on a non-positive pivot, at the least such degree.
 
-    A table with no mpc entry (a mirror or radial table, MomentTable.turn)
-    is real: L is real, and each entry takes one integer dot product, the
-    complex arithmetic less its imaginary terms. Its pivots are bit for bit
-    those of the complex arithmetic on the same entries as mpc with zero
-    imaginary parts.
+    real states that the table is real (MomentTable.turn is set: a mirror
+    or radial table): L is real, each entry's imaginary part is not read,
+    and each entry takes one integer dot product, the complex arithmetic
+    less its imaginary terms. Its pivots are bit for bit those of the
+    complex arithmetic on the same entries as mpc with zero imaginary
+    parts.
     """
     rnd = libmp.round_nearest
-    real = not any(hasattr(x, "_mpc_") for row in rows for x in row)
     L, logs = [], []  # L[k] = (re, im, re - im, e, L_kk): L_kj = (re_j + i im_j) 2^e
     for n, row in enumerate(rows):
         # L_nj = (ar_j + i ai_j) 2^e so far, ab = ar + ai; ai and ab stay empty when real

@@ -209,7 +209,7 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     prec = precision_bits + _boundary_guard(v.support, b0 / 2)
     table = mixed_moments(v, "gaussian", maxdeg=N + q, precision_bits=prec, b0=b0)
     if table.path != "radial":
-        hermitian_cholesky(table.rows, precision_bits, table.stride)
+        hermitian_cholesky(table.rows, precision_bits, table.stride, table.turn is not None)
     polys = [_creation_pow(j, q) for j in range(N + 1)]
     P, out = prec + 20, 2 * precision_bits + FIXED_GUARD_BITS
     with mp.workprec(P + 20):
@@ -222,7 +222,9 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
     e_r = min(0, 2 * q * E)
     r2 = [m ** l << (l * E - e_r) for l in range(2 * q + 1)]  # (r^2)^l = r2[l] 2^e_r
     cells = [(b, a) for b in range(N + q + 1) for a in range(b % table.stride, b + 1, table.stride)]
-    ints, lo = exact_fixed(list(zip(*(raw_parts(table.rows[b][a]) for b, a in cells))))
+    real = table.turn is not None  # the imaginary parts are exact zeros: not read
+    parts = list(zip(*(raw_parts(table.rows[b][a]) for b, a in cells)))
+    ints, lo = exact_fixed(parts[:1] if real else parts)
     moments = dict(zip(cells, zip(*ints)))
     classes = []
     for c in range(min(table.stride, N + 1)):
@@ -233,17 +235,18 @@ def level_q_matrix(v: Weight, q: int, b0: float, N: int, precision_bits: int):
                 re = im = 0
                 for (m1, l1), c1 in polys[j].items():
                     for (m2, l2), c2 in polys[k].items():
-                        gr, gi = moments[l1 + m2, m1 + l2]
+                        g = moments[l1 + m2, m1 + l2]
                         w = c1 * c2 * r2[l1 + l2]
-                        re += w * gr
-                        im += w * gi
+                        re += w * g[0]
+                        if not real:
+                            im += w * g[1]
                 (fj, ej), (fk, ek) = F[j], F[k]
                 f = fj * fk  # F_j F_k = f 2^(ej + ek), exactly
                 row.append((re * f, im * f if j < k else 0, ej + ek + e_r + lo))
             exact.append(row)
         e = max(max(abs(x), abs(y)).bit_length() + z for row in exact for x, y, z in row) - out
         classes.append(([[round_shift(x, e - z) for x, _, z in row] for row in exact],
-                        None if table.turn is not None else  # a real table's are exact 0
+                        None if real else
                         [[round_shift(y, e - z) for _, y, z in row[:-1]] for row in exact], e))
     return LevelBlock(table.stride, tuple(classes))
 

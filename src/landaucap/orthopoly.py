@@ -57,7 +57,7 @@ def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
     """
     N = moments.maxdeg
     prec = moments.precision_bits
-    log_pivots = hermitian_cholesky(moments.rows, prec, moments.stride)
+    log_pivots = hermitian_cholesky(moments.rows, prec, moments.stride, moments.turn is not None)
     with mp.workprec(prec):
         logR0 = mp.log(moments.scale_radius)
         log_norms = [lp + 2 * n * logR0 for n, lp in enumerate(log_pivots)]

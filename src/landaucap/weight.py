@@ -18,9 +18,10 @@ Beta-Kummer sums (_chord_column); a plain boundary table has
 S_s(0) = 1 / (s + 1), so it divides each entry by b + 1 + k/2 inside that
 rounding instead.
 
-A support with an exact mirror line through 0 (_mirror) is turned onto its
-mirror image by z -> conj(z): its rule holds one node of each mirror pair,
-and its table, the moments of the turned support, is real by construction
+A single disc or annulus off 0 is mirrored about the line through 0 and
+its centre (_mirror), and is turned onto the real axis, where z -> conj(z)
+maps it onto itself: its rule holds one node of each mirror pair, and its
+table, the moments of the turned support, is real by construction
 (MomentTable.turn); entry() gives back the moments of the support itself.
 """
 
@@ -150,11 +151,12 @@ class _Rule:
     """Nodes on a positively oriented boundary with their steps dz, and the
     largest design degree of its pieces (-1 when none is stated).
 
-    turn is None for a literal rule. Otherwise the rule lies on the support
-    turned by conj(w), w = turn / |turn| (_mirror), which z -> conj(z) maps
-    onto itself, and holds one node of each mirror pair: a node off the
-    real axis stands for itself and its conjugate, its step doubled, and
-    the rule integrates the real part of the boundary integrand."""
+    turn is None for a literal rule. Otherwise the rule lies on the disc or
+    annulus turned by conj(w), w = turn / |turn| (_mirror), which
+    z -> conj(z) maps onto itself, and holds one node of each mirror pair:
+    a node off the real axis stands for itself and its conjugate, its step
+    doubled, and the rule integrates the real part of the boundary
+    integrand."""
 
     nodes: list
     steps: list
@@ -171,7 +173,7 @@ def _odd_power_nodes(log_decay: float, prec: int) -> int:
     return count
 
 
-def _edges(vs, maxdeg, prec, k, beta, seen=None):
+def _edges(vs, maxdeg, prec, k, beta):
     """Gauss-Legendre on every edge of a counterclockwise ring for the table
     of bidegree maxdeg of v = c |z|^k, Gaussian exp(-beta |z|^2) unless
     beta = 0: n nodes each, exact in (z, conj z) to the design degree
@@ -192,14 +194,7 @@ def _edges(vs, maxdeg, prec, k, beta, seen=None):
     inside the Bernstein ellipse through the edge parameter t0 of the origin,
     so the error falls like rho(t0)^-2 per node. Those edges all get the
     largest count of _odd_power_nodes more, so the ring computes at most two
-    Gauss-Legendre rules; their design degree counts the larger.
-
-    seen, when given, holds the pieces of a mirror-symmetric boundary
-    already in the rule (_build_rule): a piece whose mirror image
-    (conj(b), conj(a)) is among them is left out, and every other piece
-    has its steps doubled, except that a piece that is its own image keeps
-    only its nodes x <= 0 (the rule is exactly antisymmetric), whose x = 0
-    lies on the real axis and is counted once."""
+    Gauss-Legendre rules; their design degree counts the larger."""
     pieces, extra = [], 0
     for a, b in zip(vs, vs[1:] + vs[:1]):
         if k % 2 and mp.fmul(a.real, b.imag, exact=True) != mp.fmul(a.imag, b.real, exact=True):
@@ -220,20 +215,10 @@ def _edges(vs, maxdeg, prec, k, beta, seen=None):
     nodes, steps = [], []
     with mp.workprec(prec + 10):
         for a, b, analytic in pieces:
-            image = (b.conjugate(), a.conjugate())
-            if seen is not None and image in seen:
-                continue
             xs, ws = gauss_legendre(n + extra if analytic else n, prec)
             half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
-            ds = [half * w for w in ws]
-            if seen is not None:
-                seen.add((a, b))
-                own = image == (a, b)  # node x is the image of node -x
-                if own:
-                    xs, ds = xs[:(len(xs) + 1) // 2], ds[:(len(xs) + 1) // 2]
-                ds = [d if own and not x else 2 * d for x, d in zip(xs, ds)]
             nodes.extend(mid + half * x for x in xs)
-            steps.extend(ds)
+            steps.extend(half * w for w in ws)
     return nodes, steps, 2 * (n + extra) - 1
 
 
@@ -269,30 +254,21 @@ def _gaussian_tail(x: float, bits: int) -> int:
     return M
 
 
-def _circle(center, radius, T: int, prec: int, sign=1, seen=None):
+def _circle(center, radius, T: int, prec: int, sign=1, half=False):
     """The trapezoid rule with T nodes on a counterclockwise circle (sign -1
     reverses it): exact for trigonometric polynomials of degree < T.
 
-    seen, when given, holds the pieces of a mirror-symmetric boundary
-    already in the rule, as in _edges: a circle whose mirror image is among
-    them is left out, one centred elsewhere off the real axis has its steps
-    doubled, and one centred on the real axis keeps the nodes t = 0..T/2,
-    node t standing for itself and its image T - t, its step doubled
-    except on the axis (t = 0 and t = T/2)."""
-    key, image = (center, radius, sign), (center.conjugate(), radius, sign)
-    if seen is not None:
-        if image in seen:
-            return [], []
-        seen.add(key)
-    own = seen is not None and image == key  # node t is the image of node T - t
-    ts = range(T // 2 + 1) if own else range(T)
+    half, for a circle centred on the real axis, keeps the nodes
+    t = 0..T/2: node t stands for itself and its mirror image T - t, and
+    its step is doubled except on the axis (t = 0 and t = T/2)."""
+    ts = range(T // 2 + 1) if half else range(T)
     with mp.workprec(prec + 10):
         es = [mp.expjpi(mp.mpf(2 * t) / T) for t in ts]
         r = mp.mpf(radius)
         step = mp.mpc(0, sign * 2 * mp.pi / T) * r
         steps = [step * e for e in es]
-        if seen is not None:
-            steps = [d if own and 2 * t % T == 0 else 2 * d for t, d in zip(ts, steps)]
+        if half:
+            steps = [d if 2 * t % T == 0 else 2 * d for t, d in zip(ts, steps)]
         return [center + r * e for e in es], steps
 
 
@@ -399,13 +375,12 @@ def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0, beta: float
     bits. Each piece is sized on its own (_pieces); the rule's design
     degree is the largest of theirs.
 
-    A support with an exact mirror line through 0 (_mirror) gets the
-    rule's turn: its pieces are built on the support turned by conj(w),
-    one of each mirror pair (_edges, _circle). A single disc or annulus
-    is turned onto the centre |c|, formed at the rule's working precision
-    from the double centre c; a polygon or union turns by 1 or -i, exactly.
-    Every density c |z|^k, and each piece's size, is the same on the turned
-    support."""
+    A single disc or annulus off 0 has a mirror line through 0 and its
+    centre c (_mirror): its rule lies on the part turned by conj(w),
+    w = c / |c|, centred at |c|, formed at the rule's working precision
+    from the double c, and keeps one node of each mirror pair (_circle).
+    Every density c |z|^k, and each circle's size, is the same on the
+    turned support."""
     parts = support.parts if isinstance(support, UnionRegion) else (support,)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -413,32 +388,28 @@ def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0, beta: float
                 raise ValueError(UNION_MSG)
     prec += _boundary_guard(support, beta)
     turn = _mirror(support)
-    seen = None if turn is None else set()
     nodes, steps, design = [], [], -1
     for p in parts:
-        for ns, ds, d in _pieces(p, maxdeg, prec, k, beta, turn, seen):
+        for ns, ds, d in _pieces(p, maxdeg, prec, k, beta, turn is not None):
             nodes.extend(ns)
             steps.extend(ds)
             design = max(design, d)
     return _Rule(nodes, steps, design, turn)
 
 
-def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turn=None, seen=None):
+def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turned=False):
     """(nodes, steps, design degree) pieces of one part's boundary rule:
     Gauss-Legendre on a polygon's edges (_edges), on each circle the
     trapezoid rule of its own _circle_size, whose design degree is T - 2
     (an annulus's inner circle reversed); both size the Gaussian's tail by
-    _gaussian_tail. With a turn (_build_rule) the pieces lie on the part
-    turned by conj(w), and seen holds the mirror pieces already built."""
+    _gaussian_tail. A turned disc or annulus (_build_rule) is centred at
+    |c| and keeps half of each circle."""
     if isinstance(part, Polygon):
-        vs = part.vertices if turn in (None, 1) else tuple(map(_times_minus_i, part.vertices))
-        return [_edges(vs, maxdeg, prec, k, beta, seen)]
+        return [_edges(part.vertices, maxdeg, prec, k, beta)]
     if not isinstance(part, (Disc, Annulus)):
         raise TypeError(f"not a region: {part!r}")
     center = part.center
-    if turn == 1j:
-        center = _times_minus_i(center)
-    elif turn not in (None, 1):  # a single disc or annulus, turn = c: onto |c|
+    if turned:
         with mp.workprec(prec + 10):
             center = abs(mp.mpc(center))
     lo, hi = _radial_interval(part)
@@ -446,13 +417,8 @@ def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turn=None
     out = []
     for r, sign in circles:
         T = _circle_size(part.center, float(r), maxdeg, prec, k, beta)
-        out.append((*_circle(center, r, T, prec, sign, seen), T - 2))
+        out.append((*_circle(center, r, T, prec, sign, turned), T - 2))
     return out
-
-
-def _times_minus_i(z: complex) -> complex:
-    """-i z, exactly."""
-    return complex(z.imag, -z.real)
 
 
 # ------------------------------------------------------------- moment tables
@@ -511,27 +477,19 @@ def _radial_applicable(w: Weight) -> bool:
 
 def _part_keys(support: Region, image) -> set:
     """The support's parts under the map image, each as an exact key: a
-    polygon's vertex cycle started at its least vertex and read towards the
-    lesser of its two neighbours, since a reflection reverses the cycle; a
+    polygon's counterclockwise vertex cycle started at its least vertex, a
     disc's or annulus's centre and radii."""
     keys = set()
     for part in support.parts if isinstance(support, UnionRegion) else (support,):
         if isinstance(part, Polygon):
             vs = [image(v) for v in part.vertices]
-            i = vs.index(min(vs, key=_xy))
-            cycle = vs[i:] + vs[:i]
-            if _xy(cycle[-1]) < _xy(cycle[1]):
-                cycle = cycle[:1] + cycle[:0:-1]
-            keys.add((Polygon, tuple(cycle)))
+            i = vs.index(min(vs, key=lambda z: (z.real, z.imag)))
+            keys.add((Polygon, tuple(vs[i:] + vs[:i])))
         elif isinstance(part, Disc):
             keys.add((Disc, image(part.center), part.radius))
         else:
             keys.add((Annulus, image(part.center), part.inner, part.outer))
     return keys
-
-
-def _xy(z: complex):
-    return z.real, z.imag
 
 
 def _rotation_order(support: Region) -> int:
@@ -552,27 +510,16 @@ def _rotation_order(support: Region) -> int:
 
 
 def _mirror(support: Region):
-    """The turn of an exact mirror line through 0, or None when none is
-    found: a number whose direction w = turn / |turn| is such that the
-    support turned by conj(w) is mapped onto itself by z -> conj(z).
-
-    A single disc or annulus has the line through 0 and its centre c and
-    returns c (1 when c = 0). A polygon or union returns 1 when
-    z -> conj(z) maps it onto itself and 1j when z -> -conj(z) does; both
-    maps take binary floats to binary floats exactly, so, as in
-    _rotation_order, the support is compared with its image with no
-    tolerance. The reflection z -> i conj(z) about the line y = x is not
-    tried. Rotation about 0 is a diagonal unitary on every Landau level
-    and keeps every density c |z|^k, so the turned support has the same
-    minimal norms and level-q eigenvalues, and its moments
-    mu_ab = conj(w)^(a-b) mu_ab(support) are real."""
+    """The turn of a mirror line through 0, or None: a single disc or
+    annulus returns its centre c (1 when c = 0), whose direction
+    w = c / |c| turns it by conj(w) onto the real axis, where z -> conj(z)
+    maps it onto itself. Rotation about 0 is a diagonal unitary on every
+    Landau level and keeps every density c |z|^k, so the turned support has
+    the same minimal norms and level-q eigenvalues, and its moments
+    mu_ab = conj(w)^(a-b) mu_ab(support) are real. A polygon or union
+    returns None and keeps the complex path."""
     if isinstance(support, (Disc, Annulus)):
         return support.center or 1
-    parts = _part_keys(support, lambda z: z)
-    if _part_keys(support, lambda z: z.conjugate()) == parts:
-        return 1
-    if _part_keys(support, lambda z: complex(-z.real, z.imag)) == parts:
-        return 1j
     return None
 
 
@@ -794,16 +741,15 @@ def mixed_moments(
       and a circle through the origin raises NonConvergenceError.
       design_degree is the largest of the pieces'.
 
-    MomentTable.turn records the frame of the rows. A support with an exact
-    mirror line through 0 (_mirror; a disc or annulus off 0, or a polygon or
-    union that z -> conj(z) or z -> -conj(z) maps onto itself) is turned by
-    conj(w) onto its mirror image, and its rule holds one node of each
-    mirror pair (_build_rule): the rows are then the real moments of the
-    turned support, mpf entries, with half the nodes and two dot products
-    per entry. They have the same minimal norms and level-q eigenvalues,
-    and entry() returns the support's own w^(a-b) rows[a][b]. A radial
-    table is real with turn 1, and any other boundary table complex with
-    turn None.
+    MomentTable.turn records the frame of the rows. A single disc or
+    annulus off 0, mirrored about the line through 0 and its centre c
+    (_mirror), is turned by conj(w), w = c / |c|, onto the real axis, and
+    its rule holds one node of each mirror pair (_build_rule): the rows are
+    then the real moments of the turned support, mpf entries, with half the
+    nodes and two dot products per entry. They have the same minimal norms
+    and level-q eigenvalues, and entry() returns the support's own
+    w^(a-b) rows[a][b]. A radial table is real with turn 1, and any other
+    boundary table complex with turn None.
 
     MomentTable.stride records the exact residue classes: mu_ab is an exact
     0 unless a = b (mod stride). It is maxdeg + 1 on the radial path. On the

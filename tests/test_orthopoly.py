@@ -320,9 +320,9 @@ def test_square_table_is_factored_once(monkeypatch):
 
     sizes = []
 
-    def counting(g, prec, stride):
+    def counting(g, prec, stride, real=False):
         sizes.append(len(g))
-        return _mp.hermitian_cholesky(g, prec, stride)
+        return _mp.hermitian_cholesky(g, prec, stride, real)
 
     for mod in ("landaucap.weight", "landaucap.orthopoly"):
         monkeypatch.setattr(f"{mod}.hermitian_cholesky", counting, raising=False)

@@ -49,19 +49,20 @@ def boundary_distance(region, z):
     raise TypeError
 
 
-def rule_size(region, maxdeg):
+def rule_size(region, maxdeg, turned=True):
     """Node count of the plain boundary rule for bidegree maxdeg: maxdeg + 2
     per circle, maxdeg + 1 per edge (Gauss-Legendre of degree 2 maxdeg + 1).
-    Every sample circle is its own mirror image once turned onto the real
-    axis, and keeps its nodes t = 0..T/2; no sample polygon has a mirror
-    line through 0."""
+    A single disc or annulus is its own mirror image once turned onto the
+    real axis, and keeps its nodes t = 0..T/2 of each circle; a polygon or
+    union keeps its whole rule."""
+    T = (maxdeg + 2) // 2 + 1 if turned else maxdeg + 2
     if isinstance(region, Disc):
-        return (maxdeg + 2) // 2 + 1
+        return T
     if isinstance(region, Annulus):
-        return 2 * ((maxdeg + 2) // 2 + 1)
+        return 2 * T
     if isinstance(region, Polygon):
         return len(region.vertices) * (maxdeg + 1)
-    return sum(rule_size(p, maxdeg) for p in region.parts)
+    return sum(rule_size(p, maxdeg, False) for p in region.parts)
 
 
 # ---------------------------------------------------------------- contains

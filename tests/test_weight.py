@@ -555,8 +555,8 @@ DISC_07 = Disc(0.7 + 0j, 1.0)
 
 @pytest.mark.parametrize("support,density,kind,maxdeg,prec,nodes", [
     # every single disc and annulus is turned onto the real axis, and its
-    # rule keeps the nodes t = 0..T/2 of each circle's T; the union has no
-    # mirror line through 0 and keeps its whole rule
+    # rule keeps the nodes t = 0..T/2 of each circle's T; the union keeps
+    # its whole rule
     (Disc(SEED1_CENTER, 1.0), Constant(1.0), "gaussian", 24, 128, 31),
     (DISC_07, Constant(1.0), "gaussian", 48, 256, 53),
     (Disc(3 + 0j, 1.0), Constant(1.0), "gaussian", 48, 256, 68),
@@ -591,17 +591,12 @@ def _assert_matches_a_longer_rule(w, kind, maxdeg, prec, nodes):
     _assert_within_units(literal_rows(tab), ref, maxdeg, prec, units=1)
 
 
-# z -> -conj(z) maps it onto itself, z -> conj(z) does not
-HOUSE = Polygon((-1 - 0.5j, 1 - 0.5j, 1 + 0.3j, 1j, -1 + 0.3j))
-
-
 @pytest.mark.parametrize("support, turn", [
     (Annulus(0.3j, 0.4, 1.0), 0.3j),
-    (HOUSE, 1j),
-    # the paired discs at +-0.6i: one rule with doubled steps stands for both
-    (UnionRegion((Disc(0.6j, 0.3), Disc(-0.6j, 0.3), Disc(0.8 + 0j, 0.2))), 1),
-    # mirrored only by z -> i conj(z), which is not tried: the whole rule
+    (Disc(-0.5 + 0.6j, 0.8), -0.5 + 0.6j),
+    # a polygon or union keeps its whole rule, mirrored or not
     (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), None),
+    (UnionRegion((Disc(0.6j, 0.3), Disc(-0.6j, 0.3), Disc(0.8 + 0j, 0.2))), None),
 ])
 def test_half_rule_matches_the_literal_full_rule(support, turn, monkeypatch):
     # the mirror rule, read through entry(), against the full rule on the
@@ -639,14 +634,7 @@ def test_polygon_edges_keep_the_total_degree_count(support, k, kind):
     maxdeg, prec = 12, 128
     n = (2 * maxdeg + 1 + k) // 2 + 1
     rule = _boundary_rule(Weight(support, Power(k)), BETA[kind], maxdeg, prec)
-    if rule.turn is None:
-        assert len(rule.nodes) == len(support.vertices) * n
-    else:
-        # z -> conj(z) maps the square onto itself: its lower edge stands for
-        # the upper one, and each upright edge, its own image, keeps its
-        # nodes x <= 0
-        assert support == SIDE3_SQUARE
-        assert len(rule.nodes) == n + 2 * ((n + 1) // 2)
+    assert len(rule.nodes) == len(support.vertices) * n
     assert rule.design_degree == 2 * n - 1
     # the table records the edges' design degree
     tab = mixed_moments(Weight(support, Power(k)), kind, maxdeg, prec)
@@ -659,19 +647,16 @@ _H = math.sqrt(3) / 2
 CORNER_TRIANGLE = Polygon((0j, 1 + 0j, 0.5 + _H * 1j))
 CENTRED_TRIANGLE = Polygon(tuple(v - (1.5 + _H * 1j) / 3 for v in CORNER_TRIANGLE.vertices))
 POLYGON_CASES = [
-    # (support, density, N=24 at 128 bits, N=48 at 256 bits): node counts.
-    # The centred squares (z -> conj(z)) and the centred triangle
-    # (z -> -conj(z)) have a mirror line through 0: their rules keep one
-    # edge of each mirror pair and half of each edge that is its own image
-    (UNIT_SQUARE, Constant(1.0), 91, 168),
+    # (support, density, N=24 at 128 bits, N=48 at 256 bits): node counts
+    (UNIT_SQUARE, Constant(1.0), 180, 336),
     (CORNER_SQUARE, Constant(1.0), 236, 428),
-    (CENTRED_TRIANGLE, Constant(1.0), 71, 131),
+    (CENTRED_TRIANGLE, Constant(1.0), 141, 261),
     (CORNER_TRIANGLE, Constant(1.0), 174, 318),
-    (Polygon((-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j)), Constant(1.0), 128, 220),
+    (Polygon((-2 - 2j, 2 - 2j, 2 + 2j, -2 + 2j)), Constant(1.0), 256, 440),
     (Polygon((3 + 3j, 4 + 3j, 4 + 4j, 3 + 4j)), Constant(1.0), 312, 512),
     (UnionRegion((CORNER_SQUARE, Polygon((1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j)))), Constant(1.0),
      496, 888),
-    (UNIT_SQUARE, POWER2, 92, 171),
+    (UNIT_SQUARE, POWER2, 184, 340),
     (CORNER_SQUARE, POWER1, 296, None),
 ]
 
