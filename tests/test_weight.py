@@ -594,9 +594,8 @@ def _assert_matches_a_longer_rule(w, kind, maxdeg, prec, nodes):
 @pytest.mark.parametrize("support, turn", [
     (Annulus(0.3j, 0.4, 1.0), 0.3j),
     (Disc(-0.5 + 0.6j, 0.8), -0.5 + 0.6j),
-    # a polygon or union keeps its whole rule, mirrored or not
+    # a polygon keeps its whole rule
     (Polygon((0j, 1 + 0j, 1 + 1j, 1j)), None),
-    (UnionRegion((Disc(0.6j, 0.3), Disc(-0.6j, 0.3), Disc(0.8 + 0j, 0.2))), None),
 ])
 def test_half_rule_matches_the_literal_full_rule(support, turn, monkeypatch):
     # the mirror rule, read through entry(), against the full rule on the
