@@ -14,6 +14,14 @@ density is singular; circles take uniform chord panels, whose O(h^2) error
 one Richardson step removes. The module keeps its name: the capacity was
 once read off the decay of minimax (Chebyshev) polynomial norms.
 
+The matrix is assembled a block of columns at a time by numpy broadcasting,
+with the elementwise operations and their order of a column-by-column loop,
+so its bits do not depend on the block. A block holds at most
+_BLOCK_ENTRIES entries (12 columns of the 320-panel level): its temporaries
+take a few times its entries' bytes, and a whole-matrix broadcast is no
+faster but peaks near 9 times the bytes of the matrix. Both levels of the
+unit square take about 7 ms on a 2-core x86-64 host (15 ms column by column).
+
 Everything here runs in double precision.
 """
 
@@ -36,6 +44,7 @@ _POLYGON_PANELS = 160     # coarse panels per polygon, shared out by arclength
 _MIN_RUN_PANELS = 4       # least coarse panels between two corners
 _CORNER_TURN = 0.05       # radians; gentler vertices lie on a smooth stretch of boundary
 _MAX_REL_ERROR = 1e-3     # largest |fine - coarse| / Cap accepted
+_BLOCK_ENTRIES = 4096     # matrix entries assembled at once: wider blocks only raise peak memory
 
 
 @dataclass(frozen=True)
@@ -103,20 +112,21 @@ def _panels(region: Region, level: int):
 
     Each part of a union gets its own panels; a panel is dropped when its
     midpoint lies strictly inside another part, or on an earlier part, so a
-    shared edge is kept once.
+    shared edge is kept once. A single part keeps every panel of its ring.
     """
     parts = region.parts if isinstance(region, UnionRegion) else (region,)
     a, b = [], []
     for i, part in enumerate(parts):
         ring = _part_breakpoints(part, level)
-        for za, zb in zip(ring[:-1], ring[1:]):
-            mid = 0.5 * (za + zb)
-            if any(_strictly_inside(q, mid, 1e-12) for q in parts[i + 1:]) or any(
-                    contains(q, mid) for q in parts[:i]):
-                continue
-            a.append(za)
-            b.append(zb)
-    return np.array(a), np.array(b)
+        za, zb = ring[:-1], ring[1:]
+        if len(parts) > 1:
+            keep = [not (any(_strictly_inside(q, mid, 1e-12) for q in parts[i + 1:])
+                         or any(contains(q, mid) for q in parts[:i]))
+                    for mid in 0.5 * (za + zb)]
+            za, zb = za[keep], zb[keep]
+        a.append(za)
+        b.append(zb)
+    return np.concatenate(a), np.concatenate(b)
 
 
 def _panel_log_integral(s, y):
@@ -125,22 +135,38 @@ def _panel_log_integral(s, y):
 
 
 def _solve(a: np.ndarray, b: np.ndarray):
-    """Capacity and panel masses from the collocated Symm system."""
+    """Capacity and panel masses from the collocated Symm system.
+
+    The matrix is assembled in blocks of columns, each the same elementwise
+    float64 operations a column-at-a-time loop makes, so the bits do not
+    depend on the block width.
+    """
     n = len(a)
+    if n == 0:
+        raise NonConvergenceError("0 boundary panels kept: every panel's midpoint "
+                                  "lies inside or on another part")
     mid = 0.5 * (a + b)
     d = b - a
     lengths = np.abs(d)
+    turn = d.conjugate() / lengths
     system = np.zeros((n + 1, n + 1))
-    for j in range(n):
-        # midpoints in the frame of panel j: w = x + iy, the panel on [0, L]
-        w = (mid - a[j]) * (d[j].conjugate() / lengths[j])
+    width = max(1, _BLOCK_ENTRIES // n)
+    for j in range(0, n, width):
+        k = slice(j, min(j + width, n))
+        # midpoints in the frame of each panel k: w = x + iy, the panel on [0, L]
+        w = (mid[:, None] - a[k]) * turn[k]
         y = np.abs(w.imag)
-        system[:n, j] = _panel_log_integral(lengths[j] - w.real, y) - _panel_log_integral(-w.real, y)
+        system[:n, k] = _panel_log_integral(lengths[k] - w.real, y) - _panel_log_integral(-w.real, y)
     system[:n, n] = -1.0
     system[n, :n] = lengths
     rhs = np.zeros(n + 1)
     rhs[n] = 1.0
-    sol = np.linalg.solve(system, rhs)
+    try:
+        sol = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is None or not np.isfinite(sol).all():
+        raise NonConvergenceError(f"the Symm system on {n} boundary panels has no finite solution")
     return math.exp(sol[n]), sol[:n] * lengths
 
 

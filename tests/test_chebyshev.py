@@ -8,17 +8,21 @@ the set.
 """
 
 import cmath
+import dataclasses
 import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from mpmath import mp
 
 from landaucap import chebyshev
 from landaucap.errors import NonConvergenceError
-from landaucap.region import Annulus, Disc, Polygon, UnionRegion, affine
+from landaucap.region import Annulus, Disc, Polygon, UnionRegion, affine, contains, _strictly_inside
 from landaucap.chebyshev import CapacityEstimate, capacity_estimate
+from test_symmetry import square_support
 
 UNIT_SQUARE = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
 SQUARE_CAPACITY = 0.5901702995080481  # Gamma(1/4)^2 / (4 pi^(3/2)), side 1
@@ -208,9 +212,112 @@ def test_reruns_are_bit_identical():
         assert capacity_estimate(region) == capacity_estimate(region)
 
 
+@pytest.mark.parametrize("region", [
+    UnionRegion((Disc(0j, 1.0), Disc(0j, 1.0))),
+    UnionRegion((Disc(0j, 1.0), Annulus(0j, 0.5, 1.0))),
+    UnionRegion((Disc(0j, 1.0), Disc(1e-9 + 0j, 1.0))),
+    Disc(1e17 + 0j, 1.0),
+])
+def test_degenerate_panels_raise_nonconvergence(region):
+    # coincident circles drop every panel (each chord midpoint lies a
+    # sagitta inside the other circle); far off 0 the panels collapse
+    with pytest.raises(NonConvergenceError, match=r"\d+ boundary panels"):
+        capacity_estimate(region)
+
+
 @pytest.mark.parametrize("region,name", [(UNIT_SQUARE, "_POLYGON_PANELS"),
                                          (Disc(0j, 1.0), "_CIRCLE_PANELS")])
 def test_unsettled_refinement_raises(monkeypatch, region, name):
     monkeypatch.setattr(chebyshev, name, 16)
     with pytest.raises(NonConvergenceError, match="boundary panels"):
         capacity_estimate(region)
+
+
+# ------------------------------------------------------------ block assembly
+
+def _column_solve(a, b):
+    """The column-at-a-time assembly _solve replaced, kept as its reference."""
+    n = len(a)
+    mid = 0.5 * (a + b)
+    d = b - a
+    lengths = np.abs(d)
+    system = np.zeros((n + 1, n + 1))
+    for j in range(n):
+        w = (mid - a[j]) * (d[j].conjugate() / lengths[j])
+        y = np.abs(w.imag)
+        system[:n, j] = (chebyshev._panel_log_integral(lengths[j] - w.real, y)
+                         - chebyshev._panel_log_integral(-w.real, y))
+    system[:n, n] = -1.0
+    system[n, :n] = lengths
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    sol = np.linalg.solve(system, rhs)
+    return math.exp(sol[n]), sol[:n] * lengths
+
+
+def _loop_panels(region, level):
+    """The panel-at-a-time _panels, kept as its reference."""
+    parts = region.parts if isinstance(region, UnionRegion) else (region,)
+    a, b = [], []
+    for i, part in enumerate(parts):
+        ring = chebyshev._part_breakpoints(part, level)
+        for za, zb in zip(ring[:-1], ring[1:]):
+            mid = 0.5 * (za + zb)
+            if any(_strictly_inside(q, mid, 1e-12) for q in parts[i + 1:]) or any(
+                    contains(q, mid) for q in parts[:i]):
+                continue
+            a.append(za)
+            b.append(zb)
+    return np.array(a), np.array(b)
+
+
+def _bits(est):
+    """Every field of a CapacityEstimate, each float as its exact hex string."""
+    def exact(x):
+        if isinstance(x, tuple):
+            return tuple(map(exact, x))
+        return x.hex() if isinstance(x, float) else x
+    return {f.name: exact(getattr(est, f.name)) for f in dataclasses.fields(est)}
+
+
+BLOCK_REGIONS = {
+    "square-predict-seed1": square_support(1),
+    "square-predict-seed7": square_support(7),
+    "unit-square": UNIT_SQUARE,
+    "triangle": TRIANGLE,
+    "disc": Disc(1 + 0.5j, 1.5),
+    "annulus": Annulus(0j, 0.5, 1.0),
+    "two-discs": UnionRegion((Disc(0j, 1.0), Disc(3 + 0j, 1.0))),
+    "edge-sharing": UnionRegion((UNIT_SQUARE, affine(UNIT_SQUARE, 1.0, 1.0))),
+    "overlapping-discs": UnionRegion((Disc(0j, 1.0), Disc(1 + 0j, 1.0))),
+    "rounded-square": rounded_square(0.01),  # 260 vertices, no corner
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_REGIONS)
+def test_block_assembly_matches_the_column_loop_bit_for_bit(monkeypatch, name):
+    # the blocks make the loop's elementwise operations in the loop's order,
+    # so neither the panels nor any field of the estimate moves a bit
+    region = BLOCK_REGIONS[name]
+    for level in (1, 2):
+        panels, reference = chebyshev._panels(region, level), _loop_panels(region, level)
+        assert [(x.dtype, x.tobytes()) for x in panels] == [(x.dtype, x.tobytes()) for x in reference]
+    est = capacity_estimate(region)
+    monkeypatch.setattr(chebyshev, "_panels", _loop_panels)
+    monkeypatch.setattr(chebyshev, "_solve", _column_solve)
+    assert _bits(est) == _bits(capacity_estimate(region))
+
+
+def test_block_assembly_memory_is_bounded():
+    # the blocks' temporaries are bounded by _BLOCK_ENTRIES, not by the
+    # matrix: a whole-matrix broadcast peaks near 9x the system's own bytes
+    a, b = chebyshev._panels(UNIT_SQUARE, 2)
+    n = len(a)
+    tracemalloc.start()
+    try:
+        chebyshev._solve(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 320
+    assert peak <= 2 * 8 * (n + 1) ** 2

@@ -130,6 +130,21 @@ def test_capacity_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("region", [
+    {"shape": "union", "parts": [{"shape": "disc", "center": [0, 0], "radius": 1.0}] * 2},
+    {"shape": "disc", "center": [1e17, 0], "radius": 1.0},
+])
+def test_capacity_degenerate_panels_exit_3(tmp_path, capsys, region):
+    # valid regions whose panels all drop (coincident circles) or collapse
+    # (far off 0) leave Symm's system empty or singular: a solver failure
+    cfg = write_config(tmp_path / "cap.json", {"region": region})
+    out_path = tmp_path / "never.csv"
+    code, out, err = run_cli(["capacity", "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 3
+    assert "did not converge" in err and "boundary panels" in err
+    assert not out_path.exists()
+
+
 def test_malformed_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")
