@@ -129,9 +129,21 @@ def _panels(region: Region, level: int):
     return np.concatenate(a), np.concatenate(b)
 
 
-def _panel_log_integral(s, y):
-    """F(s) with F(L - x) - F(-x) = int_0^L log|x - t + iy| dt."""
-    return 0.5 * s * np.log(s * s + y * y) - s + y * np.arctan2(s, y)
+def _panel_log_integral(s, y, y2):
+    """F(s) with F(L - x) - F(-x) = int_0^L log|x - t + iy| dt, given y2 = y * y.
+
+    0.5 s log(s^2 + y^2) - s + y atan2(s, y), evaluated in that order in
+    place on two temporaries.
+    """
+    f = s * s
+    f += y2
+    np.log(f, out=f)
+    f *= 0.5 * s
+    f -= s
+    g = np.arctan2(s, y)
+    g *= y
+    f += g
+    return f
 
 
 def _solve(a: np.ndarray, b: np.ndarray):
@@ -154,9 +166,12 @@ def _solve(a: np.ndarray, b: np.ndarray):
     for j in range(0, n, width):
         k = slice(j, min(j + width, n))
         # midpoints in the frame of each panel k: w = x + iy, the panel on [0, L]
-        w = (mid[:, None] - a[k]) * turn[k]
+        w = mid[:, None] - a[k]
+        w *= turn[k]
         y = np.abs(w.imag)
-        system[:n, k] = _panel_log_integral(lengths[k] - w.real, y) - _panel_log_integral(-w.real, y)
+        y2 = y * y
+        np.subtract(_panel_log_integral(lengths[k] - w.real, y, y2),
+                    _panel_log_integral(-w.real, y, y2), out=system[:n, k])
     system[:n, n] = -1.0
     system[n, :n] = lengths
     rhs = np.zeros(n + 1)

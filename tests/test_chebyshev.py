@@ -235,6 +235,10 @@ def test_unsettled_refinement_raises(monkeypatch, region, name):
 
 # ------------------------------------------------------------ block assembly
 
+def _panel_log_integral(s, y):
+    return 0.5 * s * np.log(s * s + y * y) - s + y * np.arctan2(s, y)
+
+
 def _column_solve(a, b):
     """The column-at-a-time assembly _solve replaced, kept as its reference."""
     n = len(a)
@@ -245,8 +249,7 @@ def _column_solve(a, b):
     for j in range(n):
         w = (mid - a[j]) * (d[j].conjugate() / lengths[j])
         y = np.abs(w.imag)
-        system[:n, j] = (chebyshev._panel_log_integral(lengths[j] - w.real, y)
-                         - chebyshev._panel_log_integral(-w.real, y))
+        system[:n, j] = _panel_log_integral(lengths[j] - w.real, y) - _panel_log_integral(-w.real, y)
     system[:n, n] = -1.0
     system[n, :n] = lengths
     rhs = np.zeros(n + 1)
