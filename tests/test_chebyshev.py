@@ -220,7 +220,8 @@ def test_reruns_are_bit_identical():
 ])
 def test_degenerate_panels_raise_nonconvergence(region):
     # coincident circles drop every panel (each chord midpoint lies a
-    # sagitta inside the other circle); far off 0 the panels collapse
+    # sagitta inside the other circle); at 1e17 the circle's breakpoints
+    # round onto one segment, traced up and down, and the system is singular
     with pytest.raises(NonConvergenceError, match=r"\d+ boundary panels"):
         capacity_estimate(region)
 

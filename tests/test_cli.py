@@ -136,7 +136,8 @@ def test_capacity_nonconvergence_exits_3(tmp_path, capsys, monkeypatch):
 ])
 def test_capacity_degenerate_panels_exit_3(tmp_path, capsys, region):
     # valid regions whose panels all drop (coincident circles) or collapse
-    # (far off 0) leave Symm's system empty or singular: a solver failure
+    # onto one segment (a circle at 1e17) leave Symm's system empty or
+    # singular: a solver failure, not an invalid config
     cfg = write_config(tmp_path / "cap.json", {"region": region})
     out_path = tmp_path / "never.csv"
     code, out, err = run_cli(["capacity", "--config", cfg, "--output", str(out_path)], capsys)
