@@ -132,8 +132,8 @@ def _panels(region: Region, level: int):
 def _panel_log_integral(s, y, y2):
     """F(s) with F(L - x) - F(-x) = int_0^L log|x - t + iy| dt, given y2 = y * y.
 
-    0.5 s log(s^2 + y^2) - s + y atan2(s, y), evaluated in that order in
-    place on two temporaries.
+    0.5 s log(s^2 + y^2) - s + y atan2(s, y), evaluated in that order, so
+    its bits are the expression's, but in place on two temporaries.
     """
     f = s * s
     f += y2
@@ -147,12 +147,8 @@ def _panel_log_integral(s, y, y2):
 
 
 def _solve(a: np.ndarray, b: np.ndarray):
-    """Capacity and panel masses from the collocated Symm system.
-
-    The matrix is assembled in blocks of columns, each the same elementwise
-    float64 operations a column-at-a-time loop makes, so the bits do not
-    depend on the block width.
-    """
+    """Capacity and panel masses from the collocated Symm system, assembled
+    in blocks of at most _BLOCK_ENTRIES entries."""
     n = len(a)
     if n == 0:
         raise NonConvergenceError("0 boundary panels kept: every panel's midpoint "
