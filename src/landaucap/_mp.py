@@ -23,20 +23,65 @@ def gauss_legendre(n: int, prec: int):
     """Nodes and weights on [-1, 1], exact for polynomial degree 2n-1, each
     rounded once to prec + 30 bits.
 
-    float64 seeds refined by Newton steps on fixed-point integers
-    (_legendre_node); each step doubles the correct digits, so a handful
-    suffices even at 512 bits. numpy's seeds are antisymmetric, so only the
-    nonpositive half is refined and the rest mirrored: the rule is exactly
-    antisymmetric, which the refinement, rounding down, is not on its own.
+    float64 seeds (_legendre_seeds) refined by Newton steps on fixed-point
+    integers (_legendre_node); each step doubles the correct digits, so a
+    handful suffices even at 512 bits. The seeds are antisymmetric, so only
+    the nonpositive half is refined and the rest mirrored: the rule is
+    exactly antisymmetric, which the refinement, rounding down, is not on
+    its own.
     """
     if n < 1:
         raise ValueError("need at least one node")
-    seeds, _ = np.polynomial.legendre.leggauss(n)
+    seeds = _legendre_seeds(n)
     half = [_legendre_node(n, float(x0), prec) for x0 in seeds[:(n + 1) // 2]]
     mirror = half[:n // 2][::-1]
     nodes = [x for x, _ in half] + [libmp.mpf_neg(x) for x, _ in mirror]
     weights = [w for _, w in half + mirror]
     return tuple(map(mp.make_mpf, nodes)), tuple(map(mp.make_mpf, weights))
+
+
+def _legendre_seeds(n: int):
+    """The nodes of numpy.polynomial.legendre.leggauss(n), by its float64
+    steps one for one, without importing numpy.polynomial (about 3 ms a
+    process): the eigenvalues of the symmetric companion matrix of P_n
+    (legcompanion, whose last column loses only zeros), one Newton step by
+    the Clenshaw sums of legval on P_n and on its legder coefficients, and
+    (x - x[::-1]) / 2. At n = 1 legcompanion's -0.0 is 0.0 here; the last
+    step maps both to 0.0."""
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    mat = np.zeros((n, n))
+    scl = 1. / np.sqrt(2 * np.arange(n) + 1)
+    top = mat.reshape(-1)[1::n + 1]
+    top[...] = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[n::n + 1] = top
+    x = np.linalg.eigvalsh(mat)
+    d, der = c.copy(), np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * d[j]
+        d[j - 2] += d[j]
+    if n > 1:
+        der[1] = 3 * d[2]
+    der[0] = d[1]
+    x -= _legendre_clenshaw(x, c) / _legendre_clenshaw(x, der)
+    return (x - x[::-1]) / 2
+
+
+def _legendre_clenshaw(x, c):
+    """numpy.polynomial.legendre.legval(x, c) for a float64 array x and
+    coefficients c, in its operations and their order."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    if len(c) == 2:
+        return c[0] + c[1] * x
+    nd = len(c)
+    c0, c1 = c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
 
 
 def _legendre_node(n: int, x0: float, prec: int):

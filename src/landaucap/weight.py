@@ -156,12 +156,18 @@ class _Rule:
     z -> conj(z) maps onto itself, and holds one node of each mirror pair:
     a node off the real axis stands for itself and its conjugate, its step
     doubled, and the rule integrates the real part of the boundary
-    integrand."""
+    integrand.
+
+    fold is the order m of a rotation about 0 that maps a polygon's vertex
+    ring onto itself (_ring_fold), 1 when there is none: the nodes and steps
+    are then m blocks, block r the exact image of block 0 under the
+    rotation by 2 pi r / m, and _gram_table sums block 0 alone."""
 
     nodes: list
     steps: list
     design_degree: int = -1
     turn: object = None
+    fold: int = 1
 
 
 def _odd_power_nodes(log_decay: float, prec: int) -> int:
@@ -173,11 +179,19 @@ def _odd_power_nodes(log_decay: float, prec: int) -> int:
     return count
 
 
-def _edges(vs, maxdeg, prec, k, beta):
+def _edges(vs, maxdeg, prec, k, beta, fold=1):
     """Gauss-Legendre on every edge of a counterclockwise ring for the table
     of bidegree maxdeg of v = c |z|^k, Gaussian exp(-beta |z|^2) unless
     beta = 0: n nodes each, exact in (z, conj z) to the design degree
     2n - 1, returned with the nodes and steps.
+
+    A ring of fold m > 1 (_ring_fold) computes the nodes of its first k/m
+    edges only, k the vertex count, and takes the others as their rotations
+    by i^(4r/m), r = 1..m-1, in component swaps and negations (_times_i).
+    Every rounding on the way from an edge's end points to its nodes and
+    steps is symmetric under sign, so these are the nodes and steps the
+    rotated edges compute, bit for bit. The sizing below runs over the whole
+    ring, though it is rotation invariant.
 
     The integrand z^a conj(z)^(b+1) |z|^k dz of an even k has degree
     <= 2 maxdeg + 1 + k. On a piece z = m + h t, t in [-1, 1], the Gaussian
@@ -195,7 +209,7 @@ def _edges(vs, maxdeg, prec, k, beta):
     so the error falls like rho(t0)^-2 per node. Those edges all get the
     largest count of _odd_power_nodes more, so the ring computes at most two
     Gauss-Legendre rules; their design degree counts the larger."""
-    pieces, extra = [], 0
+    pieces, extra, ends = [], 0, []
     for a, b in zip(vs, vs[1:] + vs[:1]):
         if k % 2 and mp.fmul(a.real, b.imag, exact=True) != mp.fmul(a.imag, b.real, exact=True):
             t0 = -(a + b) / (b - a)
@@ -207,6 +221,7 @@ def _edges(vs, maxdeg, prec, k, beta):
             pieces += [(a, 0j, False), (0j, b, False)]
         else:
             pieces.append((a, b, False))
+        ends.append(len(pieces))
     bits = prec + _TAIL_MARGIN
     excess = max(2 * _gaussian_tail(beta * abs(b - a) ** 2 / 16, bits)
                  + _gaussian_tail(beta * abs(((a + b).conjugate() * (b - a)).real) / 4, bits)
@@ -214,12 +229,23 @@ def _edges(vs, maxdeg, prec, k, beta):
     n = (2 * maxdeg + 1 + k + excess) // 2 + 1
     nodes, steps = [], []
     with mp.workprec(prec + 10):
-        for a, b, analytic in pieces:
+        for a, b, analytic in pieces[:ends[len(vs) // fold - 1]]:
             xs, ws = gauss_legendre(n + extra if analytic else n, prec)
             half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
             nodes.extend(mid + half * x for x in xs)
             steps.extend(half * w for w in ws)
+    size = len(nodes)
+    for r in range(1, fold):
+        nodes += [_times_i(z, 4 * r // fold) for z in nodes[:size]]
+        steps += [_times_i(d, 4 * r // fold) for d in steps[:size]]
     return nodes, steps, 2 * (n + extra) - 1
+
+
+def _times_i(z, q: int):
+    """i^q z for an mpc z, exactly: its parts swapped and negated."""
+    re, im = z._mpc_
+    neg = libmp.mpf_neg
+    return mp.make_mpc(((re, im), (neg(im), re), (neg(re), neg(im)), (im, neg(re)))[q % 4])
 
 
 def _circle_size(center, radius, maxdeg: int, prec: int, k: int, beta: float) -> int:
@@ -380,7 +406,14 @@ def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0, beta: float
     w = c / |c|, centred at |c|, formed at the rule's working precision
     from the double c, and keeps one node of each mirror pair (_circle).
     Every density c |z|^k, and each circle's size, is the same on the
-    turned support."""
+    turned support.
+
+    A single polygon whose vertex ring a rotation about 0 shifts by a
+    quarter or a half turn (_ring_fold, an exact test) computes the nodes of
+    that share of its edges and rotates them onto the rest (_edges): the
+    rule is the literal one, bit for bit, and records the rotation order as
+    its fold. A union keeps fold 1, even where the rotation permutes its
+    parts."""
     parts = support.parts if isinstance(support, UnionRegion) else (support,)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
@@ -388,24 +421,25 @@ def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0, beta: float
                 raise ValueError(UNION_MSG)
     prec += _boundary_guard(support, beta)
     turn = _mirror(support)
+    fold = _ring_fold(support.vertices) if isinstance(support, Polygon) else 1
     nodes, steps, design = [], [], -1
     for p in parts:
-        for ns, ds, d in _pieces(p, maxdeg, prec, k, beta, turn is not None):
+        for ns, ds, d in _pieces(p, maxdeg, prec, k, beta, turn is not None, fold):
             nodes.extend(ns)
             steps.extend(ds)
             design = max(design, d)
-    return _Rule(nodes, steps, design, turn)
+    return _Rule(nodes, steps, design, turn, fold)
 
 
-def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turned=False):
+def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turned=False, fold=1):
     """(nodes, steps, design degree) pieces of one part's boundary rule:
-    Gauss-Legendre on a polygon's edges (_edges), on each circle the
-    trapezoid rule of its own _circle_size, whose design degree is T - 2
-    (an annulus's inner circle reversed); both size the Gaussian's tail by
-    _gaussian_tail. A turned disc or annulus (_build_rule) is centred at
-    |c| and keeps half of each circle."""
+    Gauss-Legendre on a polygon's edges (_edges, of the given fold), on each
+    circle the trapezoid rule of its own _circle_size, whose design degree
+    is T - 2 (an annulus's inner circle reversed); both size the Gaussian's
+    tail by _gaussian_tail. A turned disc or annulus (_build_rule) is
+    centred at |c| and keeps half of each circle."""
     if isinstance(part, Polygon):
-        return [_edges(part.vertices, maxdeg, prec, k, beta)]
+        return [_edges(part.vertices, maxdeg, prec, k, beta, fold)]
     if not isinstance(part, (Disc, Annulus)):
         raise TypeError(f"not a region: {part!r}")
     center = part.center
@@ -506,6 +540,18 @@ def _rotation_order(support: Region) -> int:
         return 4
     if _part_keys(support, lambda z: -z) == parts:
         return 2
+    return 1
+
+
+def _ring_fold(vs) -> int:
+    """The order m of the rotation z -> exp(2 pi i / m) z about 0 that
+    shifts a vertex ring by k/m places, k = len(vs):
+    vs[(j + k/m) % k] == exp(2 pi i / m) vs[j] for every j, compared
+    exactly; 4 when z -> iz does, else 2 when z -> -z does, else 1."""
+    k = len(vs)
+    for m, image in ((4, lambda z: complex(-z.imag, z.real)), (2, lambda z: -z)):
+        if k % m == 0 and all(vs[(j + k // m) % k] == image(v) for j, v in enumerate(vs)):
+            return m
     return 1
 
 
@@ -653,19 +699,31 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     table is real: each entry is the real part x_r y_r + x_i y_i, two dot
     products, and an mpf. Only entries with a = b (mod stride) are summed;
     the others, zero on a support that the rotation by 2 pi / stride maps
-    onto itself, are stored as exact zeros."""
+    onto itself, are stored as exact zeros.
+
+    On a rule of fold m (_Rule) that divides the stride, the sums run over
+    the first len(nodes) / m nodes, one block of the rotation: the node
+    w z, w = exp(2 pi i / m), has x' = w x, u' = w u and y'_b = w^(b+1) y_b,
+    so its term is w^(a-b) times that of z, and on every summed entry the
+    m blocks add up to m times the first. The exponent takes log2 m before
+    the one rounding, which is exact; F stays that of the whole rule, and
+    m times the block's truncation is within that of the whole rule's
+    terms. The entries are not those of the whole sum bit for bit: its
+    integer powers u^a round down on each node, the block's are rotated."""
     R0 = mp.mpf(bounding_radius(w.support))
     k = _power(w.density)
     gaussian = beta != 0
     guard = _boundary_guard(w.support, beta)
     F = fixed_bits(prec + guard, len(rule.nodes))
+    fold = math.gcd(rule.fold, stride)
+    count = len(rule.nodes) // fold
     with mp.workprec(F):
-        zs = [mp.mpc(z) for z in rule.nodes]
+        zs = [mp.mpc(z) for z in rule.nodes[:count]]
         if isinstance(w.density, Constant):  # one value, and no |z| per node
             vs = [w.density.value(0)] * len(zs)
         else:
             vs = [w.density.value(abs(z)) for z in zs]
-        x0 = [mp.mpc(0, -v * R0 / 2) * dz for v, dz in zip(vs, rule.steps)]
+        x0 = [mp.mpc(0, -v * R0 / 2) * dz for v, dz in zip(vs, rule.steps[:count])]
         us = [z / R0 for z in zs]
         if gaussian:
             G = F + (2 * maxdeg + k + 2).bit_length() + 1
@@ -691,8 +749,9 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     if not real:
         sums = [[r + i for r, i in zip(pr, pi)] for pr, pi in xs]
         diffs = [[r - i for r, i in zip(pr, pi)] for pr, pi in ys]
-    # a plain entry is 2 sum / (2b + 2 + k): the 2 goes into the exponent
-    e = e_x + e_u if gaussian else e_x + e_u + 1
+    # a plain entry is 2 sum / (2b + 2 + k): the 2 goes into the exponent,
+    # as does the fold, a power of two
+    e = e_x + e_u + fold.bit_length() - 1 + (0 if gaussian else 1)
     rows = []
     for a, (pr, pi) in enumerate(xs):
         row = []
@@ -755,8 +814,17 @@ def mixed_moments(
     0 unless a = b (mod stride). It is maxdeg + 1 on the radial path. On the
     boundary path it is the support's rotation order m in (4, 2, 1)
     (_rotation_order, an exact test), and only the entries with
-    a = b (mod m) are summed, each with the same arithmetic as in a whole
-    table; on the rotated unit square that is a quarter of them.
+    a = b (mod m) are summed; on the rotated unit square that is a quarter
+    of them. On a single polygon the rotation shifts the vertex ring
+    (_ring_fold), so the rule is m rotated copies of one block, and the sums
+    also run over that block alone, a quarter of the nodes on the rotated
+    unit square, each entry m times the block's sum (_gram_table). The
+    entries then lie within 1e-9 units of 2^-precision_bits sqrt(G_aa G_bb)
+    of the sums over every node (2.7e-10 at most on the tested squares and
+    rectangle, at N = 24 and 128 bits and at N = 48 and 256); the log norms
+    and level-q spectra of the tested supports come out bit for bit the
+    same. Every other table sums each of its entries with the same
+    arithmetic as a whole table.
 
     On the boundary path the node values, evaluated at _mp.fixed_bits (32
     guard bits and the bit length of the node count past precision_bits,

@@ -12,8 +12,14 @@ z -> conj(z) maps it onto itself; its table, Cholesky, level-q block and
 eigen-solve are real. The turn is exact, so supports that turn to the same
 one give the same bits, and the real arithmetic gives the complex one's
 bits on the same real input.
+
+A polygon whose vertex ring the rotation shifts has a rule of m exact
+rotated copies of one block, and its table sums that block alone. The rule
+must be the literal one bit for bit; the table moves in its last bits only,
+and the log norms and spectra built on it not at all.
 """
 
+import cmath
 import hashlib
 import importlib.util
 import json
@@ -27,7 +33,8 @@ from mpmath import libmp, mp
 
 import landaucap.landau as landau
 import landaucap.weight as weight_module
-from landaucap._mp import FIXED_GUARD_BITS, hermitian_cholesky, raw_parts, round_shift
+from landaucap._mp import (FIXED_GUARD_BITS, gauss_legendre, hermitian_cholesky, raw_parts,
+                           round_shift, to_fixed)
 from landaucap.errors import DegenerateMomentError
 from landaucap.landau import LevelBlock, level_q_matrix, spectrum, toeplitz_spectrum
 from landaucap.orthopoly import monic_orthogonalize
@@ -311,3 +318,134 @@ def test_real_householder_is_the_complex_one_bit_for_bit(support, q):
         assert (cre, ce) == (zre, ze) and not any(x for col in zim for x in col)
         assert (landau._householder_tridiagonal(cre, None, bits)
                 == landau._householder_tridiagonal(zre, zim, bits))
+
+
+# ------------------------------------------------- one block of the rotation
+
+_H = math.sqrt(0.5)
+OCTAGON = Polygon((1 + 0j, _H + _H * 1j, 1j, -_H + _H * 1j,
+                   -1 + 0j, -_H - _H * 1j, -1j, _H - _H * 1j))
+SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
+_T = math.sqrt(3) / 2
+CENTRED_TRIANGLE = Polygon(tuple(v - (1.5 + _T * 1j) / 3 for v in (0j, 1 + 0j, 0.5 + _T * 1j)))
+CORNER_SQUARE = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
+# two squares that z -> -z swaps: the union keeps its whole rule
+SWAPPED_SQUARES = UnionRegion((Polygon((1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j)),
+                               Polygon((-2 - 1j, -1 - 1j, -1 + 0j, -2 + 0j))))
+FOLDED = {"square-seed1": (square_support(1), 4), "square-seed3": (square_support(3), 4),
+          "square-seed7": (square_support(7), 4), "unit-square": (CENTRED_SQUARE, 4),
+          "side3-square": (SIDE3_SQUARE, 4), "rectangle-2x1": (RECTANGLE, 2),
+          "octagon": (OCTAGON, 4)}
+UNFOLDED = {"corner-square": CORNER_SQUARE, "centred-triangle": CENTRED_TRIANGLE,
+            "two-discs": TWO_DISCS, "swapped-squares": SWAPPED_SQUARES}
+
+
+def literal_edges(vs, maxdeg, prec, k, beta):
+    """The per-edge rule of a polygon ring as built before rotated edges were
+    copied: every edge's nodes and steps computed from its own end points."""
+    pieces, extra = [], 0
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        if k % 2 and mp.fmul(a.real, b.imag, exact=True) != mp.fmul(a.imag, b.real, exact=True):
+            t0 = -(a + b) / (b - a)
+            root = cmath.sqrt(t0 * t0 - 1)
+            rho = max(abs(t0 + root), abs(t0 - root))
+            extra = max(extra, weight_module._odd_power_nodes(2 * math.log(rho), prec))
+            pieces.append((a, b, True))
+        elif k % 2 and a.real * b.real + a.imag * b.imag < 0:
+            pieces += [(a, 0j, False), (0j, b, False)]
+        else:
+            pieces.append((a, b, False))
+    bits = prec + weight_module._TAIL_MARGIN
+    tail = weight_module._gaussian_tail
+    excess = max(2 * tail(beta * abs(b - a) ** 2 / 16, bits)
+                 + tail(beta * abs(((a + b).conjugate() * (b - a)).real) / 4, bits)
+                 for a, b, _ in pieces)
+    n = (2 * maxdeg + 1 + k + excess) // 2 + 1
+    nodes, steps = [], []
+    with mp.workprec(prec + 10):
+        for a, b, analytic in pieces:
+            xs, ws = gauss_legendre(n + extra if analytic else n, prec)
+            half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
+            nodes.extend(mid + half * x for x in xs)
+            steps.extend(half * w for w in ws)
+    return nodes, steps
+
+
+@pytest.mark.parametrize("beta", [0, 1.0], ids=["plain", "gaussian"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("name", list(FOLDED) + ["corner-square", "centred-triangle"])
+def test_folded_rule_is_the_literal_rule(name, k, beta):
+    # the rotated copies of the first edges are, node for node and step for
+    # step, what every edge computes from its own end points
+    support, fold = FOLDED.get(name, (UNFOLDED.get(name), 1))
+    rule = weight_module._build_rule(support, 24, 128, k, beta)
+    assert rule.fold == fold
+    prec = 128 + weight_module._boundary_guard(support, beta)
+    nodes, steps = literal_edges(support.vertices, 24, prec, k, beta)
+    assert [z._mpc_ for z in rule.nodes] == [z._mpc_ for z in nodes]
+    assert [d._mpc_ for d in rule.steps] == [d._mpc_ for d in steps]
+
+
+@pytest.mark.parametrize("name", UNFOLDED)
+def test_unfolded_supports_keep_fold_one(name):
+    assert weight_module._build_rule(UNFOLDED[name], 12, 128, 0, 1.0).fold == 1
+
+
+def unfolded(monkeypatch):
+    """Make every vertex ring look unrotatable, so tables sum every node."""
+    monkeypatch.setattr(weight_module, "_ring_fold", lambda vs: 1)
+
+
+@pytest.mark.parametrize("maxdeg, p", [(24, 128), (48, 256)])
+@pytest.mark.parametrize("kind", ["plain", "gaussian"])
+@pytest.mark.parametrize("support, density", [
+    (square_support(1), Constant(1.0)), (square_support(7), Constant(1.0)),
+    (RECTANGLE, Constant(1.0)), (SIDE3_SQUARE, Power(2))], ids=["seed1", "seed7", "rect", "side3"])
+def test_folded_table_matches_the_whole_sum(support, density, kind, maxdeg, p, monkeypatch):
+    # every entry within 1e-9 units of 2^-p sqrt(G_aa G_bb) of the sum over
+    # every node (2.7e-10 measured): the two differ only in the integer
+    # powers u^a, rounded down on each node or rotated from the first block
+    w = Weight(support, density)
+    folded = mixed_moments(w, kind, maxdeg, p)
+    unfolded(monkeypatch)
+    whole = mixed_moments(w, kind, maxdeg, p)
+    assert folded.stride == whole.stride > 1
+    with mp.workprec(p + 64):
+        unit = mp.mpf(10) ** -9 * mp.mpf(2) ** -p
+        for a in range(maxdeg + 1):
+            for b in range(a + 1):
+                x, y = folded.rows[a][b], whole.rows[a][b]
+                if (a - b) % folded.stride:
+                    assert not x and not y
+                scale = mp.sqrt(whole.rows[a][a] * whole.rows[b][b])
+                assert abs(x - y) <= unit * scale, (a, b)
+
+
+@pytest.mark.parametrize("support", [square_support(1), square_support(3), square_support(7),
+                                     RECTANGLE], ids=["seed1", "seed3", "seed7", "rect"])
+def test_fold_keeps_log_norms_and_spectra(support, monkeypatch):
+    w = Weight(support, Constant(1.0))
+    runs = []
+    for _ in range(2):
+        norms = monic_orthogonalize(mixed_moments(w, "plain", 24, 128)).log_norms
+        runs.append(([x._mpf_ for x in norms],
+                     [x._mpf_ for x in toeplitz_spectrum(w, 0, 2.0, 24, 128).eigs]))
+        unfolded(monkeypatch)
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("support, count", [(square_support(1), 25), (RECTANGLE, 50),
+                                            (CORNER_SQUARE, 100)])
+def test_kernel_sums_one_block_of_the_orbit(support, count, monkeypatch):
+    # the node values and powers go to integers once, for len(nodes) / fold
+    # nodes
+    lengths = []
+
+    def spy(parts, bits):
+        lengths.append({len(p) for p in parts})
+        return to_fixed(parts, bits)
+
+    monkeypatch.setattr(weight_module, "to_fixed", spy)
+    table = mixed_moments(Weight(support, Constant(1.0)), "plain", 24, 128)
+    assert len(weight_module._build_rule(support, 24, 128).nodes) == 100
+    assert lengths == [{count}, {count}] and table.stride == 100 // count

@@ -7,6 +7,9 @@ of the solid ball.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from mpmath import mp
 import landaucap.weight as weight_module
 from landaucap.errors import NonConvergenceError
 from landaucap.region import Annulus, Disc, Polygon, UnionRegion, bounding_radius
-from landaucap._mp import _legendre_node, fixed_bits, gauss_legendre
+from landaucap._mp import _legendre_node, _legendre_seeds, fixed_bits, gauss_legendre
 from landaucap.weight import (
     Chord,
     Constant,
@@ -65,6 +68,21 @@ def test_gauss_legendre_mirrors_the_refined_half(n):
     with mp.workprec(prec + 30):
         assert list(xs) == [-x for x in xs[::-1]]
     assert list(ws) == list(ws[::-1])
+
+
+def test_legendre_seeds_are_numpys_leggauss_bytes():
+    # the float64 steps of numpy.polynomial.legendre.leggauss, one for one
+    for n in range(1, 201):
+        assert _legendre_seeds(n).tobytes() == np.polynomial.legendre.leggauss(n)[0].tobytes(), n
+
+
+def test_gauss_legendre_does_not_import_numpy_polynomial():
+    code = ("import sys\n"
+            "from landaucap._mp import gauss_legendre\n"
+            "gauss_legendre(25, 128)\n"
+            "assert 'numpy.polynomial' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def _mpf_legendre_rule(n, prec):
