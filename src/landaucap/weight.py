@@ -18,11 +18,16 @@ Beta-Kummer sums (_chord_column); a plain boundary table has
 S_s(0) = 1 / (s + 1), so it divides each entry by b + 1 + k/2 inside that
 rounding instead.
 
-A single disc or annulus off 0 is mirrored about the line through 0 and
-its centre (_mirror), and is turned onto the real axis, where z -> conj(z)
-maps it onto itself: its rule holds one node of each mirror pair, and its
-table, the moments of the turned support, is real by construction
-(MomentTable.turn); entry() gives back the moments of the support itself.
+One exact test of a support's symmetry (_symmetry) sets its boundary
+rule and table. A single disc or annulus off 0 is mirrored about the line
+through 0 and its centre, and is turned onto the real axis, where
+z -> conj(z) maps it onto itself: its rule holds one node of each mirror
+pair, and its table, the moments of the turned support, is real by
+construction (MomentTable.turn); entry() gives back the moments of the
+support itself. A support that the rotation by 2 pi / m about 0 maps onto
+itself has a table zero off the classes a = b (mod m) (MomentTable.stride),
+and a single such polygon's rule holds one block of the rotation, the
+first 1/m of its edges.
 """
 
 from __future__ import annotations
@@ -130,6 +135,10 @@ class Weight:
                              f"got {d.c!r}")
         if isinstance(d, Chord) and self.support != Disc(0j, d.R):
             raise ValueError("a Chord density needs the support Disc(0, R)")
+        # the rules and guards square distances up to 2 rmax in doubles
+        rmax = bounding_radius(self.support)
+        if not math.isfinite((2 * rmax) * (2 * rmax)):
+            raise ValueError(f"support too large: (2 rmax)^2 overflows a double, rmax = {rmax!r}")
 
 
 def _density_key(density) -> str:
@@ -148,26 +157,27 @@ def weight_key(w: Weight) -> str:
 
 @dataclass
 class _Rule:
-    """Nodes on a positively oriented boundary with their steps dz, and the
-    largest design degree of its pieces (-1 when none is stated).
+    """Nodes on a positively oriented boundary with their steps dz, the
+    largest design degree of its pieces (-1 when none is stated), and the
+    support's symmetry record (stride, fold, turn) of _symmetry.
 
     turn is None for a literal rule. Otherwise the rule lies on the disc or
-    annulus turned by conj(w), w = turn / |turn| (_mirror), which
-    z -> conj(z) maps onto itself, and holds one node of each mirror pair:
-    a node off the real axis stands for itself and its conjugate, its step
-    doubled, and the rule integrates the real part of the boundary
-    integrand.
+    annulus turned by conj(w), w = turn / |turn|, which z -> conj(z) maps
+    onto itself, and holds one node of each mirror pair: a node off the
+    real axis stands for itself and its conjugate, its step doubled, and
+    the rule integrates the real part of the boundary integrand.
 
-    fold is the order m of a rotation about 0 that maps a polygon's vertex
-    ring onto itself (_ring_fold), 1 when there is none: the nodes and steps
-    are then m blocks, block r the exact image of block 0 under the
-    rotation by 2 pi r / m, and _gram_table sums block 0 alone."""
+    fold is the order m of a rotation about 0 that maps a polygon onto
+    itself, 1 when there is none: the nodes and steps are then those of
+    its first k/m edges (k vertices), one block of the rotation, which
+    stands for all m, and _gram_table sums it m times."""
 
     nodes: list
     steps: list
-    design_degree: int = -1
-    turn: object = None
-    fold: int = 1
+    design_degree: int
+    stride: int
+    fold: int
+    turn: object
 
 
 def _odd_power_nodes(log_decay: float, prec: int) -> int:
@@ -179,19 +189,16 @@ def _odd_power_nodes(log_decay: float, prec: int) -> int:
     return count
 
 
-def _edges(vs, maxdeg, prec, k, beta, fold=1):
-    """Gauss-Legendre on every edge of a counterclockwise ring for the table
+def _edges(vs, maxdeg, prec, k, beta, fold):
+    """Gauss-Legendre on the edges of a counterclockwise ring for the table
     of bidegree maxdeg of v = c |z|^k, Gaussian exp(-beta |z|^2) unless
     beta = 0: n nodes each, exact in (z, conj z) to the design degree
     2n - 1, returned with the nodes and steps.
 
-    A ring of fold m > 1 (_ring_fold) computes the nodes of its first k/m
-    edges only, k the vertex count, and takes the others as their rotations
-    by i^(4r/m), r = 1..m-1, in component swaps and negations (_times_i).
-    Every rounding on the way from an edge's end points to its nodes and
-    steps is symmetric under sign, so these are the nodes and steps the
-    rotated edges compute, bit for bit. The sizing below runs over the whole
-    ring, though it is rotation invariant.
+    A ring of fold m (_symmetry) keeps the nodes of its first len(vs) / m
+    edges only: the rotation by exp(2 pi i / m) carries them onto the
+    rest. The sizing below runs over the whole ring, though it is
+    rotation invariant.
 
     The integrand z^a conj(z)^(b+1) |z|^k dz of an even k has degree
     <= 2 maxdeg + 1 + k. On a piece z = m + h t, t in [-1, 1], the Gaussian
@@ -234,18 +241,7 @@ def _edges(vs, maxdeg, prec, k, beta, fold=1):
             half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
             nodes.extend(mid + half * x for x in xs)
             steps.extend(half * w for w in ws)
-    size = len(nodes)
-    for r in range(1, fold):
-        nodes += [_times_i(z, 4 * r // fold) for z in nodes[:size]]
-        steps += [_times_i(d, 4 * r // fold) for d in steps[:size]]
     return nodes, steps, 2 * (n + extra) - 1
-
-
-def _times_i(z, q: int):
-    """i^q z for an mpc z, exactly: its parts swapped and negated."""
-    re, im = z._mpc_
-    neg = libmp.mpf_neg
-    return mp.make_mpc(((re, im), (neg(im), re), (neg(re), neg(im)), (im, neg(re)))[q % 4])
 
 
 def _circle_size(center, radius, maxdeg: int, prec: int, k: int, beta: float) -> int:
@@ -401,43 +397,37 @@ def _build_rule(support: Region, maxdeg: int, prec: int, k: int = 0, beta: float
     bits. Each piece is sized on its own (_pieces); the rule's design
     degree is the largest of theirs.
 
-    A single disc or annulus off 0 has a mirror line through 0 and its
-    centre c (_mirror): its rule lies on the part turned by conj(w),
-    w = c / |c|, centred at |c|, formed at the rule's working precision
-    from the double c, and keeps one node of each mirror pair (_circle).
-    Every density c |z|^k, and each circle's size, is the same on the
-    turned support.
-
-    A single polygon whose vertex ring a rotation about 0 shifts by a
-    quarter or a half turn (_ring_fold, an exact test) computes the nodes of
-    that share of its edges and rotates them onto the rest (_edges): the
-    rule is the literal one, bit for bit, and records the rotation order as
-    its fold. A union keeps fold 1, even where the rotation permutes its
-    parts."""
+    The rule records the support's _symmetry. A single disc or annulus
+    lies turned by conj(w), w = c / |c| for its centre c, onto the real
+    axis, centred at |c|, formed at the rule's working precision from the
+    double c, and keeps one node of each mirror pair (_circle). Every
+    density c |z|^k, and each circle's size, is the same on the turned
+    support. A single polygon of fold m keeps the nodes of the first 1/m
+    of its edges (_edges). A union keeps its whole rule, even where a rotation
+    permutes its parts."""
     parts = support.parts if isinstance(support, UnionRegion) else (support,)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             if not _disjoint(parts[i], parts[j]):
                 raise ValueError(UNION_MSG)
     prec += _boundary_guard(support, beta)
-    turn = _mirror(support)
-    fold = _ring_fold(support.vertices) if isinstance(support, Polygon) else 1
+    stride, fold, turn = _symmetry(support)
     nodes, steps, design = [], [], -1
     for p in parts:
         for ns, ds, d in _pieces(p, maxdeg, prec, k, beta, turn is not None, fold):
             nodes.extend(ns)
             steps.extend(ds)
             design = max(design, d)
-    return _Rule(nodes, steps, design, turn, fold)
+    return _Rule(nodes, steps, design, stride, fold, turn)
 
 
-def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turned=False, fold=1):
+def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turned: bool, fold: int):
     """(nodes, steps, design degree) pieces of one part's boundary rule:
-    Gauss-Legendre on a polygon's edges (_edges, of the given fold), on each
-    circle the trapezoid rule of its own _circle_size, whose design degree
-    is T - 2 (an annulus's inner circle reversed); both size the Gaussian's
-    tail by _gaussian_tail. A turned disc or annulus (_build_rule) is
-    centred at |c| and keeps half of each circle."""
+    Gauss-Legendre on a polygon's edges (_edges, the first 1/fold of
+    them), on each circle the trapezoid rule of its own _circle_size, whose
+    design degree is T - 2 (an annulus's inner circle reversed); both size
+    the Gaussian's tail by _gaussian_tail. A turned disc or annulus
+    (_build_rule) is centred at |c| and keeps half of each circle."""
     if isinstance(part, Polygon):
         return [_edges(part.vertices, maxdeg, prec, k, beta, fold)]
     if not isinstance(part, (Disc, Annulus)):
@@ -471,7 +461,7 @@ class MomentTable:
     design_degree: int
     stride: int = 1        # rows[a][b] is an exact 0 unless a = b (mod stride)
     # None: rows are the moments, complex. Otherwise rows are real, the
-    # moments of the support turned by conj(w), w = turn / |turn| (_mirror);
+    # moments of the support turned by conj(w), w = turn / |turn| (_symmetry);
     # 1 on the radial path
     turn: object = None
 
@@ -543,30 +533,39 @@ def _rotation_order(support: Region) -> int:
     return 1
 
 
-def _ring_fold(vs) -> int:
-    """The order m of the rotation z -> exp(2 pi i / m) z about 0 that
-    shifts a vertex ring by k/m places, k = len(vs):
-    vs[(j + k/m) % k] == exp(2 pi i / m) vs[j] for every j, compared
-    exactly; 4 when z -> iz does, else 2 when z -> -z does, else 1."""
-    k = len(vs)
-    for m, image in ((4, lambda z: complex(-z.imag, z.real)), (2, lambda z: -z)):
-        if k % m == 0 and all(vs[(j + k // m) % k] == image(v) for j, v in enumerate(vs)):
-            return m
-    return 1
+def _symmetry(support: Region):
+    """(stride, fold, turn) of a support, from exact tests on its doubles:
+    the stride is its rotation order m (_rotation_order), the fold the
+    number of blocks of its rule that the rotation maps onto each other,
+    and the turn that of a mirror line through 0, or None.
 
+    - A single disc or annulus: (m, 1, c or 1), c its centre; m is 1 off
+      0, where the boundary path takes it. The line through 0 and c is a
+      mirror line: w = c / |c| turns the support by conj(w) onto the real
+      axis, where z -> conj(z) maps it onto itself. Rotation about 0 is a
+      diagonal unitary on every Landau level and keeps every density
+      c |z|^k, so the turned support has the same minimal norms and
+      level-q eigenvalues, and its moments mu_ab = conj(w)^(a-b) mu_ab
+      are real.
+    - A single polygon: (m, m, None).
+    - A union: (m, 1, None), its rule whole even where the rotation
+      permutes its parts.
 
-def _mirror(support: Region):
-    """The turn of a mirror line through 0, or None: a single disc or
-    annulus returns its centre c (1 when c = 0), whose direction
-    w = c / |c| turns it by conj(w) onto the real axis, where z -> conj(z)
-    maps it onto itself. Rotation about 0 is a diagonal unitary on every
-    Landau level and keeps every density c |z|^k, so the turned support has
-    the same minimal norms and level-q eigenvalues, and its moments
-    mu_ab = conj(w)^(a-b) mu_ab(support) are real. A polygon or union
-    returns None and keeps the complex path."""
+    A polygon's fold is m. For m > 1 the rotation by w = exp(2 pi i / m)
+    maps the counterclockwise vertex ring onto itself, so it shifts the
+    ring by some s places: vs[(j + s) % k] == w vs[j], k vertices. It
+    fixes only 0. A fixed vertex, or a fixed point inside an edge (which
+    lies on that edge alone), would have s = 0 and put every vertex at 0.
+    So by Brouwer 0 lies inside the polygon, and the boundary winds once
+    around it. The m arcs vs[0] -> vs[s] -> vs[2s] -> ... are rotations of
+    each other and each turns by the same angle, 2 pi / m + 2 pi n.
+    Together they cover the ring t = m s / k times, so 1 + m n = t with
+    1 <= t < m. That forces t = 1 and s = k/m: the ring's first k/m edges
+    are a block whose m rotations are the whole rule."""
+    m = _rotation_order(support)
     if isinstance(support, (Disc, Annulus)):
-        return support.center or 1
-    return None
+        return m, 1, support.center or 1
+    return m, m if isinstance(support, Polygon) else 1, None
 
 
 def _radial_interval(support):
@@ -678,17 +677,18 @@ def _boundary_guard(support, beta) -> int:
     return math.ceil(beta * bounding_radius(support) ** 2 / math.log(2))
 
 
-def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
+def _gram_table(w, rule: _Rule, maxdeg, prec, beta):
     """Scaled table rows[a][b] = sum_i x_i u_i^a conj(y_ib), u = z / R0, as
     exact fixed-point integer sums carrying guard = _boundary_guard more
     bits, rounded once per entry to F bits (below), with
     x_i = v(z_i) R0 dz_i / 2i and y_ib = S_(b+k/2)(beta |z_i|^2) u_i^(b+1):
     the contour form of the moments of v = c |z|^k (see mixed_moments).
 
-    The node values are evaluated at F = fixed_bits(prec + guard, nodes)
-    and converted once; from there on the kernel is integer-only. A
-    Gaussian table takes its S rows from _s_column at the shared scale
-    2^G, G = F + bitlen(2 maxdeg + k + 2) + 1. Since
+    The node values are evaluated at F = fixed_bits(prec + guard,
+    rule.fold len(rule.nodes)), the literal node count, and converted
+    once; from there on the kernel is integer-only. A Gaussian table takes
+    its S rows from _s_column at the shared scale 2^G,
+    G = F + bitlen(2 maxdeg + k + 2) + 1. Since
     S_s(x) >= exp(-x) / (s+1) and exp(-x) >= 2^-guard on the nodes, every
     S_s keeps at least F - guard + 1 bits of itself, more than the sum
     keeps past the cancellation the guard covers. A plain table has
@@ -697,33 +697,31 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
     entry takes three real dot products, with x_r + x_i formed once per a
     and y_r - y_i once per b. On a mirror rule (rule.turn set, _Rule) the
     table is real: each entry is the real part x_r y_r + x_i y_i, two dot
-    products, and an mpf. Only entries with a = b (mod stride) are summed;
-    the others, zero on a support that the rotation by 2 pi / stride maps
-    onto itself, are stored as exact zeros.
+    products, and an mpf. Only entries with a = b (mod rule.stride) are
+    summed; the others, zero on a support that the rotation by
+    2 pi / stride maps onto itself, are stored as exact zeros.
 
-    On a rule of fold m (_Rule) that divides the stride, the sums run over
-    the first len(nodes) / m nodes, one block of the rotation: the node
-    w z, w = exp(2 pi i / m), has x' = w x, u' = w u and y'_b = w^(b+1) y_b,
-    so its term is w^(a-b) times that of z, and on every summed entry the
-    m blocks add up to m times the first. The exponent takes log2 m before
-    the one rounding, which is exact; F stays that of the whole rule, and
-    m times the block's truncation is within that of the whole rule's
-    terms. The entries are not those of the whole sum bit for bit: its
-    integer powers u^a round down on each node, the block's are rotated."""
+    A rule of fold m > 1 (_Rule), m then the stride, holds one block of
+    the rotation: the node w z, w = exp(2 pi i / m), has x' = w x,
+    u' = w u and y'_b = w^(b+1) y_b, so its term is w^(a-b) times that of
+    z, and on every summed entry the m blocks add up to m times the one
+    held. The exponent takes log2 m before the one rounding, which is
+    exact; F is that of the whole rule, and m times the block's truncation
+    is within that of the whole rule's terms. The entries are not those of
+    the whole sum bit for bit: its integer powers u^a round down on each
+    node, the block's are rotated."""
     R0 = mp.mpf(bounding_radius(w.support))
     k = _power(w.density)
     gaussian = beta != 0
     guard = _boundary_guard(w.support, beta)
-    F = fixed_bits(prec + guard, len(rule.nodes))
-    fold = math.gcd(rule.fold, stride)
-    count = len(rule.nodes) // fold
+    F = fixed_bits(prec + guard, rule.fold * len(rule.nodes))
     with mp.workprec(F):
-        zs = [mp.mpc(z) for z in rule.nodes[:count]]
+        zs = [mp.mpc(z) for z in rule.nodes]
         if isinstance(w.density, Constant):  # one value, and no |z| per node
             vs = [w.density.value(0)] * len(zs)
         else:
             vs = [w.density.value(abs(z)) for z in zs]
-        x0 = [mp.mpc(0, -v * R0 / 2) * dz for v, dz in zip(vs, rule.steps[:count])]
+        x0 = [mp.mpc(0, -v * R0 / 2) * dz for v, dz in zip(vs, rule.steps)]
         us = [z / R0 for z in zs]
         if gaussian:
             G = F + (2 * maxdeg + k + 2).bit_length() + 1
@@ -751,12 +749,12 @@ def _gram_table(w, rule: _Rule, maxdeg, prec, beta, stride=1):
         diffs = [[r - i for r, i in zip(pr, pi)] for pr, pi in ys]
     # a plain entry is 2 sum / (2b + 2 + k): the 2 goes into the exponent,
     # as does the fold, a power of two
-    e = e_x + e_u + fold.bit_length() - 1 + (0 if gaussian else 1)
+    e = e_x + e_u + rule.fold.bit_length() - 1 + (0 if gaussian else 1)
     rows = []
     for a, (pr, pi) in enumerate(xs):
         row = []
         for b, (qr, qi) in enumerate(ys[:a + 1]):
-            if (a - b) % stride:
+            if (a - b) % rule.stride:
                 row.append(mp.zero)
                 continue
             A, B = dot(pr, qr), dot(pi, qi)
@@ -800,10 +798,11 @@ def mixed_moments(
       and a circle through the origin raises NonConvergenceError.
       design_degree is the largest of the pieces'.
 
-    MomentTable.turn records the frame of the rows. A single disc or
-    annulus off 0, mirrored about the line through 0 and its centre c
-    (_mirror), is turned by conj(w), w = c / |c|, onto the real axis, and
-    its rule holds one node of each mirror pair (_build_rule): the rows are
+    The boundary path reads the support's symmetry once, from _symmetry,
+    through the rule it records it on. MomentTable.turn records the frame
+    of the rows. A single disc or annulus off 0, mirrored about the line
+    through 0 and its centre c, is turned by conj(w), w = c / |c|, onto the
+    real axis, and its rule holds one node of each mirror pair: the rows are
     then the real moments of the turned support, mpf entries, with half the
     nodes and two dot products per entry. They have the same minimal norms
     and level-q eigenvalues, and entry() returns the support's own
@@ -815,11 +814,10 @@ def mixed_moments(
     boundary path it is the support's rotation order m in (4, 2, 1)
     (_rotation_order, an exact test), and only the entries with
     a = b (mod m) are summed; on the rotated unit square that is a quarter
-    of them. On a single polygon the rotation shifts the vertex ring
-    (_ring_fold), so the rule is m rotated copies of one block, and the sums
-    also run over that block alone, a quarter of the nodes on the rotated
-    unit square, each entry m times the block's sum (_gram_table). The
-    entries then lie within 1e-9 units of 2^-precision_bits sqrt(G_aa G_bb)
+    of them. A single polygon's rule holds one block of the rotation, the
+    first 1/m of its edges, a quarter of the nodes on the rotated unit
+    square, and each entry is m times the block's sum (_gram_table). The
+    entries lie within 1e-9 units of 2^-precision_bits sqrt(G_aa G_bb)
     of the sums over every node (2.7e-10 at most on the tested squares and
     rectangle, at N = 24 and 128 bits and at N = 48 and 256); the log norms
     and level-q spectra of the tested supports come out bit for bit the
@@ -862,10 +860,8 @@ def mixed_moments(
             path, stride, degree_used, turn = "radial", maxdeg + 1, -1, 1
         else:
             rule = _build_rule(w.support, maxdeg, prec, _power(w.density), beta)
-            degree_used, turn = rule.design_degree, rule.turn
-            stride = _rotation_order(w.support)
-            rows, R0 = _gram_table(w, rule, maxdeg, prec, beta, stride)
-            path = "boundary"
+            path, stride, degree_used, turn = "boundary", rule.stride, rule.design_degree, rule.turn
+            rows, R0 = _gram_table(w, rule, maxdeg, prec, beta)
     return MomentTable(
         maxdeg=maxdeg,
         precision_bits=prec,

@@ -260,6 +260,33 @@ def test_tiny_offcenter_disc_exits_4(tmp_path, capsys, command):
     assert not out_path.exists()
 
 
+def _square(half):
+    return {"shape": "polygon",
+            "vertices": [[-half, -half], [half, -half], [half, half], [-half, half]]}
+
+
+# each overflowed a double once squared: the radial table's hi^2, the
+# Gaussian guard's rmax^2, an edge's |b - a|^2
+HUGE_SUPPORTS = {"disc": {"shape": "disc", "center": [0, 0], "radius": 1e200},
+                 "offcentre-disc": {"shape": "disc", "center": [0.5, 0], "radius": 1e200},
+                 "square-1e160": _square(1e160), "square-7e153": _square(7e153)}
+
+
+@pytest.mark.parametrize("command", ["toeplitz", "orthopoly", "predict"])
+@pytest.mark.parametrize("name", HUGE_SUPPORTS)
+def test_huge_support_exits_2(tmp_path, capsys, name, command):
+    # (2 rmax)^2 must be a finite double, rmax the bounding radius: a larger
+    # support is a config error, plain tables included, with no traceback
+    cfg = write_config(tmp_path / "huge.json", {
+        "weight": {"support": HUGE_SUPPORTS[name], "density": {"kind": "constant"}}, "N": 12,
+    })
+    out_path = tmp_path / "huge.csv"
+    code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 2
+    assert "support too large" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_toeplitz_truncation_too_small_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "toep.json", {
         "weight": UNIT_DISC_WEIGHT, "q": 2, "N": 1, "precision_bits": 64,

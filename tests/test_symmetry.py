@@ -13,13 +13,14 @@ eigen-solve are real. The turn is exact, so supports that turn to the same
 one give the same bits, and the real arithmetic gives the complex one's
 bits on the same real input.
 
-A polygon whose vertex ring the rotation shifts has a rule of m exact
-rotated copies of one block, and its table sums that block alone. The rule
-must be the literal one bit for bit; the table moves in its last bits only,
-and the log norms and spectra built on it not at all.
+A polygon that the rotation maps onto itself has a rule of one block of
+the rotation, its first k/m edges, and its table sums that block m times.
+The literal rule must be m exact rotated copies of that block; the table
+moves in its last bits only, and the log norms and spectra built on it not
+at all. Every test that needs the literal rule or the whole table patches
+the one symmetry record, _symmetry.
 """
 
-import cmath
 import hashlib
 import importlib.util
 import json
@@ -33,8 +34,7 @@ from mpmath import libmp, mp
 
 import landaucap.landau as landau
 import landaucap.weight as weight_module
-from landaucap._mp import (FIXED_GUARD_BITS, gauss_legendre, hermitian_cholesky, raw_parts,
-                           round_shift, to_fixed)
+from landaucap._mp import FIXED_GUARD_BITS, hermitian_cholesky, raw_parts, round_shift, to_fixed
 from landaucap.errors import DegenerateMomentError
 from landaucap.landau import LevelBlock, level_q_matrix, spectrum, toeplitz_spectrum
 from landaucap.orthopoly import monic_orthogonalize
@@ -129,8 +129,9 @@ def test_radial_stride_exceeds_the_table():
 # -------------------------------------------------- bit identity of the split
 
 def whole_table(monkeypatch):
-    """Make every support look asymmetric, so tables are computed whole."""
-    monkeypatch.setattr(weight_module, "_rotation_order", lambda support: 1)
+    """Make every polygon look asymmetric, so tables are computed whole on
+    the literal rule."""
+    monkeypatch.setattr(weight_module, "_symmetry", lambda support: (1, 1, None))
 
 
 @pytest.mark.parametrize("name", SYMMETRIC)
@@ -236,19 +237,26 @@ TWO_DISCS = UnionRegion((Disc(-1.2 + 0j, 1.0), Disc(1.2 + 0.3j, 0.8)))
 ANNULUS = Annulus(0.3j, 0.4, 1.0)
 
 
-@pytest.mark.parametrize("support, turn", [
-    (Disc(0.7 + 0j, 1.0), 0.7),
-    (Disc(-0.7j, 1.0), -0.7j),
-    (ANNULUS, 0.3j),
-    # polygons and unions keep the complex path, mirrored or not
-    (CENTRED_SQUARE, None),
-    (RECTANGLE, None),
-    (square_support(1), None),
-    (TWO_DISCS, None),
-    (UnionRegion((Disc(0.5 + 0j, 0.1), Disc(0.5j, 0.1), Disc(-0.5j, 0.1))), None),
+@pytest.mark.parametrize("support, record", [
+    (Disc(0.7 + 0j, 1.0), (1, 1, 0.7)),
+    (Disc(-0.7j, 1.0), (1, 1, -0.7j)),
+    (ANNULUS, (1, 1, 0.3j)),
+    (Disc(0j, 1.0), (4, 1, 1)),
+    # polygons and unions keep the complex path, mirrored or not; only a
+    # single polygon folds
+    (CENTRED_SQUARE, (4, 4, None)),
+    (RECTANGLE, (2, 2, None)),
+    (square_support(1), (4, 4, None)),
+    (TWO_DISCS, (1, 1, None)),
+    (UnionRegion((Disc(0.5 + 0j, 0.1), Disc(0.5j, 0.1), Disc(-0.5j, 0.1))), (1, 1, None)),
+    (UnionRegion((Disc(0.5 + 0j, 0.1), Disc(0.5j, 0.1), Disc(-0.5 + 0j, 0.1), Disc(-0.5j, 0.1))),
+     (4, 1, None)),
 ])
-def test_mirror_is_exact(support, turn):
-    assert weight_module._mirror(support) == turn
+def test_symmetry_is_exact(support, record):
+    # (stride, fold, turn), read by the rule and the table alike
+    assert weight_module._symmetry(support) == record
+    rule = weight_module._build_rule(support, 4, 64)
+    assert (rule.stride, rule.fold, rule.turn) == record
 
 
 @pytest.mark.parametrize("q", [0, 1])
@@ -326,6 +334,12 @@ _H = math.sqrt(0.5)
 OCTAGON = Polygon((1 + 0j, _H + _H * 1j, 1j, -_H + _H * 1j,
                    -1 + 0j, -_H - _H * 1j, -1j, _H - _H * 1j))
 SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
+# a non-convex four-point star, a square with its edge midpoints as vertices,
+# and a hexagon that only z -> -z maps onto itself
+STAR = Polygon((1 + 0j, 0.3 + 0.3j, 1j, -0.3 + 0.3j, -1 + 0j, -0.3 - 0.3j, -1j, 0.3 - 0.3j))
+MIDPOINT_SQUARE = Polygon((-0.5 - 0.5j, -0.5j, 0.5 - 0.5j, 0.5 + 0j,
+                           0.5 + 0.5j, 0.5j, -0.5 + 0.5j, -0.5 + 0j))
+HEXAGON = Polygon((1 + 0j, 0.5 + 1j, -0.5 + 0.8j, -1 + 0j, -0.5 - 1j, 0.5 - 0.8j))
 _T = math.sqrt(3) / 2
 CENTRED_TRIANGLE = Polygon(tuple(v - (1.5 + _T * 1j) / 3 for v in (0j, 1 + 0j, 0.5 + _T * 1j)))
 CORNER_SQUARE = Polygon((0j, 1 + 0j, 1 + 1j, 1j))
@@ -335,55 +349,38 @@ SWAPPED_SQUARES = UnionRegion((Polygon((1 + 0j, 2 + 0j, 2 + 1j, 1 + 1j)),
 FOLDED = {"square-seed1": (square_support(1), 4), "square-seed3": (square_support(3), 4),
           "square-seed7": (square_support(7), 4), "unit-square": (CENTRED_SQUARE, 4),
           "side3-square": (SIDE3_SQUARE, 4), "rectangle-2x1": (RECTANGLE, 2),
-          "octagon": (OCTAGON, 4)}
+          "octagon": (OCTAGON, 4), "star": (STAR, 4), "midpoint-square": (MIDPOINT_SQUARE, 4),
+          "hexagon": (HEXAGON, 2)}
 UNFOLDED = {"corner-square": CORNER_SQUARE, "centred-triangle": CENTRED_TRIANGLE,
             "two-discs": TWO_DISCS, "swapped-squares": SWAPPED_SQUARES}
 
 
-def literal_edges(vs, maxdeg, prec, k, beta):
-    """The per-edge rule of a polygon ring as built before rotated edges were
-    copied: every edge's nodes and steps computed from its own end points."""
-    pieces, extra = [], 0
-    for a, b in zip(vs, vs[1:] + vs[:1]):
-        if k % 2 and mp.fmul(a.real, b.imag, exact=True) != mp.fmul(a.imag, b.real, exact=True):
-            t0 = -(a + b) / (b - a)
-            root = cmath.sqrt(t0 * t0 - 1)
-            rho = max(abs(t0 + root), abs(t0 - root))
-            extra = max(extra, weight_module._odd_power_nodes(2 * math.log(rho), prec))
-            pieces.append((a, b, True))
-        elif k % 2 and a.real * b.real + a.imag * b.imag < 0:
-            pieces += [(a, 0j, False), (0j, b, False)]
-        else:
-            pieces.append((a, b, False))
-    bits = prec + weight_module._TAIL_MARGIN
-    tail = weight_module._gaussian_tail
-    excess = max(2 * tail(beta * abs(b - a) ** 2 / 16, bits)
-                 + tail(beta * abs(((a + b).conjugate() * (b - a)).real) / 4, bits)
-                 for a, b, _ in pieces)
-    n = (2 * maxdeg + 1 + k + excess) // 2 + 1
-    nodes, steps = [], []
-    with mp.workprec(prec + 10):
-        for a, b, analytic in pieces:
-            xs, ws = gauss_legendre(n + extra if analytic else n, prec)
-            half, mid = (mp.mpc(b) - a) / 2, (mp.mpc(b) + a) / 2
-            nodes.extend(mid + half * x for x in xs)
-            steps.extend(half * w for w in ws)
-    return nodes, steps
+def times_i(z, q):
+    """The parts of i^q z for an mpc z, exactly: z's parts swapped and negated."""
+    re, im = z._mpc_
+    neg = libmp.mpf_neg
+    return ((re, im), (neg(im), re), (neg(re), neg(im)), (im, neg(re)))[q % 4]
 
 
 @pytest.mark.parametrize("beta", [0, 1.0], ids=["plain", "gaussian"])
 @pytest.mark.parametrize("k", [0, 1, 2])
-@pytest.mark.parametrize("name", list(FOLDED) + ["corner-square", "centred-triangle"])
-def test_folded_rule_is_the_literal_rule(name, k, beta):
-    # the rotated copies of the first edges are, node for node and step for
-    # step, what every edge computes from its own end points
-    support, fold = FOLDED.get(name, (UNFOLDED.get(name), 1))
+@pytest.mark.parametrize("name", FOLDED)
+def test_rule_is_block_zero_of_the_literal_rule(name, k, beta, monkeypatch):
+    # the fold's premise: the literal rule, every edge computed from its own
+    # end points, splits into m blocks, block r is exactly block 0 times
+    # i^(4r/m), node for node and step for step, and the rule holds block 0
+    support, m = FOLDED[name]
     rule = weight_module._build_rule(support, 24, 128, k, beta)
-    assert rule.fold == fold
-    prec = 128 + weight_module._boundary_guard(support, beta)
-    nodes, steps = literal_edges(support.vertices, 24, prec, k, beta)
-    assert [z._mpc_ for z in rule.nodes] == [z._mpc_ for z in nodes]
-    assert [d._mpc_ for d in rule.steps] == [d._mpc_ for d in steps]
+    assert (rule.stride, rule.fold) == (m, m)
+    monkeypatch.setattr(weight_module, "_symmetry", lambda support: (m, 1, None))
+    literal = weight_module._build_rule(support, 24, 128, k, beta)
+    assert literal.fold == 1 and len(literal.nodes) == len(literal.steps) == m * len(rule.nodes)
+    size = len(rule.nodes)
+    for whole, block in ((literal.nodes, rule.nodes), (literal.steps, rule.steps)):
+        assert [z._mpc_ for z in whole[:size]] == [z._mpc_ for z in block]
+        for r in range(1, m):
+            assert ([z._mpc_ for z in whole[r * size:(r + 1) * size]]
+                    == [times_i(z, 4 * r // m) for z in block]), r
 
 
 @pytest.mark.parametrize("name", UNFOLDED)
@@ -392,8 +389,10 @@ def test_unfolded_supports_keep_fold_one(name):
 
 
 def unfolded(monkeypatch):
-    """Make every vertex ring look unrotatable, so tables sum every node."""
-    monkeypatch.setattr(weight_module, "_ring_fold", lambda vs: 1)
+    """Make every rule literal, so tables sum every node at the same stride."""
+    symmetry = weight_module._symmetry
+    monkeypatch.setattr(weight_module, "_symmetry",
+                        lambda support: (symmetry(support)[0], 1, symmetry(support)[2]))
 
 
 @pytest.mark.parametrize("maxdeg, p", [(24, 128), (48, 256)])
@@ -422,7 +421,8 @@ def test_folded_table_matches_the_whole_sum(support, density, kind, maxdeg, p, m
 
 
 @pytest.mark.parametrize("support", [square_support(1), square_support(3), square_support(7),
-                                     RECTANGLE], ids=["seed1", "seed3", "seed7", "rect"])
+                                     RECTANGLE, STAR, MIDPOINT_SQUARE, HEXAGON],
+                         ids=["seed1", "seed3", "seed7", "rect", "star", "midpoint", "hexagon"])
 def test_fold_keeps_log_norms_and_spectra(support, monkeypatch):
     w = Weight(support, Constant(1.0))
     runs = []
@@ -437,8 +437,8 @@ def test_fold_keeps_log_norms_and_spectra(support, monkeypatch):
 @pytest.mark.parametrize("support, count", [(square_support(1), 25), (RECTANGLE, 50),
                                             (CORNER_SQUARE, 100)])
 def test_kernel_sums_one_block_of_the_orbit(support, count, monkeypatch):
-    # the node values and powers go to integers once, for len(nodes) / fold
-    # nodes
+    # the node values and powers go to integers once, for the rule's
+    # nodes, one block of the rotation
     lengths = []
 
     def spy(parts, bits):
@@ -447,5 +447,6 @@ def test_kernel_sums_one_block_of_the_orbit(support, count, monkeypatch):
 
     monkeypatch.setattr(weight_module, "to_fixed", spy)
     table = mixed_moments(Weight(support, Constant(1.0)), "plain", 24, 128)
-    assert len(weight_module._build_rule(support, 24, 128).nodes) == 100
+    rule = weight_module._build_rule(support, 24, 128)
+    assert rule.fold * len(rule.nodes) == 100 and len(rule.nodes) == count
     assert lengths == [{count}, {count}] and table.stride == 100 // count

@@ -387,6 +387,16 @@ def test_degenerate_weight_rejected():
             Weight(support, Chord(1.0))
 
 
+def test_support_whose_squared_diameter_overflows_rejected():
+    # (2 rmax)^2 is the largest square the rules and guards form in doubles,
+    # so rmax may not pass sqrt(max double) / 2
+    bound = math.sqrt(sys.float_info.max) / 2
+    Weight(Disc(0j, bound / 2), Constant(1.0))
+    for support in (Disc(0j, 1e200), Disc(0j, bound * 1.0001), Annulus(1e160j, 1.0, 2.0)):
+        with pytest.raises(ValueError, match="support too large"):
+            Weight(support, Constant(1.0))
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     radius=st.floats(min_value=0.3, max_value=2.0),
@@ -471,6 +481,13 @@ def _boundary_rule(w, beta, maxdeg, prec):
     return weight_module._build_rule(w.support, maxdeg, prec, weight_module._power(w.density), beta)
 
 
+def literal_symmetry(monkeypatch):
+    """Make every rule literal and every table whole (stride and fold 1), as
+    the mpc reference sums it; a disc or annulus keeps its mirror turn."""
+    symmetry = weight_module._symmetry
+    monkeypatch.setattr(weight_module, "_symmetry", lambda support: (1, 1, symmetry(support)[2]))
+
+
 def _support_excess(support, beta, prec):
     """The Gaussian excess degree that once sized every piece from the whole
     support: the least K with (beta rmax^2)^(K+1) / (K+1)! below
@@ -500,7 +517,7 @@ def _degree_rule(w, beta, maxdeg, prec, extra):
     for part in w.support.parts if isinstance(w.support, UnionRegion) else (w.support,):
         if isinstance(part, Polygon):
             # a plain ring of bidegree maxdeg + extra / 2 has total degree D
-            pieces = [weight_module._edges(part.vertices, maxdeg + extra // 2, prec, k, 0)[:2]]
+            pieces = [weight_module._edges(part.vertices, maxdeg + extra // 2, prec, k, 0, 1)[:2]]
         else:
             lo, hi = weight_module._radial_interval(part)
             pieces = []
@@ -512,7 +529,7 @@ def _degree_rule(w, beta, maxdeg, prec, extra):
         for ns, ds in pieces:
             nodes += ns
             steps += ds
-    return weight_module._Rule(nodes, steps)
+    return weight_module._Rule(nodes, steps, -1, 1, 1, None)
 
 
 SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
@@ -530,7 +547,8 @@ SIDE3_SQUARE = Polygon((-1.5 - 1.5j, 1.5 - 1.5j, 1.5 + 1.5j, -1.5 + 1.5j))
     (Disc(0.7 + 0j, 1.0), POWER1, "plain", 12, 128),
     (Disc(0.7 + 0j, 1.0), Power(3), "plain", 12, 128),
 ])
-def test_boundary_kernel_matches_mpc_sum(support, density, kind, maxdeg, prec):
+def test_boundary_kernel_matches_mpc_sum(support, density, kind, maxdeg, prec, monkeypatch):
+    literal_symmetry(monkeypatch)
     w = Weight(support, density)
     beta = BETA[kind]
     _assert_kernel_matches_reference(w, _boundary_rule(w, beta, maxdeg, prec), beta, maxdeg, prec)
@@ -598,10 +616,12 @@ def test_circle_rules_sized_per_circle_match_a_longer_rule(support, density, kin
 
 
 def _assert_matches_a_longer_rule(w, kind, maxdeg, prec, nodes):
-    # the table's rule has the pinned node count, and its table lies within
-    # 1 unit of the one of _degree_rule with 40 more degrees at 64 more bits
+    # the table's rule has the pinned literal node count, and its table lies
+    # within 1 unit of the one of _degree_rule with 40 more degrees at 64
+    # more bits
     beta = BETA[kind]
-    assert len(_boundary_rule(w, beta, maxdeg, prec).nodes) == nodes
+    rule = _boundary_rule(w, beta, maxdeg, prec)
+    assert rule.fold * len(rule.nodes) == nodes
     tab = boundary_table(w, kind, maxdeg, prec)
     rule = _degree_rule(w, beta, maxdeg, prec + 64, extra=40)
     with mp.workprec(prec + 64):
@@ -621,7 +641,7 @@ def test_half_rule_matches_the_literal_full_rule(support, turn, monkeypatch):
     w = Weight(support, Constant(1.0))
     half = boundary_table(w, "gaussian", 24, 128)
     assert half.turn == turn
-    monkeypatch.setattr(weight_module, "_mirror", lambda support: None)
+    monkeypatch.setattr(weight_module, "_symmetry", lambda support: (1, 1, None))
     full = boundary_table(w, "gaussian", 24, 128)
     assert full.turn is None
     if turn is None:
@@ -651,7 +671,7 @@ def test_polygon_edges_keep_the_total_degree_count(support, k, kind):
     maxdeg, prec = 12, 128
     n = (2 * maxdeg + 1 + k) // 2 + 1
     rule = _boundary_rule(Weight(support, Power(k)), BETA[kind], maxdeg, prec)
-    assert len(rule.nodes) == len(support.vertices) * n
+    assert rule.fold * len(rule.nodes) == len(support.vertices) * n
     assert rule.design_degree == 2 * n - 1
     # the table records the edges' design degree
     tab = mixed_moments(Weight(support, Power(k)), kind, maxdeg, prec)
@@ -742,8 +762,9 @@ def test_overlapping_union_table_rejected():
         mixed_moments(w, "plain", 4, 128)
 
 
-def test_flat_kernel_gaussian_side3_square():
+def test_flat_kernel_gaussian_side3_square(monkeypatch):
     # an odd power: node values follow |z| along the edges
+    literal_symmetry(monkeypatch)
     w = Weight(SIDE3_SQUARE, POWER1)
     _assert_kernel_matches_reference(w, _boundary_rule(w, 1.0, 12, 128), 1.0, 12, 128)
 
@@ -754,7 +775,7 @@ def test_flat_kernel_signed_node_values():
     with mp.workprec(128):
         nodes = [mp.mpc(0.3, 0.1), mp.mpc(-0.5, 0.4), mp.mpc(0.2, -0.7), mp.mpc(-0.1, -0.2)]
         steps = [mp.mpc(1, -0.25), mp.mpc(-0.5, 0.5), mp.mpc(2, 0), mp.mpc(-1.25, -3)]
-    rule = weight_module._Rule(nodes, steps)
+    rule = weight_module._Rule(nodes, steps, -1, 1, 1, None)
     _assert_kernel_matches_reference(w, rule, 0, 3, 128)
 
 
