@@ -28,11 +28,11 @@ Everything here runs in double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._record import record
 from .errors import NonConvergenceError
 from .region import Annulus, Disc, Polygon, Region, UnionRegion, contains, _strictly_inside
 from .region import region_key as _region_key
@@ -47,7 +47,7 @@ _MAX_REL_ERROR = 1e-3     # largest |fine - coarse| / Cap accepted
 _BLOCK_ENTRIES = 4096     # matrix entries assembled at once: wider blocks only raise peak memory
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CapacityEstimate:
     extrapolated: float     # the capacity: fine level, Richardson-corrected on circles
     error_bound: float      # |fine - coarse|

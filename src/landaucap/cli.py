@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -276,6 +277,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one command line and return its exit code.
+
+    The heap is frozen for the length of the command (gc.freeze), so the
+    collections the command's own allocations trigger do not scan the
+    interpreter's and the imported modules' objects again; a freeze the
+    caller made is left as it is.
+    """
+    thaw = gc.get_freeze_count() == 0
+    if thaw:
+        gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        if thaw:
+            gc.unfreeze()
+
+
+def _run(argv: Optional[List[str]]) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

@@ -11,7 +11,7 @@ the real axis) gives real classes.  A class of one index is its own
 eigenvalue.  Every other class is reduced to a real tridiagonal matrix by
 Householder reflections on those integers, and the tridiagonal solved by
 an implicit QL on the same integers, carried as many bits further down as
-the tridiagonal's diagonal spans, each eigenvalue rounded once to p bits.
+the tridiagonal's entries span, each eigenvalue rounded once to p bits.
 The s_n decay super-geometrically, so the tridiagonal is steeply graded;
 the QL deflates from the top, and it is handed the tridiagonal small end
 first, which takes fewer iterations.  radial_oracle gives the eigenvalues of a centred
@@ -22,7 +22,6 @@ limits that the minimal norms and the capacity predict for them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from mpmath import mp
 
@@ -35,6 +34,7 @@ from ._mp import (
     raw_parts,
     round_shift,
 )
+from ._record import record
 from .chebyshev import CapacityEstimate
 from .errors import NonConvergenceError
 from .region import region_key
@@ -61,7 +61,7 @@ __all__ = [
 
 ORACLE_MSG = "oracle requires centered radial weight"
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LandauBasisSpec:
     q: int
     b0: float
@@ -76,7 +76,7 @@ class LandauBasisSpec:
             raise ValueError("truncation N must be >= q")
 
 
-@dataclass
+@record
 class ToeplitzSpectrum:
     log_eigs: tuple         # log s_n descending, mpf (-inf for nonpositive noise)
     matrix_residual: float  # Frobenius-norm gap / trace; 0 on the diagonal path
@@ -91,7 +91,7 @@ class ToeplitzSpectrum:
         return self.eigs
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LevelBlock:
     """A Hermitian block as the direct sum of its residue classes.
 
@@ -397,10 +397,16 @@ def _tridiagonal_ql(diag, sub2, bits: int, p: int):
     f = s e underflows there and the iteration stalls.  On 43 blocks at 128
     and 256 bits the least guard that converged in about n sweeps was at
     most 0.46 span (the corner square at N=40 and 128 bits: 104 of 229), so
-    the full span leaves more than half spare.  The sub-diagonal enters as
-    isqrt of sub2, rounded down.  e_m deflates where |e_m| is at most one
-    unit of the grid, inside the reduction's own error, or at most
-    2^-(p+40) (|d_m| + |d_(m+1)|).
+    the full span leaves more than half spare.  The span also covers each
+    coupling that does not deflate at once: a chase that starts below a
+    coupling 2^-t the size of its neighbours reaches l with t bits fewer,
+    and without them the top stalled above the deflation floor (Disc(1e-38,
+    1.5) at N=6 and 128 bits: 38 sweeps; 5 with them).  On the off-centre
+    disc and the polygons the tests solve no coupling is shorter than the
+    shortest diagonal entry, so there the guard is the diagonal's span.
+    The sub-diagonal enters as isqrt of sub2, rounded down.  e_m deflates
+    where |e_m| is at most one unit of the grid, inside the reduction's own
+    error, or at most 2^-(p+40) (|d_m| + |d_(m+1)|).
     Each sweep takes its shift from the leading 2x2 block and its
     rotations run from the deflation point up to l; a rotation whose f and
     g both vanish splits the matrix there instead (imtql1's recovery from
@@ -408,13 +414,17 @@ def _tridiagonal_ql(diag, sub2, bits: int, p: int):
     than _QL_ITERATIONS sweeps.
     """
     n = len(diag)
+    rel = p + 40
     lengths = [abs(x).bit_length() for x in diag]
+    for m, s in enumerate(sub2):
+        em = math.isqrt(s)
+        if em > 1 and em << rel > abs(diag[m]) + abs(diag[m + 1]):
+            lengths.append(em.bit_length())
     guard = max(lengths) - min(lengths)
     frac = bits + guard
     one = 1 << frac
     one2 = one * one
     unit = 1 << guard
-    rel = p + 40
     d = [x << guard for x in diag]
     e = [math.isqrt(s << 2 * guard) for s in sub2] + [0]
     for l in range(n):

@@ -9,12 +9,12 @@ rate rho, with a three-parameter tail fit for extrapolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from mpmath import mp
 
 from ._mp import hermitian_cholesky
+from ._record import record
 from .weight import MomentTable
 
 __all__ = [
@@ -25,14 +25,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@record
 class MonicOrthoBasis:
     maxdeg: int
     log_norms: list     # log M_n for 0 <= n <= maxdeg, mpf
     source: MomentTable
 
 
-@dataclass
+@record
 class RhoEstimate:
     sequence: list      # M_n^{1/n} for n in [n_min, N]
     rho_plus_hat: object

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Union as _TUnion
 
 import numpy as np
+
+from ._record import record
 
 __all__ = [
     "Disc",
@@ -29,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Disc:
     center: complex
     radius: float
@@ -40,7 +41,7 @@ class Disc:
         _finite_points((self.center,), "disc centre")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Annulus:
     center: complex
     inner: float
@@ -52,7 +53,7 @@ class Annulus:
         _finite_points((self.center,), "annulus centre")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Polygon:
     vertices: tuple
 
@@ -70,7 +71,7 @@ class Polygon:
         object.__setattr__(self, "vertices", vs)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class UnionRegion:
     parts: tuple
 

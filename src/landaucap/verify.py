@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from mpmath import mp
 
+from ._record import record
 from .chebyshev import capacity_estimate
 from .landau import (
     level_q_matrix,
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@record
 class CheckResult:
     name: str
     passed: bool

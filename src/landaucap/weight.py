@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from mpmath import libmp, mp
 
 from ._mp import dot, fixed_bits, from_fixed, gauss_legendre, raw_parts, to_fixed
+from ._record import record
 from .errors import DegenerateMomentError, NonConvergenceError
 from .region import (
     Annulus,
@@ -79,7 +79,7 @@ _TAIL_MARGIN = 10
 
 # ------------------------------------------------------------------ densities
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Constant:
     c: float = 1.0
 
@@ -91,7 +91,7 @@ class Constant:
         return mp.mpf(self.c)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Power:
     """|z|^k, the config profile power:k."""
 
@@ -105,7 +105,7 @@ class Power:
         return mp.mpf(r) ** self.k
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Chord:
     """2 sqrt(R^2 - |z|^2), the x3-chord of the solid ball of radius R, on
     its shadow Disc(0, R); R^2 is formed at the working precision."""
@@ -121,7 +121,7 @@ class Chord:
         return 2 * mp.sqrt(mp.mpf(self.R) ** 2 - r * r) if r < self.R else mp.mpf(0)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Weight:
     support: Region
     density: object  # Constant, Power or Chord
@@ -155,7 +155,7 @@ def weight_key(w: Weight) -> str:
 
 # ------------------------------------------------------------ boundary rules
 
-@dataclass
+@record
 class _Rule:
     """Nodes on a positively oriented boundary with their steps dz, the
     largest design degree of its pieces (-1 when none is stated), and the
@@ -447,7 +447,7 @@ def _pieces(part: Region, maxdeg: int, prec: int, k: int, beta: float, turned: b
 
 # ------------------------------------------------------------- moment tables
 
-@dataclass
+@record
 class MomentTable:
     maxdeg: int
     precision_bits: int

@@ -8,7 +8,6 @@ the set.
 """
 
 import cmath
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -281,7 +280,7 @@ def _bits(est):
         if isinstance(x, tuple):
             return tuple(map(exact, x))
         return x.hex() if isinstance(x, float) else x
-    return {f.name: exact(getattr(est, f.name)) for f in dataclasses.fields(est)}
+    return {name: exact(getattr(est, name)) for name in type(est)._fields}
 
 
 BLOCK_REGIONS = {

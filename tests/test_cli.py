@@ -7,6 +7,7 @@ capacity non-convergence, 4 for a degenerate moment matrix.
 """
 
 import csv
+import gc
 import io
 import json
 import math
@@ -240,18 +241,21 @@ def test_orthopoly_degenerate_moments_exit_4(tmp_path, capsys):
     assert not out_path.exists()
 
 
+TINY_OFFCENTER = {
+    "weight": {
+        "support": {"shape": "disc", "center": [1, 0], "radius": 0.01},
+        "density": {"kind": "constant"},
+    },
+    "N": 6,
+    "precision_bits": 64,
+}
+
+
 @pytest.mark.parametrize("command", ["toeplitz", "orthopoly", "predict"])
 def test_tiny_offcenter_disc_exits_4(tmp_path, capsys, command):
     # radius 0.01 at distance 1: at 64 bits both the plain table (orthopoly,
     # predict) and the Gaussian one (toeplitz) fail their Cholesky
-    cfg = write_config(tmp_path / "tiny.json", {
-        "weight": {
-            "support": {"shape": "disc", "center": [1, 0], "radius": 0.01},
-            "density": {"kind": "constant"},
-        },
-        "N": 6,
-        "precision_bits": 64,
-    })
+    cfg = write_config(tmp_path / "tiny.json", TINY_OFFCENTER)
     out_path = tmp_path / "tiny.csv"
     code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
     assert code == 4
@@ -595,7 +599,7 @@ def test_internal_type_error_is_not_a_config_error(tmp_path, capsys, monkeypatch
         raise TypeError("internal bug")
 
     monkeypatch.setattr(cli, "toeplitz_spectrum", broken)
-    cfg = write_config(tmp_path / "toep.json", {"weight": UNIT_DISC_WEIGHT, "N": 4})
+    cfg = write_config(tmp_path / "toep.json", {"weight": UNIT_DISC_WEIGHT, "N": 8})
     with pytest.raises(TypeError, match="internal bug"):
         main(["toeplitz", "--config", cfg])
 
@@ -727,3 +731,76 @@ def test_power_profile_in_ascii_digits_runs(tmp_path, capsys):
 def test_emission_digits():
     assert cli.emission_digits(128) == 39
     assert cli.emission_digits(256) == 77
+
+
+def test_disc_barely_off_centre_converges(tmp_path, capsys):
+    # its tridiagonal's first coupling is about 2^-128 of the diagonal, and
+    # the QL once stalled behind it (exit 3)
+    cfg = write_config(tmp_path / "near.json", {
+        "weight": {"support": {"shape": "disc", "center": [1e-38, 0], "radius": 1.5},
+                   "density": {"kind": "constant"}},
+        "N": 6,
+    })
+    code, out, err = run_cli(["toeplitz", "--config", cfg, "--format", "json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["summary"]["eigen_solve"] == "householder-ql"
+
+
+@pytest.fixture
+def thawed():
+    """No freeze in force when the test starts, as in a fresh process."""
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+
+
+def _frozen_during(monkeypatch, name):
+    """Record, on each call of cli.name, whether the heap was frozen."""
+    seen, command = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        seen.append(gc.get_freeze_count() > 0)
+        return command(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("payload, code", [
+    ({"weight": UNIT_DISC_WEIGHT, "N": 12}, 0),
+    ({"weight": UNIT_DISC_WEIGHT, "N": "four"}, 2),
+    (TINY_OFFCENTER, 4),
+])
+def test_main_freezes_the_heap_for_the_command_only(tmp_path, capsys, monkeypatch,
+                                                    thawed, payload, code):
+    seen = _frozen_during(monkeypatch, "cmd_orthopoly")
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    assert run_cli(["orthopoly", "--config", cfg], capsys)[0] == code
+    assert seen == [True]
+    assert gc.get_freeze_count() == 0
+
+
+def test_main_thaws_the_heap_when_an_exception_escapes(tmp_path, monkeypatch, thawed):
+    def boom(*args):
+        assert gc.get_freeze_count() > 0
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_orthopoly", boom)
+    cfg = write_config(tmp_path / "cfg.json", {"weight": UNIT_DISC_WEIGHT, "N": 12})
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["orthopoly", "--config", cfg])
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["no-such-command", "--config", cfg])
+    assert gc.get_freeze_count() == 0
+
+
+def test_main_keeps_its_callers_freeze(tmp_path, capsys, thawed):
+    cfg = write_config(tmp_path / "cfg.json", {"weight": UNIT_DISC_WEIGHT, "N": 12})
+    gc.freeze()
+    try:
+        count = gc.get_freeze_count()
+        assert count > 0
+        assert run_cli(["orthopoly", "--config", cfg], capsys)[0] == 0
+        assert gc.get_freeze_count() == count
+    finally:
+        gc.unfreeze()

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp
 from mpmath.matrices.eigen_symmetric import tridiag_eigen
@@ -700,6 +700,28 @@ def test_integer_ql_matches_mpmath_ql(name, q, N, p):
         assert sorted(+mp.ldexp(x, e - guard) for x in eigs) == want
 
 
+@pytest.mark.parametrize("a, p", [(1e-18, 64), (1e-20, 64), (1e-30, 96), (1e-38, 128)])
+def test_integer_ql_converges_past_a_tiny_coupling(a, p):
+    # a disc of radius 1.5 barely off 0 gives a tridiagonal whose first
+    # coupling is 2^-50 or less of its diagonal, yet above the deflation
+    # floor; reversed, every chase starts below it, and with the guard of
+    # the diagonal's span alone each of these took more than 30 sweeps for
+    # one eigenvalue
+    v = Weight(Disc(complex(a, 0), 1.5), Constant(1.0))
+    T = level_q_matrix(v, 0, 2.0, 6, p)
+    (re, im, e), = T.classes
+    bits = 2 * p + FIXED_GUARD_BITS
+    diag, sub2 = landau._householder_tridiagonal(*landau._class_columns(re, im, e, bits)[:2], bits)
+    assert abs(diag[0]) > abs(diag[-1])
+    assert sub2[0] << 100 < diag[0] ** 2 < sub2[0] << 2 * (p + 40)
+    sp = spectrum(T, p)
+    assert sp.eigen_solve == "householder-ql"
+    with mp.workprec(p + 128):
+        ref = sorted(mp.eighe(_full(_rows(T)), eigvals_only=True), reverse=True)
+        for got, want in zip(sp.eigenvalues(), ref):
+            assert abs(got - want) <= mp.mpf(2) ** (1 - p) * want
+
+
 def test_integer_ql_converges_in_three_sweeps_an_eigenvalue(monkeypatch):
     # the corner square's tridiagonal at N=64 spans 412 bits; with too few
     # guard bits f = s e underflows at its small end and the QL stalls
@@ -1106,6 +1128,7 @@ def test_theorem_predictions_rejects_bad_capacity():
     r=st.floats(min_value=0.4, max_value=1.6),
     a=st.floats(min_value=-0.4, max_value=0.4),
 )
+@example(r=1.5, a=1e-30)  # a coupling of 2^-101 relative: the QL once stalled
 def test_spectrum_properties_random_discs(r, a):
     v = Weight(Disc(complex(a, 0), r), Constant(1.0))
     T = level_q_matrix(v, 0, 2.0, 6, 96)
