@@ -11,8 +11,6 @@ import cmath
 import math
 from typing import Union as _TUnion
 
-import numpy as np
-
 from ._record import record
 
 __all__ = [
@@ -248,19 +246,94 @@ def capacity_known(region: Region):
     Gamma(1/n) s / (2^(1 + 2/n) sqrt(pi) Gamma(1/2 + 1/n)) (Polya & Szego,
     Isoperimetric Inequalities in Mathematical Physics, 1951); a polygon
     counts as regular when its sides agree and its vertices lie on one
-    circle about their centroid, both within a relative 1e-12.
+    circle about their centroid, both within a relative 1e-12. Its side s
+    is the mean side length, formed bit for bit in the arithmetic of
+    numpy's float64 absolute and mean (_modulus, _pairwise_sum).
     """
     if isinstance(region, Disc):
         return region.radius
     if isinstance(region, Polygon):
-        vs = np.array(region.vertices)
-        sides = np.abs(vs - np.roll(vs, 1))
-        radii = np.abs(vs - vs.mean())
-        if np.ptp(sides) <= 1e-12 * sides.max() and np.ptp(radii) <= 1e-12 * radii.max():
-            n, side = len(vs), float(sides.mean())
+        vs = region.vertices
+        n = len(vs)
+        sides = [_modulus(v - u) for u, v in zip(vs[-1:] + vs[:-1], vs)]
+        centroid = sum(vs) / n
+        radii = [abs(v - centroid) for v in vs]
+        if (max(sides) - min(sides) <= 1e-12 * max(sides)
+                and max(radii) - min(radii) <= 1e-12 * max(radii)):
+            side = _pairwise_sum(sides) / n
             return (math.gamma(1 / n) * side
                     / (2 ** (1 + 2 / n) * math.sqrt(math.pi) * math.gamma(0.5 + 1 / n)))
     return None
+
+
+def _modulus(z: complex) -> float:
+    """|z| as numpy's vectorised complex absolute forms it on x86-64:
+    b sqrt(fma(r, r, 1)), r = a / b, a <= b the parts' magnitudes. The
+    fused r^2 + 1 is rounded once: with r = p / q exactly, Python's integer
+    division (p^2 + q^2) / q^2 rounds correctly."""
+    a, b = sorted((abs(z.real), abs(z.imag)))
+    if b == 0.0:
+        return 0.0
+    p, q = (a / b).as_integer_ratio()
+    return b * math.sqrt((p * p + q * q) / (q * q))
+
+
+def _pairwise_sum(xs) -> float:
+    """The sum of the floats xs in the order numpy's add.reduce takes on a
+    contiguous float64 array: in turn below 8 terms, in 8 running sums
+    joined pairwise up to 128, halved (at a multiple of 8) above that."""
+    n = len(xs)
+    if n < 8:
+        total = -0.0
+        for x in xs:
+            total += x
+        return total
+    if n <= 128:
+        r = list(xs[:8])
+        whole = n - n % 8
+        for i in range(8, whole, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in xs[whole:]:
+            total += x
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def _part_keys(support: Region, image) -> set:
+    """The support's parts under the map image, each as an exact key: a
+    polygon's counterclockwise vertex cycle started at its least vertex, a
+    disc's or annulus's centre and radii."""
+    keys = set()
+    for part in support.parts if isinstance(support, UnionRegion) else (support,):
+        if isinstance(part, Polygon):
+            vs = [image(v) for v in part.vertices]
+            i = vs.index(min(vs, key=lambda z: (z.real, z.imag)))
+            keys.add((Polygon, tuple(vs[i:] + vs[:i])))
+        elif isinstance(part, Disc):
+            keys.add((Disc, image(part.center), part.radius))
+        else:
+            keys.add((Annulus, image(part.center), part.inner, part.outer))
+    return keys
+
+
+def _rotation_order(support: Region) -> int:
+    """The order m of the rotations z -> exp(2 pi i / m) z about 0 that map
+    the support onto itself: 4 when z -> iz does, else 2 when z -> -z does,
+    else 1.
+
+    Both maps take binary floats to binary floats exactly, so the support
+    is compared with its image part by part with no tolerance. The moment
+    rule and table (weight._symmetry) and Symm's capacity system
+    (chebyshev) read the same test."""
+    parts = _part_keys(support, lambda z: z)
+    if _part_keys(support, lambda z: complex(-z.imag, z.real)) == parts:
+        return 4
+    if _part_keys(support, lambda z: -z) == parts:
+        return 2
+    return 1
 
 
 def region_key(region: Region) -> str:

@@ -51,6 +51,7 @@ from .region import (
     region_key,
     _orient,
     _real,
+    _rotation_order,
     _strictly_inside,
 )
 
@@ -75,6 +76,11 @@ ODD_POWER_MSG = ("an odd power |z|^k is not smooth where the boundary passes thr
 _MAX_ODD_POWER_NODES = 1 << 14
 # bits past a rule's precision to which a circle resolves its Gaussian tail
 _TAIL_MARGIN = 10
+GUARD_MSG = ("a Gaussian moment table on this support cancels in more than {} guard bits "
+             "(beta rmax^2 / ln 2, beta = b0 / 2, rmax the bounding radius)")
+# the largest guard of one cancelling Gaussian sum; the tests and verify
+# suites reach 289 (the centred square of side 20, b0 = 2), 56 times less
+_MAX_GUARD_BITS = 1 << 14
 
 
 # ------------------------------------------------------------------ densities
@@ -499,45 +505,13 @@ def _radial_applicable(w: Weight) -> bool:
     return isinstance(w.support, (Disc, Annulus)) and w.support.center == 0
 
 
-def _part_keys(support: Region, image) -> set:
-    """The support's parts under the map image, each as an exact key: a
-    polygon's counterclockwise vertex cycle started at its least vertex, a
-    disc's or annulus's centre and radii."""
-    keys = set()
-    for part in support.parts if isinstance(support, UnionRegion) else (support,):
-        if isinstance(part, Polygon):
-            vs = [image(v) for v in part.vertices]
-            i = vs.index(min(vs, key=lambda z: (z.real, z.imag)))
-            keys.add((Polygon, tuple(vs[i:] + vs[:i])))
-        elif isinstance(part, Disc):
-            keys.add((Disc, image(part.center), part.radius))
-        else:
-            keys.add((Annulus, image(part.center), part.inner, part.outer))
-    return keys
-
-
-def _rotation_order(support: Region) -> int:
-    """The order m of the rotations z -> exp(2 pi i / m) z about 0 that map
-    the support onto itself: 4 when z -> iz does, else 2 when z -> -z does,
-    else 1.
-
-    Both maps take binary floats to binary floats exactly, so the support
-    is compared with its image part by part with no tolerance. Every
-    density c |z|^k is rotation invariant, so mu_ab = 0 unless
-    a = b (mod m)."""
-    parts = _part_keys(support, lambda z: z)
-    if _part_keys(support, lambda z: complex(-z.imag, z.real)) == parts:
-        return 4
-    if _part_keys(support, lambda z: -z) == parts:
-        return 2
-    return 1
-
-
 def _symmetry(support: Region):
     """(stride, fold, turn) of a support, from exact tests on its doubles:
-    the stride is its rotation order m (_rotation_order), the fold the
-    number of blocks of its rule that the rotation maps onto each other,
-    and the turn that of a mirror line through 0, or None.
+    the stride is its rotation order m (region._rotation_order; every
+    density c |z|^k is rotation invariant, so mu_ab = 0 unless
+    a = b (mod m)), the fold the number of blocks of its rule that the
+    rotation maps onto each other, and the turn that of a mirror line
+    through 0, or None.
 
     - A single disc or annulus: (m, 1, c or 1), c its centre; m is 1 off
       0, where the boundary path takes it. The line through 0 and c is a
@@ -589,14 +563,15 @@ def _radial_table(w, maxdeg, prec, beta):
     carries x / ln 2 guard bits past fixed_bits(prec, 2 maxdeg + k + 2).
     On an annulus the subtraction cancels: the outer term exceeds the
     entry by up to int_0^hi / int_lo^hi <= exp(x) hi^2 / (hi^2 - lo^2), so
-    G carries x / ln 2 and log2(hi^2 / (hi^2 - lo^2)) bits more."""
+    G carries x / ln 2 and log2(hi^2 / (hi^2 - lo^2)) bits more. Each of
+    the two guards is capped by _guard_bits."""
     lo, hi = _radial_interval(w.support)
     d = w.density
     k = _power(d)
     x = beta * float(hi) ** 2
-    guard = math.ceil(x / math.log(2))
+    guard = _guard_bits(x / math.log(2))
     if lo > 0:
-        guard += math.ceil(x / math.log(2) + math.log2(float(hi * hi / (hi * hi - lo * lo))))
+        guard += _guard_bits(x / math.log(2) + math.log2(float(hi * hi / (hi * hi - lo * lo))))
     G = fixed_bits(prec + guard, 2 * maxdeg + k + 2)
     with mp.workprec(G):
         if isinstance(d, Chord):
@@ -670,11 +645,21 @@ def _chord_column(x, maxdeg: int, G: int):
     return col
 
 
+def _guard_bits(bits: float) -> int:
+    """ceil(bits) guard bits for a sum that cancels in bits bits; raises
+    NonConvergenceError past _MAX_GUARD_BITS (an infinite count too), before
+    any rule or table is built at that width."""
+    if not bits <= _MAX_GUARD_BITS:
+        raise NonConvergenceError(GUARD_MSG.format(_MAX_GUARD_BITS))
+    return math.ceil(bits)
+
+
 def _boundary_guard(support, beta) -> int:
     """Bits a Gaussian boundary sum can lose: its terms lack the factor
     exp(-beta |z|^2) of the moments, so they cancel up to beta rmax^2 nats,
-    rmax the bounding radius. A plain sum (beta = 0) loses none."""
-    return math.ceil(beta * bounding_radius(support) ** 2 / math.log(2))
+    rmax the bounding radius (_guard_bits). A plain sum (beta = 0) loses
+    none."""
+    return _guard_bits(beta * bounding_radius(support) ** 2 / math.log(2))
 
 
 def _gram_table(w, rule: _Rule, maxdeg, prec, beta):

@@ -291,6 +291,26 @@ def test_huge_support_exits_2(tmp_path, capsys, name, command):
     assert not out_path.exists()
 
 
+# Gaussian guards past weight._MAX_GUARD_BITS: 1.44e40 bits on the disc,
+# 4.6e307 on the square, each within the range check above
+GUARD_SUPPORTS = {"offcentre-disc-1e20": {"shape": "disc", "center": [0.5, 0], "radius": 1e20},
+                  "square-4e153": _square(4e153)}
+
+
+@pytest.mark.parametrize("name", GUARD_SUPPORTS)
+def test_unbounded_gaussian_guard_exits_3(tmp_path, capsys, name):
+    # the Gaussian table would cancel in more guard bits than the cap: exit
+    # 3 before any rule is built, with no traceback and no output file
+    cfg = write_config(tmp_path / "guard.json", {
+        "weight": {"support": GUARD_SUPPORTS[name], "density": {"kind": "constant"}}, "N": 12,
+    })
+    out_path = tmp_path / "guard.csv"
+    code, out, err = run_cli(["toeplitz", "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 3
+    assert "guard bits" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_toeplitz_truncation_too_small_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "toep.json", {
         "weight": UNIT_DISC_WEIGHT, "q": 2, "N": 1, "precision_bits": 64,

@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -206,6 +208,27 @@ def test_capacity_known_regular_polygons():
     rhombus = (0j, 1 + 0j, complex(1.5, math.sqrt(3) / 2), complex(0.5, math.sqrt(3) / 2))
     assert capacity_known(Polygon(rhombus)) is None
     assert capacity_known(Polygon((0j, 2 + 0j, 2 + 1j, 1j))) is None
+
+
+def _numpy_known(vs):
+    """The regular-polygon value as a numpy mean of np.abs sides forms it."""
+    a = np.array(vs)
+    side = float(np.abs(a - np.roll(a, 1)).mean())
+    n = len(vs)
+    return (math.gamma(1 / n) * side
+            / (2 ** (1 + 2 / n) * math.sqrt(math.pi) * math.gamma(0.5 + 1 / n)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 200])
+def test_capacity_known_keeps_numpys_bits(n):
+    # capacity_known forms the sides and their mean in numpy's float64
+    # arithmetic (the vectorised absolute with a fused multiply-add, as on
+    # x86-64, and add.reduce's pairwise order) without numpy; 200 vertices
+    # take the pairwise halving
+    for radius, phase, centre in ((1.0, 0.0, 0j), (1.0, 0.3, 0.2 + 0.1j), (2.7, 1.1, -3 + 5j)):
+        vs = Polygon(tuple(centre + radius * cmath.exp(1j * (phase + 2 * math.pi * k / n))
+                           for k in range(n))).vertices
+        assert capacity_known(Polygon(vs)) == _numpy_known(vs)
 
 
 # ------------------------------------------------------------------- config

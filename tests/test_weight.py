@@ -397,6 +397,21 @@ def test_support_whose_squared_diameter_overflows_rejected():
             Weight(support, Constant(1.0))
 
 
+@pytest.mark.parametrize("support", [Disc(0j, 1e20), Annulus(0j, 1.0, 1e20), Disc(0.5 + 0j, 1e20),
+                                     Polygon((-4e153 - 4e153j, 4e153 - 4e153j, 4e153 + 4e153j,
+                                              -4e153 + 4e153j))])
+def test_unbounded_gaussian_guard_raises_nonconvergence(support):
+    # both guards, the radial table's and the boundary sum's, are capped:
+    # past _MAX_GUARD_BITS the Gaussian table raises before it builds a rule
+    w = Weight(support, Constant(1.0))
+    with pytest.raises(NonConvergenceError, match="guard bits"):
+        mixed_moments(w, "gaussian", 2, precision_bits=64)
+    bits = weight_module._MAX_GUARD_BITS * math.log(2)
+    assert weight_module._boundary_guard(Disc(0j, 1.0), bits) == weight_module._MAX_GUARD_BITS
+    with pytest.raises(NonConvergenceError, match="guard bits"):
+        weight_module._boundary_guard(Disc(0j, 1.0), 1.0001 * bits)
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     radius=st.floats(min_value=0.3, max_value=2.0),
