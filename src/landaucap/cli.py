@@ -8,9 +8,9 @@ suite. Results go to one CSV or JSON table; every linear column has a
 log-domain twin because the spectra decay below any fixed-precision linear
 representation within a few dozen eigenvalues.
 
-Exit codes: 0 success, 1 a verify check failed, 2 malformed config or an
-invariant violation, 3 a solver did not converge, 4 the moment matrix
-degenerated at the working precision.
+Exit codes: 0 success, 1 a verify check failed, 2 malformed config, an
+invariant violation or an unwritable output path, 3 a solver did not
+converge, 4 the moment matrix degenerated at the working precision.
 """
 
 from __future__ import annotations
@@ -335,6 +335,9 @@ def _run(argv: Optional[List[str]]) -> int:
         return 3
     except ValueError as e:
         sys.stderr.write(f"landaucap: invalid config: {e}\n")
+        return 2
+    except OSError as e:
+        sys.stderr.write(f"landaucap: cannot write output: {e}\n")
         return 2
 
 

@@ -34,8 +34,7 @@ class MonicOrthoBasis:
 
 @record
 class RhoEstimate:
-    sequence: list      # M_n^{1/n} for n in [n_min, N]
-    rho_plus_hat: object
+    rho_plus_hat: object    # max and min of M_n^{1/n} over the tail window
     rho_minus_hat: object
     extrapolated: object
     window: tuple
@@ -65,9 +64,9 @@ def monic_orthogonalize(moments: MomentTable) -> MonicOrthoBasis:
 
 
 def rho_estimates(basis: MonicOrthoBasis, n_min: int = 1) -> RhoEstimate:
-    """n-th roots M_n^{1/n} over [n_min, N], tail envelope, and a fitted limit.
+    """The envelope of the n-th roots M_n^{1/n} on the tail, and a fitted limit.
 
-    The tail is the last ceil((N - n_min)/3) entries; the extrapolation fits
+    The tail is the last ceil((N - n_min)/3) degrees; the extrapolation fits
     log M_n = n log rho + c log n + d over the tail by least squares.
     """
     N = basis.maxdeg
@@ -75,13 +74,11 @@ def rho_estimates(basis: MonicOrthoBasis, n_min: int = 1) -> RhoEstimate:
         raise ValueError("need 1 <= n_min < maxdeg")
     prec = basis.source.precision_bits
     with mp.workprec(prec):
-        ns = list(range(n_min, N + 1))
-        seq = [mp.exp(basis.log_norms[n] / n) for n in ns]
         tail_len = math.ceil((N - n_min) / 3)
         if tail_len < 4:
             raise ValueError("tail window too small (< 4 points); compute more degrees")
-        tail_ns = ns[-tail_len:]
-        tail_vals = seq[-tail_len:]
+        tail_ns = range(N + 1 - tail_len, N + 1)
+        tail_vals = [mp.exp(basis.log_norms[n] / n) for n in tail_ns]
         rho_plus = max(tail_vals)
         rho_minus = min(tail_vals)
         # least squares for log M_n = n log rho + c log n + d on the tail
@@ -96,4 +93,4 @@ def rho_estimates(basis: MonicOrthoBasis, n_min: int = 1) -> RhoEstimate:
                     ata[i, j] += r[i] * r[j]
         sol = mp.lu_solve(ata, atb)
         extrapolated = mp.exp(sol[0])
-        return RhoEstimate(seq, rho_plus, rho_minus, extrapolated, (n_min, N), basis.source.weight_key)
+        return RhoEstimate(rho_plus, rho_minus, extrapolated, (n_min, N), basis.source.weight_key)

@@ -247,59 +247,21 @@ def capacity_known(region: Region):
     Isoperimetric Inequalities in Mathematical Physics, 1951); a polygon
     counts as regular when its sides agree and its vertices lie on one
     circle about their centroid, both within a relative 1e-12. Its side s
-    is the mean side length, formed bit for bit in the arithmetic of
-    numpy's float64 absolute and mean (_modulus, _pairwise_sum).
+    is the mean side length. Only this branch imports numpy.
     """
     if isinstance(region, Disc):
         return region.radius
     if isinstance(region, Polygon):
-        vs = region.vertices
-        n = len(vs)
-        sides = [_modulus(v - u) for u, v in zip(vs[-1:] + vs[:-1], vs)]
-        centroid = sum(vs) / n
-        radii = [abs(v - centroid) for v in vs]
-        if (max(sides) - min(sides) <= 1e-12 * max(sides)
-                and max(radii) - min(radii) <= 1e-12 * max(radii)):
-            side = _pairwise_sum(sides) / n
+        import numpy as np
+
+        vs = np.array(region.vertices)
+        sides = np.abs(vs - np.roll(vs, 1))
+        radii = np.abs(vs - vs.mean())
+        if np.ptp(sides) <= 1e-12 * sides.max() and np.ptp(radii) <= 1e-12 * radii.max():
+            n, side = len(vs), float(sides.mean())
             return (math.gamma(1 / n) * side
                     / (2 ** (1 + 2 / n) * math.sqrt(math.pi) * math.gamma(0.5 + 1 / n)))
     return None
-
-
-def _modulus(z: complex) -> float:
-    """|z| as numpy's vectorised complex absolute forms it on x86-64:
-    b sqrt(fma(r, r, 1)), r = a / b, a <= b the parts' magnitudes. The
-    fused r^2 + 1 is rounded once: with r = p / q exactly, Python's integer
-    division (p^2 + q^2) / q^2 rounds correctly."""
-    a, b = sorted((abs(z.real), abs(z.imag)))
-    if b == 0.0:
-        return 0.0
-    p, q = (a / b).as_integer_ratio()
-    return b * math.sqrt((p * p + q * q) / (q * q))
-
-
-def _pairwise_sum(xs) -> float:
-    """The sum of the floats xs in the order numpy's add.reduce takes on a
-    contiguous float64 array: in turn below 8 terms, in 8 running sums
-    joined pairwise up to 128, halved (at a multiple of 8) above that."""
-    n = len(xs)
-    if n < 8:
-        total = -0.0
-        for x in xs:
-            total += x
-        return total
-    if n <= 128:
-        r = list(xs[:8])
-        whole = n - n % 8
-        for i in range(8, whole, 8):
-            for j in range(8):
-                r[j] += xs[i + j]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for x in xs[whole:]:
-            total += x
-        return total
-    half = n // 2 - n // 2 % 8
-    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
 
 
 def _part_keys(support: Region, image) -> set:

@@ -2,8 +2,9 @@
 
 Each test writes a JSON config to a temp directory, invokes main() with
 argv lists, and checks the rendered CSV/JSON output plus the exit code.
-Error paths assert the documented codes: 2 for config problems, 3 for
-capacity non-convergence, 4 for a degenerate moment matrix.
+Error paths assert the documented codes: 2 for config problems and an
+unwritable output, 3 for capacity non-convergence, 4 for a degenerate
+moment matrix.
 """
 
 import csv
@@ -463,6 +464,24 @@ def test_predict_square_capacity_and_error_bound(tmp_path, capsys):
     assert abs(cap - exact) <= min(1e-4 * exact, bound)
     values = {r["quantity"]: float(r["value"]) for r in payload["rows"]}
     assert abs(values["level_limit"] - cap ** 2) < 1e-12
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("capacity", {"region": {"shape": "disc", "center": [0, 0], "radius": 1.0}}),
+    ("toeplitz", {"weight": UNIT_DISC_WEIGHT, "N": 8}),
+    ("verify", {"suite": "theorem3"}),
+], ids=["capacity", "toeplitz", "verify"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, payload, target):
+    # the table is computed, then cannot be written: one stderr line naming
+    # the path, no traceback
+    out_path = tmp_path / "absent" / "out.csv" if target == "missing-dir" else tmp_path
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    code, out, err = run_cli([command, "--config", cfg, "--output", str(out_path)], capsys)
+    assert code == 2
+    assert err.startswith("landaucap: cannot write output:") and err.count("\n") == 1
+    assert str(out_path) in err and "Traceback" not in err
+    assert not (tmp_path / "absent").exists()
 
 
 def test_verify_unknown_suite_exits_2(tmp_path, capsys):

@@ -56,8 +56,8 @@ MUTABLE = {
     ToeplitzSpectrum: (("log_eigs", "matrix_residual", "trusted_count", "eigen_solve",
                         "eigs"), ToeplitzSpectrum((), 0.0, 0, "diagonal", ())),
     MonicOrthoBasis: (("maxdeg", "log_norms", "source"), MonicOrthoBasis(4, [], TABLE)),
-    RhoEstimate: (("sequence", "rho_plus_hat", "rho_minus_hat", "extrapolated", "window",
-                   "weight_key"), RhoEstimate([], 1.0, 1.0, 1.0, (1, 4))),
+    RhoEstimate: (("rho_plus_hat", "rho_minus_hat", "extrapolated", "window", "weight_key"),
+                  RhoEstimate(1.0, 1.0, 1.0, (1, 4))),
     CheckResult: (("name", "passed", "measured", "expected"),
                   CheckResult("disc", True, "1.0", "1.0")),
 }
@@ -94,7 +94,7 @@ def test_defaults():
     assert MomentTable(4, 128, 1.0, [], "boundary", "k", 9, 4, 1j).stride == 4
     assert FROZEN[CapacityEstimate][1].region_key is None
     assert MUTABLE[RhoEstimate][1].weight_key is None
-    assert RhoEstimate([], 1.0, 1.0, 1.0, (1, 4), weight_key="w").weight_key == "w"
+    assert RhoEstimate(1.0, 1.0, 1.0, (1, 4), weight_key="w").weight_key == "w"
 
 
 @pytest.mark.parametrize("make", [

@@ -1,10 +1,12 @@
 import cmath
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from landaucap import region as region_module
 from landaucap.region import (
     Annulus,
     Disc,
@@ -221,14 +223,30 @@ def _numpy_known(vs):
 
 @pytest.mark.parametrize("n", [3, 4, 6, 8, 12, 200])
 def test_capacity_known_keeps_numpys_bits(n):
-    # capacity_known forms the sides and their mean in numpy's float64
-    # arithmetic (the vectorised absolute with a fused multiply-add, as on
-    # x86-64, and add.reduce's pairwise order) without numpy; 200 vertices
-    # take the pairwise halving
     for radius, phase, centre in ((1.0, 0.0, 0j), (1.0, 0.3, 0.2 + 0.1j), (2.7, 1.1, -3 + 5j)):
         vs = Polygon(tuple(centre + radius * cmath.exp(1j * (phase + 2 * math.pi * k / n))
                            for k in range(n))).vertices
         assert capacity_known(Polygon(vs)) == _numpy_known(vs)
+
+
+@pytest.mark.parametrize("shift, regular", [(1e-10, False), (1e-15, True)])
+def test_capacity_known_tolerances(shift, regular):
+    # one vertex of the unit-radius hexagon (side 1) moved outward by shift
+    # of the radius: the sides and radii then spread by about shift, which
+    # the relative 1e-12 tolerances reject at 1e-10 and accept at 1e-15
+    vs = [cmath.exp(1j * math.pi * k / 3) for k in range(6)]
+    vs[0] *= 1 + shift
+    exact = math.gamma(1 / 6) / (2 ** (4 / 3) * math.sqrt(math.pi) * math.gamma(2 / 3))
+    known = capacity_known(Polygon(tuple(vs)))
+    if regular:
+        assert known == pytest.approx(exact, rel=1e-14)
+    else:
+        assert known is None
+
+
+def test_region_imports_numpy_only_inside_capacity_known():
+    modules = [v for v in vars(region_module).values() if isinstance(v, types.ModuleType)]
+    assert not [m for m in modules if m.__name__.partition(".")[0] == "numpy"]
 
 
 # ------------------------------------------------------------------- config
